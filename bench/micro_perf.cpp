@@ -6,13 +6,16 @@
 #include <string>
 #include <vector>
 
+#include "attack/verify.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
 #include "benchgen/fsm_suite.hpp"
 #include "core/cute_lock_beh.hpp"
 #include "core/cute_lock_str.hpp"
 #include "fsm/synth.hpp"
+#include "lock/comb_locks.hpp"
 #include "logic/minimize.hpp"
+#include "netlist/transform.hpp"
 #include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
 #include "sim/bit_sim.hpp"
@@ -264,6 +267,80 @@ void BM_SolverPortfolioRace(benchmark::State& state) {
   state.counters["workers"] = static_cast<double>(workers);
 }
 BENCHMARK(BM_SolverPortfolioRace)->Arg(4)->UseRealTime();
+
+// ---- Key verification axis -------------------------------------------------
+//
+// attack::verify_static_key on a correct key, default options except for an
+// unlimited wall cap (so the counters cannot depend on the host). "folded": a
+// Cute-Lock-Str single-key lock of b03, whose equivalence miter folds to
+// constant false at every depth (no solver call). "solver": b03 with its XORs
+// spelled as AND/OR, then XOR-locked; the hashed miter cannot fold the
+// respelled cones, so every depth is a CDCL proof. cnf_vars, cnf_clauses and
+// conflicts are deterministic; the baseline diff pins them.
+
+/// `nl` with every two-input XOR/XNOR rewritten as AND/OR/NOT: the same
+/// function in a structure the miter's hashing does not recognize.
+netlist::Netlist expand_xors(const netlist::Netlist& nl) {
+  using netlist::GateType;
+  netlist::Netlist out = nl.clone(nl.name());
+  for (netlist::SignalId s = 0; s < nl.size(); ++s) {
+    const netlist::Node& n = nl.node(s);
+    const bool is_xor = n.type == GateType::Xor;
+    if ((!is_xor && n.type != GateType::Xnor) || n.fanins.size() != 2) continue;
+    const netlist::SignalId a = n.fanins[0];
+    const netlist::SignalId b = n.fanins[1];
+    const netlist::SignalId na = out.add_not(a);
+    const netlist::SignalId nb = out.add_not(b);
+    const netlist::SignalId hi = out.add_and(a, is_xor ? nb : b);
+    const netlist::SignalId lo = out.add_and(na, is_xor ? b : nb);
+    out.replace_all_readers(s, out.add_or(hi, lo));
+  }
+  return netlist::remove_dangling(out);
+}
+
+struct VerifyCase {
+  netlist::Netlist locked;
+  sim::BitVec key;
+  netlist::Netlist original;
+};
+
+VerifyCase folded_verify_case() {
+  const auto circuit = benchgen::make_circuit("b03");
+  core::StrOptions options;
+  options.num_keys = 4;
+  options.key_bits = 3;
+  options.locked_ffs = 2;
+  options.seed = 5;
+  options.single_key_reduction = true;
+  auto lr = core::cute_lock_str(circuit.netlist, options);
+  return {std::move(lr.locked), lr.key_schedule[0], circuit.netlist};
+}
+
+VerifyCase solver_verify_case() {
+  const auto circuit = benchgen::make_circuit("b03");
+  util::Rng rng(5);
+  auto lr = lock::xor_lock(expand_xors(circuit.netlist), 8, rng);
+  return {std::move(lr.locked), lr.correct_key, circuit.netlist};
+}
+
+void BM_VerifyStaticKey(benchmark::State& state, VerifyCase (*make)()) {
+  const VerifyCase c = make();
+  attack::VerifyOptions options;
+  options.time_limit_s = -1.0;
+  attack::VerifyResult result;
+  for (auto _ : state) {
+    result = attack::verify_static_key(c.locked, c.key, c.original, options);
+    benchmark::DoNotOptimize(result.verdict);
+  }
+  if (result.verdict != attack::Verdict::Equivalent) {
+    state.SkipWithError("correct key not verified equivalent");
+  }
+  state.counters["cnf_vars"] = static_cast<double>(result.cnf_vars);
+  state.counters["cnf_clauses"] = static_cast<double>(result.cnf_clauses);
+  state.counters["conflicts"] = static_cast<double>(result.conflicts);
+}
+BENCHMARK_CAPTURE(BM_VerifyStaticKey, folded, folded_verify_case);
+BENCHMARK_CAPTURE(BM_VerifyStaticKey, solver, solver_verify_case);
 
 void BM_BitSim64Lanes(benchmark::State& state) {
   const auto circuit = benchgen::make_circuit("b14");

@@ -102,7 +102,10 @@ AcceptReport verify_any_key(const netlist::Netlist& locked,
   } else if (options.criterion != AcceptCriterion::Approximate) {
     const VerifyResult v =
         verify_static_key(locked, key, original, options.verify);
-    report.any_key_pass = v.equivalent ? 1 : 0;
+    // An unproven key (Unknown) leaves any_key_pass at -1.
+    if (v.verdict != Verdict::Unknown) {
+      report.any_key_pass = v.verdict == Verdict::Equivalent ? 1 : 0;
+    }
   }
   switch (options.criterion) {
     case AcceptCriterion::ExactKey:

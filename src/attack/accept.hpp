@@ -61,7 +61,8 @@ struct AcceptReport {
   /// Verdict under `criterion`.
   bool accepted = false;
   AcceptCriterion criterion = AcceptCriterion::AnyPassingKey;
-  /// Tri-state facts (-1 = not evaluated): recovered key equals ground
+  /// Tri-state facts (-1 = not evaluated, or for any_key_pass also: the
+  /// equivalence proof ran out of budget): recovered key equals ground
   /// truth; locked-under-key is functionally equivalent to the original.
   int key_exact = -1;
   int any_key_pass = -1;

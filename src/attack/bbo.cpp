@@ -77,7 +77,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
     const VerifyResult v = verify_static_key(
         locked, key, oracle.reference(), verify_options_for(options.budget));
     result.key = key;
-    result.outcome = v.equivalent ? Outcome::Equal : Outcome::WrongKey;
+    result.outcome = verdict_outcome(v.verdict);
     result.seconds = timer.seconds();
     return result;
   };

@@ -122,7 +122,9 @@ FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
   // Step 3+4: candidate keys from pattern polarities, verified on the
   // oracle. The pattern over inputs {i0 < i1 < ...} maps positionally onto
   // the key inputs (the TTLock/SFLL construction compares key bit j against
-  // the j-th protected input).
+  // the j-th protected input). A candidate whose proof ran out of budget
+  // may be the key, so it turns a final FAIL into N/A.
+  std::size_t unproven = 0;
   for (const InputPattern& p : patterns) {
     if (timer.seconds() > options.budget.time_limit_s) {
       out.result.outcome = Outcome::Timeout;
@@ -136,7 +138,8 @@ FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
     ++out.result.iterations;
     const VerifyResult v = verify_static_key(
         locked, key, oracle.reference(), verify_options_for(options.budget));
-    if (v.equivalent) {
+    if (v.verdict == Verdict::Unknown) ++unproven;
+    if (v.verdict == Verdict::Equivalent) {
       ++out.confirmed;
       out.result.outcome = Outcome::Equal;
       out.result.key = key;
@@ -147,9 +150,11 @@ FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
     }
   }
 
-  out.result.outcome = Outcome::Fail;
+  out.result.outcome = unproven > 0 ? Outcome::Timeout : Outcome::Fail;
   out.result.seconds = timer.seconds();
   out.result.detail = std::to_string(out.candidates) + " candidates, none confirmed; " +
+                      (unproven > 0 ? std::to_string(unproven) + " unproven; "
+                                    : std::string()) +
                       std::to_string(sensitive) + " sensitive keys";
   return out;
 }

@@ -230,10 +230,10 @@ void OgEngine::rebuild(std::size_t depth) {
   miter_->extend_to(depth);
   if (budget_.sat_preprocess) {
     // BVE must never touch the variables the attack reads back (key bits)
-    // or later re-constrains (initial state when the deepening loop extends
-    // the miter): freeze them. Everything else — the unrolled copies of the
+    // or later re-constrains (the initial state every oracle fact starts
+    // from): freeze them. Everything else — the unrolled copies of the
     // circuit internals — is fair game; eliminated variables revive
-    // automatically if extend_to / replayed IO mentions them again.
+    // automatically if replayed IO mentions them again.
     for (const sat::Var v : miter_->keys_a()) solver_->set_frozen(v, true);
     for (const sat::Var v : miter_->keys_b()) solver_->set_frozen(v, true);
     for (const sat::Var v : miter_->initial_state_vars()) {
@@ -245,8 +245,6 @@ void OgEngine::rebuild(std::size_t depth) {
     constrain_both_keys(fact.inputs, fact.outputs);
   }
 }
-
-void OgEngine::extend_to(std::size_t depth) { miter_->extend_to(depth); }
 
 std::vector<Observation> OgEngine::banked_observations() {
   std::vector<Observation> out;
@@ -322,9 +320,12 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
     add_io_batch(warm);
   }
 
-  std::size_t depth = spec_.start_depth;
+  const std::size_t depth = spec_.start_depth;
+  if (!spec_.combinational && depth > budget_.max_depth) {
+    return finish(Outcome::Fail, "start depth exceeds the budget's max depth");
+  }
   std::size_t dip_rounds = 0;
-  while (spec_.combinational || depth <= budget_.max_depth) {
+  for (;;) {
     // DIS search at the current depth.
     bool dis_exhausted = false;
     while (!dis_exhausted) {
@@ -411,15 +412,19 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
     const VerifyResult v =
         verify_static_key(locked_, key, oracle_.reference(),
                           verify_options(!spec_.combinational));
+    if (v.verdict == Verdict::Unknown) {
+      // Neither proven nor refuted: the budget ran out, whatever the key.
+      return finish_timeout("key verification exceeded its budget");
+    }
     if (spec_.combinational && !hints_active_) {
       // Scan-model attacks conclude here, right or wrong: with no DIP left
       // there is nothing more the oracle can discriminate. (Only hint-free:
       // under hints, "no DIP left" covers the hinted subspace, not the key
       // space — the hint-failure branch below re-enters the search instead.)
       result_.key = key;
-      return finish(v.equivalent ? Outcome::Equal : Outcome::WrongKey, "");
+      return finish(verdict_outcome(v.verdict), "");
     }
-    if (v.equivalent) {
+    if (v.verdict == Verdict::Equivalent) {
       // Externally verified, so hints (if any) didn't have to be earned off.
       result_.key = key;
       return finish(Outcome::Equal,
@@ -427,39 +432,16 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
                         ? ""
                         : "verified at depth " + std::to_string(depth));
     }
-    if (hints_active_) {
-      // The hinted subspace's best candidate fails on the real circuit: the
-      // hints were wrong. Drop them for the rest of the run and resume the
-      // search over the full key space; every terminal verdict from here on
-      // is reached exactly as it would have been without hints.
-      hints_active_ = false;
-      if (!v.counterexample.empty()) {
-        add_io(v.counterexample);
-        strategy.on_refuted(*this, key);
-      }
-      continue;
-    }
-    if (!v.counterexample.empty()) {
-      // The candidate fails on a real sequence: feed it back as an oracle
-      // constraint (this is what drives multi-key locks to CNS).
-      add_io(v.counterexample);
-      strategy.on_refuted(*this, key);
-      continue;  // retry at the same depth with the new constraint
-    }
-    // No counterexample reconstructed: deepen the search.
-    depth += spec_.depth_step;
-    if (depth > budget_.max_depth) break;
-    if (spec_.incremental) {
-      extend_to(depth);
-    } else {
-      rebuild(depth);
-    }
+    // The candidate fails on a real sequence. Under hints, their subspace's
+    // best candidate failing means the hints were wrong: drop them for the
+    // rest of the run, so every terminal verdict from here on is reached
+    // exactly as it would have been without hints. Then feed the
+    // counterexample back as an oracle constraint (this is what drives
+    // multi-key locks to CNS) and retry at the same depth.
+    hints_active_ = false;
+    add_io(v.counterexample);
+    strategy.on_refuted(*this, key);
   }
-
-
-  result_.key = candidate_;
-  return finish(candidate_.empty() ? Outcome::Fail : Outcome::WrongKey,
-                "max depth reached without a verified key");
 }
 
 AttackResult DipStrategy::attack(OgEngine& engine) {

@@ -10,8 +10,8 @@
 // iteration accounting, candidate tracking, and candidate verification.
 // What actually differs per attack is reduced to a DipStrategy — how many
 // DIPs per round (Double-DIP), settling on an approximate key (AppSAT),
-// blocking refuted candidates (KC2), depth extension policy (BMC vs KC2's
-// incremental solver), a symbolic reset state (RANE), or replacing the
+// blocking refuted candidates (KC2), a symbolic reset state (RANE), or
+// replacing the
 // static-key hypothesis with a periodic schedule sweep (periodic).
 //
 // The engine is also where the cross-attack ObservationBank plugs in: when a
@@ -50,11 +50,9 @@ class OgEngine {
   /// Static description of a strategy's loop shape. The engine reads it once
   /// at run() and drives the shared loop accordingly.
   struct Spec {
-    bool combinational = false;  ///< scan model: fixed depth 1, no deepening
+    bool combinational = false;  ///< scan model: fixed depth 1
     bool symbolic_init = false;  ///< RANE: reset state as a shared secret
-    bool incremental = false;    ///< persist solver across depths (KC2)
-    std::size_t start_depth = 1;
-    std::size_t depth_step = 2;
+    std::size_t start_depth = 1;  ///< unroll depth of the DIS search
     std::size_t warmup_sequences = 0;  ///< random oracle traces before DIS
     std::size_t warmup_cycles = 0;
     std::size_t dips_per_round = 1;  ///< Double-DIP: 2
@@ -135,10 +133,8 @@ class OgEngine {
   /// the exact clause stream of per-sequence add_io calls.
   void add_io_batch(const std::vector<std::vector<sim::BitVec>>& sequences);
 
-  /// Fresh solver + miter at `depth`, replaying the recorded I/O log (the
-  /// non-incremental deepening policy). Also the initial construction.
+  /// Fresh solver + miter at `depth`, replaying the recorded I/O log.
   void rebuild(std::size_t depth);
-  void extend_to(std::size_t depth);
 
   /// Best key candidate so far; every Timeout path reports it uniformly.
   const sim::BitVec& candidate() const { return candidate_; }
@@ -165,8 +161,8 @@ class OgEngine {
   AttackResult finish_timeout(std::string detail);
 
   /// The shared loop (DipStrategy::attack's default body): bank replay,
-  /// warmup, DIS search per depth, consistency check, verification,
-  /// counterexample feedback, deepening.
+  /// warmup, DIS search, consistency check, verification, counterexample
+  /// feedback.
   AttackResult run_dip_loop(DipStrategy& strategy);
 
  private:

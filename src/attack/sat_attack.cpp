@@ -92,7 +92,7 @@ class AppSatStrategy : public CombDipStrategy {
           engine.locked(), engine.candidate(), engine.oracle().reference(),
           engine.verify_options(false));
       engine.result().key = engine.candidate();
-      *done = engine.finish(v.equivalent ? Outcome::Equal : Outcome::WrongKey,
+      *done = engine.finish(verdict_outcome(v.verdict),
                             "appsat settled, error rate " +
                                 std::to_string(error_rate));
       return RoundAction::kDone;

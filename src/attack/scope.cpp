@@ -39,7 +39,7 @@ ScopeResult scope_attack(const netlist::Netlist& locked,
     const VerifyResult v =
         verify_static_key(locked, r.key, oracle->reference(),
                           verify_options_for(options.budget));
-    r.outcome = v.equivalent ? Outcome::Equal : Outcome::WrongKey;
+    r.outcome = verdict_outcome(v.verdict);
   }
   r.seconds = timer.seconds();
   return out;

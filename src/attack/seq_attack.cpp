@@ -9,8 +9,8 @@ using netlist::Netlist;
 namespace {
 
 /// BMC / KC2 / RANE: the sequential DIS loop. The three differ only in
-/// Spec flags (incremental solver, symbolic reset state, warmup volume) and
-/// in KC2's wrong-candidate blocking clause.
+/// Spec flags (symbolic reset state, warmup volume) and in KC2's
+/// wrong-candidate blocking clause.
 class SeqDipStrategy : public DipStrategy {
  public:
   explicit SeqDipStrategy(const SeqAttackOptions& options)
@@ -24,9 +24,7 @@ class SeqDipStrategy : public DipStrategy {
   Spec spec() const override {
     Spec s;
     s.symbolic_init = options_.symbolic_init;
-    s.incremental = options_.incremental;
     s.start_depth = options_.start_depth;
-    s.depth_step = options_.depth_step;
     s.warmup_sequences = options_.warmup_sequences;
     s.warmup_cycles = options_.warmup_cycles;
     s.seed = options_.seed;

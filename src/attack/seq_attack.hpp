@@ -2,12 +2,12 @@
 //
 //  * bmc_attack  — the unrolling attack of El Massad et al. (ICCAD'17), the
 //    algorithm behind NEOS's "int" mode: find discriminating input
-//    *sequences* (DISes) at growing depths, query the oracle from reset,
-//    constrain, and conclude when the key space is discriminated.
-//  * kc2_attack  — Shamsi et al. (DATE'19): the same decision problem solved
-//    incrementally; one solver instance persists across depths and DIS
-//    rounds (learned clauses and key conditions are "crunched" instead of
-//    rebuilt), plus wrong-candidate blocking clauses.
+//    *sequences* (DISes) on an unrolling, query the oracle from reset,
+//    constrain, feed back the counterexample of every refuted candidate,
+//    and conclude when the key space is discriminated.
+//  * kc2_attack  — Shamsi et al. (DATE'19): the same decision problem on one
+//    persistent solver (learned clauses and key conditions are "crunched"
+//    instead of rebuilt), plus wrong-candidate blocking clauses.
 //  * rane_attack — Roshanisefat et al. (GLSVLSI'21): formal-verification
 //    style formulation where the reset state is itself a symbolic secret
 //    shared by all copies.
@@ -25,10 +25,9 @@ namespace cl::attack {
 
 struct SeqAttackOptions {
   AttackBudget budget;
-  bool incremental = false;    // KC2: persist the solver across depths
+  bool incremental = false;    // KC2: block every refuted candidate key
   bool symbolic_init = false;  // RANE: reset state as symbolic secret
-  std::size_t start_depth = 2;
-  std::size_t depth_step = 2;
+  std::size_t start_depth = 2;  // unroll depth of the DIS search
   /// Simulation-guided preprocessing: constrain this many random oracle
   /// traces before the DIS loop (prunes the bulk of the hypothesis space;
   /// essential when the reset state is symbolic).

@@ -8,6 +8,30 @@ namespace cl::attack {
 
 using netlist::Netlist;
 
+const char* verdict_name(Verdict v) {
+  switch (v) {
+    case Verdict::Equivalent:
+      return "equivalent";
+    case Verdict::Different:
+      return "different";
+    case Verdict::Unknown:
+      break;
+  }
+  return "unknown";
+}
+
+Outcome verdict_outcome(Verdict v) {
+  switch (v) {
+    case Verdict::Equivalent:
+      return Outcome::Equal;
+    case Verdict::Different:
+      return Outcome::WrongKey;
+    case Verdict::Unknown:
+      break;
+  }
+  return Outcome::Timeout;
+}
+
 VerifyOptions verify_options_for(const AttackBudget& budget) {
   VerifyOptions v;
   v.time_limit_s = budget.verify_time_limit_s;
@@ -45,7 +69,7 @@ VerifyResult verify_static_key(const Netlist& locked, const sim::BitVec& key,
       const int diverge = sim::first_divergence(want[t], got[t]);
       if (diverge != -1) {
         VerifyResult r;
-        r.equivalent = false;
+        r.verdict = Verdict::Different;
         r.counterexample.assign(stims[t].begin(),
                                 stims[t].begin() + diverge + 1);
         return r;
@@ -53,34 +77,37 @@ VerifyResult verify_static_key(const Netlist& locked, const sim::BitVec& key,
     }
     done += chunk;
   }
-  // Phase 2: bounded SAT equivalence with the key pinned, as an incremental
-  // depth ladder — each per-depth UNSAT proof reuses the learned clauses of
-  // the previous one, which is far cheaper than one monolithic deep solve.
+  // Phase 2: bounded SAT equivalence with the key folded in, as an
+  // incremental depth ladder — each per-depth UNSAT proof reuses the learned
+  // clauses of the previous one. A depth whose miter folded to constant
+  // false is proven without a solve.
   sat::Solver solver;
   solver.set_conflict_budget(options.conflict_budget);
   solver.set_time_budget(options.time_limit_s);
-  cnf::EquivalenceMiter miter(solver, locked, original);
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    solver.add_unit(sat::Lit(miter.keys_a()[i], key[i] == 0));
-  }
+  cnf::EquivalenceMiter miter(solver, locked, key, original);
   VerifyResult out;
+  const auto conclude = [&](Verdict verdict) {
+    out.verdict = verdict;
+    out.cnf_vars = static_cast<std::uint64_t>(solver.num_vars());
+    out.cnf_clauses = solver.num_clauses();
+    out.conflicts = solver.num_conflicts();
+    return out;
+  };
   for (std::size_t depth = 1; depth <= options.sat_depth; ++depth) {
     miter.extend_to(depth);
-    const sat::Result r = solver.solve({miter.diff_within(depth)});
+    const sat::Lit diff = miter.diff_within(depth);
+    if (diff == miter.constant(false)) continue;
+    const sat::Result r = solver.solve({diff});
     if (r == sat::Result::Sat) {
-      out.equivalent = false;
       out.counterexample = miter.extract_inputs(depth);
-      return out;
+      return conclude(Verdict::Different);
     }
     if (r == sat::Result::Unknown) {
-      // Budget exhausted: equivalence holds up to depth-1 but is unproven
-      // beyond; be conservative.
-      out.equivalent = false;
-      return out;
+      // Equivalence holds up to depth-1 but is unproven beyond.
+      return conclude(Verdict::Unknown);
     }
   }
-  out.equivalent = true;
-  return out;
+  return conclude(Verdict::Equivalent);
 }
 
 }  // namespace cl::attack

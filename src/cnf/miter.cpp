@@ -173,10 +173,11 @@ void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
 }
 
 EquivalenceMiter::EquivalenceMiter(Solver& solver, const Netlist& a,
-                                   const Netlist& b)
+                                   const sim::BitVec& key, const Netlist& b)
     : solver_(solver),
       a_(a),
       b_(b),
+      encoder_(solver),
       order_a_(netlist::topo_order(a)),
       order_b_(netlist::topo_order(b)) {
   if (a.inputs().size() != b.inputs().size() ||
@@ -186,68 +187,56 @@ EquivalenceMiter::EquivalenceMiter(Solver& solver, const Netlist& a,
   if (!b.key_inputs().empty()) {
     throw std::invalid_argument("EquivalenceMiter: reference must be key-free");
   }
-  keys_a_.reserve(a.key_inputs().size());
-  for (std::size_t i = 0; i < a.key_inputs().size(); ++i) {
-    keys_a_.push_back(solver_.new_var());
+  if (key.size() != a.key_inputs().size()) {
+    throw std::invalid_argument("EquivalenceMiter: key width mismatch");
   }
+  keys_a_.reserve(key.size());
+  for (const auto bit : key) keys_a_.push_back(encoder_.constant(bit != 0));
+  state_a_ = initial_state(a);
+  state_b_ = initial_state(b);
+}
+
+std::vector<Lit> EquivalenceMiter::initial_state(const Netlist& nl) {
+  std::vector<Lit> state;
+  state.reserve(nl.dffs().size());
+  for (SignalId d : nl.dffs()) {
+    const DffInit init = nl.dff_init(d);
+    state.push_back(init == DffInit::X ? encoder_.fresh()
+                                       : encoder_.constant(init == DffInit::One));
+  }
+  return state;
 }
 
 void EquivalenceMiter::extend_to(std::size_t depth) {
-  while (frames_a_.size() < depth) {
-    const std::size_t t = frames_a_.size();
+  while (cumulative_diff_.size() < depth) {
     std::vector<Var> ins;
+    std::vector<Lit> in_lits;
+    ins.reserve(a_.inputs().size());
+    in_lits.reserve(a_.inputs().size());
     for (std::size_t i = 0; i < a_.inputs().size(); ++i) {
-      ins.push_back(solver_.new_var());
+      in_lits.push_back(encoder_.fresh());
+      ins.push_back(in_lits.back().var());
     }
-    inputs_.push_back(ins);
+    inputs_.push_back(std::move(ins));
 
-    const auto make_frame = [&](const Netlist& nl,
-                                const std::vector<netlist::SignalId>& order,
-                                std::vector<FrameVars>& frames,
-                                const std::vector<Var>& keys) {
-      FrameSources src;
-      src.inputs = ins;
-      src.keys = keys;
-      if (t == 0) {
-        src.states.reserve(nl.dffs().size());
-        for (SignalId d : nl.dffs()) {
-          const Var v = solver_.new_var();
-          if (nl.dff_init(d) == DffInit::Zero) encode_const(solver_, v, false);
-          else if (nl.dff_init(d) == DffInit::One) encode_const(solver_, v, true);
-          src.states.push_back(v);
-        }
-      } else {
-        const FrameVars& prev = frames[t - 1];
-        src.states.reserve(nl.dffs().size());
-        for (SignalId d : nl.dffs()) {
-          src.states.push_back(prev.var[nl.dff_input(d)]);
-        }
-      }
-      frames.push_back(encode_frame(solver_, nl, std::move(src), order));
-    };
-    make_frame(a_, order_a_, frames_a_, keys_a_);
-    make_frame(b_, order_b_, frames_b_, {});
-
-    std::vector<Var> xors;
+    const std::vector<Lit> fa =
+        encoder_.encode_frame(a_, order_a_, in_lits, keys_a_, state_a_);
+    const std::vector<Lit> fb =
+        encoder_.encode_frame(b_, order_b_, in_lits, {}, state_b_);
+    Lit diff = encoder_.constant(false);
     for (std::size_t o = 0; o < a_.outputs().size(); ++o) {
-      const Var x = solver_.new_var();
-      encode_xor2(solver_, x, frames_a_[t].var[a_.outputs()[o]],
-                  frames_b_[t].var[b_.outputs()[o]]);
-      xors.push_back(x);
+      diff = encoder_.or2(diff, encoder_.xor2(fa[a_.outputs()[o]],
+                                               fb[b_.outputs()[o]]));
     }
-    const Var diff = solver_.new_var();
-    if (xors.empty()) {
-      encode_const(solver_, diff, false);
-    } else {
-      encode_or(solver_, diff, xors);
+    cumulative_diff_.push_back(cumulative_diff_.empty()
+                                   ? diff
+                                   : encoder_.or2(cumulative_diff_.back(), diff));
+    for (std::size_t i = 0; i < a_.dffs().size(); ++i) {
+      state_a_[i] = fa[a_.dff_input(a_.dffs()[i])];
     }
-    const Var cum = solver_.new_var();
-    if (t == 0) {
-      encode_eq(solver_, cum, diff);
-    } else {
-      encode_or(solver_, cum, {cumulative_diff_[t - 1], diff});
+    for (std::size_t i = 0; i < b_.dffs().size(); ++i) {
+      state_b_[i] = fb[b_.dff_input(b_.dffs()[i])];
     }
-    cumulative_diff_.push_back(cum);
   }
 }
 
@@ -255,7 +244,7 @@ Lit EquivalenceMiter::diff_within(std::size_t depth) const {
   if (depth == 0 || depth > cumulative_diff_.size()) {
     throw std::out_of_range("diff_within: depth not unrolled");
   }
-  return sat::pos(cumulative_diff_[depth - 1]);
+  return cumulative_diff_[depth - 1];
 }
 
 std::vector<sim::BitVec> EquivalenceMiter::extract_inputs(

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "cnf/hashed_encoder.hpp"
 #include "cnf/unroller.hpp"
 #include "sim/sequence.hpp"
 
@@ -66,37 +67,48 @@ class SequentialMiter {
   std::vector<sat::Var> cumulative_diff_;       // per depth (index d-1)
 };
 
-/// Cross-circuit bounded equivalence miter: circuit A (may have key inputs,
-/// exposed as variables) against circuit B (the reference; must be key-free)
-/// with shared per-frame primary inputs, matched positionally. Used to
-/// verify candidate keys exactly up to a bound.
+/// Cross-circuit bounded equivalence miter: circuit A under a fixed
+/// candidate key against circuit B (the reference; must be key-free), with
+/// shared per-frame primary inputs matched positionally. Used to verify
+/// candidate keys exactly up to a bound.
+///
+/// Both circuits are encoded into one HashedEncoder with the key folded in
+/// as constants, so logic A shares with B lands on the same literals: with a
+/// correct key, a lock that only adds key-controlled logic to a copy of B
+/// folds back onto B frame after frame, and diff_within() is the constant
+/// false literal without any solving. DFFs with an X power-up value get a
+/// fresh variable per circuit.
 class EquivalenceMiter {
  public:
   EquivalenceMiter(sat::Solver& solver, const netlist::Netlist& a,
-                   const netlist::Netlist& b);
+                   const sim::BitVec& key, const netlist::Netlist& b);
 
   void extend_to(std::size_t depth);
-  std::size_t depth() const { return frames_a_.size(); }
+  std::size_t depth() const { return cumulative_diff_.size(); }
 
   /// Literal: some output differs within [0, depth).
   sat::Lit diff_within(std::size_t depth) const;
 
-  const std::vector<sat::Var>& keys_a() const { return keys_a_; }
+  /// The encoder's constant literals (diff_within() may fold to either).
+  sat::Lit constant(bool value) const { return encoder_.constant(value); }
 
   /// After Sat: the distinguishing input sequence.
   std::vector<sim::BitVec> extract_inputs(std::size_t depth) const;
 
  private:
+  std::vector<sat::Lit> initial_state(const netlist::Netlist& nl);
+
   sat::Solver& solver_;
   const netlist::Netlist& a_;
   const netlist::Netlist& b_;
+  HashedEncoder encoder_;
   std::vector<netlist::SignalId> order_a_;  // levelized once per circuit
   std::vector<netlist::SignalId> order_b_;
-  std::vector<sat::Var> keys_a_;
-  std::vector<std::vector<sat::Var>> inputs_;
-  std::vector<FrameVars> frames_a_;
-  std::vector<FrameVars> frames_b_;
-  std::vector<sat::Var> cumulative_diff_;
+  std::vector<sat::Lit> keys_a_;             // constants
+  std::vector<sat::Lit> state_a_;            // next frame's state literals
+  std::vector<sat::Lit> state_b_;
+  std::vector<std::vector<sat::Var>> inputs_;  // per frame
+  std::vector<sat::Lit> cumulative_diff_;      // per depth (index d-1)
 };
 
 /// Add the constraint: running `nl` for inputs.size() cycles from the reset

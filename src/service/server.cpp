@@ -753,7 +753,9 @@ void Server::run_verify_job(Job& job, Json* result) {
   const attack::VerifyResult vr = attack::verify_static_key(
       locked->netlist(), key, reference->netlist(), options);
   Json& out = *result;
-  out.set("equivalent", Json::boolean(vr.equivalent));
+  out.set("verdict", Json::string(attack::verdict_name(vr.verdict)));
+  out.set("equivalent",
+          Json::boolean(vr.verdict == attack::Verdict::Equivalent));
   out.set("counterexample_cycles",
           Json::number(static_cast<std::uint64_t>(vr.counterexample.size())));
   out.set("seconds", Json::number(timer.seconds()));

@@ -118,6 +118,32 @@ TEST(Accept, RejectsCorruptingKeys) {
   }
 }
 
+TEST(Accept, UnprovenPassingKeyLeavesAnyKeyPassUnknown) {
+  // y = a ^ b spelled as AND/OR behind a key gate: key 0 passes, but only a
+  // solver proof can show it, and the proof gets no conflicts.
+  const Netlist ref = netlist::read_bench_string(
+      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n", "ref");
+  const Netlist locked = netlist::read_bench_string(R"(
+INPUT(a)
+INPUT(b)
+INPUT(keyinput0)
+OUTPUT(y)
+na = NOT(a)
+nb = NOT(b)
+t0 = AND(a, nb)
+t1 = AND(na, b)
+x = OR(t0, t1)
+y = XOR(x, keyinput0)
+)", "locked");
+  AcceptOptions options;
+  options.verify.conflict_budget = 0;
+  const AcceptReport rep =
+      verify_any_key(locked, sim::BitVec{0}, ref, nullptr, options);
+  EXPECT_EQ(rep.corruption_rate, 0.0);
+  EXPECT_EQ(rep.any_key_pass, -1);
+  EXPECT_FALSE(rep.accepted);
+}
+
 TEST(Accept, ExactCriterionNeedsGroundTruth) {
   const Netlist nl = s27();
   util::Rng rng(3);

@@ -48,6 +48,45 @@ struct ScanFixture {
         correct_key(lr.correct_key) {}
 };
 
+TEST(SatAttack, UnprovenVerificationEndsTimeoutNotWrongKey) {
+  // y = a ^ b spelled as AND/OR in the locked copy: the recovered key is
+  // correct, but proving it needs the solver, and the verification budget
+  // is zero.
+  const Netlist ref = netlist::read_bench_string(R"(
+INPUT(a)
+INPUT(b)
+INPUT(c)
+OUTPUT(y)
+OUTPUT(z)
+y = XOR(a, b)
+z = AND(b, c)
+)", "ref");
+  const Netlist locked = netlist::read_bench_string(R"(
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(keyinput0)
+INPUT(keyinput1)
+OUTPUT(y)
+OUTPUT(z)
+na = NOT(a)
+nb = NOT(b)
+t0 = AND(a, nb)
+t1 = AND(na, b)
+x = OR(t0, t1)
+y = XOR(x, keyinput0)
+w = AND(b, c)
+z = XNOR(w, keyinput1)
+)", "locked");
+  SequentialOracle oracle(ref);
+  SatAttackOptions options;
+  options.budget.verify_time_limit_s = 0;
+  const AttackResult r = sat_attack(locked, oracle, options);
+  EXPECT_EQ(r.outcome, Outcome::Timeout) << r.summary();
+  EXPECT_EQ(r.key, (sim::BitVec{0, 1}));
+  EXPECT_EQ(sat_attack(locked, oracle).outcome, Outcome::Equal);
+}
+
 TEST(SatAttack, BreaksXorLockOnScanModel) {
   const Netlist nl = netlist::read_bench_string(k_s27, "s27");
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -80,7 +119,7 @@ TEST(SatAttack, BreaksXorLockWithSatPreprocessing) {
     EXPECT_EQ(r.key, fx.correct_key) << "seed " << seed;
     const VerifyResult vr =
         verify_static_key(fx.locked_scan, r.key, fx.original_scan);
-    EXPECT_TRUE(vr.equivalent) << "seed " << seed;
+    EXPECT_EQ(vr.verdict, Verdict::Equivalent) << "seed " << seed;
   }
 }
 

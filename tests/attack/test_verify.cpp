@@ -37,7 +37,7 @@ TEST(Verify, AcceptsCorrectKey) {
   util::Rng rng(3);
   const auto lr = lock::xor_lock(nl, 5, rng);
   const auto v = verify_static_key(lr.locked, lr.correct_key, nl);
-  EXPECT_TRUE(v.equivalent);
+  EXPECT_EQ(v.verdict, Verdict::Equivalent);
   EXPECT_TRUE(v.counterexample.empty());
 }
 
@@ -48,7 +48,7 @@ TEST(Verify, RejectsWrongKeyWithCounterexample) {
   sim::BitVec wrong = lr.correct_key;
   wrong[2] ^= 1;
   const auto v = verify_static_key(lr.locked, wrong, nl);
-  EXPECT_FALSE(v.equivalent);
+  EXPECT_EQ(v.verdict, Verdict::Different);
   ASSERT_FALSE(v.counterexample.empty());
   // The counterexample must genuinely distinguish.
   const auto want = sim::run_sequence(nl, v.counterexample);
@@ -76,7 +76,41 @@ y = AND(a, b, c, d)
   opts.random_sequences = 1;  // cripple the simulation phase
   opts.sequence_cycles = 1;
   const auto v = verify_static_key(lr.locked, wrong, nl, opts);
-  EXPECT_FALSE(v.equivalent);
+  EXPECT_EQ(v.verdict, Verdict::Different);
+}
+
+TEST(Verify, UnprovenKeyIsUnknownNotDifferent) {
+  // d = a ^ b spelled as AND/OR behind a key gate: equivalent under key 0,
+  // but the hashed miter cannot fold it, so depth 2 needs the solver.
+  const Netlist ref = netlist::read_bench_string(R"(
+INPUT(a)
+INPUT(b)
+OUTPUT(y)
+q = DFF(d)
+d = XOR(a, b)
+y = XOR(q, a)
+)", "ref");
+  const Netlist locked = netlist::read_bench_string(R"(
+INPUT(a)
+INPUT(b)
+INPUT(keyinput0)
+OUTPUT(y)
+q = DFF(d)
+na = NOT(a)
+nb = NOT(b)
+t0 = AND(a, nb)
+t1 = AND(na, b)
+x = OR(t0, t1)
+d = XOR(x, keyinput0)
+y = XOR(q, a)
+)", "locked");
+  VerifyOptions opts;
+  opts.conflict_budget = 0;
+  const auto v = verify_static_key(locked, sim::BitVec{0}, ref, opts);
+  EXPECT_EQ(v.verdict, Verdict::Unknown);
+  EXPECT_TRUE(v.counterexample.empty());
+  EXPECT_EQ(verify_static_key(locked, sim::BitVec{0}, ref).verdict,
+            Verdict::Equivalent);
 }
 
 TEST(Verify, KeyWidthMismatchRejected) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "netlist/bench_io.hpp"
 #include "netlist/topo.hpp"
 
@@ -33,21 +36,23 @@ G13 = NAND(G2, G12)
 
 Netlist s27() { return netlist::read_bench_string(k_s27, "s27"); }
 
+// The scheme is a std::string rather than a const char* so gtest prints the
+// parameter as ("mux", 3) instead of a pointer address, which would give the
+// test a different name on every run under address-space randomisation.
 class CombLockValidation
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(CombLockValidation, CorrectKeyTransparentWrongKeyCorrupts) {
-  const auto [scheme, seed] = GetParam();
+  const auto& [scheme, seed] = GetParam();
   const Netlist nl = s27();
   util::Rng rng(seed);
   LockResult lr{Netlist(""), {}, {}, ""};
-  const std::string name(scheme);
-  if (name == "xor") lr = xor_lock(nl, 5, rng);
-  else if (name == "mux") lr = mux_lock(nl, 4, rng);
-  else if (name == "sar") lr = sar_lock(nl, 4, rng);
-  else if (name == "antisat") lr = anti_sat(nl, 6, rng);
-  else if (name == "tt") lr = tt_lock(nl, 4, rng);
-  else if (name == "sfll") lr = sfll_hd(nl, 4, 1, rng);
+  if (scheme == "xor") lr = xor_lock(nl, 5, rng);
+  else if (scheme == "mux") lr = mux_lock(nl, 4, rng);
+  else if (scheme == "sar") lr = sar_lock(nl, 4, rng);
+  else if (scheme == "antisat") lr = anti_sat(nl, 6, rng);
+  else if (scheme == "tt") lr = tt_lock(nl, 4, rng);
+  else if (scheme == "sfll") lr = sfll_hd(nl, 4, 1, rng);
   else FAIL() << "unknown scheme";
   const std::string err = validate_lock(nl, lr, rng);
   EXPECT_EQ(err, "") << scheme << " seed " << seed;

@@ -346,6 +346,7 @@ TEST_F(ServiceTest, VerifyAndLockJobsWork) {
   const Json verified = submit_and_wait(client, verify_request);
   ASSERT_EQ(verified.str_or("status", "?"), "done") << verified.dump();
   EXPECT_FALSE(verified.find("result")->bool_or("equivalent", true));
+  EXPECT_EQ(verified.find("result")->str_or("verdict", "?"), "different");
 
   // Malformed verify: wrong key width surfaces as a job error, not a crash.
   verify_request.set("key", Json::string("010101"));

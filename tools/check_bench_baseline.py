@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff a fresh bench_micro_perf SAT-axis JSON against the checked-in baseline.
+"""Diff a fresh bench_micro_perf JSON against the checked-in baseline.
 
 Usage: check_bench_baseline.py <baseline.json> <fresh.json>
 
@@ -7,8 +7,9 @@ Hard failures (exit 1):
   - a baseline benchmark missing from the fresh run
   - any drift in the deterministic trajectory counters (conflicts, restarts,
     learnts_deleted, minimized_lits, vars_eliminated, clauses_subsumed,
-    vivified_lits) — the solver is seeded and single-threaded in these
-    benchmarks, so these must match bit-for-bit across machines
+    vivified_lits, sim_gates, sim_lane_words, cnf_vars, cnf_clauses) — the
+    solver is seeded and single-threaded in these benchmarks, so these must
+    match bit-for-bit across machines
 
 Warnings only (exit 0):
   - real_time regression beyond 15% (throughput depends on the machine)
@@ -32,6 +33,10 @@ TRAJECTORY_COUNTERS = [
     # drift means the harness changed shape, not the machine.
     "sim_gates",
     "sim_lane_words",
+    # Verification-axis formula size: the BM_VerifyStaticKey rows' miter
+    # (with the key folded in) is a deterministic function of the circuit.
+    "cnf_vars",
+    "cnf_clauses",
 ]
 EXCLUDED_PREFIXES = ("BM_SolverPortfolioRace",)
 TIME_REGRESSION_FACTOR = 1.15
