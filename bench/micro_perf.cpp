@@ -9,6 +9,7 @@
 #include "attack/verify.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
+#include "cnf/miter.hpp"
 #include "benchgen/fsm_suite.hpp"
 #include "core/cute_lock_beh.hpp"
 #include "core/cute_lock_str.hpp"
@@ -341,6 +342,48 @@ void BM_VerifyStaticKey(benchmark::State& state, VerifyCase (*make)()) {
 }
 BENCHMARK_CAPTURE(BM_VerifyStaticKey, folded, folded_verify_case);
 BENCHMARK_CAPTURE(BM_VerifyStaticKey, solver, solver_verify_case);
+
+// ---- Fact-encoding axis ----------------------------------------------------
+//
+// One oracle fact, a seeded 12-cycle trace of b03 and the original's
+// response, constrained on both key copies of a DIP miter over a multi-key
+// Cute-Lock-Str lock of b03: what OgEngine adds per oracle query. `static`
+// starts from the power-up state, `symbolic` from RANE's shared symbolic
+// reset state. cnf_vars/cnf_clauses count what the fact adds to the miter.
+
+void BM_EncodeFactConstraint(benchmark::State& state, bool symbolic) {
+  const auto circuit = benchgen::make_circuit("b03");
+  core::StrOptions options;
+  options.num_keys = 4;
+  options.key_bits = 3;
+  options.locked_ffs = 2;
+  options.seed = 5;
+  const auto lr = core::cute_lock_str(circuit.netlist, options);
+  util::Rng rng(12);
+  const auto inputs =
+      sim::random_stimulus(rng, 12, circuit.netlist.inputs().size());
+  const auto outputs = sim::run_sequence(circuit.netlist, inputs);
+  std::size_t vars = 0;
+  std::size_t clauses = 0;
+  for (auto _ : state) {
+    sat::Solver solver;
+    const cnf::SequentialMiter miter(solver, lr.locked, symbolic);
+    const int miter_vars = solver.num_vars();
+    const std::size_t miter_clauses = solver.num_clauses();
+    const auto* init = symbolic ? &miter.initial_state_vars() : nullptr;
+    cnf::constrain_key_on_sequence(solver, lr.locked, miter.keys_a(), inputs,
+                                   outputs, init);
+    cnf::constrain_key_on_sequence(solver, lr.locked, miter.keys_b(), inputs,
+                                   outputs, init);
+    vars = static_cast<std::size_t>(solver.num_vars() - miter_vars);
+    clauses = solver.num_clauses() - miter_clauses;
+    benchmark::DoNotOptimize(clauses);
+  }
+  state.counters["cnf_vars"] = static_cast<double>(vars);
+  state.counters["cnf_clauses"] = static_cast<double>(clauses);
+}
+BENCHMARK_CAPTURE(BM_EncodeFactConstraint, static, false);
+BENCHMARK_CAPTURE(BM_EncodeFactConstraint, symbolic, true);
 
 void BM_BitSim64Lanes(benchmark::State& state) {
   const auto circuit = benchgen::make_circuit("b14");

@@ -76,6 +76,20 @@ bool read_frames(std::istream& in, std::vector<sim::BitVec>* frames) {
   return true;
 }
 
+/// A fact the bank holds: one output frame per input frame, and every input
+/// (output) frame as wide as the first.
+bool well_formed(const std::vector<sim::BitVec>& inputs,
+                 const std::vector<sim::BitVec>& outputs) {
+  if (inputs.size() != outputs.size()) return false;
+  for (std::size_t t = 1; t < inputs.size(); ++t) {
+    if (inputs[t].size() != inputs[0].size() ||
+        outputs[t].size() != outputs[0].size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::uint64_t hash_sequence(const std::vector<sim::BitVec>& inputs) {
   std::uint64_t h = util::k_fnv_offset;
   util::fnv1a_mix(h, inputs.size());
@@ -90,7 +104,7 @@ std::uint64_t hash_sequence(const std::vector<sim::BitVec>& inputs) {
 
 void ObservationBank::record(const std::vector<sim::BitVec>& inputs,
                              const std::vector<sim::BitVec>& outputs) {
-  if (inputs.empty()) return;
+  if (inputs.empty() || !well_formed(inputs, outputs)) return;
   const std::uint64_t h = hash_sequence(inputs);
   std::lock_guard<std::mutex> lock(mu_);
   if (observations_.size() >= k_max_observations) return;
@@ -143,7 +157,8 @@ bool ObservationBank::deserialize(std::istream& in) {
   if (!read_u64(in, &count) || count > k_max_observations) return false;
   for (std::uint64_t i = 0; i < count; ++i) {
     Observation obs;
-    if (!read_frames(in, &obs.inputs) || !read_frames(in, &obs.outputs)) {
+    if (!read_frames(in, &obs.inputs) || !read_frames(in, &obs.outputs) ||
+        !well_formed(obs.inputs, obs.outputs)) {
       return false;
     }
     record(obs.inputs, obs.outputs);  // dedup + cap, same as a live fact

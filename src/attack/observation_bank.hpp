@@ -46,9 +46,11 @@ struct Observation {
 
 class ObservationBank {
  public:
-  /// Record a fresh oracle fact. Exact-duplicate input sequences and records
-  /// beyond the per-bank cap are dropped (replay stays linear in distinct
-  /// facts and memory stays bounded). Thread-safe.
+  /// Record a fresh oracle fact. Exact-duplicate input sequences, records
+  /// beyond the per-bank cap, and ill-formed facts (input and output frame
+  /// counts differ, or the input or output width varies between frames) are
+  /// dropped (replay stays linear in distinct facts and memory stays
+  /// bounded). Thread-safe.
   void record(const std::vector<sim::BitVec>& inputs,
               const std::vector<sim::BitVec>& outputs);
 
@@ -71,7 +73,8 @@ class ObservationBank {
   /// Merge facts from a stream previously written by serialize() into this
   /// bank (dedup and the per-bank cap apply, exactly like record()). Returns
   /// false — leaving the bank with whatever facts were merged before the
-  /// damage — on truncated or corrupt input. Thread-safe.
+  /// damage — on truncated or corrupt input, which includes an ill-formed
+  /// fact. Thread-safe.
   bool deserialize(std::istream& in);
 
   /// Observations a single bank retains at most.

@@ -15,6 +15,21 @@ namespace {
 // Bits below this confidence stay out of the assumption set: a wrong hint is
 // recoverable (Unsat drops the whole set) but costs a wasted solve.
 constexpr double k_hint_confidence = 0.75;
+
+/// A banked fact the engine may use on `nl`: nonempty, one output frame per
+/// input frame, every frame as wide as nl's inputs (outputs). A bank file is
+/// untrusted input, and the fact encoder indexes every frame.
+bool fits_circuit(const Netlist& nl, const std::vector<sim::BitVec>& inputs,
+                  const std::vector<sim::BitVec>& outputs) {
+  const auto all_of_width = [](const std::vector<sim::BitVec>& frames,
+                               std::size_t width) {
+    return std::all_of(frames.begin(), frames.end(),
+                       [width](const sim::BitVec& f) { return f.size() == width; });
+  };
+  return !inputs.empty() && inputs.size() == outputs.size() &&
+         all_of_width(inputs, nl.inputs().size()) &&
+         all_of_width(outputs, nl.outputs().size());
+}
 }  // namespace
 
 OgEngine::OgEngine(const Netlist& locked, const SequentialOracle& oracle,
@@ -124,16 +139,20 @@ VerifyOptions OgEngine::verify_options(bool clamp_to_remaining) const {
   return v;
 }
 
+std::optional<std::vector<sim::BitVec>> OgEngine::bank_lookup(
+    const std::vector<sim::BitVec>& inputs) {
+  if (bank_ == nullptr) return std::nullopt;
+  std::optional<std::vector<sim::BitVec>> banked = bank_->lookup(inputs);
+  if (!banked || !fits_circuit(locked_, inputs, *banked)) return std::nullopt;
+  ++result_.replayed_queries;
+  return banked;
+}
+
 std::vector<sim::BitVec> OgEngine::query_oracle(
     const std::vector<sim::BitVec>& inputs) {
-  if (bank_ != nullptr) {
-    // Exact repeats of a banked sequence (shared warmup traces, recurring
-    // counterexamples) are answered from the bank, not the oracle.
-    if (auto banked = bank_->lookup(inputs)) {
-      ++result_.replayed_queries;
-      return *std::move(banked);
-    }
-  }
+  // Exact repeats of a banked sequence (shared warmup traces, recurring
+  // counterexamples) are answered from the bank, not the oracle.
+  if (auto banked = bank_lookup(inputs)) return *std::move(banked);
   ++result_.fresh_queries;
   std::vector<sim::BitVec> outputs = oracle_.query(inputs);
   if (bank_ != nullptr) bank_->record(inputs, outputs);
@@ -148,12 +167,9 @@ std::vector<std::vector<sim::BitVec>> OgEngine::query_oracle_batch(
   // lanes).
   std::vector<std::size_t> misses;
   for (std::size_t j = 0; j < sequences.size(); ++j) {
-    if (bank_ != nullptr) {
-      if (auto banked = bank_->lookup(sequences[j])) {
-        ++result_.replayed_queries;
-        outputs[j] = *std::move(banked);
-        continue;
-      }
+    if (auto banked = bank_lookup(sequences[j])) {
+      outputs[j] = *std::move(banked);
+      continue;
     }
     misses.push_back(j);
   }
@@ -250,12 +266,10 @@ std::vector<Observation> OgEngine::banked_observations() {
   std::vector<Observation> out;
   if (bank_ == nullptr) return out;
   for (Observation& obs : bank_->snapshot()) {
-    // Facts from a different interface cannot appear in this bank (the
-    // registry keys on the locked/reference pair), but guard anyway.
-    if (obs.inputs.empty() ||
-        obs.inputs[0].size() != oracle_.num_inputs()) {
-      continue;
-    }
+    // Facts from a different interface cannot be recorded into this bank
+    // (the registry keys on the locked/reference pair), but a loaded bank
+    // file can hold anything.
+    if (!fits_circuit(locked_, obs.inputs, obs.outputs)) continue;
     out.push_back(std::move(obs));
     // Startup constraints are prior knowledge, not avoided oracle calls:
     // counting them as replayed_queries would inflate the "queries answered

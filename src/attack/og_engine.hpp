@@ -28,6 +28,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,11 +113,11 @@ class OgEngine {
   std::vector<std::vector<sim::BitVec>> query_oracle_batch(
       const std::vector<std::vector<sim::BitVec>>& sequences);
 
-  /// Guarded snapshot of the attached bank: every fact whose interface
-  /// matches this oracle, each counted as one preloaded fact. Empty without
-  /// a bank. The one place the replay guard/accounting lives — both the
-  /// shared loop's constraint replay and custom strategies (periodic) pull
-  /// their banked facts through here.
+  /// Guarded snapshot of the attached bank: every fact whose frame widths
+  /// match the locked circuit's inputs and outputs, each counted as one
+  /// preloaded fact. Empty without a bank. The one place the replay
+  /// guard/accounting lives — both the shared loop's constraint replay and
+  /// custom strategies (periodic) pull their banked facts through here.
   std::vector<Observation> banked_observations();
 
   /// Oracle-consistency constraint on both key copies of the engine miter
@@ -171,6 +172,10 @@ class OgEngine {
     std::vector<sim::BitVec> outputs;
   };
 
+  /// The bank's response to exactly `inputs` when its widths fit the locked
+  /// circuit (counted as a replayed query), else nullopt.
+  std::optional<std::vector<sim::BitVec>> bank_lookup(
+      const std::vector<sim::BitVec>& inputs);
   void replay_bank();
   void prepare_hints();
   /// solver_->solve(assumptions) with the active hints appended as unit

@@ -4,58 +4,16 @@
 #include <utility>
 
 #include "attack/og_engine.hpp"
-#include "cnf/encoder.hpp"
 #include "cnf/miter.hpp"
-#include "netlist/topo.hpp"
 #include "util/timer.hpp"
 
 namespace cl::attack {
 
-using netlist::DffInit;
 using netlist::Netlist;
-using netlist::SignalId;
-using sat::Lit;
 using sat::Result;
-using sat::Solver;
 using sat::Var;
 
 namespace {
-
-/// Constrain: running `nl` with the periodic schedule given by `slots`
-/// (frame t uses slots[t % p]) on the concrete `inputs` produces `outputs`.
-void constrain_schedule(Solver& solver, const Netlist& nl,
-                        const std::vector<std::vector<Var>>& slots,
-                        const std::vector<sim::BitVec>& inputs,
-                        const std::vector<sim::BitVec>& outputs) {
-  std::vector<Var> state;
-  const std::vector<SignalId> order = netlist::topo_order(nl);
-  for (std::size_t t = 0; t < inputs.size(); ++t) {
-    cnf::FrameSources src;
-    src.keys = slots[t % slots.size()];
-    if (t == 0) {
-      state.reserve(nl.dffs().size());
-      for (SignalId d : nl.dffs()) {
-        const Var v = solver.new_var();
-        if (nl.dff_init(d) == DffInit::Zero) cnf::encode_const(solver, v, false);
-        else if (nl.dff_init(d) == DffInit::One) cnf::encode_const(solver, v, true);
-        state.push_back(v);
-      }
-    }
-    src.states = state;
-    const cnf::FrameVars fv =
-        cnf::encode_frame(solver, nl, std::move(src), order);
-    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-      solver.add_unit(Lit(fv.var[nl.inputs()[i]], inputs[t][i] == 0));
-    }
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      solver.add_unit(Lit(fv.var[nl.outputs()[o]], outputs[t][o] == 0));
-    }
-    std::vector<Var> next;
-    next.reserve(nl.dffs().size());
-    for (SignalId d : nl.dffs()) next.push_back(fv.var[nl.dff_input(d)]);
-    state = std::move(next);
-  }
-}
 
 /// Heavy randomized validation of a recovered schedule. Takes pre-compiled
 /// circuits: the caller tests many schedules against the same pair.
@@ -145,8 +103,10 @@ class PeriodicScheduleStrategy : public DipStrategy {
       std::size_t constrained = 0;
       const auto sync = [&]() {
         while (constrained < io.size()) {
-          constrain_schedule(*solver, locked, slots, io[constrained].first,
-                             io[constrained].second);
+          // Frame t runs under slots[t % period].
+          cnf::constrain_key_on_sequence(*solver, locked, slots,
+                                         io[constrained].first,
+                                         io[constrained].second);
           ++constrained;
         }
       };

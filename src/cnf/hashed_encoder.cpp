@@ -136,4 +136,28 @@ std::vector<Lit> HashedEncoder::encode_frame(const Netlist& nl,
   return lit;
 }
 
+std::vector<Lit> HashedEncoder::power_up_state(const Netlist& nl) {
+  std::vector<Lit> state;
+  state.reserve(nl.dffs().size());
+  for (SignalId d : nl.dffs()) {
+    const netlist::DffInit init = nl.dff_init(d);
+    state.push_back(init == netlist::DffInit::X
+                        ? fresh()
+                        : constant(init == netlist::DffInit::One));
+  }
+  return state;
+}
+
+std::vector<Lit> HashedEncoder::unroll_frame(const Netlist& nl,
+                                             const std::vector<SignalId>& order,
+                                             const std::vector<Lit>& inputs,
+                                             const std::vector<Lit>& keys,
+                                             std::vector<Lit>& state) {
+  std::vector<Lit> lit = encode_frame(nl, order, inputs, keys, state);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    state[i] = lit[nl.dff_input(nl.dffs()[i])];
+  }
+  return lit;
+}
+
 }  // namespace cl::cnf

@@ -11,6 +11,9 @@
 //
 // Nodes get their variables and clauses eagerly, in encounter order, so the
 // clause stream depends only on the order of calls.
+//
+// This is the library's one netlist-to-CNF path: the DIP miter, the oracle
+// facts and the key-verification miter (cnf/miter.hpp) all build on it.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +50,18 @@ class HashedEncoder {
                                      const std::vector<sat::Lit>& inputs,
                                      const std::vector<sat::Lit>& keys,
                                      const std::vector<sat::Lit>& states);
+
+  /// The DFFs' power-up state, parallel to nl.dffs(): a constant per 0/1
+  /// power-up value and a fresh literal per X.
+  std::vector<sat::Lit> power_up_state(const netlist::Netlist& nl);
+
+  /// One time frame of an unrolling: encode_frame over `state`, then advance
+  /// `state` to the frame's next-state literals (the DFF D pins).
+  std::vector<sat::Lit> unroll_frame(const netlist::Netlist& nl,
+                                     const std::vector<netlist::SignalId>& order,
+                                     const std::vector<sat::Lit>& inputs,
+                                     const std::vector<sat::Lit>& keys,
+                                     std::vector<sat::Lit>& state);
 
  private:
   bool is_constant(sat::Lit l) const { return l.var() == true_.var(); }

@@ -192,6 +192,47 @@ TEST_F(BankPersistence, AbsurdFactCountIsRejected) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST_F(BankPersistence, IllFormedFactIsRejected) {
+  // Facts whose input and output frame counts differ, or whose frame widths
+  // vary, could index past a frame in the fact encoder: a file holding one
+  // is corrupt.
+  const auto frames = [](std::ostream& out,
+                         std::initializer_list<std::string> bits) {
+    put_u64(out, bits.size());
+    for (const std::string& frame : bits) {
+      put_u64(out, frame.size());
+      for (const char c : frame) out.put(c == '1' ? '\1' : '\0');
+    }
+  };
+  const auto file_with = [&](std::initializer_list<std::string> inputs,
+                             std::initializer_list<std::string> outputs) {
+    std::ostringstream out(std::ios::binary);
+    out.write("CLOBANK1", 8);
+    put_u64(out, 1);
+    put_u64(out, 0x5eaf00d5eaf00d05ULL);
+    put_u64(out, 1);  // one fact
+    frames(out, inputs);
+    frames(out, outputs);
+    return out.str();
+  };
+  for (const std::string& bytes :
+       {file_with({"0101", "1"}, {"1", "0"}),      // short later input frame
+        file_with({"0101", "1100"}, {"1", ""}),    // short later output frame
+        file_with({"0101", "1100"}, {"1"}),        // fewer output frames
+        file_with({"0101"}, {"1", "0"})}) {        // more output frames
+    write_file(bytes);
+    std::string error;
+    EXPECT_FALSE(load_observation_banks(path_, &error));
+    EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
+  }
+  EXPECT_EQ(observation_bank_for_key(0x5eaf00d5eaf00d05ULL).size(), 0u);
+  // The control: the same shape, well formed, loads.
+  write_file(file_with({"0101", "1100"}, {"1", "0"}));
+  std::string error;
+  EXPECT_TRUE(load_observation_banks(path_, &error)) << error;
+  EXPECT_EQ(observation_bank_for_key(0x5eaf00d5eaf00d05ULL).size(), 1u);
+}
+
 TEST_F(BankPersistence, MissingFileIsAnError) {
   std::string error;
   EXPECT_FALSE(load_observation_banks((dir_ / "nope.bin").string(), &error));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 
+#include "attack/periodic_attack.hpp"
 #include "attack/seq_attack.hpp"
 #include "core/cute_lock_str.hpp"
 #include "lock/comb_locks.hpp"
@@ -54,6 +56,18 @@ TEST(ObservationBank, RecordsDedupsAndSnapshots) {
   EXPECT_EQ(snap[1].inputs, in2);
   bank.record({}, {});  // empty sequences are not facts
   EXPECT_EQ(bank.size(), 2u);
+}
+
+TEST(ObservationBank, RefusesIllFormedFacts) {
+  ObservationBank bank;
+  const std::vector<sim::BitVec> in = {{0, 1, 0, 1}, {1, 1, 0, 0}};
+  bank.record(in, {{1}});                     // fewer output frames
+  bank.record(in, {{1}, {0}, {1}});           // more output frames
+  bank.record({{0, 1, 0, 1}, {1}}, {{1}, {0}});  // input width varies
+  bank.record(in, {{1}, {0, 1}});             // output width varies
+  EXPECT_EQ(bank.size(), 0u);
+  bank.record(in, {{1}, {0}});
+  EXPECT_EQ(bank.size(), 1u);
 }
 
 TEST(ObservationBank, LockInstanceKeySeparatesInstances) {
@@ -183,6 +197,146 @@ TEST(ObservationBank, CrossAttackReplayDrivesMultiKeyLockToCnsCheaper) {
   EXPECT_LT(kc2_warm.fresh_queries, kc2_cold.fresh_queries)
       << "replay should substitute for fresh oracle queries: "
       << kc2_warm.summary();
+}
+
+lock::LockResult str_lock(const Netlist& nl, std::uint64_t seed) {
+  core::StrOptions opt;
+  opt.num_keys = 4;
+  opt.key_bits = 2;
+  opt.locked_ffs = 2;
+  opt.seed = seed;
+  return core::cute_lock_str(nl, opt);
+}
+
+/// Six Cute-Lock-Str locks of s27 with pairwise distinct banks, none shared
+/// with the tests above (nearby lock seeds can yield the same netlist, and
+/// so the same bank).
+const std::vector<lock::LockResult>& bank_test_locks() {
+  static const std::vector<lock::LockResult> locks = [] {
+    const Netlist nl = s27();
+    std::set<std::uint64_t> used = {bank_key(str_lock(nl, 0xba44).locked, nl)};
+    std::vector<lock::LockResult> out;
+    for (std::uint64_t seed = 0xba51; out.size() < 6; ++seed) {
+      lock::LockResult lr = str_lock(nl, seed);
+      if (used.insert(bank_key(lr.locked, nl)).second) {
+        out.push_back(std::move(lr));
+      }
+    }
+    return out;
+  }();
+  return locks;
+}
+
+AttackBudget bank_budget() {
+  AttackBudget budget;
+  budget.time_limit_s = 30.0;
+  budget.max_iterations = 200;
+  budget.max_depth = 16;
+  return budget;
+}
+
+PeriodicAttackOptions periodic_options() {
+  PeriodicAttackOptions options;
+  options.budget = bank_budget();
+  options.max_period = 4;
+  return options;
+}
+
+/// Each frame one bit wider: a well-formed fact no s27 lock can use.
+std::vector<sim::BitVec> widened(std::vector<sim::BitVec> frames) {
+  for (sim::BitVec& frame : frames) frame.push_back(0);
+  return frames;
+}
+
+TEST(ObservationBank, FactsThatDoNotFitTheCircuitAreNotReplayed) {
+  // Replay path: a banked fact whose widths differ from the circuit's (one
+  // from a crafted bank file) is skipped at engine start, by the shared DIP
+  // loop and by the periodic attack's pool alike, and the attack ends with
+  // the verdict of a run without the bank.
+  const Netlist nl = s27();
+  const SequentialOracle oracle(nl);
+  const auto& kc2_lock = bank_test_locks()[0];
+  const auto& periodic_lock = bank_test_locks()[1];
+  const AttackResult kc2_cold = kc2_attack(kc2_lock.locked, oracle, bank_budget());
+  const PeriodicAttackResult periodic_cold =
+      periodic_key_attack(periodic_lock.locked, oracle, periodic_options());
+
+  util::Rng rng(3);
+  for (const Netlist* locked : {&kc2_lock.locked, &periodic_lock.locked}) {
+    ObservationBank& bank = observation_bank_for_key(bank_key(*locked, nl));
+    ASSERT_EQ(bank.size(), 0u);
+    const auto inputs = sim::random_stimulus(rng, 3, nl.inputs().size());
+    bank.record(inputs, widened(sim::run_sequence(nl, inputs)));
+    bank.record(widened(inputs), sim::run_sequence(nl, inputs));
+    ASSERT_EQ(bank.size(), 2u);
+  }
+  setenv("CUTELOCK_OBS_BANK", "1", 1);
+  const AttackResult kc2_warm = kc2_attack(kc2_lock.locked, oracle, bank_budget());
+  const PeriodicAttackResult periodic_warm =
+      periodic_key_attack(periodic_lock.locked, oracle, periodic_options());
+  unsetenv("CUTELOCK_OBS_BANK");
+
+  EXPECT_EQ(kc2_warm.outcome, kc2_cold.outcome) << kc2_warm.summary();
+  EXPECT_EQ(kc2_warm.preloaded_facts, 0u);
+  EXPECT_EQ(periodic_warm.result.outcome, periodic_cold.result.outcome)
+      << periodic_warm.result.summary();
+  EXPECT_EQ(periodic_warm.result.preloaded_facts, 0u);
+}
+
+TEST(ObservationBank, BankHitsThatDoNotFitTheCircuitAreQueriedFresh) {
+  // Lookup path: the engine draws its warmup and periodic seed traces from a
+  // fixed-seed RNG, so every s27 lock queries the same first sequences.
+  // Bank those sequences for a second lock with outputs of the wrong width:
+  // each hit is answered by the oracle instead, and the run matches a run
+  // without the bank query for query.
+  const Netlist nl = s27();
+  const SequentialOracle oracle(nl);
+  const auto& kc2_source = bank_test_locks()[2];
+  const auto& kc2_lock = bank_test_locks()[3];
+  const auto& periodic_source = bank_test_locks()[4];
+  const auto& periodic_lock = bank_test_locks()[5];
+  const AttackResult kc2_cold = kc2_attack(kc2_lock.locked, oracle, bank_budget());
+  const PeriodicAttackResult periodic_cold =
+      periodic_key_attack(periodic_lock.locked, oracle, periodic_options());
+
+  for (const auto* lr : {&kc2_source, &kc2_lock, &periodic_source, &periodic_lock}) {
+    ASSERT_EQ(observation_bank_for_key(bank_key(lr->locked, nl)).size(), 0u);
+  }
+  setenv("CUTELOCK_OBS_BANK", "1", 1);
+  kc2_attack(kc2_source.locked, oracle, bank_budget());
+  periodic_key_attack(periodic_source.locked, oracle, periodic_options());
+  std::vector<std::size_t> crafted;
+  for (const auto& [source, locked] :
+       {std::pair{&kc2_source.locked, &kc2_lock.locked},
+        std::pair{&periodic_source.locked, &periodic_lock.locked}}) {
+    ObservationBank& bank = observation_bank_for_key(bank_key(*locked, nl));
+    for (const Observation& obs :
+         observation_bank_for_key(bank_key(*source, nl)).snapshot()) {
+      bank.record(obs.inputs, widened(obs.outputs));
+    }
+    crafted.push_back(bank.size());
+    ASSERT_GT(crafted.back(), 0u);
+  }
+  const AttackResult kc2_warm = kc2_attack(kc2_lock.locked, oracle, bank_budget());
+  const PeriodicAttackResult periodic_warm =
+      periodic_key_attack(periodic_lock.locked, oracle, periodic_options());
+  unsetenv("CUTELOCK_OBS_BANK");
+
+  for (const auto& [cold, warm] : {std::pair{&kc2_cold, &kc2_warm},
+                                   std::pair{&periodic_cold.result,
+                                             &periodic_warm.result}}) {
+    EXPECT_EQ(warm->outcome, cold->outcome) << warm->summary();
+    EXPECT_EQ(warm->iterations, cold->iterations);
+    EXPECT_EQ(warm->fresh_queries, cold->fresh_queries);
+    EXPECT_EQ(warm->replayed_queries, 0u);
+    EXPECT_EQ(warm->preloaded_facts, 0u);
+  }
+  // Some fresh queries hit a crafted fact: their sequences were already in
+  // the bank, so recording them added nothing.
+  EXPECT_LT(observation_bank_for_key(bank_key(kc2_lock.locked, nl)).size(),
+            crafted[0] + kc2_warm.fresh_queries);
+  EXPECT_LT(observation_bank_for_key(bank_key(periodic_lock.locked, nl)).size(),
+            crafted[1] + periodic_warm.result.fresh_queries);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-#include "cnf/encoder.hpp"
-
 #include <gtest/gtest.h>
 
+#include "cnf/hashed_encoder.hpp"
 #include "netlist/bench_io.hpp"
+#include "netlist/topo.hpp"
 #include "sim/bit_sim.hpp"
 #include "util/rng.hpp"
 
@@ -14,39 +14,45 @@ using netlist::SignalId;
 using sat::Lit;
 using sat::Result;
 using sat::Solver;
-using sat::Var;
 
-/// Property: for random input assignments, constraining the frame inputs to
-/// those constants forces every signal variable to the simulator's value.
+std::vector<Lit> fresh_lits(HashedEncoder& enc, std::size_t n) {
+  std::vector<Lit> lits;
+  for (std::size_t i = 0; i < n; ++i) lits.push_back(enc.fresh());
+  return lits;
+}
+
+/// Property: for random source assignments, every signal literal of the
+/// encoded frame takes the simulator's value.
 void check_encoding_matches_sim(const Netlist& nl, std::uint64_t seed) {
   util::Rng rng(seed);
   Solver solver;
-  const FrameVars frame = encode_frame(solver, nl);
+  HashedEncoder enc(solver);
+  const std::vector<Lit> inputs = fresh_lits(enc, nl.inputs().size());
+  const std::vector<Lit> keys = fresh_lits(enc, nl.key_inputs().size());
+  const std::vector<Lit> states = fresh_lits(enc, nl.dffs().size());
+  const std::vector<Lit> frame =
+      enc.encode_frame(nl, netlist::topo_order(nl), inputs, keys, states);
   sim::BitSim sim(nl);
 
   for (int trial = 0; trial < 16; ++trial) {
     std::vector<Lit> assumptions;
-    for (SignalId i : nl.inputs()) {
-      const bool v = rng.chance(1, 2);
-      sim.set(i, v ? ~0ULL : 0ULL);
-      assumptions.push_back(Lit(frame.var[i], !v));
-    }
-    for (SignalId k : nl.key_inputs()) {
-      const bool v = rng.chance(1, 2);
-      sim.set(k, v ? ~0ULL : 0ULL);
-      assumptions.push_back(Lit(frame.var[k], !v));
-    }
-    // DFF outputs are frame sources too; drive them explicitly.
-    // (BitSim reset state is 0 for these circuits.)
-    for (SignalId d : nl.dffs()) {
-      assumptions.push_back(Lit(frame.var[d], true));  // q = 0
-    }
+    const auto drive = [&](const std::vector<SignalId>& sources,
+                           const std::vector<Lit>& lits) {
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        const bool v = rng.chance(1, 2);
+        sim.set(sources[i], v ? ~0ULL : 0ULL);
+        assumptions.push_back(v ? lits[i] : ~lits[i]);
+      }
+    };
+    drive(nl.inputs(), inputs);
+    drive(nl.key_inputs(), keys);
+    // DFF outputs are frame sources too; BitSim holds their reset value 0.
+    for (const Lit q : states) assumptions.push_back(~q);
     sim.eval();
     ASSERT_EQ(solver.solve(assumptions), Result::Sat);
     for (SignalId s = 0; s < nl.size(); ++s) {
-      if (frame.var[s] < 0) continue;
       const bool sim_val = sim.get(s) & 1ULL;
-      EXPECT_EQ(solver.model_value(frame.var[s]), sim_val)
+      EXPECT_EQ(solver.model_value(frame[s]), sim_val)
           << nl.signal_name(s) << " trial " << trial;
     }
   }
@@ -90,16 +96,22 @@ TEST(Encoder, ConstantsForced) {
   const SignalId y = nl.add_and(one, zero, "y");
   nl.add_output(y);
   Solver solver;
-  const FrameVars frame = encode_frame(solver, nl);
+  HashedEncoder enc(solver);
+  const std::vector<Lit> frame =
+      enc.encode_frame(nl, netlist::topo_order(nl), {}, {}, {});
+  // Constants fold: the frame's signals are the encoder's constant literals.
+  EXPECT_EQ(frame[one], enc.constant(true));
+  EXPECT_EQ(frame[zero], enc.constant(false));
+  EXPECT_EQ(frame[y], enc.constant(false));
   ASSERT_EQ(solver.solve(), Result::Sat);
-  EXPECT_TRUE(solver.model_value(frame.var[one]));
-  EXPECT_FALSE(solver.model_value(frame.var[zero]));
-  EXPECT_FALSE(solver.model_value(frame.var[y]));
+  EXPECT_TRUE(solver.model_value(frame[one]));
+  EXPECT_FALSE(solver.model_value(frame[zero]));
+  EXPECT_FALSE(solver.model_value(frame[y]));
 }
 
 TEST(Encoder, SharedSourceVarsTieFramesTogether) {
-  // Two frames with the same key var: forcing the key in frame A fixes the
-  // corresponding signal in frame B.
+  // Two frames with the same key literal: forcing the key in frame A fixes
+  // the corresponding signal in frame B.
   const char* text = R"(
 INPUT(a)
 INPUT(keyinput0)
@@ -107,30 +119,33 @@ OUTPUT(y)
 y = XOR(a, keyinput0)
 )";
   const Netlist nl = netlist::read_bench_string(text, "k");
+  const std::vector<SignalId> order = netlist::topo_order(nl);
   Solver solver;
-  const Var key = solver.new_var();
-  FrameSources src_a;
-  src_a.keys = {key};
-  FrameSources src_b;
-  src_b.keys = {key};
-  const FrameVars fa = encode_frame(solver, nl, src_a);
-  const FrameVars fb = encode_frame(solver, nl, src_b);
+  HashedEncoder enc(solver);
+  const Lit key = enc.fresh();
+  const Lit a_a = enc.fresh();
+  const Lit a_b = enc.fresh();
+  const std::vector<Lit> fa = enc.encode_frame(nl, order, {a_a}, {key}, {});
+  const std::vector<Lit> fb = enc.encode_frame(nl, order, {a_b}, {key}, {});
   const SignalId y = nl.find("y");
-  const SignalId a = nl.find("a");
   // a_A=0, y_A=1 => key=1 ; then a_B=1 must give y_B=0.
-  std::vector<Lit> assumptions{
-      Lit(fa.var[a], true), Lit(fa.var[y], false), Lit(fb.var[a], false)};
-  ASSERT_EQ(solver.solve(assumptions), Result::Sat);
+  ASSERT_EQ(solver.solve({~a_a, fa[y], a_b}), Result::Sat);
   EXPECT_TRUE(solver.model_value(key));
-  EXPECT_FALSE(solver.model_value(fb.var[y]));
+  EXPECT_FALSE(solver.model_value(fb[y]));
 }
 
 TEST(Encoder, SourceArityMismatchRejected) {
-  const Netlist nl = netlist::read_bench_string("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n");
+  const Netlist nl = netlist::read_bench_string(
+      "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\nq = DFF(a)\ny = XOR(q, keyinput0)\n");
+  const std::vector<SignalId> order = netlist::topo_order(nl);
   Solver solver;
-  FrameSources src;
-  src.inputs = {solver.new_var(), solver.new_var()};  // too many
-  EXPECT_THROW(encode_frame(solver, nl, src), std::invalid_argument);
+  HashedEncoder enc(solver);
+  const Lit l = enc.fresh();
+  EXPECT_NO_THROW(enc.encode_frame(nl, order, {l}, {l}, {l}));
+  EXPECT_THROW(enc.encode_frame(nl, order, {l, l}, {l}, {l}),  // too many
+               std::invalid_argument);
+  EXPECT_THROW(enc.encode_frame(nl, order, {l}, {}, {l}), std::invalid_argument);
+  EXPECT_THROW(enc.encode_frame(nl, order, {l}, {l}, {}), std::invalid_argument);
 }
 
 }  // namespace

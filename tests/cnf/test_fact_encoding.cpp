@@ -1,0 +1,303 @@
+// constrain_key_on_sequence against exhaustive simulation: a fact (inputs
+// applied from reset produce outputs) under a pinned key is satisfiable
+// exactly when simulating the circuit under that key reproduces the outputs.
+#include <gtest/gtest.h>
+
+#include "benchgen/catalog.hpp"
+#include "cnf/miter.hpp"
+#include "core/cute_lock_str.hpp"
+#include "lock/lock_registry.hpp"
+
+namespace cl::cnf {
+namespace {
+
+using netlist::DffInit;
+using netlist::Netlist;
+using netlist::SignalId;
+using sat::Result;
+using sat::Solver;
+using sat::Var;
+using Sequence = std::vector<sim::BitVec>;
+
+struct NamedLock {
+  std::string name;
+  lock::LockResult lock;
+};
+
+/// Every registry lock and Cute-Lock-Str single-key and multi-key, on `ref`.
+std::vector<NamedLock> s27_locks(const Netlist& ref) {
+  std::vector<NamedLock> locks;
+  for (const lock::RegisteredLock& entry : lock::lock_registry()) {
+    util::Rng rng(7);
+    locks.push_back({entry.name, entry.build(ref, rng)});
+  }
+  for (const bool single : {true, false}) {
+    core::StrOptions options;
+    options.seed = 11;
+    options.single_key_reduction = single;
+    locks.push_back({single ? "cl-str single-key" : "cl-str multi-key",
+                     core::cute_lock_str(ref, options)});
+  }
+  return locks;
+}
+
+std::vector<sim::BitVec> all_keys(std::size_t width) {
+  std::vector<sim::BitVec> keys;
+  for (std::uint64_t code = 0; code < (std::uint64_t{1} << width); ++code) {
+    keys.push_back(sim::u64_to_bits(code, width));
+  }
+  return keys;
+}
+
+std::vector<SignalId> dffs_with_init(const Netlist& nl, DffInit init) {
+  std::vector<SignalId> out;
+  for (const SignalId d : nl.dffs()) {
+    if (nl.dff_init(d) == init) out.push_back(d);
+  }
+  return out;
+}
+
+/// Ground truth: does `nl` under `keys` (the run_sequence contract) turn
+/// `inputs` into `want` from some power-up state? The DFFs in `free` try
+/// every value combination; every other DFF keeps its power-up value.
+bool some_reset_reproduces(const Netlist& nl, const std::vector<SignalId>& free,
+                           const Sequence& inputs,
+                           const std::vector<sim::BitVec>& keys,
+                           const Sequence& want) {
+  Netlist copy = nl.clone(nl.name());
+  for (std::uint64_t code = 0; code < (std::uint64_t{1} << free.size()); ++code) {
+    for (std::size_t i = 0; i < free.size(); ++i) {
+      copy.set_dff_init(free[i], (code >> i) & 1 ? DffInit::One : DffInit::Zero);
+    }
+    if (sim::run_sequence(copy, inputs, keys) == want) return true;
+  }
+  return false;
+}
+
+std::vector<Var> new_vars(Solver& solver, std::size_t n) {
+  std::vector<Var> vars;
+  for (std::size_t i = 0; i < n; ++i) vars.push_back(solver.new_var());
+  return vars;
+}
+
+void pin(Solver& solver, const std::vector<Var>& vars, const sim::BitVec& bits) {
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    solver.add_unit(bits[i] != 0 ? sat::pos(vars[i]) : sat::neg(vars[i]));
+  }
+}
+
+/// The fact on a fresh solver with the key schedule pinned by unit clauses
+/// (one entry: a static key). Sat iff some reset state is consistent.
+bool fact_holds(const Netlist& nl, const std::vector<sim::BitVec>& schedule,
+                const Sequence& inputs, const Sequence& outputs,
+                bool symbolic_reset) {
+  Solver solver;
+  std::vector<std::vector<Var>> slots;
+  for (const sim::BitVec& key : schedule) {
+    slots.push_back(new_vars(solver, key.size()));
+  }
+  const std::vector<Var> init = new_vars(solver, symbolic_reset ? nl.dffs().size() : 0);
+  if (slots.size() == 1) {
+    constrain_key_on_sequence(solver, nl, slots[0], inputs, outputs,
+                              symbolic_reset ? &init : nullptr);
+  } else {
+    constrain_key_on_sequence(solver, nl, slots, inputs, outputs,
+                              symbolic_reset ? &init : nullptr);
+  }
+  for (std::size_t s = 0; s < schedule.size(); ++s) pin(solver, slots[s], schedule[s]);
+  return solver.solve() == Result::Sat;
+}
+
+/// A few seeded stimuli and, for each, the responses worth checking: the
+/// reference's and the locked circuit's under a random key (so some keys
+/// are consistent even for a lock no static key unlocks).
+struct Fact {
+  Sequence inputs;
+  Sequence outputs;
+};
+
+std::vector<Fact> seeded_facts(const Netlist& ref, const Netlist& locked,
+                               std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Fact> facts;
+  for (int s = 0; s < 3; ++s) {
+    Sequence inputs = sim::random_stimulus(rng, 5, ref.inputs().size());
+    const sim::BitVec key = sim::random_bits(rng, locked.key_inputs().size());
+    facts.push_back({inputs, sim::run_sequence(ref, inputs)});
+    facts.push_back({inputs, sim::run_sequence(locked, inputs, {key})});
+  }
+  return facts;
+}
+
+TEST(FactEncoding, StaticKeyMatchesSimulationOnS27) {
+  const Netlist ref = benchgen::make_circuit("s27").netlist;
+  for (const auto& [name, lr] : s27_locks(ref)) {
+    const std::vector<SignalId> x_dffs = dffs_with_init(lr.locked, DffInit::X);
+    int consistent = 0;
+    for (const Fact& fact : seeded_facts(ref, lr.locked, 3)) {
+      for (const sim::BitVec& key : all_keys(lr.locked.key_inputs().size())) {
+        const bool want = some_reset_reproduces(lr.locked, x_dffs, fact.inputs,
+                                                {key}, fact.outputs);
+        EXPECT_EQ(fact_holds(lr.locked, {key}, fact.inputs, fact.outputs, false),
+                  want)
+            << name << " key " << sim::bits_to_string(key);
+        consistent += want ? 1 : 0;
+      }
+    }
+    EXPECT_GT(consistent, 0) << name;
+  }
+}
+
+TEST(FactEncoding, SymbolicResetMatchesSimulationOnS27) {
+  // Locks that add no state keep s27's three flip-flops: Sat iff one of the
+  // 8 reset states reproduces the response.
+  const Netlist ref = benchgen::make_circuit("s27").netlist;
+  ASSERT_EQ(ref.dffs().size(), 3u);
+  for (const lock::RegisteredLock& entry : lock::lock_registry()) {
+    if (entry.adds_state) continue;
+    util::Rng rng(7);
+    const lock::LockResult lr = entry.build(ref, rng);
+    ASSERT_EQ(lr.locked.dffs().size(), 3u) << entry.name;
+    std::vector<Fact> facts = seeded_facts(ref, lr.locked, 5);
+    // And a response from the all-ones reset state.
+    Netlist other = lr.locked.clone("other");
+    for (const SignalId d : other.dffs()) other.set_dff_init(d, DffInit::One);
+    facts.push_back({facts[0].inputs,
+                     sim::run_sequence(other, facts[0].inputs, {lr.correct_key})});
+    int consistent = 0;
+    for (const Fact& fact : facts) {
+      for (const sim::BitVec& key : all_keys(lr.locked.key_inputs().size())) {
+        const bool want = some_reset_reproduces(lr.locked, lr.locked.dffs(),
+                                                fact.inputs, {key}, fact.outputs);
+        EXPECT_EQ(fact_holds(lr.locked, {key}, fact.inputs, fact.outputs, true),
+                  want)
+            << entry.name << " key " << sim::bits_to_string(key);
+        consistent += want ? 1 : 0;
+      }
+    }
+    EXPECT_GT(consistent, 0) << entry.name;
+  }
+}
+
+TEST(FactEncoding, UnknownPowerUpValueIsFreePerFact) {
+  // An X flip-flop may power up either way, independently in every fact.
+  const Netlist ref = benchgen::make_circuit("s27").netlist;
+  util::Rng rng(7);
+  lock::LockResult lr = lock::find_lock("xor")->build(ref, rng);
+  const SignalId x = lr.locked.dffs()[0];
+  lr.locked.set_dff_init(x, DffInit::X);
+  Netlist one = lr.locked.clone("one");
+  one.set_dff_init(x, DffInit::One);
+  std::vector<Fact> facts = seeded_facts(ref, lr.locked, 9);
+  for (std::size_t f = 0; f < 2; ++f) {
+    facts.push_back({facts[f].inputs,
+                     sim::run_sequence(one, facts[f].inputs, {lr.correct_key})});
+  }
+  for (const Fact& fact : facts) {
+    for (const sim::BitVec& key : all_keys(lr.locked.key_inputs().size())) {
+      EXPECT_EQ(fact_holds(lr.locked, {key}, fact.inputs, fact.outputs, false),
+                some_reset_reproduces(lr.locked, {x}, fact.inputs, {key},
+                                      fact.outputs))
+          << "key " << sim::bits_to_string(key);
+      // Powering up to 1 instead pins that value.
+      EXPECT_EQ(fact_holds(one, {key}, fact.inputs, fact.outputs, false),
+                sim::run_sequence(one, fact.inputs, {key}) == fact.outputs)
+          << "key " << sim::bits_to_string(key);
+    }
+  }
+  // Two facts whose responses need different power-up values hold together:
+  // each fact runs from its own reset.
+  util::Rng stim_rng(21);
+  for (int trial = 0; trial < 64; ++trial) {
+    const Sequence inputs = sim::random_stimulus(stim_rng, 4, ref.inputs().size());
+    Netlist zero = lr.locked.clone("zero");
+    zero.set_dff_init(x, DffInit::Zero);
+    const Sequence from_zero = sim::run_sequence(zero, inputs, {lr.correct_key});
+    const Sequence from_one = sim::run_sequence(one, inputs, {lr.correct_key});
+    if (from_zero == from_one) continue;
+    Solver solver;
+    const std::vector<Var> key = new_vars(solver, lr.correct_key.size());
+    constrain_key_on_sequence(solver, lr.locked, key, inputs, from_zero);
+    constrain_key_on_sequence(solver, lr.locked, key, inputs, from_one);
+    pin(solver, key, lr.correct_key);
+    EXPECT_EQ(solver.solve(), Result::Sat);
+    return;
+  }
+  FAIL() << "no stimulus separates the two power-up values";
+}
+
+TEST(FactEncoding, KeyScheduleMatchesSimulationOnS27) {
+  // Cycle t runs under slot t mod period: every period-2 schedule, and the
+  // lock's own period-4 schedule with each single-bit mutation of it.
+  const Netlist ref = benchgen::make_circuit("s27").netlist;
+  core::StrOptions options;
+  options.seed = 11;
+  const lock::LockResult lr = core::cute_lock_str(ref, options);
+  const std::size_t width = lr.locked.key_inputs().size();
+  ASSERT_EQ(lr.key_schedule.size(), 4u);
+  std::vector<std::vector<sim::BitVec>> schedules;
+  for (const sim::BitVec& k0 : all_keys(width)) {
+    for (const sim::BitVec& k1 : all_keys(width)) schedules.push_back({k0, k1});
+  }
+  schedules.push_back(lr.key_schedule);
+  for (std::size_t s = 0; s < lr.key_schedule.size(); ++s) {
+    for (std::size_t b = 0; b < width; ++b) {
+      std::vector<sim::BitVec> mutated = lr.key_schedule;
+      mutated[s][b] ^= 1;
+      schedules.push_back(std::move(mutated));
+    }
+  }
+  util::Rng rng(13);
+  for (int f = 0; f < 2; ++f) {
+    const Sequence inputs = sim::random_stimulus(rng, 9, ref.inputs().size());
+    const Sequence want = sim::run_sequence(ref, inputs);
+    int consistent = 0;
+    for (const std::vector<sim::BitVec>& schedule : schedules) {
+      std::vector<sim::BitVec> per_cycle;
+      for (std::size_t t = 0; t < inputs.size(); ++t) {
+        per_cycle.push_back(schedule[t % schedule.size()]);
+      }
+      const bool reproduces = sim::run_sequence(lr.locked, inputs, per_cycle) == want;
+      EXPECT_EQ(fact_holds(lr.locked, schedule, inputs, want, false), reproduces)
+          << "period " << schedule.size();
+      consistent += reproduces ? 1 : 0;
+    }
+    EXPECT_GT(consistent, 0);
+  }
+}
+
+TEST(FactEncoding, FrameWidthMismatchRejectedBeforeEncoding) {
+  const Netlist ref = benchgen::make_circuit("s27").netlist;
+  util::Rng rng(7);
+  const lock::LockResult lr = lock::find_lock("xor")->build(ref, rng);
+  const Sequence inputs = sim::random_stimulus(rng, 3, ref.inputs().size());
+  const Sequence outputs = sim::run_sequence(ref, inputs);
+  Solver solver;
+  const std::vector<Var> key = new_vars(solver, lr.correct_key.size());
+  const int vars = solver.num_vars();
+
+  Sequence short_input = inputs;
+  short_input[2].pop_back();
+  Sequence short_output = outputs;
+  short_output[1].clear();
+  Sequence long_output = outputs;
+  long_output[0].push_back(0);
+  for (const auto& [in, out] : {std::pair{short_input, outputs},
+                                std::pair{inputs, short_output},
+                                std::pair{inputs, long_output}}) {
+    EXPECT_THROW(constrain_key_on_sequence(solver, lr.locked, key, in, out),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(solver.num_vars(), vars);
+  const std::vector<Var> wide_key = new_vars(solver, key.size() + 1);
+  const int with_wide_key = solver.num_vars();
+  EXPECT_THROW(constrain_key_on_sequence(solver, lr.locked,
+                                         std::vector<std::vector<Var>>{key, wide_key},
+                                         inputs, outputs),
+               std::invalid_argument);
+  EXPECT_EQ(solver.num_vars(), with_wide_key);
+  EXPECT_EQ(solver.num_clauses(), 0u);
+}
+
+}  // namespace
+}  // namespace cl::cnf

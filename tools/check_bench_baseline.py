@@ -33,8 +33,9 @@ TRAJECTORY_COUNTERS = [
     # drift means the harness changed shape, not the machine.
     "sim_gates",
     "sim_lane_words",
-    # Verification-axis formula size: the BM_VerifyStaticKey rows' miter
-    # (with the key folded in) is a deterministic function of the circuit.
+    # Formula size: the BM_VerifyStaticKey rows' miter (with the key folded
+    # in) and the BM_EncodeFactConstraint rows' fact clauses are
+    # deterministic functions of the circuit.
     "cnf_vars",
     "cnf_clauses",
 ]
