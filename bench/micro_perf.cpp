@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark): throughput of the substrates the
 // attack tables stand on — the CDCL solver, the bit-parallel simulator,
-// locking transforms, synthesis, and technology mapping.
+// key verification, fact encoding, BBO key screening, locking transforms,
+// synthesis, and technology mapping.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "attack/bbo.hpp"
 #include "attack/verify.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
@@ -384,6 +387,43 @@ void BM_EncodeFactConstraint(benchmark::State& state, bool symbolic) {
 }
 BENCHMARK_CAPTURE(BM_EncodeFactConstraint, static, false);
 BENCHMARK_CAPTURE(BM_EncodeFactConstraint, symbolic, true);
+
+// ---- BBO screening axis ----------------------------------------------------
+//
+// attack::bbo_attack at one job on bench_table4_str_logic_attacks' s832
+// lock: Cute-Lock-Str at the paper's (k, ki) = (8, 18), min(4, DFFs) locked
+// flip-flops, lock seed 0x57a + gates. Every one of the 2^18 static keys
+// dies in screening, so the row times the screening loop alone and ends CNS.
+// Wall caps are lifted so the outcome cannot depend on the host.
+// bbo_batches (AttackResult::iterations, 4096 batches of 64 keys) is
+// deterministic; the baseline diff pins it.
+
+void BM_BboScreen(benchmark::State& state) {
+  const benchgen::CircuitSpec& spec = benchgen::find_spec("s832");
+  const auto circuit = benchgen::make_circuit(spec);
+  core::StrOptions lock_options;
+  lock_options.num_keys = spec.lock_keys;
+  lock_options.key_bits = spec.lock_bits;
+  lock_options.locked_ffs =
+      std::min<std::size_t>(4, circuit.netlist.dffs().size());
+  lock_options.seed = 0x57a + spec.gates;
+  const auto lr = core::cute_lock_str(circuit.netlist, lock_options);
+  const attack::SequentialOracle oracle(circuit.netlist);
+  attack::BboOptions options;
+  options.budget.time_limit_s = 1e9;
+  options.budget.verify_time_limit_s = 1e9;
+  options.jobs = 1;
+  attack::AttackResult result;
+  for (auto _ : state) {
+    result = attack::bbo_attack(lr.locked, oracle, options);
+    benchmark::DoNotOptimize(result.iterations);
+  }
+  if (result.outcome != attack::Outcome::Cns) {
+    state.SkipWithError("multi-key lock not proved CNS");
+  }
+  state.counters["bbo_batches"] = static_cast<double>(result.iterations);
+}
+BENCHMARK(BM_BboScreen);
 
 void BM_BitSim64Lanes(benchmark::State& state) {
   const auto circuit = benchgen::make_circuit("b14");

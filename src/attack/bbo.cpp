@@ -2,15 +2,39 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "attack/verify.hpp"
-#include "util/env.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cl::attack {
 
 using netlist::Netlist;
+
+namespace {
+
+// Candidate batches of 64 keys screened together in one simulation pass:
+// 8 lane words are one AVX-512 vector, two AVX2 vectors or eight generic
+// words per signal.
+constexpr std::size_t k_batches_per_pass = 8;
+constexpr std::size_t k_keys_per_pass = 64 * k_batches_per_pass;
+
+/// screen_static_keys' key layout for `count` candidates: word w of key bit
+/// b holds bit b of candidates 64w .. 64w + 63.
+std::vector<std::uint64_t> key_words_for(const std::uint64_t* keys,
+                                         std::size_t count, std::size_t ki) {
+  const std::size_t lanes = (count + 63) / 64;
+  std::vector<std::uint64_t> words(ki * lanes, 0);
+  for (std::size_t j = 0; j < count; ++j) {
+    for (std::size_t b = 0; b < ki; ++b) {
+      words[b * lanes + j / 64] |= ((keys[j] >> b) & 1ULL) << (j % 64);
+    }
+  }
+  return words;
+}
+
+}  // namespace
 
 AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
                         const BboOptions& options) {
@@ -21,6 +45,13 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
     // Candidate keys ride in 64-bit words throughout (key_words_for, the
     // exhaustive-space mask); wider keys would shift by >= 64 (UB).
     throw std::invalid_argument("bbo_attack: more than 64 key bits");
+  }
+  if (options.exhaustive_limit > 63) {
+    // The exhaustive space holds 2^ki keys in a 64-bit count.
+    throw std::invalid_argument("bbo_attack: exhaustive_limit above 63");
+  }
+  if (options.jobs == 0) {
+    throw std::invalid_argument("bbo_attack: jobs must be at least 1");
   }
   util::Timer timer;
   util::Rng rng(options.seed);
@@ -39,125 +70,119 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
 
   const bool exhaustive = ki <= options.exhaustive_limit;
   const std::uint64_t space = exhaustive ? (1ULL << ki) : 0;
+  const std::uint64_t key_mask = ki == 64 ? ~0ULL : (1ULL << ki) - 1;
 
   // The locked netlist compiles once; every screening task shares the
   // instruction stream and owns only its value buffer.
   const sim::CompiledNetlist compiled(locked);
 
-  // Screen a batch of 64 candidate keys (lane j = candidate j); returns the
-  // lane mask of survivors. Thread-safe: touches only shared-const state.
-  const auto screen_batch = [&](const std::vector<std::uint64_t>& key_words)
-      -> std::uint64_t {
-    std::uint64_t alive = ~0ULL;
-    for (std::size_t s = 0; s < stimuli.size() && alive != 0; ++s) {
-      const auto words = sim::run_sequence_keyed_lanes(compiled, stimuli[s],
-                                                       key_words);
-      for (std::size_t c = 0; c < stimuli[s].size() && alive != 0; ++c) {
-        for (std::size_t o = 0; o < responses[s][c].size(); ++o) {
-          const std::uint64_t want = responses[s][c][o] ? ~0ULL : 0ULL;
-          alive &= ~(words[c][o] ^ want);
-        }
-      }
-    }
-    return alive;
+  // A survivor whose proof runs out of budget may be the key: it is counted,
+  // never taken as refuted, and turns a final CNS or FAIL into N/A.
+  std::uint64_t unproven = 0;
+  const auto unproven_note = [&] {
+    return unproven == 0 ? std::string()
+                         : "; unproven survivors: " + std::to_string(unproven);
   };
 
-  const auto key_words_for = [&](const std::vector<std::uint64_t>& keys) {
-    std::vector<std::uint64_t> words(ki, 0);
-    for (std::size_t lane = 0; lane < keys.size(); ++lane) {
-      for (std::size_t b = 0; b < ki; ++b) {
-        if ((keys[lane] >> b) & 1ULL) words[b] |= 1ULL << lane;
-      }
-    }
-    return words;
-  };
-
-  const auto finish_with = [&](std::uint64_t key_value) -> AttackResult {
-    const sim::BitVec key = sim::u64_to_bits(key_value, ki);
-    const VerifyResult v = verify_static_key(
-        locked, key, oracle.reference(), verify_options_for(options.budget));
-    result.key = key;
-    result.outcome = verdict_outcome(v.verdict);
-    result.seconds = timer.seconds();
-    return result;
-  };
-
-  const std::size_t jobs =
-      options.jobs != 0 ? options.jobs : util::jobs_from_env();
-  // Created on first multi-batch round: tiny attacks (one screening batch,
-  // the common case on table-size circuits) never pay the thread spawn.
-  std::unique_ptr<util::ThreadPool> pool;
-
-  // Rounds of up to `jobs` batches: candidates are drawn serially from the
-  // RNG (the draw sequence is independent of the job count), screened in
-  // parallel, then examined strictly in draw order. `tried`/`iterations`
-  // advance only through the batch that decides the round, so the reported
-  // numbers match a serial run exactly.
+  // Each round draws up to `jobs` passes of 8 batches of 64 keys, serially
+  // from the RNG (the draw sequence is independent of the job count),
+  // screens the passes in parallel, then examines the batches strictly in
+  // draw order. `tried`/`iterations` advance only through the batch that
+  // decides the round, so the reported numbers match a serial run of
+  // one-batch rounds exactly.
+  std::unique_ptr<util::ThreadPool> pool;  // first multi-pass round only
   std::uint64_t tried = 0;
   std::uint64_t next = 0;
   std::uint64_t batches_drawn = 0;
+  std::vector<std::uint64_t> keys;  // this round's candidates, draw order
   while (true) {
     if (timer.seconds() > options.budget.time_limit_s) {
       result.outcome = Outcome::Timeout;
       result.seconds = timer.seconds();
-      result.detail = "screened " + std::to_string(tried) + " keys";
+      result.detail = "screened " + std::to_string(tried) + " keys" +
+                      unproven_note();
       return result;
     }
-    std::vector<std::vector<std::uint64_t>> round;
-    for (std::size_t r = 0; r < jobs; ++r) {
-      std::vector<std::uint64_t> batch;
+    keys.clear();
+    for (std::size_t b = 0; b < options.jobs * k_batches_per_pass; ++b) {
       if (exhaustive) {
-        for (int j = 0; j < 64 && next < space; ++j) batch.push_back(next++);
-        if (batch.empty()) break;  // whole space drawn
+        if (next == space) break;  // whole space drawn
+        const std::uint64_t end = std::min<std::uint64_t>(space, next + 64);
+        while (next < end) keys.push_back(next++);
       } else {
         if (batches_drawn >= options.budget.max_iterations) break;
-        for (int j = 0; j < 64; ++j) {
-          batch.push_back(rng.next_u64() &
-                          ((ki == 64) ? ~0ULL : ((1ULL << ki) - 1)));
-        }
+        ++batches_drawn;
+        for (int j = 0; j < 64; ++j) keys.push_back(rng.next_u64() & key_mask);
       }
-      ++batches_drawn;
-      round.push_back(std::move(batch));
     }
-    if (round.empty()) break;  // space or iteration budget exhausted
+    if (keys.empty()) break;  // space or iteration budget exhausted
 
-    std::vector<std::uint64_t> alive(round.size(), 0);
-    if (jobs > 1 && round.size() > 1) {
-      if (pool == nullptr) pool = std::make_unique<util::ThreadPool>(jobs);
-      for (std::size_t r = 0; r < round.size(); ++r) {
-        pool->submit([&, r] { alive[r] = screen_batch(key_words_for(round[r])); });
+    // Only the space's last batch can hold fewer than 64 keys, so batch b
+    // of the round is pass b / 8, lane word b % 8.
+    const std::size_t passes = (keys.size() + k_keys_per_pass - 1) /
+                               k_keys_per_pass;
+    std::vector<std::vector<std::uint64_t>> alive(passes);
+    const auto screen_pass = [&](std::size_t p) {
+      const std::size_t first = p * k_keys_per_pass;
+      const std::size_t count =
+          std::min(k_keys_per_pass, keys.size() - first);
+      alive[p] = sim::screen_static_keys(
+          compiled, stimuli, responses,
+          key_words_for(keys.data() + first, count, ki), count);
+    };
+    if (passes > 1) {
+      if (pool == nullptr) {
+        pool = std::make_unique<util::ThreadPool>(options.jobs);
+      }
+      for (std::size_t p = 0; p < passes; ++p) {
+        pool->submit([&, p] { screen_pass(p); });
       }
       pool->wait();
     } else {
-      for (std::size_t r = 0; r < round.size(); ++r) {
-        alive[r] = screen_batch(key_words_for(round[r]));
-      }
+      screen_pass(0);
     }
 
-    for (std::size_t r = 0; r < round.size(); ++r) {
-      tried += round[r].size();
+    for (std::size_t first = 0; first < keys.size(); first += 64) {
+      const std::size_t count = std::min<std::size_t>(64, keys.size() - first);
+      tried += count;
       ++result.iterations;
-      if (alive[r] == 0) continue;
-      for (std::size_t lane = 0; lane < round[r].size(); ++lane) {
-        if ((alive[r] >> lane) & 1ULL) {
-          const AttackResult res = finish_with(round[r][lane]);
-          if (res.outcome == Outcome::Equal) return res;
-          // Survivor of screening but not equivalent: keep searching.
+      const std::uint64_t survivors =
+          alive[first / k_keys_per_pass][first % k_keys_per_pass / 64];
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        if (((survivors >> lane) & 1ULL) == 0) continue;
+        const sim::BitVec key = sim::u64_to_bits(keys[first + lane], ki);
+        VerifyOptions verify = verify_options_for(options.budget);
+        const double remaining =
+            std::max(0.0, options.budget.time_limit_s - timer.seconds());
+        verify.time_limit_s = std::min(remaining, verify.time_limit_s);
+        const VerifyResult v =
+            verify_static_key(locked, key, oracle.reference(), verify);
+        // The last survivor verified stays the reported key, whatever the
+        // final outcome, so acceptance scoring can judge it.
+        result.key = key;
+        if (v.verdict == Verdict::Equivalent) {
+          result.outcome = Outcome::Equal;
+          result.seconds = timer.seconds();
+          return result;
         }
+        if (v.verdict == Verdict::Unknown) ++unproven;
       }
     }
   }
 
   result.seconds = timer.seconds();
   if (exhaustive) {
-    // Every static key failed the oracle screen: proved unsatisfiable.
-    result.outcome = Outcome::Cns;
-    result.detail = "exhausted 2^" + std::to_string(ki) +
-                    " static keys; none matches the oracle";
+    // With no survivor left unproven, every static key failed the oracle
+    // screen or verification: proved unsatisfiable.
+    result.outcome = unproven > 0 ? Outcome::Timeout : Outcome::Cns;
+    result.detail =
+        "exhausted 2^" + std::to_string(ki) + " static keys; " +
+        (unproven > 0 ? "none verified" : "none matches the oracle") +
+        unproven_note();
   } else {
-    result.outcome = Outcome::Fail;
+    result.outcome = unproven > 0 ? Outcome::Timeout : Outcome::Fail;
     result.detail = "random search exhausted (" + std::to_string(tried) +
-                    " keys screened)";
+                    " keys screened)" + unproven_note();
   }
   return result;
 }

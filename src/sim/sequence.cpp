@@ -177,43 +177,71 @@ std::vector<std::vector<Trit>> run_sequence_x(const Netlist& nl,
   return out;
 }
 
-std::vector<std::vector<std::uint64_t>> run_sequence_keyed_lanes(
-    const Netlist& nl, const std::vector<BitVec>& inputs,
-    const std::vector<std::uint64_t>& key_words) {
-  return run_sequence_keyed_lanes(CompiledNetlist(nl), inputs, key_words);
-}
+std::vector<std::uint64_t> screen_static_keys(
+    const CompiledNetlist& compiled,
+    const std::vector<std::vector<BitVec>>& stimuli,
+    const std::vector<std::vector<BitVec>>& responses,
+    const std::vector<std::uint64_t>& key_words, std::size_t candidates) {
+  const std::size_t lanes = (candidates + 63) / 64;  // W words
+  const std::size_t num_inputs = compiled.inputs().size();
+  const std::size_t num_outputs = compiled.outputs().size();
+  const std::size_t num_keys = compiled.key_inputs().size();
+  if (key_words.size() != num_keys * lanes) {
+    throw std::invalid_argument(
+        "screen_static_keys: key_words must hold W words per key bit");
+  }
+  if (stimuli.size() != responses.size()) {
+    throw std::invalid_argument(
+        "screen_static_keys: one response per stimulus required");
+  }
+  for (std::size_t s = 0; s < stimuli.size(); ++s) {
+    if (stimuli[s].size() != responses[s].size()) {
+      throw std::invalid_argument(
+          "screen_static_keys: response length mismatch");
+    }
+    for (std::size_t c = 0; c < stimuli[s].size(); ++c) {
+      if (stimuli[s][c].size() != num_inputs) {
+        throw std::invalid_argument("screen_static_keys: input width mismatch");
+      }
+      if (responses[s][c].size() != num_outputs) {
+        throw std::invalid_argument(
+            "screen_static_keys: output width mismatch");
+      }
+    }
+  }
+  std::vector<std::uint64_t> alive(lanes, ~0ULL);
+  if (lanes == 0) return alive;
+  if (candidates % 64 != 0) alive.back() = (1ULL << (candidates % 64)) - 1;
 
-std::vector<std::vector<std::uint64_t>> run_sequence_keyed_lanes(
-    const CompiledNetlist& compiled, const std::vector<BitVec>& inputs,
-    const std::vector<std::uint64_t>& key_words) {
-  if (key_words.size() != compiled.key_inputs().size()) {
-    throw std::invalid_argument("run_sequence_keyed_lanes: key width mismatch");
-  }
   const SimConfig config = sim_config_from_env();
-  util::AlignedVec<std::uint64_t> v(compiled.buffer_words(1), 0);
+  util::AlignedVec<std::uint64_t> v(compiled.buffer_words(lanes), 0);
   util::AlignedVec<std::uint64_t> scratch;
-  compiled.reset_words(v.data(), 1);
-  std::vector<std::vector<std::uint64_t>> out;
-  out.reserve(inputs.size());
-  for (std::size_t c = 0; c < inputs.size(); ++c) {
-    if (inputs[c].size() != compiled.inputs().size()) {
-      throw std::invalid_argument("run_sequence_keyed_lanes: input width mismatch");
+  for (std::size_t s = 0; s < stimuli.size(); ++s) {
+    compiled.reset_words(v.data(), lanes);
+    for (std::size_t k = 0; k < num_keys; ++k) {
+      const std::uint64_t* words = key_words.data() + k * lanes;
+      std::copy(words, words + lanes,
+                v.data() + compiled.key_inputs()[k] * lanes);
     }
-    for (std::size_t i = 0; i < compiled.inputs().size(); ++i) {
-      v[compiled.inputs()[i]] = inputs[c][i] ? ~0ULL : 0ULL;
+    for (std::size_t c = 0; c < stimuli[s].size(); ++c) {
+      for (std::size_t i = 0; i < num_inputs; ++i) {
+        std::uint64_t* words = v.data() + compiled.inputs()[i] * lanes;
+        std::fill(words, words + lanes, stimuli[s][c][i] ? ~0ULL : 0ULL);
+      }
+      compiled.eval_auto(v.data(), lanes, config);
+      for (std::size_t o = 0; o < num_outputs; ++o) {
+        const std::uint64_t* got = v.data() + compiled.outputs()[o] * lanes;
+        const std::uint64_t want = responses[s][c][o] ? ~0ULL : 0ULL;
+        for (std::size_t w = 0; w < lanes; ++w) alive[w] &= ~(got[w] ^ want);
+      }
+      if (std::all_of(alive.begin(), alive.end(),
+                      [](std::uint64_t w) { return w == 0; })) {
+        return alive;
+      }
+      compiled.step_words(v.data(), lanes, scratch);
     }
-    for (std::size_t k = 0; k < key_words.size(); ++k) {
-      v[compiled.key_inputs()[k]] = key_words[k];
-    }
-    compiled.eval_auto(v.data(), 1, config);
-    std::vector<std::uint64_t> cycle_out(compiled.outputs().size());
-    for (std::size_t o = 0; o < compiled.outputs().size(); ++o) {
-      cycle_out[o] = v[compiled.outputs()[o]];
-    }
-    out.push_back(std::move(cycle_out));
-    compiled.step_words(v.data(), 1, scratch);
   }
-  return out;
+  return alive;
 }
 
 BitVec random_bits(util::Rng& rng, std::size_t n) {

@@ -1,7 +1,7 @@
-// Multi-cycle sequence simulation helpers: scalar (lane-0) and 64-lane
-// parallel runs, random stimulus generation, and sequence comparison. These
-// are the building blocks for oracles, validation tables, and the black-box
-// attack.
+// Multi-cycle sequence simulation helpers: scalar (lane-0) and wide-lane
+// batched runs, static-key screening, random stimulus generation, and
+// sequence comparison. These are the building blocks for oracles,
+// validation tables, and the black-box attack.
 #pragma once
 
 #include <cstdint>
@@ -52,19 +52,25 @@ std::vector<std::vector<Trit>> run_sequence_x(const netlist::Netlist& nl,
                                               const std::vector<BitVec>& inputs,
                                               const std::vector<BitVec>& keys = {});
 
-/// 64 independent key candidates in one pass: lane j of `key_lanes[j_bit]`...
-/// Concretely, key_words[k] holds the 64 lanes of key bit k; all lanes see
-/// the same input sequence. Returns output words per cycle (outputs[c][o] is
-/// the 64-lane word of output o on cycle c).
-std::vector<std::vector<std::uint64_t>> run_sequence_keyed_lanes(
-    const netlist::Netlist& nl, const std::vector<BitVec>& inputs,
-    const std::vector<std::uint64_t>& key_words);
-
-/// Pre-compiled variant of run_sequence_keyed_lanes (used by the parallel
-/// BBO screening loop: one compilation, many concurrent screeners).
-std::vector<std::vector<std::uint64_t>> run_sequence_keyed_lanes(
-    const CompiledNetlist& compiled, const std::vector<BitVec>& inputs,
-    const std::vector<std::uint64_t>& key_words);
+/// Static-key screening against oracle responses, the black-box attack's
+/// inner loop: `candidates` key candidates ride the pattern lanes of one
+/// multi-word pass, W = ceil(candidates / 64) words per signal, candidate j
+/// in bit j % 64 of word j / 64. key_words[k * W + w] is word w of key bit
+/// k. Every lane sees the same stimulus, run from reset, one stimulus after
+/// another; after every cycle each output is compared with
+/// responses[s][c], and a lane that differs once is dead. Returns the W
+/// survivor masks (bit j % 64 of word j / 64 set iff candidate j reproduced
+/// every response), as soon as no candidate is left alive. Lanes at or
+/// beyond `candidates` never survive and never delay that exit. Throws
+/// std::invalid_argument, before simulating anything, when stimuli and
+/// responses differ in count or length, when a vector's width does not
+/// match the circuit's inputs or outputs, or when key_words does not hold
+/// W words per key bit. Thread-safe on a shared `compiled`.
+std::vector<std::uint64_t> screen_static_keys(
+    const CompiledNetlist& compiled,
+    const std::vector<std::vector<BitVec>>& stimuli,
+    const std::vector<std::vector<BitVec>>& responses,
+    const std::vector<std::uint64_t>& key_words, std::size_t candidates);
 
 /// Uniform random bit-vector of width n.
 BitVec random_bits(util::Rng& rng, std::size_t n);

@@ -30,7 +30,7 @@ std::size_t env_size_or(const char* name, std::size_t fallback);
 
 /// Worker-thread count: CUTELOCK_JOBS, or hardware_concurrency when unset.
 /// Always >= 1. Shared by bench::Runner, the sharded simulator pool, and
-/// intra-attack parallelism (BBO screening).
+/// the CLI's BBO screening threads (BboOptions::jobs).
 std::size_t jobs_from_env();
 
 /// Diversified CDCL workers racing each solver call: CUTELOCK_SAT_PORTFOLIO,

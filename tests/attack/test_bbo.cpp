@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cute_lock_str.hpp"
+#include "lock/cac_lock.hpp"
 #include "lock/comb_locks.hpp"
 #include "netlist/bench_io.hpp"
 
@@ -113,6 +114,125 @@ TEST(Bbo, TimeBudgetRespected) {
   opts.budget.time_limit_s = 0.0;
   const AttackResult r = bbo_attack(lr.locked, oracle, opts);
   EXPECT_EQ(r.outcome, Outcome::Timeout);
+}
+
+TEST(Bbo, UnprovenSurvivorEndsNotApplicable) {
+  // CAC 2.0's inert comparator block keeps the verification miter from
+  // folding, so a zero verification budget leaves every passing key
+  // unproven. Such a survivor is not refuted: the attack must not conclude
+  // CNS from an exhausted space.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  util::Rng rng(3);
+  const auto lr = lock::cac_lock(nl, 4, 4, rng);
+  BboOptions opts;
+  opts.jobs = 1;
+  {
+    SequentialOracle oracle(nl);
+    const AttackResult r = bbo_attack(lr.locked, oracle, opts);
+    EXPECT_EQ(r.outcome, Outcome::Equal) << r.summary();
+    EXPECT_EQ(r.iterations, 4u);
+  }
+  opts.budget.verify_time_limit_s = 0.0;
+  SequentialOracle oracle(nl);
+  const AttackResult r = bbo_attack(lr.locked, oracle, opts);
+  EXPECT_EQ(r.outcome, Outcome::Timeout) << r.summary();
+  EXPECT_EQ(r.iterations, 4u);
+  // The 2^4 settings of the decoy bits all pass the screen.
+  EXPECT_EQ(r.detail,
+            "exhausted 2^8 static keys; none verified; unproven survivors: 16");
+}
+
+TEST(Bbo, ExhaustiveLimitAbove63Rejected) {
+  // 64 key bits XORed onto one wire: an exhaustive limit of 64 would size
+  // the space as 1 << 64.
+  Netlist nl("xor64");
+  netlist::SignalId wire = nl.add_input("a");
+  for (int k = 0; k < 64; ++k) {
+    wire = nl.add_xor(wire, nl.add_key_input("keyinput" + std::to_string(k)));
+  }
+  nl.add_output(wire);
+  Netlist original("buf");
+  original.add_output(original.add_input("a"));
+  SequentialOracle oracle(original);
+  BboOptions opts;
+  opts.exhaustive_limit = 64;
+  EXPECT_THROW(bbo_attack(nl, oracle, opts), std::invalid_argument);
+  opts.exhaustive_limit = 63;
+  opts.budget.max_iterations = 1;
+  EXPECT_NO_THROW(bbo_attack(nl, oracle, opts));
+}
+
+TEST(Bbo, ZeroJobsRejected) {
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  util::Rng rng(3);
+  const auto lr = lock::xor_lock(nl, 5, rng);
+  SequentialOracle oracle(nl);
+  BboOptions opts;
+  EXPECT_EQ(opts.jobs, 1u);
+  opts.jobs = 0;
+  EXPECT_THROW(bbo_attack(lr.locked, oracle, opts), std::invalid_argument);
+}
+
+// Accounting pins: outcome, iterations and detail must not depend on how
+// many batches share a simulation pass, nor on the job count.
+
+struct Pin {
+  Outcome outcome;
+  std::uint64_t iterations;
+  std::string detail;
+};
+
+void expect_pinned(const Netlist& locked, const Netlist& original,
+                   BboOptions opts, const Pin& pin) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    SequentialOracle oracle(original);
+    opts.jobs = jobs;
+    const AttackResult r = bbo_attack(locked, oracle, opts);
+    EXPECT_EQ(r.outcome, pin.outcome) << "jobs " << jobs << ": " << r.summary();
+    EXPECT_EQ(r.iterations, pin.iterations) << "jobs " << jobs;
+    EXPECT_EQ(r.detail, pin.detail) << "jobs " << jobs;
+  }
+}
+
+core::StrOptions multi_key_8bit() {
+  core::StrOptions opt;
+  opt.num_keys = 4;
+  opt.key_bits = 8;
+  opt.locked_ffs = 2;
+  opt.seed = 5;
+  return opt;
+}
+
+TEST(Bbo, ExhaustiveSpaceOfFourBatchesAccounting) {
+  // 2^8 keys: 4 batches, half a simulation pass.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  const auto lr = core::cute_lock_str(nl, multi_key_8bit());
+  expect_pinned(lr.locked, nl, BboOptions{},
+                {Outcome::Cns, 4,
+                 "exhausted 2^8 static keys; none matches the oracle"});
+}
+
+TEST(Bbo, RandomSearchOfThirteenBatchesAccounting) {
+  // 13 batches: one full pass of 8 and a partial pass of 5.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  const auto lr = core::cute_lock_str(nl, multi_key_8bit());
+  BboOptions opts;
+  opts.exhaustive_limit = 4;
+  opts.budget.max_iterations = 13;
+  expect_pinned(lr.locked, nl, opts,
+                {Outcome::Fail, 13,
+                 "random search exhausted (832 keys screened)"});
+}
+
+TEST(Bbo, KeyBeyondFirstPassAccounting) {
+  // The correct key is 619 of 4096: batch 10, in the second pass.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  util::Rng rng(5);
+  const auto lr = lock::xor_lock(nl, 12, rng);
+  ASSERT_EQ(sim::bits_to_u64(lr.correct_key), 619u);
+  expect_pinned(lr.locked, nl, BboOptions{}, {Outcome::Equal, 10, ""});
+  SequentialOracle oracle(nl);
+  EXPECT_EQ(bbo_attack(lr.locked, oracle).key, lr.correct_key);
 }
 
 }  // namespace

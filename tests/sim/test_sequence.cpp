@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/bench_io.hpp"
+#include "sim/compiled.hpp"
 
 namespace cl::sim {
 namespace {
@@ -76,23 +77,234 @@ t = XOR(q, keyinput1)
 y = NOT(t)
 )";
   const Netlist nl = netlist::read_bench_string(locked, "l2");
+  const CompiledNetlist compiled(nl);
   util::Rng rng(5);
-  const auto inputs = random_stimulus(rng, 5, 1);
+  const std::vector<std::vector<BitVec>> stimuli{random_stimulus(rng, 5, 1)};
   // 4 candidate keys in lanes 0..3.
-  std::vector<std::uint64_t> key_words(2, 0);
   const std::vector<BitVec> keys{{0, 0}, {1, 0}, {0, 1}, {1, 1}};
-  for (int lane = 0; lane < 4; ++lane) {
-    if (keys[static_cast<std::size_t>(lane)][0]) key_words[0] |= 1ULL << lane;
-    if (keys[static_cast<std::size_t>(lane)][1]) key_words[1] |= 1ULL << lane;
+  std::vector<std::uint64_t> key_words(2, 0);
+  for (std::size_t lane = 0; lane < keys.size(); ++lane) {
+    if (keys[lane][0]) key_words[0] |= 1ULL << lane;
+    if (keys[lane][1]) key_words[1] |= 1ULL << lane;
   }
-  const auto lanes = run_sequence_keyed_lanes(nl, inputs, key_words);
-  for (int lane = 0; lane < 4; ++lane) {
-    const auto scalar = run_sequence(nl, inputs, {keys[static_cast<std::size_t>(lane)]});
-    for (std::size_t c = 0; c < inputs.size(); ++c) {
-      EXPECT_EQ((lanes[c][0] >> lane) & 1ULL, scalar[c][0])
-          << "lane " << lane << " cycle " << c;
+  // Screen against each candidate's own trace: exactly the lanes whose
+  // scalar run reproduces it survive.
+  for (const BitVec& truth : keys) {
+    const std::vector<std::vector<BitVec>> responses{
+        run_sequence(nl, stimuli[0], {truth})};
+    const auto alive =
+        screen_static_keys(compiled, stimuli, responses, key_words, 4);
+    ASSERT_EQ(alive.size(), 1u);
+    for (std::size_t lane = 0; lane < keys.size(); ++lane) {
+      const bool reproduces =
+          run_sequence(nl, stimuli[0], {keys[lane]}) == responses[0];
+      EXPECT_EQ((alive[0] >> lane) & 1ULL, reproduces ? 1u : 0u)
+          << "lane " << lane << " truth " << bits_to_string(truth);
+    }
+    EXPECT_EQ(alive[0] >> 4, 0u);
+  }
+}
+
+// Five key bits steer a 3-flip-flop machine whose two outputs see each bit
+// under different conditions, so wrong keys die on many different cycles.
+// Both outputs are 0 on cycle 0 whatever the key.
+const char* k_keyed_fsm = R"(
+INPUT(a)
+INPUT(b)
+INPUT(keyinput0)
+INPUT(keyinput1)
+INPUT(keyinput2)
+INPUT(keyinput3)
+INPUT(keyinput4)
+OUTPUT(y)
+OUTPUT(z)
+q0 = DFF(d0)
+q1 = DFF(d1)
+q2 = DFF(d2)
+d0 = XOR(a, keyinput0)
+d1 = MUX(keyinput1, q0, b)
+t = AND(q1, keyinput2)
+d2 = XOR(q2, t)
+g = AND(a, b, q1, keyinput4)
+y = XOR(q0, q2, g)
+m = XNOR(b, keyinput3)
+z = AND(q2, m)
+)";
+
+/// screen_static_keys' layout: word w of key bit k at key_words[k * W + w].
+std::vector<std::uint64_t> pack_keys(const std::vector<BitVec>& keys,
+                                     std::size_t key_bits) {
+  const std::size_t lanes = (keys.size() + 63) / 64;
+  std::vector<std::uint64_t> words(key_bits * lanes, 0);
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    for (std::size_t k = 0; k < key_bits; ++k) {
+      if (keys[j][k]) words[k * lanes + j / 64] |= 1ULL << (j % 64);
     }
   }
+  return words;
+}
+
+/// Per-key reference: does `key` reproduce every response?
+bool reproduces(const CompiledNetlist& compiled,
+                const std::vector<std::vector<BitVec>>& stimuli,
+                const std::vector<std::vector<BitVec>>& responses,
+                const BitVec& key) {
+  for (std::size_t s = 0; s < stimuli.size(); ++s) {
+    if (run_sequence(compiled, stimuli[s], {key}) != responses[s]) return false;
+  }
+  return true;
+}
+
+/// Screens `keys` and checks every lane of every returned word, including
+/// the lanes past the last candidate, against the per-key reference.
+/// Returns the number of survivors.
+std::size_t expect_screen_matches_per_key(
+    const CompiledNetlist& compiled,
+    const std::vector<std::vector<BitVec>>& stimuli,
+    const std::vector<std::vector<BitVec>>& responses,
+    const std::vector<BitVec>& keys) {
+  const std::size_t key_bits = compiled.key_inputs().size();
+  const auto alive = screen_static_keys(compiled, stimuli, responses,
+                                        pack_keys(keys, key_bits), keys.size());
+  EXPECT_EQ(alive.size(), (keys.size() + 63) / 64);
+  std::size_t survivors = 0;
+  for (std::size_t j = 0; j < 64 * alive.size(); ++j) {
+    const bool got = (alive[j / 64] >> (j % 64)) & 1ULL;
+    const bool want =
+        j < keys.size() && reproduces(compiled, stimuli, responses, keys[j]);
+    EXPECT_EQ(got, want) << "candidate " << j << " of " << keys.size();
+    if (got) ++survivors;
+  }
+  return survivors;
+}
+
+TEST(Sequence, ScreenStaticKeysMatchesPerKeySimulation) {
+  const Netlist nl = netlist::read_bench_string(k_keyed_fsm, "fsm");
+  const CompiledNetlist compiled(nl);
+  ASSERT_EQ(compiled.key_inputs().size(), 5u);
+  util::Rng rng(11);
+  std::size_t survivors = 0;
+  std::size_t dead = 0;
+  // W = 1, 3 and 8 lane words, and a partial last word (W = 5).
+  for (const std::size_t candidates : {64, 192, 512, 300}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const BitVec truth = random_bits(rng, 5);
+      std::vector<std::vector<BitVec>> stimuli;
+      std::vector<std::vector<BitVec>> responses;
+      for (int s = 0; s < 3; ++s) {
+        stimuli.push_back(random_stimulus(rng, 10, 2));
+        responses.push_back(run_sequence(compiled, stimuli.back(), {truth}));
+      }
+      std::vector<BitVec> keys;
+      for (std::size_t j = 0; j < candidates; ++j) {
+        keys.push_back(random_bits(rng, 5));
+      }
+      keys.back() = truth;  // the last lane of the last word survives
+      const std::size_t alive =
+          expect_screen_matches_per_key(compiled, stimuli, responses, keys);
+      survivors += alive;
+      dead += candidates - alive;
+    }
+  }
+  EXPECT_GT(survivors, 0u);
+  EXPECT_GT(dead, 0u);
+}
+
+TEST(Sequence, ScreenStaticKeysEmptyLanesNeverSurvive) {
+  // Responses of the all-zero key: the unused lanes of a partial word hold
+  // key 0 too, yet must neither survive nor keep the screen running.
+  const Netlist nl = netlist::read_bench_string(k_keyed_fsm, "fsm");
+  const CompiledNetlist compiled(nl);
+  util::Rng rng(12);
+  const BitVec zero(5, 0);
+  const std::vector<std::vector<BitVec>> stimuli{random_stimulus(rng, 12, 2)};
+  const std::vector<std::vector<BitVec>> responses{
+      run_sequence(compiled, stimuli[0], {zero})};
+  std::vector<BitVec> keys;
+  for (std::size_t j = 0; j < 100; ++j) {
+    BitVec key = random_bits(rng, 5);
+    key[0] = 1;  // never the all-zero key
+    keys.push_back(key);
+  }
+  EXPECT_EQ(expect_screen_matches_per_key(compiled, stimuli, responses, keys),
+            0u);
+}
+
+TEST(Sequence, ScreenStaticKeysAllDeadOnFirstCycle) {
+  const Netlist nl = netlist::read_bench_string(k_keyed_fsm, "fsm");
+  const CompiledNetlist compiled(nl);
+  util::Rng rng(13);
+  std::vector<std::vector<BitVec>> stimuli;
+  std::vector<std::vector<BitVec>> responses;
+  for (int s = 0; s < 2; ++s) {
+    stimuli.push_back(random_stimulus(rng, 8, 2));
+    responses.push_back(run_sequence(compiled, stimuli.back(), {BitVec(5, 0)}));
+  }
+  // Output y is 0 on cycle 0 under every key: claiming 1 kills every lane.
+  responses[0][0][0] = 1;
+  std::vector<BitVec> keys;
+  for (std::size_t j = 0; j < 512; ++j) keys.push_back(random_bits(rng, 5));
+  EXPECT_EQ(expect_screen_matches_per_key(compiled, stimuli, responses, keys),
+            0u);
+}
+
+TEST(Sequence, ScreenStaticKeysChecksTheLastCycleOfTheLastStimulus) {
+  const Netlist nl = netlist::read_bench_string(k_keyed_fsm, "fsm");
+  const CompiledNetlist compiled(nl);
+  util::Rng rng(14);
+  const BitVec victim{1, 0, 1, 1, 0};
+  std::vector<std::vector<BitVec>> stimuli;
+  std::vector<std::vector<BitVec>> responses;
+  for (int s = 0; s < 3; ++s) {
+    stimuli.push_back(random_stimulus(rng, 9, 2));
+    responses.push_back(run_sequence(compiled, stimuli.back(), {victim}));
+  }
+  // The victim key reproduces everything but the very last output bit, so
+  // its 256 lanes stay alive until then and must die there.
+  responses.back().back().back() ^= 1;
+  std::vector<BitVec> keys(256, victim);
+  for (std::size_t j = 0; j < 256; ++j) keys.push_back(random_bits(rng, 5));
+  expect_screen_matches_per_key(compiled, stimuli, responses, keys);
+}
+
+TEST(Sequence, ScreenStaticKeysRejectsMismatchedShapes) {
+  const Netlist nl = netlist::read_bench_string(k_keyed_fsm, "fsm");
+  const CompiledNetlist compiled(nl);
+  util::Rng rng(15);
+  const std::vector<std::vector<BitVec>> stimuli{random_stimulus(rng, 4, 2),
+                                                 random_stimulus(rng, 4, 2)};
+  std::vector<std::vector<BitVec>> responses;
+  for (const auto& stimulus : stimuli) {
+    responses.push_back(run_sequence(compiled, stimulus, {BitVec(5, 0)}));
+  }
+  const std::vector<std::uint64_t> words(5 * 2, 0);  // W = 2
+  EXPECT_NO_THROW(screen_static_keys(compiled, stimuli, responses, words, 100));
+  // key_words must hold W words per key bit.
+  EXPECT_THROW(screen_static_keys(compiled, stimuli, responses, words, 64),
+               std::invalid_argument);
+  EXPECT_THROW(screen_static_keys(compiled, stimuli, responses, words, 129),
+               std::invalid_argument);
+  // One response per stimulus.
+  EXPECT_THROW(
+      screen_static_keys(compiled, stimuli, {responses[0]}, words, 100),
+      std::invalid_argument);
+  // Equal lengths.
+  auto short_response = responses;
+  short_response[1].pop_back();
+  EXPECT_THROW(
+      screen_static_keys(compiled, stimuli, short_response, words, 100),
+      std::invalid_argument);
+  // Input and output widths.
+  auto wide_stimuli = stimuli;
+  wide_stimuli[1][3].push_back(0);
+  EXPECT_THROW(
+      screen_static_keys(compiled, wide_stimuli, responses, words, 100),
+      std::invalid_argument);
+  auto narrow_response = responses;
+  narrow_response[1][2].pop_back();
+  EXPECT_THROW(
+      screen_static_keys(compiled, stimuli, narrow_response, words, 100),
+      std::invalid_argument);
 }
 
 TEST(Sequence, FirstDivergenceFindsCycle) {

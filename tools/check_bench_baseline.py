@@ -7,9 +7,9 @@ Hard failures (exit 1):
   - a baseline benchmark missing from the fresh run
   - any drift in the deterministic trajectory counters (conflicts, restarts,
     learnts_deleted, minimized_lits, vars_eliminated, clauses_subsumed,
-    vivified_lits, sim_gates, sim_lane_words, cnf_vars, cnf_clauses) — the
-    solver is seeded and single-threaded in these benchmarks, so these must
-    match bit-for-bit across machines
+    vivified_lits, sim_gates, sim_lane_words, cnf_vars, cnf_clauses,
+    bbo_batches) — the solver is seeded and single-threaded in these
+    benchmarks, so these must match bit-for-bit across machines
 
 Warnings only (exit 0):
   - real_time regression beyond 15% (throughput depends on the machine)
@@ -38,6 +38,9 @@ TRAJECTORY_COUNTERS = [
     # deterministic functions of the circuit.
     "cnf_vars",
     "cnf_clauses",
+    # Search length: the BM_BboScreen row's candidate batches until its
+    # exhaustive screen proves CNS.
+    "bbo_batches",
 ]
 EXCLUDED_PREFIXES = ("BM_SolverPortfolioRace",)
 TIME_REGRESSION_FACTOR = 1.15

@@ -266,6 +266,7 @@ int cmd_attack(const Args& args) {
   else if (mode == "bbo") {
     attack::BboOptions o;
     o.budget = budget;
+    o.jobs = util::jobs_from_env();
     result = attack::bbo_attack(locked, oracle, o);
   } else if (mode == "fall") {
     attack::FallOptions o;
