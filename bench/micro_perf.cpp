@@ -388,6 +388,90 @@ void BM_EncodeFactConstraint(benchmark::State& state, bool symbolic) {
 BENCHMARK_CAPTURE(BM_EncodeFactConstraint, static, false);
 BENCHMARK_CAPTURE(BM_EncodeFactConstraint, symbolic, true);
 
+// An attack's whole warmup on a table-scale lock, encoded the way OgEngine
+// does it: from a program compiled once, outside the timed loop, onto both
+// key copies of a fresh DIP miter (built untimed). `rane`: bench_table4's
+// s641 lock (the paper's (k, ki), min(4, DFFs) locked FFs, seed 0x57a +
+// gates) with RANE's warmup, 8 seeded 16-cycle facts from the symbolic
+// reset. `mega`: bench_table_mega's syn64k k = 2 lock (ki = 4, seed
+// 0x3e6a + gates + k) with INT's warmup, 2 seeded 12-cycle facts from
+// power-up. cnf_vars/cnf_clauses count what the facts add to the miter.
+
+struct WarmupCase {
+  lock::LockResult lock;
+  bool symbolic = false;
+  std::vector<std::vector<sim::BitVec>> inputs;
+  std::vector<std::vector<sim::BitVec>> outputs;
+};
+
+WarmupCase warmup_case(const netlist::Netlist& reference,
+                       lock::LockResult lock, bool symbolic,
+                       std::size_t sequences, std::size_t cycles) {
+  WarmupCase c{std::move(lock), symbolic, {}, {}};
+  util::Rng rng(0x5eed);
+  for (std::size_t s = 0; s < sequences; ++s) {
+    c.inputs.push_back(
+        sim::random_stimulus(rng, cycles, reference.inputs().size()));
+    c.outputs.push_back(sim::run_sequence(reference, c.inputs.back()));
+  }
+  return c;
+}
+
+WarmupCase rane_warmup_case() {
+  const benchgen::CircuitSpec& spec = benchgen::find_spec("s641");
+  const auto circuit = benchgen::make_circuit(spec);
+  core::StrOptions options;
+  options.num_keys = spec.lock_keys;
+  options.key_bits = spec.lock_bits;
+  options.locked_ffs = std::min<std::size_t>(4, circuit.netlist.dffs().size());
+  options.seed = 0x57a + spec.gates;
+  return warmup_case(circuit.netlist,
+                     core::cute_lock_str(circuit.netlist, options), true, 8, 16);
+}
+
+WarmupCase mega_warmup_case() {
+  const benchgen::CircuitSpec& spec = benchgen::find_spec("syn64k");
+  const auto circuit = benchgen::make_circuit(spec);
+  const std::size_t k = 2;
+  core::StrOptions options;
+  options.num_keys = k;
+  options.key_bits = 4;
+  options.locked_ffs = std::min<std::size_t>(4, circuit.netlist.dffs().size());
+  options.seed = 0x3e6a + spec.gates + k;
+  return warmup_case(circuit.netlist,
+                     core::cute_lock_str(circuit.netlist, options), false, 2,
+                     12);
+}
+
+void BM_EncodeFactConstraint(benchmark::State& state, WarmupCase (*make)()) {
+  const WarmupCase c = make();
+  const sim::CompiledNetlist prog(c.lock.locked);
+  std::size_t vars = 0;
+  std::size_t clauses = 0;
+  for (auto _ : state) {
+    state.PauseTiming();  // the miter compiles the circuit: not timed here
+    sat::Solver solver;
+    const cnf::SequentialMiter miter(solver, c.lock.locked, c.symbolic);
+    const int miter_vars = solver.num_vars();
+    const std::size_t miter_clauses = solver.num_clauses();
+    state.ResumeTiming();
+    const auto* init = c.symbolic ? &miter.initial_state_vars() : nullptr;
+    for (std::size_t f = 0; f < c.inputs.size(); ++f) {
+      cnf::constrain_key_on_sequence(solver, prog, miter.keys_a(), c.inputs[f],
+                                     c.outputs[f], init);
+      cnf::constrain_key_on_sequence(solver, prog, miter.keys_b(), c.inputs[f],
+                                     c.outputs[f], init);
+    }
+    vars = static_cast<std::size_t>(solver.num_vars() - miter_vars);
+    clauses = solver.num_clauses() - miter_clauses;
+    benchmark::DoNotOptimize(clauses);
+  }
+  state.counters["cnf_vars"] = static_cast<double>(vars);
+  state.counters["cnf_clauses"] = static_cast<double>(clauses);
+}
+BENCHMARK_CAPTURE(BM_EncodeFactConstraint, rane, rane_warmup_case);
+BENCHMARK_CAPTURE(BM_EncodeFactConstraint, mega, mega_warmup_case);
+
 // ---- BBO screening axis ----------------------------------------------------
 //
 // attack::bbo_attack at one job on bench_table4_str_logic_attacks' s832

@@ -55,8 +55,8 @@ AttackResult OgEngine::run(DipStrategy& strategy) {
   miter_.reset();  // references the solver: destroy before it
   solver_.reset();
   timer_.reset();
+  compiled_.emplace(locked_);
   prepare_hints();
-  strategy.on_start(*this);
   return strategy.attack(*this);
 }
 
@@ -205,9 +205,9 @@ void OgEngine::constrain_both_keys(const std::vector<sim::BitVec>& inputs,
                                    const std::vector<sim::BitVec>& outputs) {
   const std::vector<sat::Var>* init =
       spec_.symbolic_init ? &miter_->initial_state_vars() : nullptr;
-  cnf::constrain_key_on_sequence(*solver_, locked_, miter_->keys_a(), inputs,
+  cnf::constrain_key_on_sequence(*solver_, *compiled_, miter_->keys_a(), inputs,
                                  outputs, init);
-  cnf::constrain_key_on_sequence(*solver_, locked_, miter_->keys_b(), inputs,
+  cnf::constrain_key_on_sequence(*solver_, *compiled_, miter_->keys_b(), inputs,
                                  outputs, init);
 }
 
@@ -461,8 +461,6 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
 AttackResult DipStrategy::attack(OgEngine& engine) {
   return engine.run_dip_loop(*this);
 }
-
-void DipStrategy::on_start(OgEngine&) {}
 
 DipStrategy::RoundAction DipStrategy::after_round(OgEngine&, std::size_t,
                                                   AttackResult*) {

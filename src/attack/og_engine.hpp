@@ -72,6 +72,10 @@ class OgEngine {
   // ---- services for strategies -------------------------------------------
 
   const netlist::Netlist& locked() const { return locked_; }
+  /// The locked netlist compiled once per run() (after input validation):
+  /// the program every oracle fact is encoded from and AppSAT and the
+  /// periodic strategy simulate.
+  const sim::CompiledNetlist& compiled() const { return *compiled_; }
   const SequentialOracle& oracle() const { return oracle_; }
   const AttackBudget& budget() const { return budget_; }
   const Spec& spec() const { return spec_; }
@@ -198,6 +202,7 @@ class OgEngine {
   std::vector<IoFact> io_;  // replayed on rebuild()
   std::vector<std::pair<std::size_t, bool>> hints_;
   bool hints_active_ = false;
+  std::optional<sim::CompiledNetlist> compiled_;
   std::unique_ptr<sat::PortfolioSolver> solver_;
   std::unique_ptr<cnf::SequentialMiter> miter_;
 };
@@ -224,10 +229,6 @@ class DipStrategy {
   /// strategies whose outer structure is different (the periodic schedule
   /// hypothesis sweep) override this and use the engine services directly.
   virtual AttackResult attack(OgEngine& engine);
-
-  /// Called once after input validation, before the first solver exists
-  /// (AppSAT compiles the locked netlist here).
-  virtual void on_start(OgEngine& engine);
 
   /// Called after each DIP round (a Sat diff solve plus its oracle
   /// constraints). AppSAT's sampling/settling lives here.

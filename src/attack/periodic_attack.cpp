@@ -60,9 +60,8 @@ class PeriodicScheduleStrategy : public DipStrategy {
   }
 
   AttackResult attack(OgEngine& engine) override {
-    const Netlist& locked = engine.locked();
-    const std::size_t ki = locked.key_inputs().size();
-    const sim::CompiledNetlist compiled_locked(locked);
+    const sim::CompiledNetlist& compiled_locked = engine.compiled();
+    const std::size_t ki = compiled_locked.key_inputs().size();
     const sim::CompiledNetlist compiled_reference(engine.oracle().reference());
 
     // Shared pool of oracle responses, reused across period hypotheses.
@@ -104,7 +103,7 @@ class PeriodicScheduleStrategy : public DipStrategy {
       const auto sync = [&]() {
         while (constrained < io.size()) {
           // Frame t runs under slots[t % period].
-          cnf::constrain_key_on_sequence(*solver, locked, slots,
+          cnf::constrain_key_on_sequence(*solver, compiled_locked, slots,
                                          io[constrained].first,
                                          io[constrained].second);
           ++constrained;

@@ -1,6 +1,5 @@
 #include "attack/sat_attack.hpp"
 
-#include <optional>
 #include <string>
 
 #include "attack/og_engine.hpp"
@@ -47,12 +46,6 @@ class AppSatStrategy : public CombDipStrategy {
 
   const char* name() const override { return "appsat"; }
 
-  void on_start(OgEngine& engine) override {
-    // Compiled once for the sampling loop (per-sample compilation would
-    // dominate on large netlists); the other modes never simulate.
-    compiled_.emplace(engine.locked());
-  }
-
   RoundAction after_round(OgEngine& engine, std::size_t dip_rounds,
                           AttackResult* done) override {
     if (dip_rounds % options_.appsat_sample_every != 0) {
@@ -74,7 +67,7 @@ class AppSatStrategy : public CombDipStrategy {
           {sim::random_bits(engine.rng(), engine.locked().inputs().size())});
     }
     const auto got_all = sim::run_sequences_batched(
-        *compiled_, samples, {engine.candidate()});
+        engine.compiled(), samples, {engine.candidate()});
     const auto want_all = engine.query_oracle_batch(samples);
     std::size_t errors = 0;
     for (std::size_t s = 0; s < options_.appsat_samples; ++s) {
@@ -99,9 +92,6 @@ class AppSatStrategy : public CombDipStrategy {
     }
     return RoundAction::kContinue;
   }
-
- private:
-  std::optional<sim::CompiledNetlist> compiled_;
 };
 
 }  // namespace

@@ -1,14 +1,33 @@
 #include "cnf/hashed_encoder.hpp"
 
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
 namespace cl::cnf {
 
-using netlist::GateType;
-using netlist::Netlist;
 using netlist::SignalId;
 using sat::Lit;
+using sim::Op;
+
+namespace {
+
+// A fresh encoder's table: 512 slots (8 KiB), enough for the cones of a
+// small circuit's fact without a rehash.
+constexpr std::size_t k_initial_slots = 512;
+// Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+constexpr std::uint64_t k_hash_mul = 0x9E3779B97F4A7C15ULL;
+// Bit 63 of an operand pair key is free (literal codes are below 2^31); XOR
+// keys set it, so an AND and an XOR over the same operands never collide.
+constexpr std::uint64_t k_xor_tag = std::uint64_t{1} << 63;
+
+std::uint64_t pair_key(Lit a, Lit b) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.code()))
+          << 32) |
+         static_cast<std::uint32_t>(b.code());
+}
+
+}  // namespace
 
 HashedEncoder::HashedEncoder(sat::Solver& solver)
     : solver_(solver), true_(sat::pos(solver.new_var())) {
@@ -17,10 +36,36 @@ HashedEncoder::HashedEncoder(sat::Solver& solver)
 
 Lit HashedEncoder::fresh() { return sat::pos(solver_.new_var()); }
 
-std::uint64_t HashedEncoder::pair_key(Lit a, Lit b) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.code()))
-          << 32) |
-         static_cast<std::uint32_t>(b.code());
+Lit& HashedEncoder::node_slot(std::uint64_t key, bool& inserted) {
+  if (2 * (used_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = (key * k_hash_mul) >> shift_;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.key == key) {
+      inserted = false;
+      return slot.node;
+    }
+    if (slot.key == 0) {
+      slot.key = key;
+      ++used_;
+      inserted = true;
+      return slot.node;
+    }
+  }
+}
+
+void HashedEncoder::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t size = old.empty() ? k_initial_slots : 2 * old.size();
+  slots_.assign(size, Slot{});
+  shift_ = 64 - std::countr_zero(size);
+  const std::size_t mask = size - 1;
+  for (const Slot& slot : old) {
+    if (slot.key == 0) continue;
+    std::size_t i = (slot.key * k_hash_mul) >> shift_;
+    while (slots_[i].key != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
 }
 
 Lit HashedEncoder::and2(Lit a, Lit b) {
@@ -29,15 +74,15 @@ Lit HashedEncoder::and2(Lit a, Lit b) {
   if (is_constant(b)) return b == true_ ? a : b;
   if (a == b) return a;
   if (a == ~b) return constant(false);
-  const auto [it, inserted] = and_nodes_.try_emplace(pair_key(a, b));
-  if (inserted) {
-    const Lit y = fresh();
-    solver_.add_binary(~y, a);
-    solver_.add_binary(~y, b);
-    solver_.add_ternary(y, ~a, ~b);
-    it->second = y;
-  }
-  return it->second;
+  bool inserted = false;
+  Lit& node = node_slot(pair_key(a, b), inserted);
+  if (!inserted) return node;
+  const Lit y = fresh();
+  node = y;
+  solver_.add_binary(~y, a);
+  solver_.add_binary(~y, b);
+  solver_.add_ternary(y, ~a, ~b);
+  return y;
 }
 
 Lit HashedEncoder::xor2(Lit a, Lit b) {
@@ -54,16 +99,17 @@ Lit HashedEncoder::xor2(Lit a, Lit b) {
   } else if (is_constant(b)) {
     y = ~a;
   } else {
-    const auto [it, inserted] = xor_nodes_.try_emplace(pair_key(a, b));
+    bool inserted = false;
+    Lit& node = node_slot(pair_key(a, b) | k_xor_tag, inserted);
     if (inserted) {
-      it->second = fresh();
-      const Lit x = it->second;
+      node = fresh();
+      const Lit x = node;
       solver_.add_ternary(~x, a, b);
       solver_.add_ternary(~x, ~a, ~b);
       solver_.add_ternary(x, ~a, b);
       solver_.add_ternary(x, a, ~b);
     }
-    y = it->second;
+    y = node;
   }
   return flip ? ~y : y;
 }
@@ -75,72 +121,61 @@ Lit HashedEncoder::mux(Lit sel, Lit a, Lit b) {
   return or2(and2(sel, b), and2(~sel, a));
 }
 
-std::vector<Lit> HashedEncoder::encode_frame(const Netlist& nl,
-                                             const std::vector<SignalId>& order,
+std::vector<Lit> HashedEncoder::encode_frame(const sim::CompiledNetlist& prog,
                                              const std::vector<Lit>& inputs,
                                              const std::vector<Lit>& keys,
                                              const std::vector<Lit>& states) {
-  if (inputs.size() != nl.inputs().size() ||
-      keys.size() != nl.key_inputs().size() ||
-      states.size() != nl.dffs().size()) {
+  if (inputs.size() != prog.inputs().size() ||
+      keys.size() != prog.key_inputs().size() ||
+      states.size() != prog.dff_qs().size()) {
     throw std::invalid_argument("HashedEncoder: source arity mismatch");
   }
-  std::vector<Lit> lit(nl.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) lit[nl.inputs()[i]] = inputs[i];
-  for (std::size_t i = 0; i < keys.size(); ++i) lit[nl.key_inputs()[i]] = keys[i];
-  for (std::size_t i = 0; i < states.size(); ++i) lit[nl.dffs()[i]] = states[i];
+  std::vector<Lit> lit(prog.num_signals());
+  for (std::size_t i = 0; i < inputs.size(); ++i) lit[prog.inputs()[i]] = inputs[i];
+  for (std::size_t i = 0; i < keys.size(); ++i) lit[prog.key_inputs()[i]] = keys[i];
+  for (std::size_t i = 0; i < states.size(); ++i) lit[prog.dff_qs()[i]] = states[i];
+  for (const SignalId s : prog.const_zeros()) lit[s] = constant(false);
+  for (const SignalId s : prog.const_ones()) lit[s] = constant(true);
 
-  for (SignalId id : order) {
-    const netlist::Node& n = nl.node(id);
-    const auto in = [&](std::size_t k) { return lit[n.fanins[k]]; };
+  // N-ary gates fold left to right over their fanins, as the netlist lists
+  // them.
+  const SignalId* pool = prog.fanin_pool().data();
+  const auto fold = [&](const sim::Instr& in, auto&& op) {
+    Lit y = lit[pool[in.a]];
+    for (std::uint32_t k = 1; k < in.b; ++k) y = op(y, lit[pool[in.a + k]]);
+    return y;
+  };
+  const auto and_op = [this](Lit a, Lit b) { return and2(a, b); };
+  const auto or_op = [this](Lit a, Lit b) { return or2(a, b); };
+  const auto xor_op = [this](Lit a, Lit b) { return xor2(a, b); };
+  for (const sim::Instr& in : prog.instructions()) {
     Lit y;
-    switch (n.type) {
-      case GateType::Input:
-      case GateType::KeyInput:
-      case GateType::Dff:
-        continue;
-      case GateType::Const0:
-      case GateType::Const1:
-        y = constant(n.type == GateType::Const1);
-        break;
-      case GateType::Buf:
-        y = in(0);
-        break;
-      case GateType::Not:
-        y = ~in(0);
-        break;
-      case GateType::And:
-      case GateType::Nand:
-        y = in(0);
-        for (std::size_t k = 1; k < n.fanins.size(); ++k) y = and2(y, in(k));
-        if (n.type == GateType::Nand) y = ~y;
-        break;
-      case GateType::Or:
-      case GateType::Nor:
-        y = in(0);
-        for (std::size_t k = 1; k < n.fanins.size(); ++k) y = or2(y, in(k));
-        if (n.type == GateType::Nor) y = ~y;
-        break;
-      case GateType::Xor:
-      case GateType::Xnor:
-        y = in(0);
-        for (std::size_t k = 1; k < n.fanins.size(); ++k) y = xor2(y, in(k));
-        if (n.type == GateType::Xnor) y = ~y;
-        break;
-      case GateType::Mux:
-        y = mux(in(0), in(1), in(2));
-        break;
+    switch (in.op) {
+      case Op::Buf: y = lit[in.a]; break;
+      case Op::Not: y = ~lit[in.a]; break;
+      case Op::And2: y = and2(lit[in.a], lit[in.b]); break;
+      case Op::Nand2: y = ~and2(lit[in.a], lit[in.b]); break;
+      case Op::Or2: y = or2(lit[in.a], lit[in.b]); break;
+      case Op::Nor2: y = ~or2(lit[in.a], lit[in.b]); break;
+      case Op::Xor2: y = xor2(lit[in.a], lit[in.b]); break;
+      case Op::Xnor2: y = ~xor2(lit[in.a], lit[in.b]); break;
+      case Op::Mux: y = mux(lit[in.a], lit[in.b], lit[in.c]); break;
+      case Op::AndN: y = fold(in, and_op); break;
+      case Op::NandN: y = ~fold(in, and_op); break;
+      case Op::OrN: y = fold(in, or_op); break;
+      case Op::NorN: y = ~fold(in, or_op); break;
+      case Op::XorN: y = fold(in, xor_op); break;
+      case Op::XnorN: y = ~fold(in, xor_op); break;
     }
-    lit[id] = y;
+    lit[in.out] = y;
   }
   return lit;
 }
 
-std::vector<Lit> HashedEncoder::power_up_state(const Netlist& nl) {
+std::vector<Lit> HashedEncoder::power_up_state(const sim::CompiledNetlist& prog) {
   std::vector<Lit> state;
-  state.reserve(nl.dffs().size());
-  for (SignalId d : nl.dffs()) {
-    const netlist::DffInit init = nl.dff_init(d);
+  state.reserve(prog.dff_inits().size());
+  for (const netlist::DffInit init : prog.dff_inits()) {
     state.push_back(init == netlist::DffInit::X
                         ? fresh()
                         : constant(init == netlist::DffInit::One));
@@ -148,14 +183,13 @@ std::vector<Lit> HashedEncoder::power_up_state(const Netlist& nl) {
   return state;
 }
 
-std::vector<Lit> HashedEncoder::unroll_frame(const Netlist& nl,
-                                             const std::vector<SignalId>& order,
+std::vector<Lit> HashedEncoder::unroll_frame(const sim::CompiledNetlist& prog,
                                              const std::vector<Lit>& inputs,
                                              const std::vector<Lit>& keys,
                                              std::vector<Lit>& state) {
-  std::vector<Lit> lit = encode_frame(nl, order, inputs, keys, state);
+  std::vector<Lit> lit = encode_frame(prog, inputs, keys, state);
   for (std::size_t i = 0; i < state.size(); ++i) {
-    state[i] = lit[nl.dff_input(nl.dffs()[i])];
+    state[i] = lit[prog.dff_ds()[i]];
   }
   return lit;
 }

@@ -12,16 +12,21 @@
 // Nodes get their variables and clauses eagerly, in encounter order, so the
 // clause stream depends only on the order of calls.
 //
+// The structural hash is one flat open-addressing table (power-of-two slots,
+// linear probing) keyed by the canonical operand pair, with AND and XOR keys
+// tagged apart; frames walk a sim::CompiledNetlist's levelized instruction
+// stream. Encoding a node therefore allocates nothing beyond the occasional
+// table doubling and the solver's own clause storage.
+//
 // This is the library's one netlist-to-CNF path: the DIP miter, the oracle
 // facts and the key-verification miter (cnf/miter.hpp) all build on it.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
+#include "sim/compiled.hpp"
 
 namespace cl::cnf {
 
@@ -41,36 +46,45 @@ class HashedEncoder {
   /// sel ? b : a (the netlist's MUX fanin order).
   sat::Lit mux(sat::Lit sel, sat::Lit a, sat::Lit b);
 
-  /// One combinational frame of `nl` over `order` (netlist::topo_order):
-  /// returns a literal per signal. `inputs`, `keys` and `states` give the
-  /// source literals, parallel to nl.inputs(), nl.key_inputs() and
-  /// nl.dffs().
-  std::vector<sat::Lit> encode_frame(const netlist::Netlist& nl,
-                                     const std::vector<netlist::SignalId>& order,
+  /// One combinational frame of `prog`'s netlist, gates in the program's
+  /// levelized order: returns a literal per signal. `inputs`, `keys` and
+  /// `states` give the source literals, parallel to prog.inputs(),
+  /// prog.key_inputs() and prog.dff_qs().
+  std::vector<sat::Lit> encode_frame(const sim::CompiledNetlist& prog,
                                      const std::vector<sat::Lit>& inputs,
                                      const std::vector<sat::Lit>& keys,
                                      const std::vector<sat::Lit>& states);
 
-  /// The DFFs' power-up state, parallel to nl.dffs(): a constant per 0/1
+  /// The DFFs' power-up state, parallel to prog.dff_qs(): a constant per 0/1
   /// power-up value and a fresh literal per X.
-  std::vector<sat::Lit> power_up_state(const netlist::Netlist& nl);
+  std::vector<sat::Lit> power_up_state(const sim::CompiledNetlist& prog);
 
   /// One time frame of an unrolling: encode_frame over `state`, then advance
   /// `state` to the frame's next-state literals (the DFF D pins).
-  std::vector<sat::Lit> unroll_frame(const netlist::Netlist& nl,
-                                     const std::vector<netlist::SignalId>& order,
+  std::vector<sat::Lit> unroll_frame(const sim::CompiledNetlist& prog,
                                      const std::vector<sat::Lit>& inputs,
                                      const std::vector<sat::Lit>& keys,
                                      std::vector<sat::Lit>& state);
 
  private:
+  /// One structural-hash slot; key 0 marks it empty (no AND key is 0, since
+  /// its operands differ, and every XOR key carries the tag bit).
+  struct Slot {
+    std::uint64_t key = 0;
+    sat::Lit node;
+  };
+
   bool is_constant(sat::Lit l) const { return l.var() == true_.var(); }
-  static std::uint64_t pair_key(sat::Lit a, sat::Lit b);
+  /// The slot holding `key`, claimed (and `inserted` set) when absent. The
+  /// reference stays valid until the next call.
+  sat::Lit& node_slot(std::uint64_t key, bool& inserted);
+  void grow();
 
   sat::Solver& solver_;
   sat::Lit true_;
-  std::unordered_map<std::uint64_t, sat::Lit> and_nodes_;
-  std::unordered_map<std::uint64_t, sat::Lit> xor_nodes_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  std::size_t used_ = 0;
+  int shift_ = 0;            // 64 - log2(slots_.size())
 };
 
 }  // namespace cl::cnf

@@ -2,12 +2,9 @@
 
 #include <stdexcept>
 
-#include "netlist/topo.hpp"
-
 namespace cl::cnf {
 
 using netlist::Netlist;
-using netlist::SignalId;
 using sat::Lit;
 using sat::Solver;
 using sat::Var;
@@ -26,8 +23,11 @@ std::vector<Lit> positive(const std::vector<Var>& vars) {
 MiterBase::MiterBase(Solver& solver, const Netlist& a, const Netlist& b)
     : solver_(solver),
       encoder_(solver),
-      a_{a, netlist::topo_order(a), {}, {}},
-      b_{b, &a == &b ? a_.order : netlist::topo_order(b), {}, {}} {
+      prog_a_(a),
+      prog_b_(&a == &b ? std::nullopt
+                       : std::make_optional<sim::CompiledNetlist>(b)),
+      a_{prog_a_, {}, {}},
+      b_{prog_b_ ? *prog_b_ : prog_a_, {}, {}} {
   if (a.inputs().size() != b.inputs().size() ||
       a.outputs().size() != b.outputs().size()) {
     throw std::invalid_argument("miter: interface mismatch");
@@ -35,25 +35,26 @@ MiterBase::MiterBase(Solver& solver, const Netlist& a, const Netlist& b)
 }
 
 void MiterBase::extend_to(std::size_t depth) {
+  const std::size_t num_inputs = a_.prog.inputs().size();
   while (cumulative_diff_.size() < depth) {
     std::vector<Var> ins;
     std::vector<Lit> in_lits;
-    ins.reserve(a_.nl.inputs().size());
-    in_lits.reserve(a_.nl.inputs().size());
-    for (std::size_t i = 0; i < a_.nl.inputs().size(); ++i) {
+    ins.reserve(num_inputs);
+    in_lits.reserve(num_inputs);
+    for (std::size_t i = 0; i < num_inputs; ++i) {
       in_lits.push_back(encoder_.fresh());
       ins.push_back(in_lits.back().var());
     }
     inputs_.push_back(std::move(ins));
 
     const std::vector<Lit> fa =
-        encoder_.unroll_frame(a_.nl, a_.order, in_lits, a_.keys, a_.state);
+        encoder_.unroll_frame(a_.prog, in_lits, a_.keys, a_.state);
     const std::vector<Lit> fb =
-        encoder_.unroll_frame(b_.nl, b_.order, in_lits, b_.keys, b_.state);
+        encoder_.unroll_frame(b_.prog, in_lits, b_.keys, b_.state);
     Lit diff = encoder_.constant(false);
-    for (std::size_t o = 0; o < a_.nl.outputs().size(); ++o) {
-      diff = encoder_.or2(diff, encoder_.xor2(fa[a_.nl.outputs()[o]],
-                                               fb[b_.nl.outputs()[o]]));
+    for (std::size_t o = 0; o < a_.prog.outputs().size(); ++o) {
+      diff = encoder_.or2(diff, encoder_.xor2(fa[a_.prog.outputs()[o]],
+                                               fb[b_.prog.outputs()[o]]));
     }
     cumulative_diff_.push_back(cumulative_diff_.empty()
                                    ? diff
@@ -96,8 +97,8 @@ SequentialMiter::SequentialMiter(Solver& solver, const Netlist& locked,
     a_.state = positive(init_state_);
     b_.state = a_.state;
   } else {
-    a_.state = encoder_.power_up_state(locked);
-    b_.state = encoder_.power_up_state(locked);
+    a_.state = encoder_.power_up_state(a_.prog);
+    b_.state = encoder_.power_up_state(b_.prog);
   }
 }
 
@@ -120,20 +121,21 @@ EquivalenceMiter::EquivalenceMiter(Solver& solver, const Netlist& a,
   }
   a_.keys.reserve(key.size());
   for (const auto bit : key) a_.keys.push_back(encoder_.constant(bit != 0));
-  a_.state = encoder_.power_up_state(a);
-  b_.state = encoder_.power_up_state(b);
+  a_.state = encoder_.power_up_state(a_.prog);
+  b_.state = encoder_.power_up_state(b_.prog);
 }
 
-void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
+void constrain_key_on_sequence(Solver& solver, const sim::CompiledNetlist& prog,
                                const std::vector<Var>& key_vars,
                                const std::vector<sim::BitVec>& inputs,
                                const std::vector<sim::BitVec>& outputs,
                                const std::vector<Var>* init_vars) {
-  constrain_key_on_sequence(solver, nl, std::vector<std::vector<Var>>{key_vars},
-                            inputs, outputs, init_vars);
+  constrain_key_on_sequence(solver, prog,
+                            std::vector<std::vector<Var>>{key_vars}, inputs,
+                            outputs, init_vars);
 }
 
-void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
+void constrain_key_on_sequence(Solver& solver, const sim::CompiledNetlist& prog,
                                const std::vector<std::vector<Var>>& key_schedule,
                                const std::vector<sim::BitVec>& inputs,
                                const std::vector<sim::BitVec>& outputs,
@@ -142,8 +144,8 @@ void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
     throw std::invalid_argument("constrain_key_on_sequence: length mismatch");
   }
   for (std::size_t t = 0; t < inputs.size(); ++t) {
-    if (inputs[t].size() != nl.inputs().size() ||
-        outputs[t].size() != nl.outputs().size()) {
+    if (inputs[t].size() != prog.inputs().size() ||
+        outputs[t].size() != prog.outputs().size()) {
       throw std::invalid_argument(
           "constrain_key_on_sequence: frame width mismatch");
     }
@@ -152,12 +154,12 @@ void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
     throw std::invalid_argument("constrain_key_on_sequence: empty key schedule");
   }
   for (const std::vector<Var>& keys : key_schedule) {
-    if (keys.size() != nl.key_inputs().size()) {
+    if (keys.size() != prog.key_inputs().size()) {
       throw std::invalid_argument(
           "constrain_key_on_sequence: key width mismatch");
     }
   }
-  if (init_vars != nullptr && init_vars->size() != nl.dffs().size()) {
+  if (init_vars != nullptr && init_vars->size() != prog.dff_qs().size()) {
     throw std::invalid_argument(
         "constrain_key_on_sequence: init state width mismatch");
   }
@@ -167,20 +169,37 @@ void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
   keys.reserve(key_schedule.size());
   for (const std::vector<Var>& slot : key_schedule) keys.push_back(positive(slot));
   std::vector<Lit> state = init_vars != nullptr ? positive(*init_vars)
-                                                : encoder.power_up_state(nl);
-  const std::vector<SignalId> order = netlist::topo_order(nl);
-  std::vector<Lit> in_lits(nl.inputs().size());
+                                                : encoder.power_up_state(prog);
+  std::vector<Lit> in_lits(prog.inputs().size());
   for (std::size_t t = 0; t < inputs.size(); ++t) {
     for (std::size_t i = 0; i < in_lits.size(); ++i) {
       in_lits[i] = encoder.constant(inputs[t][i] != 0);
     }
-    const std::vector<Lit> frame = encoder.unroll_frame(
-        nl, order, in_lits, keys[t % keys.size()], state);
-    for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
-      const Lit y = frame[nl.outputs()[o]];
+    const std::vector<Lit> frame =
+        encoder.unroll_frame(prog, in_lits, keys[t % keys.size()], state);
+    for (std::size_t o = 0; o < prog.outputs().size(); ++o) {
+      const Lit y = frame[prog.outputs()[o]];
       solver.add_unit(outputs[t][o] != 0 ? y : ~y);
     }
   }
+}
+
+void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
+                               const std::vector<Var>& key_vars,
+                               const std::vector<sim::BitVec>& inputs,
+                               const std::vector<sim::BitVec>& outputs,
+                               const std::vector<Var>* init_vars) {
+  constrain_key_on_sequence(solver, sim::CompiledNetlist(nl), key_vars, inputs,
+                            outputs, init_vars);
+}
+
+void constrain_key_on_sequence(Solver& solver, const Netlist& nl,
+                               const std::vector<std::vector<Var>>& key_schedule,
+                               const std::vector<sim::BitVec>& inputs,
+                               const std::vector<sim::BitVec>& outputs,
+                               const std::vector<Var>* init_vars) {
+  constrain_key_on_sequence(solver, sim::CompiledNetlist(nl), key_schedule,
+                            inputs, outputs, init_vars);
 }
 
 sim::BitVec extract_bits(const Solver& solver, const std::vector<Var>& vars) {

@@ -14,9 +14,11 @@
 // the oracle's response, evaluated under a given key vector or schedule.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "cnf/hashed_encoder.hpp"
+#include "sim/compiled.hpp"
 #include "sim/sequence.hpp"
 
 namespace cl::cnf {
@@ -25,7 +27,9 @@ namespace cl::cnf {
 /// per-frame primary inputs (matched positionally), with a per-depth "some
 /// output differs within d frames" literal: the body both miters share.
 /// Logic the copies compute alike lands on the same literals, so an output
-/// both copies compute alike folds out of the diff.
+/// both copies compute alike folds out of the diff. Each circuit is compiled
+/// once, in the constructor (one program when both copies are the same
+/// netlist), and every frame walks that program's instruction stream.
 class MiterBase {
  public:
   /// Unroll both copies to `depth` frames.
@@ -48,10 +52,10 @@ class MiterBase {
   std::vector<sim::BitVec> extract_inputs(std::size_t depth) const;
 
  protected:
-  /// One unrolled circuit: its key literals and the next frame's state.
+  /// One unrolled circuit: its program, key literals and the next frame's
+  /// state.
   struct Copy {
-    const netlist::Netlist& nl;
-    std::vector<netlist::SignalId> order;  // levelized once, reused per frame
+    const sim::CompiledNetlist& prog;
     std::vector<sat::Lit> keys;
     std::vector<sat::Lit> state;
   };
@@ -63,6 +67,8 @@ class MiterBase {
 
   sat::Solver& solver_;
   HashedEncoder encoder_;
+  sim::CompiledNetlist prog_a_;
+  std::optional<sim::CompiledNetlist> prog_b_;  // empty when b is a
   Copy a_;
   Copy b_;
 
@@ -110,12 +116,12 @@ class EquivalenceMiter : public MiterBase {
                    const sim::BitVec& key, const netlist::Netlist& b);
 };
 
-/// Add the constraint: running `nl` for inputs.size() cycles from the reset
-/// state with key variables `key_vars` (held static) and the given concrete
-/// input sequence produces exactly `outputs`. This is the DIP-consistency
-/// clause set of the oracle-guided attack loop. When `init_vars` is given,
-/// the run starts from those shared symbolic state variables instead of the
-/// power-up values (RANE threat model).
+/// Add the constraint: running `prog`'s netlist for inputs.size() cycles
+/// from the reset state with key variables `key_vars` (held static) and the
+/// given concrete input sequence produces exactly `outputs`. This is the
+/// DIP-consistency clause set of the oracle-guided attack loop. When
+/// `init_vars` is given, the run starts from those shared symbolic state
+/// variables instead of the power-up values (RANE threat model).
 ///
 /// The fact is encoded on its own HashedEncoder with the inputs as
 /// constants, so only logic that depends on the key (or the symbolic reset
@@ -123,7 +129,11 @@ class EquivalenceMiter : public MiterBase {
 /// literals. Throws std::invalid_argument, before adding anything, when the
 /// input and output sequences differ in length or a frame's width differs
 /// from the circuit's inputs or outputs.
-void constrain_key_on_sequence(sat::Solver& solver, const netlist::Netlist& nl,
+///
+/// The attacks compile the locked netlist once and pass the program for
+/// every fact (OgEngine::compiled()).
+void constrain_key_on_sequence(sat::Solver& solver,
+                               const sim::CompiledNetlist& prog,
                                const std::vector<sat::Var>& key_vars,
                                const std::vector<sim::BitVec>& inputs,
                                const std::vector<sim::BitVec>& outputs,
@@ -132,6 +142,21 @@ void constrain_key_on_sequence(sat::Solver& solver, const netlist::Netlist& nl,
 /// Same, with a periodic key schedule: cycle t runs under key variables
 /// key_schedule[t % key_schedule.size()] (the static form is a schedule of
 /// period 1).
+void constrain_key_on_sequence(
+    sat::Solver& solver, const sim::CompiledNetlist& prog,
+    const std::vector<std::vector<sat::Var>>& key_schedule,
+    const std::vector<sim::BitVec>& inputs,
+    const std::vector<sim::BitVec>& outputs,
+    const std::vector<sat::Var>* init_vars = nullptr);
+
+/// The same two constraints on an uncompiled netlist: compile `nl`, then
+/// forward. Each call pays the compile; callers adding many facts on one
+/// circuit should compile once and use the overloads above.
+void constrain_key_on_sequence(sat::Solver& solver, const netlist::Netlist& nl,
+                               const std::vector<sat::Var>& key_vars,
+                               const std::vector<sim::BitVec>& inputs,
+                               const std::vector<sim::BitVec>& outputs,
+                               const std::vector<sat::Var>* init_vars = nullptr);
 void constrain_key_on_sequence(
     sat::Solver& solver, const netlist::Netlist& nl,
     const std::vector<std::vector<sat::Var>>& key_schedule,

@@ -73,10 +73,15 @@ class ClauseArena {
   /// Copy the literals out (preprocessing, problem replay, clause export).
   std::vector<Lit> lits(CRef c) const {
     std::vector<Lit> out;
+    copy_lits(c, out);
+    return out;
+  }
+  /// Same, into a caller-owned buffer that is reused across clauses.
+  void copy_lits(CRef c, std::vector<Lit>& out) const {
     const std::uint32_t n = size(c);
+    out.clear();
     out.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) out.push_back(lit(c, i));
-    return out;
   }
 
   int lbd(CRef c) const { return static_cast<int>(mem_[c + 1]); }

@@ -82,10 +82,17 @@ void Solver::copy_problem_into(Solver& dst) const {
     return;
   }
   for (const Lit& l : trail_) dst.add_clause({l});  // root-level units
-  for (const CRef c : clauses_) dst.add_clause(arena_.lits(c));
+  std::vector<Lit> lits;
+  for (const CRef c : clauses_) {
+    arena_.copy_lits(c, lits);
+    dst.add_clause(lits);
+  }
   // Learnts are implied by the problem clauses, so replaying them seeds the
   // clone with everything this solver has derived so far.
-  for (const CRef c : learnts_) dst.add_clause(arena_.lits(c));
+  for (const CRef c : learnts_) {
+    arena_.copy_lits(c, lits);
+    dst.add_clause(lits);
+  }
 }
 
 LBool Solver::lit_value(Lit l) const {
@@ -95,14 +102,15 @@ LBool Solver::lit_value(Lit l) const {
   return b ? LBool::True : LBool::False;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
   if (decision_level() != 0) {
     throw std::logic_error("add_clause: only legal at decision level 0");
   }
   // A clause over an eliminated variable re-opens it: revive first (re-adds
   // the clauses BVE removed and freezes the variable) so the incremental
-  // database stays equivalent to the original problem.
+  // database stays equivalent to the original problem. Revival re-enters
+  // add_clause, so the scratch buffer is only filled after this loop.
   if (!remapper_.empty()) {
     for (const Lit& l : lits) {
       if (l.var() >= 0 && l.var() < num_vars() && remapper_.eliminated(l.var())) {
@@ -112,11 +120,13 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     }
   }
   // Simplify: sort, drop duplicates, detect tautology, drop false literals,
-  // detect satisfied clauses.
-  std::sort(lits.begin(), lits.end());
-  std::vector<Lit> out;
+  // detect satisfied clauses. Survivors are compacted in place.
+  std::vector<Lit>& out = add_scratch_;
+  out.assign(lits.begin(), lits.end());
+  std::sort(out.begin(), out.end());
+  std::size_t kept = 0;
   Lit prev = Lit::from_code(-2);
-  for (Lit l : lits) {
+  for (const Lit l : out) {
     if (l.var() < 0 || l.var() >= num_vars()) {
       throw std::invalid_argument("add_clause: unknown variable");
     }
@@ -125,19 +135,20 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     const LBool v = lit_value(l);
     if (v == LBool::True) return true;  // already satisfied at level 0
     if (v == LBool::False) { prev = l; continue; }
-    out.push_back(l);
+    out[kept++] = l;
     prev = l;
   }
-  if (out.empty()) {
+  if (kept == 0) {
     ok_ = false;
     return false;
   }
-  if (out.size() == 1) {
+  if (kept == 1) {
     enqueue(out[0], k_cref_undef);
     if (propagate() != k_cref_undef) ok_ = false;
     return ok_;
   }
-  const CRef c = arena_.alloc(out, /*learnt=*/false);
+  const CRef c = arena_.alloc(std::span<const Lit>(out.data(), kept),
+                              /*learnt=*/false);
   clauses_.push_back(c);
   attach(c);
   return true;
@@ -585,7 +596,7 @@ void Solver::import_shared() {
         std::lower_bound(imported_hashes_.begin(), imported_hashes_.end(), h);
     if (it != imported_hashes_.end() && *it == h) return;  // already adopted
     imported_hashes_.insert(it, h);
-    add_clause(std::vector<Lit>(lits, lits + n));
+    add_clause(std::span<const Lit>(lits, n));
     ++stats_.shared_imported;
   });
   exchange_cursor_ = cursor.next;
@@ -864,9 +875,9 @@ void Solver::revive(Var v) {
   // while it was eliminated; put it back so the search can decide it again.
   if (assigns_[v] == LBool::Undef && heap_pos_[v] < 0) heap_insert(v);
   for (auto* side : {&rec.pos, &rec.neg}) {
-    for (std::vector<Lit>& cl : *side) {
+    for (const std::vector<Lit>& cl : *side) {
       if (!ok_) return;
-      add_clause(std::move(cl));
+      add_clause(cl);
     }
   }
 }

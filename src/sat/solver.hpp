@@ -19,6 +19,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "sat/arena.hpp"
@@ -81,7 +83,15 @@ class Solver {
   /// Add a clause over existing variables. Returns false if the database is
   /// already unsatisfiable (the clause is still recorded as appropriate).
   /// Mentioning an eliminated variable revives it first (see preprocess()).
-  bool add_clause(std::vector<Lit> lits);
+  /// The literals are read, sorted and simplified in solver-owned scratch
+  /// (after any revival, which re-enters add_clause), then copied into the
+  /// clause arena: no heap allocation per clause. `lits` must not alias the
+  /// solver's own storage. The braced form (and add_unit/add_binary/
+  /// add_ternary) reads a stack array.
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
   bool add_unit(Lit a) { return add_clause({a}); }
   bool add_binary(Lit a, Lit b) { return add_clause({a, b}); }
   bool add_ternary(Lit a, Lit b, Lit c) { return add_clause({a, b, c}); }
@@ -283,6 +293,7 @@ class Solver {
   std::vector<int> heap_pos_;   // var -> index in heap_ or -1
 
   std::vector<bool> seen_;
+  std::vector<Lit> add_scratch_;  // add_clause's sort/simplify buffer
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_clear_;
   std::vector<std::uint64_t> level_stamp_;  // exact-LBD scratch, per level

@@ -2,8 +2,8 @@
 
 #include "cnf/hashed_encoder.hpp"
 #include "netlist/bench_io.hpp"
-#include "netlist/topo.hpp"
 #include "sim/bit_sim.hpp"
+#include "sim/compiled.hpp"
 #include "util/rng.hpp"
 
 namespace cl::cnf {
@@ -30,8 +30,8 @@ void check_encoding_matches_sim(const Netlist& nl, std::uint64_t seed) {
   const std::vector<Lit> inputs = fresh_lits(enc, nl.inputs().size());
   const std::vector<Lit> keys = fresh_lits(enc, nl.key_inputs().size());
   const std::vector<Lit> states = fresh_lits(enc, nl.dffs().size());
-  const std::vector<Lit> frame =
-      enc.encode_frame(nl, netlist::topo_order(nl), inputs, keys, states);
+  const sim::CompiledNetlist prog(nl);
+  const std::vector<Lit> frame = enc.encode_frame(prog, inputs, keys, states);
   sim::BitSim sim(nl);
 
   for (int trial = 0; trial < 16; ++trial) {
@@ -97,8 +97,8 @@ TEST(Encoder, ConstantsForced) {
   nl.add_output(y);
   Solver solver;
   HashedEncoder enc(solver);
-  const std::vector<Lit> frame =
-      enc.encode_frame(nl, netlist::topo_order(nl), {}, {}, {});
+  const sim::CompiledNetlist prog(nl);
+  const std::vector<Lit> frame = enc.encode_frame(prog, {}, {}, {});
   // Constants fold: the frame's signals are the encoder's constant literals.
   EXPECT_EQ(frame[one], enc.constant(true));
   EXPECT_EQ(frame[zero], enc.constant(false));
@@ -119,14 +119,14 @@ OUTPUT(y)
 y = XOR(a, keyinput0)
 )";
   const Netlist nl = netlist::read_bench_string(text, "k");
-  const std::vector<SignalId> order = netlist::topo_order(nl);
+  const sim::CompiledNetlist prog(nl);
   Solver solver;
   HashedEncoder enc(solver);
   const Lit key = enc.fresh();
   const Lit a_a = enc.fresh();
   const Lit a_b = enc.fresh();
-  const std::vector<Lit> fa = enc.encode_frame(nl, order, {a_a}, {key}, {});
-  const std::vector<Lit> fb = enc.encode_frame(nl, order, {a_b}, {key}, {});
+  const std::vector<Lit> fa = enc.encode_frame(prog, {a_a}, {key}, {});
+  const std::vector<Lit> fb = enc.encode_frame(prog, {a_b}, {key}, {});
   const SignalId y = nl.find("y");
   // a_A=0, y_A=1 => key=1 ; then a_B=1 must give y_B=0.
   ASSERT_EQ(solver.solve({~a_a, fa[y], a_b}), Result::Sat);
@@ -137,15 +137,15 @@ y = XOR(a, keyinput0)
 TEST(Encoder, SourceArityMismatchRejected) {
   const Netlist nl = netlist::read_bench_string(
       "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\nq = DFF(a)\ny = XOR(q, keyinput0)\n");
-  const std::vector<SignalId> order = netlist::topo_order(nl);
+  const sim::CompiledNetlist prog(nl);
   Solver solver;
   HashedEncoder enc(solver);
   const Lit l = enc.fresh();
-  EXPECT_NO_THROW(enc.encode_frame(nl, order, {l}, {l}, {l}));
-  EXPECT_THROW(enc.encode_frame(nl, order, {l, l}, {l}, {l}),  // too many
+  EXPECT_NO_THROW(enc.encode_frame(prog, {l}, {l}, {l}));
+  EXPECT_THROW(enc.encode_frame(prog, {l, l}, {l}, {l}),  // too many
                std::invalid_argument);
-  EXPECT_THROW(enc.encode_frame(nl, order, {l}, {}, {l}), std::invalid_argument);
-  EXPECT_THROW(enc.encode_frame(nl, order, {l}, {l}, {}), std::invalid_argument);
+  EXPECT_THROW(enc.encode_frame(prog, {l}, {}, {l}), std::invalid_argument);
+  EXPECT_THROW(enc.encode_frame(prog, {l}, {l}, {}), std::invalid_argument);
 }
 
 }  // namespace

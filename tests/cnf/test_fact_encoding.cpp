@@ -3,6 +3,8 @@
 // exactly when simulating the circuit under that key reproduces the outputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "benchgen/catalog.hpp"
 #include "cnf/miter.hpp"
 #include "core/cute_lock_str.hpp"
@@ -297,6 +299,79 @@ TEST(FactEncoding, FrameWidthMismatchRejectedBeforeEncoding) {
                std::invalid_argument);
   EXPECT_EQ(solver.num_vars(), with_wide_key);
   EXPECT_EQ(solver.num_clauses(), 0u);
+}
+
+/// What one attack-shaped clause stream leaves behind: formula size, the
+/// verdict of the depth-2 diff solve, and the solver's search trajectory.
+struct StreamPin {
+  int vars = 0;
+  std::size_t clauses = 0;
+  Result result = Result::Unknown;
+  std::uint64_t conflicts = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+};
+
+/// table4-cns's s298 lock (the paper's (k, ki), min(4, DFFs) locked FFs,
+/// seed 0x57a + gates) under a depth-2 DIP miter plus `facts` seeded
+/// `cycles`-cycle warmup facts on both key copies, answered by the
+/// reference. `rane` starts the miter and every fact from the shared
+/// symbolic reset state, as RANE does; otherwise from power-up, as INT does.
+StreamPin s298_warmup_stream(bool rane, std::size_t facts, std::size_t cycles) {
+  const benchgen::CircuitSpec& spec = benchgen::find_spec("s298");
+  const Netlist ref = benchgen::make_circuit(spec).netlist;
+  core::StrOptions options;
+  options.num_keys = spec.lock_keys;
+  options.key_bits = spec.lock_bits;
+  options.locked_ffs = std::min<std::size_t>(4, ref.dffs().size());
+  options.seed = 0x57a + spec.gates;
+  const lock::LockResult lr = core::cute_lock_str(ref, options);
+
+  Solver solver;
+  SequentialMiter miter(solver, lr.locked, rane);
+  miter.extend_to(2);
+  const std::vector<Var>* init = rane ? &miter.initial_state_vars() : nullptr;
+  util::Rng rng(0x5eed);
+  for (std::size_t f = 0; f < facts; ++f) {
+    const Sequence inputs = sim::random_stimulus(rng, cycles, ref.inputs().size());
+    const Sequence outputs = sim::run_sequence(ref, inputs);
+    constrain_key_on_sequence(solver, lr.locked, miter.keys_a(), inputs, outputs,
+                              init);
+    constrain_key_on_sequence(solver, lr.locked, miter.keys_b(), inputs, outputs,
+                              init);
+  }
+  StreamPin pin;
+  pin.vars = solver.num_vars();
+  pin.clauses = solver.num_clauses();
+  pin.result = solver.solve({miter.diff_within(2)});
+  pin.conflicts = solver.stats().conflicts;
+  pin.decisions = solver.stats().decisions;
+  pin.propagations = solver.stats().propagations;
+  return pin;
+}
+
+// The two pins below hold the clause stream the attacks build: a variable
+// or clause added or dropped changes the counts, and a stream in another
+// order usually changes the search trajectory.
+
+TEST(FactEncoding, RaneWarmupClauseStreamIsPinned) {
+  const StreamPin pin = s298_warmup_stream(true, 8, 16);
+  EXPECT_EQ(pin.vars, 29617);
+  EXPECT_EQ(pin.clauses, 64435u);
+  EXPECT_EQ(pin.result, Result::Unsat);
+  EXPECT_EQ(pin.conflicts, 3u);
+  EXPECT_EQ(pin.decisions, 3u);
+  EXPECT_EQ(pin.propagations, 20385u);
+}
+
+TEST(FactEncoding, IntWarmupClauseStreamIsPinned) {
+  const StreamPin pin = s298_warmup_stream(false, 2, 12);
+  EXPECT_EQ(pin.vars, 2515);
+  EXPECT_EQ(pin.clauses, 2374u);
+  EXPECT_EQ(pin.result, Result::Unsat);
+  EXPECT_EQ(pin.conflicts, 0u);
+  EXPECT_EQ(pin.decisions, 0u);
+  EXPECT_EQ(pin.propagations, 402u);
 }
 
 }  // namespace

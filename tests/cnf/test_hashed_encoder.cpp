@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "benchgen/catalog.hpp"
 #include "netlist/bench_io.hpp"
-#include "netlist/topo.hpp"
+#include "sim/compiled.hpp"
 
 namespace cl::cnf {
 namespace {
@@ -81,11 +82,69 @@ TEST(HashedEncoder, HashesCanonicalFormsOntoOneNode) {
 TEST(HashedEncoder, FrameRejectsSourceArityMismatch) {
   const netlist::Netlist nl = netlist::read_bench_string(
       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
+  const sim::CompiledNetlist prog(nl);
   Solver solver;
   HashedEncoder enc(solver);
-  EXPECT_THROW(enc.encode_frame(nl, netlist::topo_order(nl), {enc.fresh()},
-                                {}, {}),
+  EXPECT_THROW(enc.encode_frame(prog, {enc.fresh()}, {}, {}),
                std::invalid_argument);
+}
+
+TEST(HashedEncoder, AndAndXorNodesDoNotCollide) {
+  // The structural hash keeps AND and XOR keys apart: the same operand pair
+  // names two different nodes, and only the XOR absorbs complements.
+  Solver solver;
+  HashedEncoder enc(solver);
+  const Lit x = enc.fresh();
+  const Lit y = enc.fresh();
+  const Lit a = enc.and2(x, y);
+  const Lit e = enc.xor2(x, y);
+  EXPECT_NE(a.var(), e.var());
+  EXPECT_EQ(enc.xor2(~x, y), ~e);
+  EXPECT_EQ(enc.and2(y, x), a);
+  EXPECT_NE(enc.and2(~x, y).var(), a.var());
+  for (int assignment = 0; assignment < 4; ++assignment) {
+    const bool vx = assignment & 1, vy = assignment & 2;
+    ASSERT_EQ(solver.solve({vx ? x : ~x, vy ? y : ~y}), Result::Sat);
+    EXPECT_EQ(solver.model_value(a), vx && vy) << "assignment " << assignment;
+    EXPECT_EQ(solver.model_value(e), vx != vy) << "assignment " << assignment;
+  }
+}
+
+TEST(HashedEncoder, RepeatFrameAcrossTableGrowthAddsNothing) {
+  // Three frames of b14 over fresh sources fill the table through several
+  // doublings; encoding the same frames again must find every node.
+  const netlist::Netlist nl = benchgen::make_circuit("b14").netlist;
+  const sim::CompiledNetlist prog(nl);
+  Solver solver;
+  HashedEncoder enc(solver);
+  const auto fresh_lits = [&](std::size_t n) {
+    std::vector<Lit> lits;
+    for (std::size_t i = 0; i < n; ++i) lits.push_back(enc.fresh());
+    return lits;
+  };
+  struct Sources {
+    std::vector<Lit> inputs, keys, states;
+  };
+  std::vector<Sources> sources;
+  std::vector<std::vector<Lit>> first;
+  for (int f = 0; f < 3; ++f) {
+    sources.push_back({fresh_lits(nl.inputs().size()),
+                       fresh_lits(nl.key_inputs().size()),
+                       fresh_lits(nl.dffs().size())});
+    const Sources& s = sources.back();
+    first.push_back(enc.encode_frame(prog, s.inputs, s.keys, s.states));
+  }
+  const int vars = solver.num_vars();
+  const std::size_t clauses = solver.num_clauses();
+  ASSERT_GT(vars, 3 * 4096) << "too few nodes to grow the table";
+  for (int f = 0; f < 3; ++f) {
+    const Sources& s = sources[static_cast<std::size_t>(f)];
+    EXPECT_EQ(enc.encode_frame(prog, s.inputs, s.keys, s.states),
+              first[static_cast<std::size_t>(f)])
+        << "frame " << f;
+  }
+  EXPECT_EQ(solver.num_vars(), vars);
+  EXPECT_EQ(solver.num_clauses(), clauses);
 }
 
 }  // namespace

@@ -128,6 +128,53 @@ TEST(Preprocess, RevivalViaAddClause) {
   }
 }
 
+TEST(Preprocess, NestedRevivalKeepsThePendingClause) {
+  // x is eliminated first, so its saved clauses mention y, which BVE
+  // eliminates next. A new clause over x alone revives x, and re-adding x's
+  // clauses revives y in turn, all while the new clause is still pending.
+  // The database must end up equivalent to the original problem plus that
+  // clause, under every assignment of the frozen variables.
+  const std::vector<std::vector<int>> original = {
+      {1, 2, 3}, {-1, 2, 4}, {-2, 5}, {-2, -3, -5}};
+  const std::vector<int> pending = {5, -1, 3};  // (c | ~x | a), unsorted
+  Solver s;
+  std::vector<Var> vars;
+  for (int i = 0; i < 5; ++i) vars.push_back(s.new_var());
+  const Var x = vars[0];
+  const Var y = vars[1];
+  for (int i = 2; i < 5; ++i) s.set_frozen(vars[static_cast<std::size_t>(i)], true);
+  test_util::load_cnf(s, original, vars);
+  ASSERT_TRUE(s.preprocess());
+  ASSERT_TRUE(s.eliminated(x));
+  ASSERT_TRUE(s.eliminated(y));
+
+  test_util::load_cnf(s, {pending}, vars);
+  EXPECT_FALSE(s.eliminated(x));
+  EXPECT_FALSE(s.eliminated(y)) << "y was not revived through x's clauses";
+
+  std::vector<std::vector<int>> cnf = original;
+  cnf.push_back(pending);
+  int unsat = 0;
+  for (int m = 0; m < 8; ++m) {
+    std::vector<int> assumed;
+    std::vector<Lit> assumptions;
+    for (int i = 0; i < 3; ++i) {
+      const int dimacs = 3 + i;
+      const bool value = (m >> i) & 1;
+      assumed.push_back(value ? dimacs : -dimacs);
+      assumptions.push_back(Lit(vars[static_cast<std::size_t>(dimacs - 1)], !value));
+    }
+    const bool expect = test_util::brute_force_sat(cnf, 5, assumed);
+    const Result got = s.solve(assumptions);
+    EXPECT_EQ(got, expect ? Result::Sat : Result::Unsat) << "assignment " << m;
+    if (got == Result::Sat) {
+      EXPECT_TRUE(model_satisfies(s, cnf, vars)) << "assignment " << m;
+    }
+    unsat += expect ? 0 : 1;
+  }
+  EXPECT_GT(unsat, 0);  // the pending clause decides some assignments
+}
+
 TEST(Preprocess, IncrementalAssumptionSessions) {
   // KC2-style usage: preprocess once with the assumption variables frozen,
   // then run many solve-under-assumptions rounds interleaved with blocking

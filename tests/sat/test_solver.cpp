@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "cnf_test_util.hpp"
 #include "util/rng.hpp"
@@ -54,6 +56,48 @@ TEST(Solver, DuplicateLiteralsCollapsed) {
 TEST(Solver, UnknownVariableRejected) {
   Solver s;
   EXPECT_THROW(s.add_unit(pos(3)), std::invalid_argument);
+}
+
+TEST(Solver, AddClauseFromSpanSimplifiesAtRoot) {
+  // Every entry point shares one simplification: a root-true clause is
+  // skipped, root-false literals are dropped before the clause is stored,
+  // one survivor becomes a root assignment and none refutes the database.
+  for (int form = 0; form < 3; ++form) {
+    Solver s;
+    const Var t = s.new_var();
+    const Var f = s.new_var();
+    const Var a = s.new_var();
+    const Var b = s.new_var();
+    ASSERT_TRUE(s.add_unit(pos(t)));
+    ASSERT_TRUE(s.add_unit(neg(f)));
+    const auto add = [&](Lit x, Lit y, Lit z) {
+      if (form == 0) {
+        const std::vector<Lit> lits = {x, y, z};
+        return s.add_clause(std::span<const Lit>(lits));
+      }
+      if (form == 1) return s.add_clause({x, y, z});
+      return s.add_ternary(x, y, z);
+    };
+    EXPECT_TRUE(add(pos(a), pos(t), pos(b))) << "form " << form;
+    EXPECT_EQ(s.num_clauses(), 0u) << "form " << form;
+    EXPECT_EQ(s.arena_bytes(), 0u) << "form " << form;
+
+    EXPECT_TRUE(add(pos(b), pos(f), pos(a))) << "form " << form;
+    EXPECT_EQ(s.num_clauses(), 1u) << "form " << form;
+    // Header plus two literals: f was dropped.
+    EXPECT_EQ(s.arena_bytes(), (ClauseArena::k_header_words + 2) * 4)
+        << "form " << form;
+    ASSERT_EQ(s.solve({neg(a)}), Result::Sat) << "form " << form;
+    EXPECT_TRUE(s.model_value(b)) << "form " << form;
+
+    EXPECT_TRUE(add(neg(t), pos(a), pos(f))) << "form " << form;
+    EXPECT_EQ(s.num_clauses(), 1u) << "form " << form;
+    ASSERT_EQ(s.solve(), Result::Sat) << "form " << form;
+    EXPECT_TRUE(s.model_value(a)) << "form " << form;
+
+    EXPECT_FALSE(add(pos(f), neg(a), neg(t))) << "form " << form;
+    EXPECT_EQ(s.solve(), Result::Unsat) << "form " << form;
+  }
 }
 
 TEST(Solver, ImplicationChainPropagates) {
