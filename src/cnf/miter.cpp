@@ -165,11 +165,25 @@ void constrain_key_on_sequence(Solver& solver, const sim::CompiledNetlist& prog,
   }
 
   HashedEncoder encoder(solver);
+  // A source the solver has already fixed at the root enters as the
+  // encoder's constant, so every gate it decides folds away. Only at fact
+  // start and frame boundaries: a lookup per gate operand folds no more and
+  // taxes every gate of a mostly-constant walk.
+  const auto fold_root_fixed = [&](std::vector<Lit>& lits) {
+    for (Lit& l : lits) {
+      const sat::LBool v = solver.root_value(l);
+      if (v != sat::LBool::Undef) l = encoder.constant(v == sat::LBool::True);
+    }
+  };
   std::vector<std::vector<Lit>> keys;
   keys.reserve(key_schedule.size());
-  for (const std::vector<Var>& slot : key_schedule) keys.push_back(positive(slot));
+  for (const std::vector<Var>& slot : key_schedule) {
+    keys.push_back(positive(slot));
+    fold_root_fixed(keys.back());
+  }
   std::vector<Lit> state = init_vars != nullptr ? positive(*init_vars)
                                                 : encoder.power_up_state(prog);
+  fold_root_fixed(state);
   std::vector<Lit> in_lits(prog.inputs().size());
   for (std::size_t t = 0; t < inputs.size(); ++t) {
     for (std::size_t i = 0; i < in_lits.size(); ++i) {
@@ -181,6 +195,9 @@ void constrain_key_on_sequence(Solver& solver, const sim::CompiledNetlist& prog,
       const Lit y = frame[prog.outputs()[o]];
       solver.add_unit(outputs[t][o] != 0 ? y : ~y);
     }
+    // The output units just propagated at the root: the next frame starts
+    // from what they left undecided.
+    fold_root_fixed(state);
   }
 }
 

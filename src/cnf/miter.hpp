@@ -126,9 +126,16 @@ class EquivalenceMiter : public MiterBase {
 /// The fact is encoded on its own HashedEncoder with the inputs as
 /// constants, so only logic that depends on the key (or the symbolic reset
 /// state) produces clauses; the response becomes unit clauses on the output
-/// literals. Throws std::invalid_argument, before adding anything, when the
-/// input and output sequences differ in length or a frame's width differs
-/// from the circuit's inputs or outputs.
+/// literals. Sources the solver has already fixed at decision level 0
+/// (Solver::root_value) enter as constants too: the key and reset-state
+/// literals when the fact starts, and each frame's next-state literals once
+/// that frame's output units have propagated. The solver's clauses already
+/// imply those values, so no verdict changes; the clause stream does, so a
+/// search may return another of several consistent keys.
+///
+/// Throws std::invalid_argument, before adding anything, when the input and
+/// output sequences differ in length or a frame's width differs from the
+/// circuit's inputs or outputs.
 ///
 /// The attacks compile the locked netlist once and pass the program for
 /// every fact (OgEngine::compiled()).

@@ -108,6 +108,17 @@ class Solver {
   bool model_value(Var v) const;
   bool model_value(Lit l) const;
 
+  /// The literal's value when its variable is assigned at decision level 0
+  /// (implied by the clauses and units added so far), LBool::Undef
+  /// otherwise. Between solve() calls the trail holds only root assignments,
+  /// so values the search chose read Undef.
+  LBool root_value(Lit l) const {
+    const auto v = static_cast<std::size_t>(l.var());
+    if (assigns_[v] == LBool::Undef || level_[v] != 0) return LBool::Undef;
+    return (assigns_[v] == LBool::True) != l.negated() ? LBool::True
+                                                        : LBool::False;
+  }
+
   /// After Unsat under assumptions: the subset of assumption literals that
   /// participate in the final conflict (analogous to MiniSat's conflict
   /// clause over assumptions).

@@ -59,19 +59,29 @@ std::vector<SignalId> dffs_with_init(const Netlist& nl, DffInit init) {
   return out;
 }
 
+/// An input sequence applied from reset and the response to hold it to.
+struct Fact {
+  Sequence inputs;
+  Sequence outputs;
+};
+
 /// Ground truth: does `nl` under `keys` (the run_sequence contract) turn
-/// `inputs` into `want` from some power-up state? The DFFs in `free` try
-/// every value combination; every other DFF keeps its power-up value.
+/// every fact's inputs into its outputs from one power-up state? The DFFs in
+/// `free` try every value combination; every other DFF keeps its power-up
+/// value.
 bool some_reset_reproduces(const Netlist& nl, const std::vector<SignalId>& free,
-                           const Sequence& inputs,
-                           const std::vector<sim::BitVec>& keys,
-                           const Sequence& want) {
+                           const std::vector<Fact>& facts,
+                           const std::vector<sim::BitVec>& keys) {
   Netlist copy = nl.clone(nl.name());
   for (std::uint64_t code = 0; code < (std::uint64_t{1} << free.size()); ++code) {
     for (std::size_t i = 0; i < free.size(); ++i) {
       copy.set_dff_init(free[i], (code >> i) & 1 ? DffInit::One : DffInit::Zero);
     }
-    if (sim::run_sequence(copy, inputs, keys) == want) return true;
+    if (std::all_of(facts.begin(), facts.end(), [&](const Fact& fact) {
+          return sim::run_sequence(copy, fact.inputs, keys) == fact.outputs;
+        })) {
+      return true;
+    }
   }
   return false;
 }
@@ -88,36 +98,50 @@ void pin(Solver& solver, const std::vector<Var>& vars, const sim::BitVec& bits) 
   }
 }
 
-/// The fact on a fresh solver with the key schedule pinned by unit clauses
-/// (one entry: a static key). Sat iff some reset state is consistent.
+/// When the key's unit clauses reach the solver: after the facts are
+/// encoded, or before, so that every key literal is already fixed at the
+/// root when constrain_key_on_sequence reads it.
+enum class PinOrder { After, Before };
+constexpr PinOrder k_pin_orders[] = {PinOrder::After, PinOrder::Before};
+
+std::ostream& operator<<(std::ostream& os, PinOrder order) {
+  return os << (order == PinOrder::Before ? " (pinned before encoding)"
+                                          : " (pinned after encoding)");
+}
+
+/// The facts on one fresh solver with the key schedule pinned by unit
+/// clauses (one entry: a static key). With `symbolic_reset` every fact starts
+/// from one shared vector of reset-state variables. Sat iff some reset state
+/// is consistent.
 bool fact_holds(const Netlist& nl, const std::vector<sim::BitVec>& schedule,
-                const Sequence& inputs, const Sequence& outputs,
-                bool symbolic_reset) {
+                const std::vector<Fact>& facts, bool symbolic_reset,
+                PinOrder order) {
   Solver solver;
   std::vector<std::vector<Var>> slots;
   for (const sim::BitVec& key : schedule) {
     slots.push_back(new_vars(solver, key.size()));
   }
   const std::vector<Var> init = new_vars(solver, symbolic_reset ? nl.dffs().size() : 0);
-  if (slots.size() == 1) {
-    constrain_key_on_sequence(solver, nl, slots[0], inputs, outputs,
-                              symbolic_reset ? &init : nullptr);
-  } else {
-    constrain_key_on_sequence(solver, nl, slots, inputs, outputs,
-                              symbolic_reset ? &init : nullptr);
+  const auto pin_schedule = [&] {
+    for (std::size_t s = 0; s < schedule.size(); ++s) pin(solver, slots[s], schedule[s]);
+  };
+  if (order == PinOrder::Before) pin_schedule();
+  for (const Fact& fact : facts) {
+    if (slots.size() == 1) {
+      constrain_key_on_sequence(solver, nl, slots[0], fact.inputs, fact.outputs,
+                                symbolic_reset ? &init : nullptr);
+    } else {
+      constrain_key_on_sequence(solver, nl, slots, fact.inputs, fact.outputs,
+                                symbolic_reset ? &init : nullptr);
+    }
   }
-  for (std::size_t s = 0; s < schedule.size(); ++s) pin(solver, slots[s], schedule[s]);
+  if (order == PinOrder::After) pin_schedule();
   return solver.solve() == Result::Sat;
 }
 
 /// A few seeded stimuli and, for each, the responses worth checking: the
 /// reference's and the locked circuit's under a random key (so some keys
 /// are consistent even for a lock no static key unlocks).
-struct Fact {
-  Sequence inputs;
-  Sequence outputs;
-};
-
 std::vector<Fact> seeded_facts(const Netlist& ref, const Netlist& locked,
                                std::uint64_t seed) {
   util::Rng rng(seed);
@@ -138,11 +162,11 @@ TEST(FactEncoding, StaticKeyMatchesSimulationOnS27) {
     int consistent = 0;
     for (const Fact& fact : seeded_facts(ref, lr.locked, 3)) {
       for (const sim::BitVec& key : all_keys(lr.locked.key_inputs().size())) {
-        const bool want = some_reset_reproduces(lr.locked, x_dffs, fact.inputs,
-                                                {key}, fact.outputs);
-        EXPECT_EQ(fact_holds(lr.locked, {key}, fact.inputs, fact.outputs, false),
-                  want)
-            << name << " key " << sim::bits_to_string(key);
+        const bool want = some_reset_reproduces(lr.locked, x_dffs, {fact}, {key});
+        for (const PinOrder order : k_pin_orders) {
+          EXPECT_EQ(fact_holds(lr.locked, {key}, {fact}, false, order), want)
+              << name << " key " << sim::bits_to_string(key) << order;
+        }
         consistent += want ? 1 : 0;
       }
     }
@@ -169,11 +193,12 @@ TEST(FactEncoding, SymbolicResetMatchesSimulationOnS27) {
     int consistent = 0;
     for (const Fact& fact : facts) {
       for (const sim::BitVec& key : all_keys(lr.locked.key_inputs().size())) {
-        const bool want = some_reset_reproduces(lr.locked, lr.locked.dffs(),
-                                                fact.inputs, {key}, fact.outputs);
-        EXPECT_EQ(fact_holds(lr.locked, {key}, fact.inputs, fact.outputs, true),
-                  want)
-            << entry.name << " key " << sim::bits_to_string(key);
+        const bool want =
+            some_reset_reproduces(lr.locked, lr.locked.dffs(), {fact}, {key});
+        for (const PinOrder order : k_pin_orders) {
+          EXPECT_EQ(fact_holds(lr.locked, {key}, {fact}, true, order), want)
+              << entry.name << " key " << sim::bits_to_string(key) << order;
+        }
         consistent += want ? 1 : 0;
       }
     }
@@ -197,12 +222,11 @@ TEST(FactEncoding, UnknownPowerUpValueIsFreePerFact) {
   }
   for (const Fact& fact : facts) {
     for (const sim::BitVec& key : all_keys(lr.locked.key_inputs().size())) {
-      EXPECT_EQ(fact_holds(lr.locked, {key}, fact.inputs, fact.outputs, false),
-                some_reset_reproduces(lr.locked, {x}, fact.inputs, {key},
-                                      fact.outputs))
+      EXPECT_EQ(fact_holds(lr.locked, {key}, {fact}, false, PinOrder::After),
+                some_reset_reproduces(lr.locked, {x}, {fact}, {key}))
           << "key " << sim::bits_to_string(key);
       // Powering up to 1 instead pins that value.
-      EXPECT_EQ(fact_holds(one, {key}, fact.inputs, fact.outputs, false),
+      EXPECT_EQ(fact_holds(one, {key}, {fact}, false, PinOrder::After),
                 sim::run_sequence(one, fact.inputs, {key}) == fact.outputs)
           << "key " << sim::bits_to_string(key);
     }
@@ -260,11 +284,93 @@ TEST(FactEncoding, KeyScheduleMatchesSimulationOnS27) {
         per_cycle.push_back(schedule[t % schedule.size()]);
       }
       const bool reproduces = sim::run_sequence(lr.locked, inputs, per_cycle) == want;
-      EXPECT_EQ(fact_holds(lr.locked, schedule, inputs, want, false), reproduces)
-          << "period " << schedule.size();
+      for (const PinOrder order : k_pin_orders) {
+        EXPECT_EQ(fact_holds(lr.locked, schedule, {{inputs, want}}, false, order),
+                  reproduces)
+            << "period " << schedule.size() << order;
+      }
       consistent += reproduces ? 1 : 0;
     }
     EXPECT_GT(consistent, 0);
+  }
+}
+
+TEST(FactEncoding, SharedResetFactsMatchSimulation) {
+  // Three facts share one symbolic reset state, as RANE's warmup does: the
+  // reset bits the first facts fix at the root enter the later ones as
+  // constants. Each of s27's 8 reset states in turn answers the stimuli
+  // under the correct key; a key is consistent iff one reset state
+  // reproduces all three responses under it.
+  const Netlist ref = benchgen::make_circuit("s27").netlist;
+  const std::size_t num_dffs = ref.dffs().size();
+  int cases = 0;
+  int consistent = 0;
+  for (const lock::RegisteredLock& entry : lock::lock_registry()) {
+    if (entry.adds_state) continue;
+    util::Rng rng(7);
+    const lock::LockResult lr = entry.build(ref, rng);
+    ASSERT_EQ(lr.locked.dffs().size(), num_dffs) << entry.name;
+    std::vector<Sequence> stimuli;
+    for (int f = 0; f < 3; ++f) {
+      stimuli.push_back(sim::random_stimulus(rng, 4, ref.inputs().size()));
+    }
+    for (std::uint64_t code = 0; code < (std::uint64_t{1} << num_dffs); ++code) {
+      Netlist answer = lr.locked.clone("answer");
+      for (std::size_t i = 0; i < num_dffs; ++i) {
+        answer.set_dff_init(answer.dffs()[i],
+                            (code >> i) & 1 ? DffInit::One : DffInit::Zero);
+      }
+      std::vector<Fact> facts;
+      for (const Sequence& inputs : stimuli) {
+        facts.push_back({inputs, sim::run_sequence(answer, inputs, {lr.correct_key})});
+      }
+      for (const sim::BitVec& key : all_keys(lr.locked.key_inputs().size())) {
+        const bool want =
+            some_reset_reproduces(lr.locked, lr.locked.dffs(), facts, {key});
+        for (const PinOrder order : k_pin_orders) {
+          EXPECT_EQ(fact_holds(lr.locked, {key}, facts, true, order), want)
+              << entry.name << " key " << sim::bits_to_string(key) << order;
+          ++cases;
+          consistent += want ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(consistent, 0);
+  EXPECT_LT(consistent, cases);
+}
+
+TEST(FactEncoding, PinnedKeyFactAddsOnlyItsConstant) {
+  // With the key fixed at the root and the run starting from constant
+  // power-up values, every source of the fact is a constant: the whole
+  // unrolling folds, and the fact costs its encoder's constant variable and
+  // nothing else. The response lands as units on constants, so the solver's
+  // verdict is simulation's. Locks whose correct key is a schedule (no
+  // static key of the key inputs' width) are left out.
+  const Netlist ref = benchgen::make_circuit("s27").netlist;
+  for (const lock::RegisteredLock& entry : lock::lock_registry()) {
+    util::Rng rng(7);
+    const lock::LockResult lr = entry.build(ref, rng);
+    if (lr.correct_key.size() != lr.locked.key_inputs().size()) continue;
+    const std::string& name = entry.name;
+    ASSERT_TRUE(dffs_with_init(lr.locked, DffInit::X).empty()) << name;
+    for (const Fact& fact : seeded_facts(ref, lr.locked, 19)) {
+      for (const sim::BitVec& key :
+           {lr.correct_key, sim::random_bits(rng, lr.correct_key.size())}) {
+        Solver solver;
+        const std::vector<Var> key_vars = new_vars(solver, key.size());
+        pin(solver, key_vars, key);
+        const int vars = solver.num_vars();
+        const std::size_t clauses = solver.num_clauses();
+        constrain_key_on_sequence(solver, lr.locked, key_vars, fact.inputs,
+                                  fact.outputs);
+        EXPECT_EQ(solver.num_vars(), vars + 1) << name;
+        EXPECT_EQ(solver.num_clauses(), clauses) << name;
+        EXPECT_EQ(solver.solve() == Result::Sat,
+                  sim::run_sequence(lr.locked, fact.inputs, {key}) == fact.outputs)
+            << name << " key " << sim::bits_to_string(key);
+      }
+    }
   }
 }
 
@@ -356,22 +462,22 @@ StreamPin s298_warmup_stream(bool rane, std::size_t facts, std::size_t cycles) {
 
 TEST(FactEncoding, RaneWarmupClauseStreamIsPinned) {
   const StreamPin pin = s298_warmup_stream(true, 8, 16);
-  EXPECT_EQ(pin.vars, 29617);
-  EXPECT_EQ(pin.clauses, 64435u);
+  EXPECT_EQ(pin.vars, 14635);
+  EXPECT_EQ(pin.clauses, 44626u);
   EXPECT_EQ(pin.result, Result::Unsat);
   EXPECT_EQ(pin.conflicts, 3u);
   EXPECT_EQ(pin.decisions, 3u);
-  EXPECT_EQ(pin.propagations, 20385u);
+  EXPECT_EQ(pin.propagations, 7969u);
 }
 
 TEST(FactEncoding, IntWarmupClauseStreamIsPinned) {
   const StreamPin pin = s298_warmup_stream(false, 2, 12);
-  EXPECT_EQ(pin.vars, 2515);
-  EXPECT_EQ(pin.clauses, 2374u);
+  EXPECT_EQ(pin.vars, 1758);
+  EXPECT_EQ(pin.clauses, 2081u);
   EXPECT_EQ(pin.result, Result::Unsat);
   EXPECT_EQ(pin.conflicts, 0u);
   EXPECT_EQ(pin.decisions, 0u);
-  EXPECT_EQ(pin.propagations, 402u);
+  EXPECT_EQ(pin.propagations, 245u);
 }
 
 }  // namespace

@@ -113,6 +113,39 @@ TEST(Solver, ImplicationChainPropagates) {
   for (int i = 0; i < 50; ++i) EXPECT_TRUE(s.model_value(v[static_cast<std::size_t>(i)]));
 }
 
+TEST(Solver, RootValueReadsOnlyLevelZeroAssignments) {
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  const Var a = s.new_var();
+  EXPECT_EQ(s.root_value(pos(x)), LBool::Undef);
+  EXPECT_EQ(s.root_value(neg(x)), LBool::Undef);
+
+  s.add_unit(pos(x));
+  EXPECT_EQ(s.root_value(pos(x)), LBool::True);
+  EXPECT_EQ(s.root_value(neg(x)), LBool::False);
+
+  // Added before the unit that triggers it, so y is implied through the
+  // binary clause's watches rather than simplified on entry.
+  s.add_binary(neg(a), neg(y));
+  EXPECT_EQ(s.root_value(neg(y)), LBool::Undef);
+  s.add_unit(pos(a));
+  EXPECT_EQ(s.root_value(pos(y)), LBool::False);
+  EXPECT_EQ(s.root_value(neg(y)), LBool::True);
+
+  // c and d are left to the search: assigned in the model, free at the root.
+  const Var c = s.new_var();
+  const Var d = s.new_var();
+  s.add_binary(pos(c), pos(d));
+  ASSERT_EQ(s.solve(), Result::Sat);
+  EXPECT_GT(s.num_decisions(), 0u);
+  EXPECT_TRUE(s.model_value(c) || s.model_value(d));
+  EXPECT_EQ(s.root_value(pos(c)), LBool::Undef);
+  EXPECT_EQ(s.root_value(pos(d)), LBool::Undef);
+  EXPECT_EQ(s.root_value(pos(x)), LBool::True);
+  EXPECT_EQ(s.root_value(neg(y)), LBool::True);
+}
+
 TEST(Solver, PigeonHole3Into2IsUnsat) {
   // PHP(3,2): 3 pigeons, 2 holes. p[i][j] = pigeon i in hole j.
   Solver s;

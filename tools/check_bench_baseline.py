@@ -1,20 +1,31 @@
 #!/usr/bin/env python3
-"""Diff a fresh bench_micro_perf JSON against the checked-in baseline.
+"""Diff a fresh bench JSON against its checked-in baseline.
 
 Usage: check_bench_baseline.py <baseline.json> <fresh.json>
 
-Hard failures (exit 1):
+The format is read from the baseline: Google Benchmark output
+(bench_micro_perf, a "benchmarks" list) or a table harness's records
+(BENCH_<harness>.json from bench::Runner, a "records" list).
+
+bench_micro_perf — hard failures (exit 1):
   - a baseline benchmark missing from the fresh run
   - any drift in the deterministic trajectory counters (conflicts, restarts,
     learnts_deleted, minimized_lits, vars_eliminated, clauses_subsumed,
     vivified_lits, sim_gates, sim_lane_words, cnf_vars, cnf_clauses,
     bbo_batches) — the solver is seeded and single-threaded in these
     benchmarks, so these must match bit-for-bit across machines
-
-Warnings only (exit 0):
+  Warnings only (exit 0):
   - real_time regression beyond 15% (throughput depends on the machine)
+  BM_SolverPortfolioRace is excluded: a race winner depends on scheduling.
 
-BM_SolverPortfolioRace is excluded: a race winner depends on scheduling.
+Table harness records (run with CUTELOCK_BENCH_STABLE=1, so every verdict
+and count is independent of the machine and of CUTELOCK_JOBS) — hard
+failures (exit 1):
+  - a baseline record missing from the fresh run, or a fresh record the
+    baseline lacks; records match by (suite, circuit, attack), and records
+    sharing that triple match in file order
+  - any drift in a record's outcome, iterations or fresh_queries
+  seconds and the header's threads are ignored.
 """
 
 import json
@@ -46,10 +57,10 @@ EXCLUDED_PREFIXES = ("BM_SolverPortfolioRace",)
 TIME_REGRESSION_FACTOR = 1.15
 REL_TOL = 1e-9
 
+RECORD_FIELDS = ["outcome", "iterations", "fresh_queries"]
 
-def load_benchmarks(path):
-    with open(path) as f:
-        data = json.load(f)
+
+def load_benchmarks(data):
     out = {}
     for b in data.get("benchmarks", []):
         name = b.get("name", "")
@@ -66,13 +77,10 @@ def drifted(a, b):
     return abs(a - b) > REL_TOL * scale
 
 
-def main():
-    if len(sys.argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    baseline = load_benchmarks(sys.argv[1])
-    fresh = load_benchmarks(sys.argv[2])
-
+def check_benchmarks(base_doc, fresh_doc):
+    """Returns (failures, warnings, summary) for bench_micro_perf output."""
+    baseline = load_benchmarks(base_doc)
+    fresh = load_benchmarks(fresh_doc)
     failures = []
     warnings = []
     for name, base in sorted(baseline.items()):
@@ -97,6 +105,62 @@ def main():
                 f"{name}: real_time {ct:.0f}ns vs baseline {bt:.0f}ns "
                 f"(> {TIME_REGRESSION_FACTOR:.2f}x; warning only)"
             )
+    summary = (f"{len(baseline)} benchmarks, "
+               f"{len(warnings)} throughput warning(s)")
+    return failures, warnings, summary
+
+
+def keyed_records(doc):
+    """Records keyed by (suite, circuit, attack, n): the n-th record with
+    that triple, in file order."""
+    out = {}
+    seen = {}
+    for r in doc.get("records", []):
+        triple = (r.get("suite"), r.get("circuit"), r.get("attack"))
+        n = seen.get(triple, 0)
+        seen[triple] = n + 1
+        out[triple + (n,)] = r
+    return out
+
+
+def record_name(key):
+    suite, circuit, attack, n = key
+    name = f"{suite}/{circuit}/{attack}"
+    return name if n == 0 else f"{name}#{n + 1}"
+
+
+def check_records(base_doc, fresh_doc):
+    """Returns (failures, warnings, summary) for table harness records."""
+    failures = []
+    baseline = keyed_records(base_doc)
+    fresh = keyed_records(fresh_doc)
+    for key, base in baseline.items():
+        cur = fresh.get(key)
+        if cur is None:
+            failures.append(f"{record_name(key)}: missing from fresh run")
+            continue
+        for field in RECORD_FIELDS:
+            if base.get(field) != cur.get(field):
+                failures.append(
+                    f"{record_name(key)}: {field} drifted "
+                    f"(baseline {base.get(field)!r}, fresh {cur.get(field)!r})"
+                )
+    for key in fresh:
+        if key not in baseline:
+            failures.append(f"{record_name(key)}: not in the baseline")
+    return failures, [], f"{len(baseline)} records"
+
+
+def main():
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with open(sys.argv[1]) as f:
+        base_doc = json.load(f)
+    with open(sys.argv[2]) as f:
+        fresh_doc = json.load(f)
+    check = check_records if "records" in base_doc else check_benchmarks
+    failures, warnings, summary = check(base_doc, fresh_doc)
 
     for w in warnings:
         print(f"WARNING: {w}", file=sys.stderr)
@@ -104,10 +168,7 @@ def main():
         for f_ in failures:
             print(f"FAIL: {f_}", file=sys.stderr)
         return 1
-    print(
-        f"baseline diff OK: {len(baseline)} benchmarks, "
-        f"{len(warnings)} throughput warning(s)"
-    )
+    print(f"baseline diff OK: {summary}")
     return 0
 
 
