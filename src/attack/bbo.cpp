@@ -96,7 +96,8 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
   std::uint64_t batches_drawn = 0;
   std::vector<std::uint64_t> keys;  // this round's candidates, draw order
   while (true) {
-    if (timer.seconds() > options.budget.time_limit_s) {
+    if (options.budget.cancelled() ||
+        timer.seconds() > options.budget.time_limit_s) {
       result.outcome = Outcome::Timeout;
       result.seconds = timer.seconds();
       result.detail = "screened " + std::to_string(tried) + " keys" +

@@ -113,7 +113,10 @@ FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
     if (std::find(patterns.begin(), patterns.end(), *p) == patterns.end()) {
       patterns.push_back(*p);
     }
-    if (timer.seconds() > options.budget.time_limit_s) break;
+    if (options.budget.cancelled() ||
+        timer.seconds() > options.budget.time_limit_s) {
+      break;
+    }
   }
   out.candidates = patterns.size();
 
@@ -125,11 +128,17 @@ FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
   // the j-th protected input). A candidate whose proof ran out of budget
   // may be the key, so it turns a final FAIL into N/A.
   std::size_t unproven = 0;
+  const auto stopped = [&] {
+    out.result.outcome = Outcome::Timeout;
+    out.result.seconds = timer.seconds();
+    return out;
+  };
+  // Checked before the loop too: with no candidates it never runs.
+  if (options.budget.cancelled()) return stopped();
   for (const InputPattern& p : patterns) {
-    if (timer.seconds() > options.budget.time_limit_s) {
-      out.result.outcome = Outcome::Timeout;
-      out.result.seconds = timer.seconds();
-      return out;
+    if (options.budget.cancelled() ||
+        timer.seconds() > options.budget.time_limit_s) {
+      return stopped();
     }
     if (p.size() != ki) continue;  // cannot be the key comparator
     sim::BitVec key(ki, 0);

@@ -110,13 +110,8 @@ Result OgEngine::solve_hinted(std::vector<sat::Lit> assumptions,
 }
 
 bool OgEngine::out_of_budget() const {
-  return cancelled() || timer_.seconds() > budget_.time_limit_s ||
+  return budget_.cancelled() || timer_.seconds() > budget_.time_limit_s ||
          result_.iterations >= budget_.max_iterations;
-}
-
-bool OgEngine::cancelled() const {
-  return budget_.cancel != nullptr &&
-         budget_.cancel->load(std::memory_order_relaxed);
 }
 
 double OgEngine::elapsed_s() const { return timer_.seconds(); }

@@ -90,9 +90,6 @@ class OgEngine {
 
   // The one copy of the formerly per-attack budget lambdas.
   bool out_of_budget() const;
-  /// True when the budget's cooperative-cancel flag (AttackBudget::cancel)
-  /// is armed and set; folded into out_of_budget().
-  bool cancelled() const;
   double elapsed_s() const;
   /// Wall budget left: max(0, limit - elapsed). Deliberately floor-free — an
   /// exhausted budget arms a zero deadline (solve returns Unknown at entry)

@@ -95,8 +95,14 @@ struct AttackBudget {
   /// When non-null, the engine checks the flag alongside its wall/iteration
   /// budgets and arms it as the solver's interrupt hook, so a set flag
   /// unwinds the attack with Timeout at the next budget check or solver
-  /// step. The pointee must outlive the attack. Null = never cancelled.
+  /// step; BBO and FALL check it wherever they check time_limit_s. The
+  /// pointee must outlive the attack. Null = never cancelled.
   const std::atomic<bool>* cancel = nullptr;
+
+  /// True once `cancel` is set (one relaxed load).
+  bool cancelled() const {
+    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+  }
 };
 
 }  // namespace cl::attack

@@ -838,13 +838,19 @@ void Solver::set_propagation_budget(std::int64_t max_propagations) {
 }
 
 void Solver::set_time_budget(double seconds) {
-  time_budget_s_ = seconds;
   // Force a clock check at the next conflict: a reused solver re-armed with
   // a shorter deadline must not coast on a countdown left over from the
   // previous budget (up to 256 conflicts of over-run otherwise).
   deadline_check_countdown_ = 0;
-  if (seconds >= 0) {
-    deadline_ = std::chrono::steady_clock::now() +
+  const auto now = std::chrono::steady_clock::now();
+  // A deadline past what the clock can represent would overflow into the
+  // past; such a budget means no deadline (PortfolioSolver's workers read
+  // the same field).
+  const double headroom_s = std::chrono::duration<double>(
+      std::chrono::steady_clock::time_point::max() - now).count();
+  time_budget_s_ = seconds < headroom_s ? seconds : -1.0;
+  if (time_budget_s_ >= 0) {
+    deadline_ = now +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(seconds));
   }

@@ -39,8 +39,9 @@ double Json::num_or(const std::string& key, double fallback) const {
 std::uint64_t Json::u64_or(const std::string& key,
                            std::uint64_t fallback) const {
   const Json* v = find(key);
+  // 2^64 and beyond do not fit (the cast would be undefined behaviour).
   if (v == nullptr || v->type_ != Type::Number || v->number_ < 0 ||
-      !std::isfinite(v->number_)) {
+      !(v->number_ < 18446744073709551616.0)) {
     return fallback;
   }
   return static_cast<std::uint64_t>(v->number_);

@@ -17,6 +17,9 @@
 #include "analysis/key_infer.hpp"
 #include "analysis/lint.hpp"
 #include "attack/accept.hpp"
+#include "attack/bbo.hpp"
+#include "attack/dana.hpp"
+#include "attack/fall.hpp"
 #include "attack/observation_bank.hpp"
 #include "attack/periodic_attack.hpp"
 #include "attack/sat_attack.hpp"
@@ -83,6 +86,153 @@ Json diagnostics_to_json(const analysis::LintReport& report) {
   return arr;
 }
 
+Json count(std::size_t n) { return Json::number(static_cast<std::uint64_t>(n)); }
+
+/// Netlist source for a job: inline bench text under `field`, or a
+/// server-side path under `field` + "_file". Throws std::runtime_error when
+/// absent, unreadable or unparsable; *cache_hits advances when the cache
+/// already had it.
+std::shared_ptr<const CachedCircuit> circuit_from(const Json& request,
+                                                  const std::string& field,
+                                                  CircuitCache& cache,
+                                                  std::size_t* cache_hits) {
+  std::string text = request.str_or(field, "");
+  std::string name = field;
+  if (text.empty()) {
+    const std::string path = request.str_or(field + "_file", "");
+    if (path.empty()) {
+      throw std::runtime_error("missing \"" + field +
+                               "\" (inline bench text) or \"" + field +
+                               "_file\" (server-side path)");
+    }
+    if (!read_text_file(path, &text)) {
+      throw std::runtime_error("cannot read " + path);
+    }
+    name = path;
+  }
+  bool hit = false;
+  std::string error;
+  auto circuit = cache.get_or_parse(text, name, &hit, &error);
+  if (circuit == nullptr) throw std::runtime_error(error);
+  if (hit) ++*cache_hits;
+  return circuit;
+}
+
+/// What a mode runs on: the circuits (scan-exposed for scan-model modes),
+/// the job's budget, and the request for mode-specific fields.
+struct ModeInput {
+  const netlist::Netlist& locked;
+  const attack::SequentialOracle& oracle;
+  const attack::AttackBudget& budget;
+  const Json& request;
+  std::size_t bbo_jobs;
+};
+
+/// A mode's verdict plus the result fields only that mode reports.
+struct ModeOutput {
+  attack::AttackResult result;
+  std::vector<std::pair<std::string, Json>> fields;
+};
+
+struct AttackMode {
+  const char* name;
+  bool scan_model;
+  ModeOutput (*run)(const ModeInput&);
+};
+
+/// The engine attacks that take nothing but the budget (BMC, KC2, RANE).
+template <attack::AttackResult (*Attack)(const netlist::Netlist&,
+                                         const attack::SequentialOracle&,
+                                         const attack::AttackBudget&)>
+ModeOutput run_engine(const ModeInput& in) {
+  return {Attack(in.locked, in.oracle, in.budget), {}};
+}
+
+template <attack::SatAttackOptions::Mode Mode>
+ModeOutput run_sat(const ModeInput& in) {
+  attack::SatAttackOptions o;
+  o.budget = in.budget;
+  o.mode = Mode;
+  return {attack::sat_attack(in.locked, in.oracle, o), {}};
+}
+
+using SatMode = attack::SatAttackOptions::Mode;
+
+/// The one dispatch from mode name to attack.
+const AttackMode k_attack_modes[] = {
+    {"bmc", false, run_engine<attack::bmc_attack>},
+    {"kc2", false, run_engine<attack::kc2_attack>},
+    {"rane", false, run_engine<attack::rane_attack>},
+    {"sat", true, run_sat<SatMode::Classic>},
+    {"appsat", true, run_sat<SatMode::AppSat>},
+    {"double-dip", true, run_sat<SatMode::DoubleDip>},
+    {"bbo", false,
+     [](const ModeInput& in) -> ModeOutput {
+       attack::BboOptions o;
+       o.budget = in.budget;
+       o.jobs = in.bbo_jobs;
+       return {attack::bbo_attack(in.locked, in.oracle, o), {}};
+     }},
+    {"fall", false,
+     [](const ModeInput& in) -> ModeOutput {
+       attack::FallOptions o;
+       o.budget = in.budget;
+       attack::FallResult fr = attack::fall_attack(in.locked, in.oracle, o);
+       return {std::move(fr.result),
+               {{"candidates", count(fr.candidates)},
+                {"confirmed", count(fr.confirmed)}}};
+     }},
+    {"dana", false,
+     [](const ModeInput& in) -> ModeOutput {
+       // Register clustering recovers no key: the outcome stays FAIL.
+       const attack::DanaResult dr = attack::dana_attack(in.locked);
+       attack::AttackResult r;
+       r.seconds = dr.seconds;
+       r.iterations = dr.rounds;
+       r.detail = std::to_string(dr.clusters.size()) + " clusters over " +
+                  std::to_string(in.locked.dffs().size()) + " FFs";
+       return {std::move(r), {{"clusters", count(dr.clusters.size())}}};
+     }},
+    {"scope", false,
+     [](const ModeInput& in) -> ModeOutput {
+       // Oracle-free structural inference; the oracle only confirms a fully
+       // decided key.
+       attack::ScopeOptions o;
+       o.budget = in.budget;
+       attack::ScopeResult sr = attack::scope_attack(in.locked, &in.oracle, o);
+       return {std::move(sr.result),
+               {{"decided", count(sr.decided)},
+                {"verdicts", Json::string(sr.report.verdict_string())}}};
+     }},
+    {"periodic", false,
+     [](const ModeInput& in) -> ModeOutput {
+       attack::PeriodicAttackOptions o;
+       o.budget = in.budget;
+       o.max_period = static_cast<std::size_t>(
+           in.request.u64_or("max_period", o.max_period));
+       attack::PeriodicAttackResult pr =
+           attack::periodic_key_attack(in.locked, in.oracle, o);
+       ModeOutput out{std::move(pr.result), {}};
+       if (pr.recovered_period != 0) {
+         out.fields = {{"period", count(pr.recovered_period)},
+                       {"schedule", schedule_to_json(pr.recovered_schedule)}};
+       }
+       return out;
+     }},
+};
+
+/// Scan-access threat model: full scan-chain access turns a circuit
+/// combinational. The view is cached under its own structural key, so a
+/// resubmission skips the transform's compile cost too.
+std::shared_ptr<const CachedCircuit> scan_view(const CachedCircuit& circuit,
+                                               CircuitCache& cache,
+                                               std::size_t* cache_hits) {
+  bool hit = false;
+  auto view = cache.get_or_add(netlist::scan_expose(circuit.netlist()), &hit);
+  if (hit) ++*cache_hits;
+  return view;
+}
+
 /// Write the whole buffer; MSG_NOSIGNAL so a client that hung up mid-reply
 /// costs us an EPIPE, not a SIGPIPE.
 bool send_all(int fd, const std::string& data) {
@@ -98,6 +248,132 @@ bool send_all(int fd, const std::string& data) {
 }
 
 }  // namespace
+
+std::vector<AttackModeInfo> attack_modes() {
+  std::vector<AttackModeInfo> modes;
+  for (const AttackMode& m : k_attack_modes) {
+    modes.push_back({m.name, m.scan_model});
+  }
+  return modes;
+}
+
+Json run_attack_job(const Json& request, CircuitCache& cache,
+                    const std::atomic<bool>* cancel, std::size_t bbo_jobs) {
+  // The whole request is checked before any circuit is read.
+  const std::string name = request.str_or("attack", "bmc");
+  const AttackMode* mode = nullptr;
+  std::string names;
+  for (const AttackMode& m : k_attack_modes) {
+    if (name == m.name) mode = &m;
+    names += (names.empty() ? "" : "/") + std::string(m.name);
+  }
+  if (mode == nullptr) {
+    throw std::invalid_argument("unknown mode \"" + name + "\" (want " +
+                                names + ")");
+  }
+  // Acceptance-criterion judgement (docs/locking.md): when the request names
+  // a criterion, the reported key is re-judged under it and the verdict
+  // rides along in the result, so clients can score multi-key locks without
+  // the one-key premise baked into Equal/not-Equal.
+  const std::string accept_name = request.str_or("accept", "");
+  const auto criterion = attack::parse_criterion(accept_name);
+  if (!accept_name.empty() && !criterion) {
+    throw std::invalid_argument("\"accept\" must be exact, any or approx");
+  }
+  sim::BitVec truth;
+  const std::string truth_text = request.str_or("true_key", "");
+  if (!bits_from_string(truth_text, &truth)) {
+    throw std::invalid_argument("\"true_key\" must be a 0/1 string");
+  }
+
+  std::size_t cache_hits = 0;
+  const auto locked = circuit_from(request, "locked", cache, &cache_hits);
+  const auto reference = circuit_from(request, "oracle", cache, &cache_hits);
+  // Reject malformed submissions up front: a truncated upload or a
+  // mismatched oracle would otherwise burn the budget on a solver run that
+  // can only end in nonsense.
+  const analysis::LintReport lint_rep =
+      analysis::lint_attack_inputs(locked->netlist(), reference->netlist());
+  if (!lint_rep.ok()) {
+    throw std::runtime_error("rejected by netlist lint\n" +
+                             analysis::format_diagnostics(lint_rep));
+  }
+  auto attacked = locked;
+  auto queried = reference;
+  if (mode->scan_model) {
+    attacked = scan_view(*locked, cache, &cache_hits);
+    queried = scan_view(*reference, cache, &cache_hits);
+    const netlist::Netlist& ls = attacked->netlist();
+    const netlist::Netlist& rs = queried->netlist();
+    if (ls.inputs().size() != rs.inputs().size() ||
+        ls.outputs().size() != rs.outputs().size()) {
+      throw std::runtime_error(
+          "scan interfaces differ (" + std::to_string(ls.inputs().size()) +
+          " vs " + std::to_string(rs.inputs().size()) + " inputs, " +
+          std::to_string(ls.outputs().size()) + " vs " +
+          std::to_string(rs.outputs().size()) +
+          " outputs): the lock adds state elements, so the scan-model attacks "
+          "do not apply; use bmc/kc2/rane instead");
+    }
+  }
+
+  attack::AttackBudget budget;
+  budget.time_limit_s = request.num_or("seconds", 10.0);
+  budget.max_iterations = request.u64_or("max_iterations", budget.max_iterations);
+  budget.max_depth =
+      static_cast<std::size_t>(request.u64_or("max_depth", budget.max_depth));
+  budget.sat_workers = util::sat_portfolio_from_env();
+  budget.sat_preprocess = util::sat_preprocess_from_env();
+  budget.cancel = cancel;
+  ModeOutput run = mode->run(
+      {attacked->netlist(), queried->oracle(), budget, request, bbo_jobs});
+  attack::AttackResult& r = run.result;
+
+  attack::AcceptReport accept_report;
+  if (criterion) {
+    if (r.key.empty()) {
+      accept_report.detail = "no key reported";
+    } else {
+      attack::AcceptOptions accept_options;
+      accept_options.criterion = *criterion;
+      accept_options.epsilon = request.num_or("epsilon", 0.0);
+      accept_report = attack::verify_any_key(
+          locked->netlist(), r.key, reference->netlist(),
+          truth_text.empty() ? nullptr : &truth, accept_options);
+      attack::apply_acceptance(accept_report, &r);
+    }
+  }
+
+  Json out = Json::object();
+  out.set("attack", Json::string(name));
+  out.set("outcome", Json::string(attack::outcome_label(r.outcome)));
+  out.set("summary", Json::string(r.summary()));
+  if (!r.key.empty()) out.set("key", Json::string(sim::bits_to_string(r.key)));
+  out.set("seconds", Json::number(r.seconds));
+  out.set("iterations", Json::number(r.iterations));
+  out.set("fresh_queries", Json::number(r.fresh_queries));
+  out.set("replayed_queries", Json::number(r.replayed_queries));
+  out.set("preloaded_facts", Json::number(r.preloaded_facts));
+  if (!r.detail.empty()) out.set("detail", Json::string(r.detail));
+  if (criterion) {
+    out.set("accept", Json::string(accept_name));
+    out.set("accepted", Json::boolean(accept_report.accepted));
+    for (const auto& [field, fact] :
+         {std::pair{"key_exact", accept_report.key_exact},
+          std::pair{"any_key_pass", accept_report.any_key_pass}}) {
+      if (fact >= 0) out.set(field, Json::boolean(fact == 1));
+    }
+    if (accept_report.corruption_rate >= 0) {
+      out.set("corruption_rate", Json::number(accept_report.corruption_rate));
+    }
+    if (!accept_report.detail.empty()) {
+      out.set("accept_detail", Json::string(accept_report.detail));
+    }
+  }
+  out.set("cache_hits", count(cache_hits));
+  for (auto& [field, value] : run.fields) out.set(field, std::move(value));
+  return out;
+}
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   if (options_.obs_bank_path.empty()) {
@@ -512,7 +788,8 @@ void Server::run_job(Job& job) {
   std::string error;
   try {
     if (job.kind == "attack") {
-      run_attack_job(job, &result);
+      // BBO screens at one thread: the pool already runs jobs side by side.
+      result = run_attack_job(job.request, cache_, &job.cancel, 1);
     } else if (job.kind == "verify") {
       run_verify_job(job, &result);
     } else if (job.kind == "analyze") {
@@ -521,7 +798,7 @@ void Server::run_job(Job& job) {
       run_lock_job(job, &result);
     }
   } catch (const std::exception& e) {
-    error = e.what();
+    error = job.kind + ": " + e.what();
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (job.cancel.load(std::memory_order_relaxed)) {
@@ -536,214 +813,18 @@ void Server::run_job(Job& job) {
   job_cv_.notify_all();
 }
 
-std::shared_ptr<const CachedCircuit> Server::circuit_from(
-    const Json& request, const std::string& field, std::size_t* cache_hits,
-    std::string* error) {
-  std::string text = request.str_or(field, "");
-  std::string name = field;
-  if (text.empty()) {
-    const std::string path = request.str_or(field + "_file", "");
-    if (path.empty()) {
-      *error = "missing \"" + field + "\" (inline bench text) or \"" + field +
-               "_file\" (server-side path)";
-      return nullptr;
-    }
-    if (!read_text_file(path, &text)) {
-      *error = "cannot read " + path;
-      return nullptr;
-    }
-    name = path;
-  }
-  bool hit = false;
-  auto circuit = cache_.get_or_parse(text, name, &hit, error);
-  if (circuit != nullptr && hit && cache_hits != nullptr) ++*cache_hits;
-  return circuit;
-}
-
-void Server::run_attack_job(Job& job, Json* result) {
-  std::string error;
-  std::size_t cache_hits = 0;
-  const auto locked = circuit_from(job.request, "locked", &cache_hits, &error);
-  if (locked == nullptr) throw std::runtime_error("attack: " + error);
-  const auto reference = circuit_from(job.request, "oracle", &cache_hits, &error);
-  if (reference == nullptr) throw std::runtime_error("attack: " + error);
-
-  // Reject malformed submissions up front: a truncated upload or a
-  // mismatched oracle would otherwise burn a worker slot on a solver run
-  // that can only end in nonsense.
-  const analysis::LintReport lint_rep =
-      analysis::lint_attack_inputs(locked->netlist(), reference->netlist());
-  if (!lint_rep.ok()) {
-    throw std::runtime_error("attack: rejected by netlist lint\n" +
-                             analysis::format_diagnostics(lint_rep));
-  }
-
-  attack::AttackBudget budget;
-  budget.time_limit_s = job.request.num_or("seconds", 10.0);
-  budget.max_iterations = job.request.u64_or("max_iterations", budget.max_iterations);
-  budget.max_depth = static_cast<std::size_t>(
-      job.request.u64_or("max_depth", budget.max_depth));
-  budget.sat_workers = util::sat_portfolio_from_env();
-  budget.sat_preprocess = util::sat_preprocess_from_env();
-  budget.cancel = &job.cancel;
-
-  const std::string mode = job.request.str_or("attack", "bmc");
-  attack::AttackResult r;
-  std::size_t recovered_period = 0;
-  std::vector<sim::BitVec> recovered_schedule;
-  std::size_t scope_decided = 0;
-  std::string scope_verdicts;
-  if (mode == "bmc") {
-    r = attack::bmc_attack(locked->netlist(), reference->oracle(), budget);
-  } else if (mode == "kc2") {
-    r = attack::kc2_attack(locked->netlist(), reference->oracle(), budget);
-  } else if (mode == "rane") {
-    r = attack::rane_attack(locked->netlist(), reference->oracle(), budget);
-  } else if (mode == "sat" || mode == "appsat" || mode == "double-dip") {
-    // Scan-access threat model, like the CLI: both circuits are scan-exposed
-    // first. The derived views are cached under their own structural keys,
-    // so a resubmission skips the transform's compile cost too.
-    bool hit = false;
-    const auto locked_scan =
-        cache_.get_or_add(netlist::scan_expose(locked->netlist()), &hit);
-    if (hit) ++cache_hits;
-    const auto reference_scan =
-        cache_.get_or_add(netlist::scan_expose(reference->netlist()), &hit);
-    if (hit) ++cache_hits;
-    const auto& ls = locked_scan->netlist();
-    const auto& rs = reference_scan->netlist();
-    if (ls.inputs().size() != rs.inputs().size() ||
-        ls.outputs().size() != rs.outputs().size()) {
-      throw std::runtime_error(
-          "attack: scan interfaces differ (" + std::to_string(ls.inputs().size()) +
-          " vs " + std::to_string(rs.inputs().size()) + " inputs, " +
-          std::to_string(ls.outputs().size()) + " vs " +
-          std::to_string(rs.outputs().size()) +
-          " outputs): the lock adds state elements, so the scan-model attacks "
-          "do not apply; use bmc/kc2/rane instead");
-    }
-    attack::SatAttackOptions o;
-    o.budget = budget;
-    if (mode == "appsat") o.mode = attack::SatAttackOptions::Mode::AppSat;
-    if (mode == "double-dip") o.mode = attack::SatAttackOptions::Mode::DoubleDip;
-    r = attack::sat_attack(ls, reference_scan->oracle(), o);
-  } else if (mode == "scope") {
-    // Oracle-free structural inference; the oracle only confirms a fully
-    // decided key, matching attack::scope_attack's contract.
-    attack::ScopeOptions o;
-    o.budget = budget;
-    const attack::ScopeResult sr =
-        attack::scope_attack(locked->netlist(), &reference->oracle(), o);
-    r = sr.result;
-    scope_decided = sr.decided;
-    scope_verdicts = sr.report.verdict_string();
-  } else if (mode == "periodic") {
-    attack::PeriodicAttackOptions o;
-    o.budget = budget;
-    o.max_period =
-        static_cast<std::size_t>(job.request.u64_or("max_period", o.max_period));
-    const attack::PeriodicAttackResult pr =
-        attack::periodic_key_attack(locked->netlist(), reference->oracle(), o);
-    r = pr.result;
-    recovered_period = pr.recovered_period;
-    recovered_schedule = pr.recovered_schedule;
-  } else {
-    throw std::runtime_error(
-        "attack: unknown mode \"" + mode +
-        "\" (want bmc/kc2/rane/sat/appsat/double-dip/scope/periodic)");
-  }
-
-  // Acceptance-criterion judgement (docs/locking.md): when the request names
-  // a criterion, the reported key is re-judged under it and the verdict
-  // rides along in the result, so clients can score multi-key locks without
-  // the one-key premise baked into Equal/not-Equal.
-  const std::string accept_name = job.request.str_or("accept", "");
-  bool accept_ran = false;
-  attack::AcceptReport accept_report;
-  if (!accept_name.empty()) {
-    const auto criterion = attack::parse_criterion(accept_name);
-    if (!criterion) {
-      throw std::runtime_error(
-          "attack: \"accept\" must be exact, any or approx");
-    }
-    accept_ran = true;
-    accept_report.criterion = *criterion;
-    if (r.key.empty()) {
-      accept_report.detail = "no key reported";
-    } else {
-      attack::AcceptOptions accept_options;
-      accept_options.criterion = *criterion;
-      accept_options.epsilon = job.request.num_or("epsilon", 0.0);
-      sim::BitVec truth;
-      const sim::BitVec* truth_ptr = nullptr;
-      const std::string truth_text = job.request.str_or("true_key", "");
-      if (!truth_text.empty()) {
-        if (!bits_from_string(truth_text, &truth)) {
-          throw std::runtime_error(
-              "attack: \"true_key\" must be a 0/1 string");
-        }
-        truth_ptr = &truth;
-      }
-      accept_report = attack::verify_any_key(locked->netlist(), r.key,
-                                             reference->netlist(), truth_ptr,
-                                             accept_options);
-      attack::apply_acceptance(accept_report, &r);
-    }
-  }
-
-  Json& out = *result;
-  out.set("attack", Json::string(mode));
-  out.set("outcome", Json::string(attack::outcome_label(r.outcome)));
-  out.set("summary", Json::string(r.summary()));
-  if (!r.key.empty()) out.set("key", Json::string(sim::bits_to_string(r.key)));
-  out.set("seconds", Json::number(r.seconds));
-  out.set("iterations", Json::number(r.iterations));
-  out.set("fresh_queries", Json::number(r.fresh_queries));
-  out.set("replayed_queries", Json::number(r.replayed_queries));
-  out.set("preloaded_facts", Json::number(r.preloaded_facts));
-  if (!r.detail.empty()) out.set("detail", Json::string(r.detail));
-  if (accept_ran) {
-    out.set("accept", Json::string(accept_name));
-    out.set("accepted", Json::boolean(accept_report.accepted));
-    if (accept_report.key_exact >= 0) {
-      out.set("key_exact", Json::boolean(accept_report.key_exact == 1));
-    }
-    if (accept_report.any_key_pass >= 0) {
-      out.set("any_key_pass", Json::boolean(accept_report.any_key_pass == 1));
-    }
-    if (accept_report.corruption_rate >= 0) {
-      out.set("corruption_rate", Json::number(accept_report.corruption_rate));
-    }
-    if (!accept_report.detail.empty()) {
-      out.set("accept_detail", Json::string(accept_report.detail));
-    }
-  }
-  out.set("cache_hits", Json::number(static_cast<std::uint64_t>(cache_hits)));
-  if (recovered_period != 0) {
-    out.set("period", Json::number(static_cast<std::uint64_t>(recovered_period)));
-    out.set("schedule", schedule_to_json(recovered_schedule));
-  }
-  if (mode == "scope") {
-    out.set("decided", Json::number(static_cast<std::uint64_t>(scope_decided)));
-    out.set("verdicts", Json::string(scope_verdicts));
-  }
-}
-
 void Server::run_verify_job(Job& job, Json* result) {
-  std::string error;
   std::size_t cache_hits = 0;
-  const auto locked = circuit_from(job.request, "locked", &cache_hits, &error);
-  if (locked == nullptr) throw std::runtime_error("verify: " + error);
-  const auto reference = circuit_from(job.request, "oracle", &cache_hits, &error);
-  if (reference == nullptr) throw std::runtime_error("verify: " + error);
+  const auto locked = circuit_from(job.request, "locked", cache_, &cache_hits);
+  const auto reference = circuit_from(job.request, "oracle", cache_, &cache_hits);
   const std::string key_text = job.request.str_or("key", "");
   sim::BitVec key;
   if (key_text.empty() || !bits_from_string(key_text, &key)) {
-    throw std::runtime_error("verify: \"key\" must be a non-empty 0/1 string");
+    throw std::runtime_error("\"key\" must be a non-empty 0/1 string");
   }
   if (key.size() != locked->netlist().key_inputs().size()) {
     throw std::runtime_error(
-        "verify: key has " + std::to_string(key.size()) + " bits but the " +
+        "key has " + std::to_string(key.size()) + " bits but the " +
         "locked circuit has " +
         std::to_string(locked->netlist().key_inputs().size()) + " key inputs");
   }
@@ -763,10 +844,8 @@ void Server::run_verify_job(Job& job, Json* result) {
 }
 
 void Server::run_lock_job(Job& job, Json* result) {
-  std::string error;
   std::size_t cache_hits = 0;
-  const auto circuit = circuit_from(job.request, "circuit", &cache_hits, &error);
-  if (circuit == nullptr) throw std::runtime_error("lock: " + error);
+  const auto circuit = circuit_from(job.request, "circuit", cache_, &cache_hits);
   core::StrOptions options;
   options.num_keys = job.request.u64_or("k", 4);
   options.key_bits = job.request.u64_or("ki", 4);
@@ -782,10 +861,8 @@ void Server::run_lock_job(Job& job, Json* result) {
 }
 
 void Server::run_analyze_job(Job& job, Json* result) {
-  std::string error;
   std::size_t cache_hits = 0;
-  const auto circuit = circuit_from(job.request, "circuit", &cache_hits, &error);
-  if (circuit == nullptr) throw std::runtime_error("analyze: " + error);
+  const auto circuit = circuit_from(job.request, "circuit", cache_, &cache_hits);
   const netlist::Netlist& nl = circuit->netlist();
   util::Timer timer;
 

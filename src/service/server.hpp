@@ -60,6 +60,29 @@ struct ServerOptions {
   bool use_observation_bank = true;
 };
 
+/// One attack mode an `attack` job accepts.
+struct AttackModeInfo {
+  std::string name;
+  /// Runs on scan-exposed views of both circuits (the scan-access threat
+  /// model), so it rejects locks that add state elements.
+  bool scan_model = false;
+};
+
+/// Every registered attack mode, in table order.
+std::vector<AttackModeInfo> attack_modes();
+
+/// Run one `attack` job request (docs/service.md) and return its result
+/// object. The daemon runs it on its pool with BBO at one thread;
+/// `cutelock attack` runs it in-process with a private cache.
+///
+/// The mode name, `accept` and `true_key` are checked before any circuit is
+/// read: a malformed request throws std::invalid_argument. A missing,
+/// unreadable or unparsable circuit, a lint rejection, or a scan-model mode
+/// on circuits whose scan interfaces differ throws std::runtime_error. `cancel` (may be
+/// null) is the job's kill switch; `bbo_jobs` is BBO's screening threads.
+Json run_attack_job(const Json& request, CircuitCache& cache,
+                    const std::atomic<bool>* cancel, std::size_t bbo_jobs);
+
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -96,9 +119,6 @@ class Server {
   Json handle_request(const Json& request, bool* defer_shutdown);
   void request_shutdown();
 
- public:
-
- private:
   struct Job {
     std::uint64_t id = 0;
     std::string kind;  // "attack" | "verify" | "lock" | "analyze"
@@ -121,18 +141,9 @@ class Server {
   Json cancel_job(std::uint64_t id);
   Json stats() const;
   void run_job(Job& job);
-  void run_attack_job(Job& job, Json* result);
   void run_verify_job(Job& job, Json* result);
   void run_lock_job(Job& job, Json* result);
   void run_analyze_job(Job& job, Json* result);
-
-  /// Netlist source for a job: inline bench text under `field`, or a
-  /// server-side path under `field` + "_file". Null + *error when absent or
-  /// unparsable; *cache_hits advances when the cache already had it.
-  std::shared_ptr<const CachedCircuit> circuit_from(const Json& request,
-                                                    const std::string& field,
-                                                    std::size_t* cache_hits,
-                                                    std::string* error);
 
   ServerOptions options_;
   CircuitCache cache_;

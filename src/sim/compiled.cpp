@@ -18,7 +18,6 @@ SimConfig sim_config_from_env() {
   // and an invalid value should warn once, not once per oracle query.
   static const SimConfig cached = [] {
     SimConfig c;
-    c.lanes = util::env_size_or("CUTELOCK_SIM_LANES", 1);
     c.shard_threshold =
         util::env_size_or("CUTELOCK_SIM_SHARD_THRESHOLD", c.shard_threshold);
     c.jobs = util::jobs_from_env();

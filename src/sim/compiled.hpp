@@ -8,8 +8,8 @@
 //   - arity-specialized opcodes (And2 vs AndN, ...) so the hot kernels are
 //     branch-light and vectorizable;
 //   - wide lanes: every signal carries W consecutive 64-bit words, so one
-//     eval() pass simulates 64*W independent patterns (W from SimConfig /
-//     CUTELOCK_SIM_LANES);
+//     eval() pass simulates 64*W independent patterns (W from SimConfig,
+//     or sized from the batch by the batch APIs);
 //   - sharded execution: instructions within one level are independent, so
 //     each level can be chunked across a util::ThreadPool with a barrier per
 //     level — engaged automatically for netlists above a gate-count
@@ -51,12 +51,11 @@ struct Instr {
   Op op = Op::Buf;
 };
 
-/// Engine knobs. Defaults come from the environment (sim_config_from_env):
-///   CUTELOCK_SIM_LANES            W: 64-bit words per signal (64*W patterns)
+/// Engine knobs. sim_config_from_env() reads the sharding ones:
 ///   CUTELOCK_SIM_SHARD_THRESHOLD  gate count at which eval shards
 ///   CUTELOCK_JOBS                 shard pool width
 struct SimConfig {
-  std::size_t lanes = 1;
+  std::size_t lanes = 1;  // W: 64-bit words per signal (WideSim only)
   std::size_t shard_threshold = 250'000;
   std::size_t jobs = 1;
 };

@@ -76,6 +76,26 @@ TEST(Bbo, SingleKeyReductionRecovered) {
   EXPECT_EQ(r.outcome, Outcome::Equal) << r.summary();
 }
 
+TEST(Bbo, PresetCancelFlagEndsNotApplicableBeforeScreening) {
+  // The daemon's cancel op and shutdown drain set AttackBudget::cancel; BBO
+  // must notice it at its round check, before screening a single batch.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  core::StrOptions opt;
+  opt.num_keys = 4;
+  opt.key_bits = 3;
+  opt.locked_ffs = 1;
+  opt.seed = 6;
+  opt.single_key_reduction = true;
+  const auto lr = core::cute_lock_str(nl, opt);
+  SequentialOracle oracle(nl);
+  const std::atomic<bool> cancel{true};
+  BboOptions opts;
+  opts.budget.cancel = &cancel;
+  const AttackResult r = bbo_attack(lr.locked, oracle, opts);
+  EXPECT_EQ(r.outcome, Outcome::Timeout) << r.summary();
+  EXPECT_EQ(r.iterations, 0u);
+}
+
 TEST(Bbo, ParallelScreeningIsDeterministicAcrossJobCounts) {
   // The pool inside the attack must not change anything observable: outcome,
   // key, iteration accounting, and oracle pattern count are fixed by the

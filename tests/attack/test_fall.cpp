@@ -89,6 +89,36 @@ TEST(Fall, ZeroCandidatesOnCuteLockStr) {
   }
 }
 
+TEST(Fall, PresetCancelFlagEndsNotApplicable) {
+  // A set cancel flag ends FALL N/A before it verifies any candidate: on a
+  // TT-lock, whose comparator it would otherwise confirm, and on
+  // Cute-Lock-Str, where the candidate loop has nothing to iterate.
+  const std::atomic<bool> cancel{true};
+  FallOptions options;
+  options.budget.cancel = &cancel;
+
+  const Netlist comb = netlist::read_bench_string(k_comb, "c");
+  util::Rng rng(1);
+  const auto tt = lock::tt_lock(comb, 4, rng);
+  SequentialOracle comb_oracle(comb);
+  const FallResult broken = fall_attack(tt.locked, comb_oracle, options);
+  EXPECT_EQ(broken.result.outcome, Outcome::Timeout) << broken.result.summary();
+  EXPECT_EQ(broken.result.iterations, 0u);
+
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  core::StrOptions opt;
+  opt.num_keys = 4;
+  opt.key_bits = 2;
+  opt.locked_ffs = 2;
+  opt.seed = 1;
+  const auto lr = core::cute_lock_str(nl, opt);
+  SequentialOracle oracle(nl);
+  const FallResult none = fall_attack(lr.locked, oracle, options);
+  EXPECT_EQ(none.candidates, 0u);
+  EXPECT_EQ(none.result.outcome, Outcome::Timeout) << none.result.summary();
+  EXPECT_EQ(none.result.iterations, 0u);
+}
+
 TEST(Fall, XorLockYieldsNoPointFunctionCandidates) {
   // XOR key gates are not comparator structures either; FALL finds no
   // candidates (it was designed for stripped-functionality locks).

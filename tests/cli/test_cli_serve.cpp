@@ -19,6 +19,7 @@
 
 #include "benchgen/catalog.hpp"
 #include "netlist/bench_io.hpp"
+#include "service/server.hpp"
 
 namespace {
 
@@ -128,6 +129,23 @@ class CliServe : public ::testing::Test {
     return line;
   }
 
+  /// The whole output with every line's " (<seconds>s)" suffix stripped.
+  static std::string without_wall_time(const std::string& output) {
+    std::istringstream lines(output);
+    std::string stripped;
+    std::string line;
+    while (std::getline(lines, line)) {
+      const std::size_t paren = line.rfind(" (");
+      if (paren != std::string::npos && line.size() > paren + 4 &&
+          line.compare(line.size() - 2, 2, "s)") == 0 &&
+          line.find_first_not_of("0123456789.", paren + 2) == line.size() - 2) {
+        line.resize(paren);
+      }
+      stripped += line + "\n";
+    }
+    return stripped;
+  }
+
   fs::path dir_, s27_, locked_, socket_, bank_;
 };
 
@@ -165,6 +183,37 @@ TEST_F(CliServe, DaemonMatchesInProcessAttackAndReplaysAcrossRestart) {
   EXPECT_NE(reloaded.output.find("replayed from the observation bank"),
             std::string::npos)
       << "restart lost the bank: " << reloaded.output;
+  stop_daemon();
+}
+
+TEST_F(CliServe, AttackAndSubmitPrintTheSameForEveryMode) {
+  // `attack` runs the daemon's job in-process, so for every registered mode
+  // a cold daemon must print the same lines and exit the same way. Each
+  // run gets its own lock seed, so every bank starts cold; scan-model modes
+  // get an XOR lock, the rest Cute-Lock-Str.
+  start_daemon();
+  std::uint64_t seed = 100;
+  for (const cl::service::AttackModeInfo& mode : cl::service::attack_modes()) {
+    for (const std::string accept : {"", " --accept any"}) {
+      const fs::path locked = dir_ / ("mode_" + std::to_string(seed) + ".bench");
+      ASSERT_EQ(run("lock " + quoted(s27_) + " -o " + quoted(locked) +
+                    (mode.scan_model ? " --scheme xor" : " --k 4 --ki 4") +
+                    " --seed " + std::to_string(seed++))
+                    .exit_code,
+                0);
+      const std::string flags = quoted(locked) + " --oracle " + quoted(s27_) +
+                                " --attack " + mode.name + " --seconds 20" +
+                                accept;
+      const CliRun direct = run("attack " + flags);
+      const CliRun daemon = run("submit --socket " + quoted(socket_) + " " + flags);
+      EXPECT_EQ(daemon.exit_code, direct.exit_code) << mode.name << accept;
+      EXPECT_EQ(without_wall_time(daemon.output),
+                without_wall_time(direct.output))
+          << mode.name << accept;
+      EXPECT_NE(direct.output.find(mode.name + " attack: "), std::string::npos)
+          << direct.output;
+    }
+  }
   stop_daemon();
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cnf_test_util.hpp"
+#include "sat/portfolio.hpp"
 #include "util/rng.hpp"
 
 namespace cl::sat {
@@ -394,6 +395,24 @@ TEST(Solver, ReusedSolverHonoursFreshlyShortenedTimeBudget) {
   // Disabling the budget restores normal solving on the same instance.
   s.set_time_budget(-1.0);
   EXPECT_EQ(s.solve(), Result::Sat);
+}
+
+TEST(Solver, BudgetBeyondTheClockMeansNoDeadline) {
+  // A deadline the steady clock cannot represent used to overflow into the
+  // past, so PHP(8) (thousands of conflicts) came back Unknown at once.
+  // Such a budget means no deadline, for the solver and for the workers a
+  // portfolio hands the same field to.
+  for (const double seconds : {1e11, 1e300}) {
+    Solver s;
+    test_util::add_pigeon_hole(s, 8);
+    s.set_time_budget(seconds);
+    EXPECT_EQ(s.solve(), Result::Unsat) << seconds;
+
+    PortfolioSolver p(2);
+    test_util::add_pigeon_hole(p, 8);
+    p.set_time_budget(seconds);
+    EXPECT_EQ(p.solve(), Result::Unsat) << seconds;
+  }
 }
 
 TEST(Solver, IncrementalAssumptionSolvesAgreeWithBruteForce) {

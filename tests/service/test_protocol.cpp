@@ -67,6 +67,18 @@ TEST(Protocol, LargeIntegersDumpExactly) {
   EXPECT_EQ(parsed(j.dump()).u64_or("n", 0), 9007199254740992ULL);
 }
 
+TEST(Protocol, U64LookupFallsBackBeyondTwoToThe64) {
+  // Casting a double >= 2^64 to uint64_t is undefined behaviour (it read 0,
+  // so "max_iterations": 1e30 meant zero iterations); such values fall back
+  // like negatives do.
+  const Json j = parsed(
+      "{\"two64\": 18446744073709551616, \"huge\": 1e30, "
+      "\"two53\": 9007199254740992}");
+  EXPECT_EQ(j.u64_or("two64", 7), 7u);
+  EXPECT_EQ(j.u64_or("huge", 7), 7u);
+  EXPECT_EQ(j.u64_or("two53", 7), 9007199254740992ULL);
+}
+
 TEST(Protocol, NonFiniteNumbersDumpAsZero) {
   // JSON has no nan/inf; emitting them would poison every consumer.
   Json j = Json::object();

@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/observation_bank.hpp"
@@ -59,6 +61,16 @@ Json attack_request(const LockedPair& pair, const std::string& mode,
   request.set("attack", Json::string(mode));
   request.set("seconds", Json::number(seconds));
   return request;
+}
+
+/// An attack result without its wall time and cache hits: the fields that
+/// must not depend on where the job ran.
+Json placeless(const Json& result) {
+  Json out = Json::object();
+  for (const auto& [field, value] : result.items()) {
+    if (field != "seconds" && field != "cache_hits") out.set(field, value);
+  }
+  return out;
 }
 
 class ServiceTest : public ::testing::Test {
@@ -216,6 +228,84 @@ TEST_F(ServiceTest, AttackJobMatchesInProcessRunAndResubmissionReplays) {
   EXPECT_EQ(s.find("jobs")->u64_or("done", 0), 2u);
   EXPECT_GT(s.find("observation_bank")->u64_or("facts", 0), 0u);
   EXPECT_GT(s.find("circuit_cache")->u64_or("hits", 0), 0u);
+}
+
+TEST_F(ServiceTest, EveryAttackModeRunsAsADaemonJobLikeInProcess) {
+  // Scan-model modes get an XOR lock (it adds no state, so the scan
+  // interfaces match); the others get Cute-Lock-Str, one lock per mode.
+  // The observation bank is process-wide, so an in-process run would warm
+  // the daemon's bank for the same lock: both sides run without one here,
+  // and the comparison sees the job function alone. (The CLI serve test
+  // compares `attack` with a cold daemon from separate processes.)
+  const netlist::Netlist nl = benchgen::make_circuit("s27").netlist;
+  const std::vector<AttackModeInfo> modes = attack_modes();
+  ASSERT_EQ(modes.size(), 11u);
+  std::vector<Json> requests;
+  std::vector<Json> in_process;
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    LockedPair pair = s27_pair(0x3000 + i);
+    if (modes[i].scan_model) {
+      util::Rng rng(i);
+      const lock::LockResult lr = lock::xor_lock(nl, 3 + i, rng);
+      pair = {netlist::write_bench_string(lr.locked),
+              netlist::write_bench_string(nl)};
+    }
+    requests.push_back(attack_request(pair, modes[i].name, 20.0));
+    CircuitCache cache;
+    in_process.push_back(run_attack_job(requests.back(), cache, nullptr, 1));
+  }
+
+  ServerOptions options;
+  options.unix_socket = socket_path();
+  options.workers = 2;
+  options.use_observation_bank = false;
+  Server server(options);
+  start(server);
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    const Json done = submit_and_wait(client, requests[i]);
+    ASSERT_EQ(done.str_or("status", "?"), "done")
+        << modes[i].name << ": " << done.dump();
+    ASSERT_NE(done.find("result"), nullptr);
+    EXPECT_EQ(placeless(*done.find("result")).dump(),
+              placeless(in_process[i]).dump())
+        << modes[i].name;
+  }
+}
+
+TEST_F(ServiceTest, MalformedAttackRequestFailsOnItsFieldBeforeAnyCircuit) {
+  ServerOptions options;
+  options.unix_socket = socket_path();
+  options.workers = 1;
+  Server server(options);
+  start(server);
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
+
+  // No "locked" field at all: each request must fail on its own bad field,
+  // not on the missing circuit.
+  for (const auto& [field, value, needle] :
+       {std::tuple{"attack", "nope", "unknown mode \"nope\""},
+        std::tuple{"accept", "bogus", "\"accept\""},
+        std::tuple{"true_key", "01x0", "\"true_key\""}}) {
+    Json request = Json::object();
+    request.set("op", Json::string("submit"));
+    request.set("job", Json::string("attack"));
+    request.set("accept", Json::string("any"));
+    request.set(field, Json::string(value));
+    const Json done = submit_and_wait(client, request);
+    EXPECT_EQ(done.str_or("status", "?"), "error") << done.dump();
+    EXPECT_NE(done.str_or("error", "").find(needle), std::string::npos)
+        << done.dump();
+
+    CircuitCache cache;
+    EXPECT_THROW(run_attack_job(request, cache, nullptr, 1),
+                 std::invalid_argument)
+        << field;
+  }
 }
 
 TEST_F(ServiceTest, ConcurrentJobsCarryTheirOwnBudgets) {

@@ -8,8 +8,11 @@
 //             plus any decoy key-bit positions)
 //   cutelock attack <locked.bench> --oracle <original.bench>
 //            [--attack bmc|kc2|rane|sat|appsat|double-dip|bbo|fall|dana|
-//             scope|periodic] [--seconds 10]
-//            [--accept exact|any|approx] [--epsilon 0.05] [--true-key 0101]
+//             scope|periodic] [--seconds 10] [--max-iterations N]
+//            [--max-period 8] [--accept exact|any|approx] [--epsilon 0.05]
+//            [--true-key 0101]
+//            (runs the daemon's attack job in-process — docs/service.md —
+//             so it prints what `submit` to a cold daemon prints)
 //            (--accept judges the reported key under the chosen acceptance
 //             criterion — docs/locking.md — and the exit code follows that
 //             verdict instead of the attack's ground-truth comparison)
@@ -25,41 +28,38 @@
 //   cutelock serve [--socket <path> | --port 0] [--workers N]
 //            [--bank <obs-bank file>]
 //   cutelock submit <locked.bench> --oracle <original.bench>
-//            (--socket <path> | --port <p>) [--attack bmc] [--seconds 10]
+//            (--socket <path> | --port <p>) [the attack flags above]
 //   cutelock submit --op <ping|stats|shutdown|status|wait|cancel> [--id N]
 //            (--socket <path> | --port <p>)
 //
 // serve runs the attack service (docs/service.md): jobs over newline-
 // delimited JSON, scheduled on a thread pool, with the observation bank
 // forced on so repeated jobs replay oracle facts instead of re-querying.
-// submit is the matching client; its attack output and exit codes mirror
-// `cutelock attack` so scripts can treat the two interchangeably.
+// submit is the matching client. attack and submit build the same request
+// and print its result the same way, so scripts can treat the two
+// interchangeably.
 //
-// Exit code 0 on success; attacks return 0 when the defense held and 2 when
-// a key was recovered (so scripts can assert either way).
+// Exit codes: 0 on success; attacks return 0 when the defense held and 2
+// when a key was recovered (so scripts can assert either way). 64 is a
+// usage error (including a malformed attack request), 65 a runtime error
+// (including a lint rejection), 66 an unreadable input file, 69 an
+// unreachable daemon.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/key_infer.hpp"
 #include "analysis/lint.hpp"
-#include "attack/accept.hpp"
-#include "attack/bbo.hpp"
-#include "attack/dana.hpp"
-#include "benchgen/catalog.hpp"
-#include "attack/fall.hpp"
-#include "attack/scope.hpp"
 #include "attack/observation_bank.hpp"
-#include "attack/periodic_attack.hpp"
-#include "attack/sat_attack.hpp"
-#include "attack/seq_attack.hpp"
+#include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
 #include "lock/lock_registry.hpp"
-#include "netlist/transform.hpp"
 #include "netlist/bench_io.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -122,11 +122,11 @@ bool read_text_file(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Observation-bank persistence for one-shot attack runs: with the bank on
-/// and CUTELOCK_OBS_BANK_PATH set, facts from earlier processes prime this
-/// attack, and this attack's facts are saved back for the next one.
+/// Observation-bank persistence for one-shot attack runs, the daemon's
+/// default --bank: with CUTELOCK_OBS_BANK_PATH set, facts from earlier
+/// processes prime this attack, and this attack's facts are saved back for
+/// the next one.
 void maybe_load_bank_file() {
-  if (!util::obs_bank_from_env()) return;
   const std::string path = util::obs_bank_path_from_env();
   if (path.empty()) return;
   std::ifstream probe(path, std::ios::binary);
@@ -140,7 +140,6 @@ void maybe_load_bank_file() {
 }
 
 void maybe_save_bank_file() {
-  if (!util::obs_bank_from_env()) return;
   const std::string path = util::obs_bank_path_from_env();
   if (path.empty()) return;
   std::string error;
@@ -213,157 +212,118 @@ int cmd_lock(const Args& args) {
   return 0;
 }
 
-int cmd_attack(const Args& args) {
+/// The attack request `attack` and `submit` both send (docs/service.md):
+/// both circuits inline plus the attack flags. Returns 0 when built, 64 on
+/// a malformed number, 66 when a circuit file cannot be read.
+int attack_request(const char* command, const Args& args,
+                   service::Json* request) {
   if (args.positional.empty() || !args.flag("oracle")) return usage();
-  maybe_load_bank_file();
-  const auto locked = netlist::read_bench_file(args.positional[0]);
-  const auto original = netlist::read_bench_file(args.get("oracle", ""));
-  // Reject malformed submissions before any solver runs: a keyed oracle or a
-  // mismatched interface would otherwise surface as a confusing attack
-  // verdict (or an exception) minutes into the budget.
-  const analysis::LintReport lint_rep =
-      analysis::lint_attack_inputs(locked, original);
-  if (!lint_rep.ok()) {
-    std::fprintf(stderr, "cutelock attack: rejected by netlist lint:\n%s",
-                 analysis::format_diagnostics(lint_rep).c_str());
-    return 65;
-  }
-  attack::SequentialOracle oracle(original);
-  attack::AttackBudget budget;
-  budget.time_limit_s = static_cast<double>(args.get_u64("seconds", 10));
-  budget.sat_workers = util::sat_portfolio_from_env();
-  budget.sat_preprocess = util::sat_preprocess_from_env();
-
-  const std::string mode = args.get("attack", "bmc");
-  attack::AttackResult result;
-  if (mode == "bmc") result = attack::bmc_attack(locked, oracle, budget);
-  else if (mode == "kc2") result = attack::kc2_attack(locked, oracle, budget);
-  else if (mode == "rane") result = attack::rane_attack(locked, oracle, budget);
-  else if (mode == "sat" || mode == "appsat" || mode == "double-dip") {
-    // Scan-access threat model: full scan-chain access turns both circuits
-    // combinational, then the classic HOST'15 loop (or a descendant) runs.
-    const auto locked_scan = netlist::scan_expose(locked);
-    const auto original_scan = netlist::scan_expose(original);
-    if (locked_scan.inputs().size() != original_scan.inputs().size() ||
-        locked_scan.outputs().size() != original_scan.outputs().size()) {
-      std::fprintf(stderr,
-                   "cutelock: scan interfaces differ (%zu vs %zu inputs, "
-                   "%zu vs %zu outputs): the lock adds state elements, so "
-                   "the scan-model attacks do not apply; use bmc/kc2/rane "
-                   "instead\n",
-                   locked_scan.inputs().size(), original_scan.inputs().size(),
-                   locked_scan.outputs().size(),
-                   original_scan.outputs().size());
-      return 65;
-    }
-    attack::SequentialOracle scan_oracle(original_scan);
-    attack::SatAttackOptions o;
-    o.budget = budget;
-    if (mode == "appsat") o.mode = attack::SatAttackOptions::Mode::AppSat;
-    if (mode == "double-dip") o.mode = attack::SatAttackOptions::Mode::DoubleDip;
-    result = attack::sat_attack(locked_scan, scan_oracle, o);
-  }
-  else if (mode == "bbo") {
-    attack::BboOptions o;
-    o.budget = budget;
-    o.jobs = util::jobs_from_env();
-    result = attack::bbo_attack(locked, oracle, o);
-  } else if (mode == "fall") {
-    attack::FallOptions o;
-    o.budget = budget;
-    const attack::FallResult fr = attack::fall_attack(locked, oracle, o);
-    std::printf("FALL: %zu candidates, %zu confirmed\n", fr.candidates,
-                fr.confirmed);
-    result = fr.result;
-  } else if (mode == "scope") {
-    attack::ScopeOptions o;
-    o.budget = budget;
-    const attack::ScopeResult sr = attack::scope_attack(locked, &oracle, o);
-    std::printf("SCOPE: %s\n", sr.report.summary().c_str());
-    result = sr.result;
-  } else if (mode == "dana") {
-    const attack::DanaResult dr = attack::dana_attack(locked);
-    std::printf("DANA: %zu clusters over %zu FFs in %zu rounds (%.3fs)\n",
-                dr.clusters.size(), locked.dffs().size(), dr.rounds, dr.seconds);
-    return 0;
-  } else if (mode == "periodic") {
-    attack::PeriodicAttackOptions o;
-    o.budget = budget;
-    o.max_period = args.get_u64("max-period", 8);
-    const attack::PeriodicAttackResult pr =
-        attack::periodic_key_attack(locked, oracle, o);
-    std::printf("periodic attack: %s", pr.result.summary().c_str());
-    if (pr.recovered_period != 0) {
-      std::printf(" period=%zu schedule:", pr.recovered_period);
-      for (const auto& kv : pr.recovered_schedule) {
-        std::printf(" %llu",
-                    static_cast<unsigned long long>(sim::bits_to_u64(kv)));
-      }
-    }
-    std::printf("\n");
-    maybe_save_bank_file();
-    return pr.result.outcome == attack::Outcome::Equal ? 2 : 0;
-  } else {
-    return usage();
-  }
-  std::printf("%s attack: %s (%.3fs)\n", mode.c_str(), result.summary().c_str(),
-              result.seconds);
-  if (result.replayed_queries != 0 || result.preloaded_facts != 0) {
-    std::printf("oracle queries: %llu fresh, %llu replayed from the "
-                "observation bank, %llu preloaded facts\n",
-                static_cast<unsigned long long>(result.fresh_queries),
-                static_cast<unsigned long long>(result.replayed_queries),
-                static_cast<unsigned long long>(result.preloaded_facts));
-  }
-  maybe_save_bank_file();
-
-  // Acceptance-criterion mode (--accept exact|any|approx): the exit code
-  // reflects the chosen criterion's verdict on the reported key instead of
-  // the attack's own Equal/not-Equal (which bakes in the one-key premise).
-  const std::string accept_name = args.get("accept", "");
-  if (!accept_name.empty()) {
-    const auto criterion = attack::parse_criterion(accept_name);
-    if (!criterion) {
-      std::fprintf(stderr,
-                   "cutelock attack: --accept must be exact, any or approx\n");
+  service::Json& r = *request;
+  r = service::Json::object();
+  r.set("op", service::Json::string("submit"));
+  r.set("job", service::Json::string("attack"));
+  // Each flag is the request field of the same name, with '-' for '_';
+  // flags left out take the job's defaults (docs/service.md).
+  static const std::pair<const char*, bool> k_flags[] = {
+      {"attack", false},  {"seconds", true}, {"max-iterations", true},
+      {"max-period", true}, {"accept", false}, {"epsilon", true},
+      {"true-key", false}};
+  for (const auto& [flag, number] : k_flags) {
+    if (!args.flag(flag)) continue;
+    std::string field = flag;
+    std::replace(field.begin(), field.end(), '-', '_');
+    const std::string text = args.get(flag, "");
+    double value = 0;
+    if (!number) {
+      r.set(field, service::Json::string(text));
+    } else if (util::parse_double_strict(text.c_str(), &value) && value >= 0) {
+      r.set(field, service::Json::number(value));
+    } else {
+      std::fprintf(stderr, "cutelock %s: --%s must be a non-negative number\n",
+                   command, flag);
       return 64;
     }
-    if (result.key.empty()) {
-      std::printf("acceptance (%s): rejected (no key reported)\n",
-                  accept_name.c_str());
-      return 0;
-    }
-    attack::AcceptOptions accept_options;
-    accept_options.criterion = *criterion;
-    accept_options.epsilon = std::stod(args.get("epsilon", "0"));
-    sim::BitVec truth;
-    const sim::BitVec* truth_ptr = nullptr;
-    if (args.flag("true-key")) {
-      for (const char c : args.get("true-key", "")) {
-        truth.push_back(c == '1' ? 1 : 0);
-      }
-      truth_ptr = &truth;
-    }
-    const attack::AcceptReport report =
-        attack::verify_any_key(locked, result.key, original, truth_ptr,
-                               accept_options);
-    attack::apply_acceptance(report, &result);
-    std::printf("acceptance (%s): %s", accept_name.c_str(),
-                report.accepted ? "accepted" : "rejected");
-    if (report.key_exact >= 0) {
-      std::printf(" key_exact=%s", report.key_exact ? "yes" : "no");
-    }
-    if (report.any_key_pass >= 0) {
-      std::printf(" any_key_pass=%s", report.any_key_pass ? "yes" : "no");
-    }
-    if (report.corruption_rate >= 0) {
-      std::printf(" corruption_rate=%.4f", report.corruption_rate);
-    }
-    if (!report.detail.empty()) std::printf(" (%s)", report.detail.c_str());
-    std::printf("\n");
-    return report.accepted ? 2 : 0;
   }
-  return result.outcome == attack::Outcome::Equal ? 2 : 0;
+  for (const auto& [field, path] :
+       {std::pair{"locked", args.positional[0]},
+        std::pair{"oracle", args.get("oracle", "")}}) {
+    std::string text;
+    if (!read_text_file(path, &text)) {
+      std::fprintf(stderr, "cutelock %s: cannot read %s\n", command,
+                   path.c_str());
+      return 66;
+    }
+    r.set(field, service::Json::string(std::move(text)));
+  }
+  return 0;
+}
+
+/// Print an attack job's result and return the exit code: 2 when the key
+/// was recovered, or under `accept` when the criterion accepted it; else 0.
+int print_attack_result(const service::Json& result) {
+  std::printf("%s attack: %s (%.3fs)\n", result.str_or("attack", "?").c_str(),
+              result.str_or("summary", "?").c_str(),
+              result.num_or("seconds", 0.0));
+  const std::uint64_t replayed = result.u64_or("replayed_queries", 0);
+  const std::uint64_t preloaded = result.u64_or("preloaded_facts", 0);
+  if (replayed != 0 || preloaded != 0) {
+    std::printf("oracle queries: %llu fresh, %llu replayed from the "
+                "observation bank, %llu preloaded facts\n",
+                static_cast<unsigned long long>(result.u64_or("fresh_queries", 0)),
+                static_cast<unsigned long long>(replayed),
+                static_cast<unsigned long long>(preloaded));
+  }
+  if (const service::Json* schedule = result.find("schedule")) {
+    std::printf("schedule (period %llu):",
+                static_cast<unsigned long long>(result.u64_or("period", 0)));
+    for (const service::Json& key : schedule->elements()) {
+      std::printf(" %s", key.as_string().c_str());
+    }
+    std::printf("\n");
+  }
+  const std::string accept = result.str_or("accept", "");
+  if (accept.empty()) return result.str_or("outcome", "") == "Equal" ? 2 : 0;
+  // Under an acceptance criterion the exit code follows its verdict instead
+  // of the outcome label, which bakes in the one-key premise.
+  const bool accepted = result.bool_or("accepted", false);
+  std::printf("acceptance (%s): %s", accept.c_str(),
+              accepted ? "accepted" : "rejected");
+  for (const char* fact : {"key_exact", "any_key_pass"}) {
+    if (result.find(fact) != nullptr) {
+      std::printf(" %s=%s", fact, result.bool_or(fact, false) ? "yes" : "no");
+    }
+  }
+  if (result.find("corruption_rate") != nullptr) {
+    std::printf(" corruption_rate=%.4f", result.num_or("corruption_rate", -1.0));
+  }
+  if (result.find("accept_detail") != nullptr) {
+    std::printf(" (%s)", result.str_or("accept_detail", "").c_str());
+  }
+  std::printf("\n");
+  return accepted ? 2 : 0;
+}
+
+/// Runs the daemon's attack job in-process, on a private circuit cache and
+/// with the observation bank on as in the daemon, so it prints what a cold
+/// daemon prints (an attack that repeats a query replays it from the bank).
+int cmd_attack(const Args& args) {
+  service::Json request;
+  if (const int rc = attack_request("attack", args, &request); rc != 0) {
+    return rc;
+  }
+  attack::set_observation_bank_forced(true);
+  maybe_load_bank_file();
+  service::CircuitCache cache;
+  service::Json result;
+  try {
+    result = service::run_attack_job(request, cache, nullptr,
+                                     util::jobs_from_env());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "cutelock attack: %s\n", e.what());
+    return 64;
+  }
+  maybe_save_bank_file();
+  return print_attack_result(result);
 }
 
 int cmd_analyze(const Args& args) {
@@ -497,46 +457,11 @@ int cmd_submit(const Args& args) {
     return response.bool_or("ok", false) ? 0 : 65;
   }
 
-  // Attack mode: submit, wait, print like `cutelock attack` (same output
-  // shape and exit codes, so scripts can diff the two).
-  if (args.positional.empty() || !args.flag("oracle")) return usage();
-  std::string locked_text, oracle_text;
-  if (!read_text_file(args.positional[0], &locked_text)) {
-    std::fprintf(stderr, "cutelock submit: cannot read %s\n",
-                 args.positional[0].c_str());
-    return 66;
-  }
-  if (!read_text_file(args.get("oracle", ""), &oracle_text)) {
-    std::fprintf(stderr, "cutelock submit: cannot read %s\n",
-                 args.get("oracle", "").c_str());
-    return 66;
-  }
-  service::Json request = service::Json::object();
-  request.set("op", service::Json::string("submit"));
-  request.set("job", service::Json::string("attack"));
-  request.set("locked", service::Json::string(locked_text));
-  request.set("oracle", service::Json::string(oracle_text));
-  request.set("attack", service::Json::string(args.get("attack", "bmc")));
-  request.set("seconds", service::Json::number(
-                             static_cast<double>(args.get_u64("seconds", 10))));
-  if (args.flag("max-iterations")) {
-    request.set("max_iterations",
-                service::Json::number(args.get_u64("max-iterations", 0)));
-  }
-  if (args.flag("max-period")) {
-    request.set("max_period",
-                service::Json::number(args.get_u64("max-period", 8)));
-  }
-  if (args.flag("accept")) {
-    request.set("accept", service::Json::string(args.get("accept", "")));
-    if (args.flag("epsilon")) {
-      request.set("epsilon",
-                  service::Json::number(std::stod(args.get("epsilon", "0"))));
-    }
-    if (args.flag("true-key")) {
-      request.set("true_key",
-                  service::Json::string(args.get("true-key", "")));
-    }
+  // Attack mode: the request `cutelock attack` runs in-process, submitted
+  // and waited on, then printed the same way.
+  service::Json request;
+  if (const int rc = attack_request("submit", args, &request); rc != 0) {
+    return rc;
   }
   service::Json submitted;
   if (!client.request(request, &submitted, &error)) {
@@ -567,41 +492,7 @@ int cmd_submit(const Args& args) {
     std::fprintf(stderr, "cutelock submit: malformed response (no result)\n");
     return 65;
   }
-  std::printf("%s attack: %s (%.3fs)\n", result->str_or("attack", "?").c_str(),
-              result->str_or("summary", "?").c_str(),
-              result->num_or("seconds", 0.0));
-  const std::uint64_t replayed = result->u64_or("replayed_queries", 0);
-  const std::uint64_t preloaded = result->u64_or("preloaded_facts", 0);
-  if (replayed != 0 || preloaded != 0) {
-    std::printf("oracle queries: %llu fresh, %llu replayed from the "
-                "observation bank, %llu preloaded facts\n",
-                static_cast<unsigned long long>(result->u64_or("fresh_queries", 0)),
-                static_cast<unsigned long long>(replayed),
-                static_cast<unsigned long long>(preloaded));
-  }
-  if (!result->str_or("accept", "").empty()) {
-    // Mirror `cutelock attack --accept`: print the verdict and let the exit
-    // code follow the acceptance criterion instead of the outcome label.
-    const bool accepted = result->bool_or("accepted", false);
-    std::printf("acceptance (%s): %s",
-                result->str_or("accept", "?").c_str(),
-                accepted ? "accepted" : "rejected");
-    if (result->find("key_exact") != nullptr) {
-      std::printf(" key_exact=%s",
-                  result->bool_or("key_exact", false) ? "yes" : "no");
-    }
-    if (result->find("any_key_pass") != nullptr) {
-      std::printf(" any_key_pass=%s",
-                  result->bool_or("any_key_pass", false) ? "yes" : "no");
-    }
-    if (result->find("corruption_rate") != nullptr) {
-      std::printf(" corruption_rate=%.4f",
-                  result->num_or("corruption_rate", -1.0));
-    }
-    std::printf("\n");
-    return accepted ? 2 : 0;
-  }
-  return result->str_or("outcome", "") == "Equal" ? 2 : 0;
+  return print_attack_result(*result);
 }
 
 int cmd_vcd(const Args& args) {
