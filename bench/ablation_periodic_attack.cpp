@@ -61,21 +61,18 @@ int main() {
                             locked.locked, oracle,
                             bench::table_budget(seconds));
                       });
-    runner.add({"ISCAS'89", "s27", "periodic", static_cast<int>(k), 2},
-               [&row, k, seconds]() {
-                 const auto s27 = benchgen::make_s27();
-                 const auto locked = lock_s27(s27, k);
-                 attack::SequentialOracle oracle(s27);
-                 attack::PeriodicAttackOptions popt;
-                 popt.max_period = k;
-                 popt.budget = bench::table_budget(seconds);
-                 row.adaptive =
-                     attack::periodic_key_attack(locked.locked, oracle, popt);
-                 return bench::JobOutcome{
-                     attack::outcome_label(row.adaptive.result.outcome),
-                     row.adaptive.result.seconds,
-                     row.adaptive.result.iterations};
-               });
+    runner.add_attack({"ISCAS'89", "s27", "periodic", static_cast<int>(k), 2},
+                      &row.adaptive.result, [&row, k, seconds]() {
+                        const auto s27 = benchgen::make_s27();
+                        const auto locked = lock_s27(s27, k);
+                        attack::SequentialOracle oracle(s27);
+                        attack::PeriodicAttackOptions popt;
+                        popt.max_period = k;
+                        popt.budget = bench::table_budget(seconds);
+                        row.adaptive = attack::periodic_key_attack(
+                            locked.locked, oracle, popt);
+                        return row.adaptive.result;
+                      });
   }
   runner.run();
 

@@ -1,9 +1,7 @@
 #include "runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -14,53 +12,24 @@
 
 namespace cl::bench {
 
-namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 Runner::Runner(std::string harness)
     : harness_(std::move(harness)), threads_(jobs_from_env()) {}
 
 std::size_t Runner::add(JobMeta meta, std::function<JobOutcome()> fn) {
   if (ran_) throw std::logic_error("Runner::add: run() already happened");
-  jobs_.push_back(Job{std::move(meta), std::move(fn), JobOutcome{}});
+  jobs_.push_back(Job{std::move(meta), std::move(fn), nullptr, {}, {}});
   return jobs_.size() - 1;
 }
 
 std::size_t Runner::add_attack(JobMeta meta, attack::AttackResult* slot,
                                std::function<attack::AttackResult()> fn) {
-  return add(std::move(meta), [slot, fn = std::move(fn)]() {
+  const std::size_t id = add(std::move(meta), [slot, fn = std::move(fn)]() {
     *slot = fn();
     return JobOutcome{attack::outcome_label(slot->outcome), slot->seconds,
-                      slot->iterations, slot->replayed_queries,
-                      slot->fresh_queries, slot->preloaded_facts,
-                      slot->batched_queries, slot->oracle_batches,
-                      slot->hinted_bits, slot->hint_accuracy,
-                      slot->key_exact, slot->any_key_pass,
-                      slot->corruption_rate};
+                      slot->iterations};
   });
+  jobs_[id].result = slot;
+  return id;
 }
 
 void Runner::set_threads(std::size_t n) {
@@ -72,6 +41,25 @@ void Runner::execute(Job& job) {
   util::Timer timer;
   job.out = job.fn();
   if (job.out.seconds < 0) job.out.seconds = timer.seconds();
+  // The job's identity first; a k or ki that does not apply is null.
+  const auto lock_param = [](int v) {
+    return v < 0 ? util::Json::null()
+                 : util::Json::number(static_cast<double>(v));
+  };
+  util::Json& rec = job.record = util::Json::object();
+  rec.set("suite", util::Json::string(job.meta.suite));
+  rec.set("circuit", util::Json::string(job.meta.circuit));
+  rec.set("attack", util::Json::string(job.meta.attack));
+  rec.set("k", lock_param(job.meta.k));
+  rec.set("ki", lock_param(job.meta.ki));
+  if (job.result != nullptr) {
+    const util::Json fields = attack::to_json(*job.result);
+    for (const auto& [field, value] : fields.items()) rec.set(field, value);
+  } else {
+    rec.set("outcome", util::Json::string(job.out.outcome));
+    rec.set("seconds", util::Json::number(job.out.seconds));
+    rec.set("iterations", util::Json::number(job.out.iterations));
+  }
 }
 
 void Runner::run() {
@@ -97,85 +85,17 @@ const JobOutcome& Runner::outcome(std::size_t id) const {
 }
 
 std::string Runner::json() const {
-  std::string out = "{\n  \"harness\": ";
-  append_json_string(out, harness_);
-  out += ",\n  \"threads\": " + std::to_string(effective_threads_);
-  out += ",\n  \"small_profile\": ";
-  out += small_run() ? "true" : "false";
-  out += ",\n  \"records\": [";
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const Job& job = jobs_[i];
-    out += (i == 0) ? "\n" : ",\n";
-    out += "    {\"suite\": ";
-    append_json_string(out, job.meta.suite);
-    out += ", \"circuit\": ";
-    append_json_string(out, job.meta.circuit);
-    out += ", \"attack\": ";
-    append_json_string(out, job.meta.attack);
-    if (job.meta.k >= 0) out += ", \"k\": " + std::to_string(job.meta.k);
-    if (job.meta.ki >= 0) out += ", \"ki\": " + std::to_string(job.meta.ki);
-    out += ", \"outcome\": ";
-    append_json_string(out, job.out.outcome);
-    double duration = job.out.seconds;
-    if (!std::isfinite(duration)) {
-      // %.6f would emit "nan"/"inf" — invalid JSON that poisons every
-      // downstream baseline differ.
-      std::fprintf(stderr,
-                   "warning: %s/%s/%s reported a non-finite duration; "
-                   "writing 0.0 to the JSON baseline\n",
-                   job.meta.suite.c_str(), job.meta.circuit.c_str(),
-                   job.meta.attack.c_str());
-      duration = 0.0;
-    }
-    char seconds[32];
-    std::snprintf(seconds, sizeof seconds, "%.6f", duration);
-    out += ", \"seconds\": ";
-    out += seconds;
-    out += ", \"iterations\": " + std::to_string(job.out.iterations);
-    out += ", \"replayed_queries\": " + std::to_string(job.out.replayed_queries);
-    out += ", \"fresh_queries\": " + std::to_string(job.out.fresh_queries);
-    out += ", \"preloaded_facts\": " + std::to_string(job.out.preloaded_facts);
-    if (job.out.oracle_batches > 0) {
-      // Only attacks that issued wide-lane oracle passes carry the batch
-      // fields, mirroring the hint-fields pattern: per-query baselines stay
-      // byte-identical.
-      out += ", \"batched_queries\": " + std::to_string(job.out.batched_queries);
-      out += ", \"oracle_batches\": " + std::to_string(job.out.oracle_batches);
-    }
-    if (job.out.key_exact >= 0 || job.out.any_key_pass >= 0) {
-      // Only acceptance-judged jobs carry the criterion fields, mirroring
-      // the hint-fields pattern below: pre-acceptance baselines stay
-      // byte-identical.
-      if (job.out.key_exact >= 0) {
-        out += ", \"key_exact\": ";
-        out += job.out.key_exact ? "true" : "false";
-      }
-      if (job.out.any_key_pass >= 0) {
-        out += ", \"any_key_pass\": ";
-        out += job.out.any_key_pass ? "true" : "false";
-      }
-      if (job.out.corruption_rate >= 0) {
-        char rate[32];
-        std::snprintf(rate, sizeof rate, "%.4f", job.out.corruption_rate);
-        out += ", \"corruption_rate\": ";
-        out += rate;
-      }
-    }
-    if (job.out.hinted_bits > 0) {
-      // Only hinted jobs carry the fields: hint-free baselines stay
-      // byte-identical to those written before hints existed.
-      out += ", \"hinted_bits\": " + std::to_string(job.out.hinted_bits);
-      if (job.out.hint_accuracy >= 0) {
-        char acc[32];
-        std::snprintf(acc, sizeof acc, "%.4f", job.out.hint_accuracy);
-        out += ", \"hint_accuracy\": ";
-        out += acc;
-      }
-    }
-    out += "}";
-  }
-  out += "\n  ]\n}\n";
-  return out;
+  util::Json doc = util::Json::object();
+  doc.set("schema", util::Json::number(std::uint64_t{2}));
+  doc.set("harness", util::Json::string(harness_));
+  doc.set("threads", util::Json::number(
+                         static_cast<std::uint64_t>(effective_threads_)));
+  doc.set("small_profile", util::Json::boolean(small_run()));
+  util::Json records = util::Json::array();
+  for (const Job& job : jobs_) records.push_back(job.record);
+  doc.set("records", std::move(records));
+  // Header fields and records one per line; each record on one line.
+  return doc.dump(2) + "\n";
 }
 
 std::string Runner::json_path() const {

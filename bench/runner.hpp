@@ -6,8 +6,10 @@
 // each job builds its own circuit/lock/oracle/solver so nothing is shared
 // between workers, and results are collected in registration order, so the
 // rendered table is identical to a serial run. After run(), the Runner emits
-// a machine-readable BENCH_<harness>.json baseline (suite, circuit, k/ki,
-// attack, outcome, seconds, iterations, threads) for perf trajectories.
+// a machine-readable BENCH_<harness>.json baseline: one record per job, the
+// job's identity plus attack::to_json of its AttackResult (or the outcome,
+// seconds and iterations of a non-attack job). docs/benchmarks.md has the
+// schema.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "attack/result.hpp"
+#include "util/json.hpp"
 
 namespace cl::bench {
 
@@ -28,36 +31,13 @@ struct JobMeta {
   int ki = -1;          // key bits per slot; -1 when not applicable
 };
 
-/// What a job reports back for the JSON record. `seconds < 0` means "use the
-/// wall time the Runner measured around the job".
+/// What a non-attack job (an area, an NMI, PASS/FAIL) reports back for its
+/// JSON record. `seconds < 0` means "use the wall time the Runner measured
+/// around the job".
 struct JobOutcome {
   std::string outcome;
   double seconds = -1.0;
   std::uint64_t iterations = 0;
-  /// Oracle-query split for engine-based attacks (see attack::AttackResult):
-  /// ObservationBank replays vs genuine oracle queries, plus banked facts
-  /// installed as startup constraints. Zero outside attacks.
-  std::uint64_t replayed_queries = 0;
-  std::uint64_t fresh_queries = 0;
-  std::uint64_t preloaded_facts = 0;
-  /// Wide-lane oracle traffic (attack::AttackResult::batched_queries /
-  /// oracle_batches). Emitted into the JSON record only when the attack
-  /// actually issued batches, so pre-batching baselines stay byte-identical.
-  std::uint64_t batched_queries = 0;
-  std::uint64_t oracle_batches = 0;
-  /// Structural key hints seeded into the attack (CUTELOCK_KEY_HINTS=1 or
-  /// attack::scope_attack) and, once a key verified, the fraction of them
-  /// that were right. Emitted into the JSON record only when hints were
-  /// actually installed, so hint-free (and stable-mode) baselines are
-  /// byte-identical to pre-hint ones.
-  std::uint64_t hinted_bits = 0;
-  double hint_accuracy = -1.0;
-  /// Acceptance-criterion facts (attack/accept.hpp), -1 = not evaluated.
-  /// Emitted into the JSON record only when an acceptance layer actually
-  /// judged the key, so pre-acceptance baselines stay byte-identical.
-  int key_exact = -1;
-  int any_key_pass = -1;
-  double corruption_rate = -1.0;
 };
 
 class Runner {
@@ -70,9 +50,9 @@ class Runner {
   /// the registering row). Returns the job id (== registration index).
   std::size_t add(JobMeta meta, std::function<JobOutcome()> fn);
 
-  /// Convenience for the common case: run an attack, store its result into
-  /// *slot (owned by the caller, stable until run() returns), and derive the
-  /// JSON record from it.
+  /// Register an attack job: run it, store its result into *slot (owned by
+  /// the caller, stable until run() returns), and write the full attack
+  /// record from it.
   std::size_t add_attack(JobMeta meta, attack::AttackResult* slot,
                          std::function<attack::AttackResult()> fn);
 
@@ -87,10 +67,11 @@ class Runner {
   /// Override the CUTELOCK_JOBS-derived worker count (tests).
   void set_threads(std::size_t n);
 
-  /// JSON record of a finished job, in registration order.
+  /// Outcome label, seconds and iterations of a finished job, in
+  /// registration order.
   const JobOutcome& outcome(std::size_t id) const;
 
-  /// The serialized baseline document.
+  /// The serialized baseline document: one record per line.
   std::string json() const;
 
   /// Where run() writes the baseline: $CUTELOCK_BENCH_JSON_DIR/BENCH_<harness>.json
@@ -102,7 +83,9 @@ class Runner {
   struct Job {
     JobMeta meta;
     std::function<JobOutcome()> fn;
+    const attack::AttackResult* result = nullptr;  // add_attack's slot
     JobOutcome out;
+    util::Json record;  // the JSON record, written by execute()
   };
 
   void execute(Job& job);

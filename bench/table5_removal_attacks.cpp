@@ -90,27 +90,25 @@ int main() {
       std::snprintf(nmi, sizeof nmi, "%.2f", row.nmi_locked);
       return bench::JobOutcome{nmi, -1.0, 0};
     });
-    runner.add(meta("FALL"), [&row, spec, fall_seconds]() {
+    runner.add_attack(meta("FALL"), &row.fall.result,
+                      [&row, spec, fall_seconds]() {
       const auto circuit = benchgen::make_circuit(spec);
       const auto locked = lock_circuit(circuit, spec);
       attack::SequentialOracle oracle(circuit.netlist);
       attack::FallOptions fall_options;
       fall_options.budget = bench::table_budget(fall_seconds);
       row.fall = attack::fall_attack(locked.locked, oracle, fall_options);
-      return bench::JobOutcome{attack::outcome_label(row.fall.result.outcome),
-                               row.fall.result.seconds,
-                               row.fall.result.iterations};
+      return row.fall.result;
     });
-    runner.add(meta("SCOPE"), [&row, spec, fall_seconds]() {
+    runner.add_attack(meta("SCOPE"), &row.scope.result,
+                      [&row, spec, fall_seconds]() {
       const auto circuit = benchgen::make_circuit(spec);
       const auto locked = lock_circuit(circuit, spec);
       // Oracle-free: SCOPE only sees the locked netlist.
       attack::ScopeOptions scope_options;
       scope_options.budget = bench::table_budget(fall_seconds);
       row.scope = attack::scope_attack(locked.locked, nullptr, scope_options);
-      return bench::JobOutcome{attack::outcome_label(row.scope.result.outcome),
-                               row.scope.result.seconds,
-                               row.scope.result.iterations};
+      return row.scope.result;
     });
   }
   runner.run();

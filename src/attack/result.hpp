@@ -12,6 +12,7 @@
 #include <string>
 
 #include "sim/sequence.hpp"
+#include "util/json.hpp"
 
 namespace cl::attack {
 
@@ -36,8 +37,7 @@ struct AttackResult {
   /// sent to the oracle; `preloaded_facts` counts banked facts installed as
   /// startup constraints before the first solve (prior knowledge, not
   /// avoided queries — the attack never asked for them). All zero for
-  /// attacks that do not run on the engine (BBO, FALL, DANA). Surfaced in
-  /// BENCH_*.json.
+  /// attacks that do not run on the engine (BBO, FALL, DANA).
   std::uint64_t replayed_queries = 0;
   std::uint64_t fresh_queries = 0;
   std::uint64_t preloaded_facts = 0;
@@ -69,6 +69,13 @@ struct AttackResult {
   std::string summary() const;
 };
 
+/// The one JSON form of an attack result, written into BENCH_*.json records
+/// and service/CLI attack results alike: every field above, in declaration
+/// order, always present. `outcome` is the table label; a fact that was not
+/// evaluated (`key` when none was reported, `hint_accuracy`, `key_exact`,
+/// `any_key_pass`, `corruption_rate` at -1) is null.
+util::Json to_json(const AttackResult& r);
+
 /// Budget shared by all attacks. Attacks stop with Timeout when exceeded.
 struct AttackBudget {
   double time_limit_s = 20.0;
@@ -95,8 +102,9 @@ struct AttackBudget {
   /// When non-null, the engine checks the flag alongside its wall/iteration
   /// budgets and arms it as the solver's interrupt hook, so a set flag
   /// unwinds the attack with Timeout at the next budget check or solver
-  /// step; BBO and FALL check it wherever they check time_limit_s. The
-  /// pointee must outlive the attack. Null = never cancelled.
+  /// step; BBO and FALL check it wherever they check time_limit_s, SCOPE
+  /// before its sweep and before verifying. The pointee must outlive the
+  /// attack. Null = never cancelled.
   const std::atomic<bool>* cancel = nullptr;
 
   /// True once `cancel` is set (one relaxed load).

@@ -10,6 +10,13 @@ ScopeResult scope_attack(const netlist::Netlist& locked,
                          const ScopeOptions& options) {
   util::Timer timer;
   ScopeResult out;
+  AttackResult& r = out.result;
+  // A set cancel flag ends the attack N/A before the sweep and before the
+  // verification; the sweep itself stops at its time limit only.
+  if (options.budget.cancelled()) {
+    r.outcome = Outcome::Timeout;
+    return out;
+  }
   analysis::InferOptions infer = options.infer;
   if (infer.time_limit_s <= 0) {
     infer.time_limit_s = options.budget.time_limit_s;
@@ -17,7 +24,6 @@ ScopeResult scope_attack(const netlist::Netlist& locked,
   out.report = analysis::infer_key_hints(locked, infer);
   out.decided = out.report.decided();
 
-  AttackResult& r = out.result;
   r.iterations = out.decided;
   const std::size_t ki = out.report.bits.size();
   // Reported key: decided bits at their verdicts, undecided bits at 0. Only
@@ -35,6 +41,8 @@ ScopeResult scope_attack(const netlist::Netlist& locked,
   } else if (oracle == nullptr) {
     r.outcome = Outcome::Fail;
     r.detail += "; no oracle to confirm the key";
+  } else if (options.budget.cancelled()) {
+    r.outcome = Outcome::Timeout;
   } else {
     const VerifyResult v =
         verify_static_key(locked, r.key, oracle->reference(),

@@ -30,7 +30,9 @@ struct ScopeResult {
 /// Outcomes: Equal — every bit decided and the key verified against the
 /// oracle; WrongKey — every bit decided but verification failed; Fail —
 /// some bits stayed unknown (detail says how many) or no oracle was given
-/// to confirm a complete key; Timeout — the budget died mid-sweep.
+/// to confirm a complete key; Timeout — the budget died mid-sweep, or
+/// `options.budget.cancel` was set before the sweep (0 iterations) or
+/// before the verification.
 ScopeResult scope_attack(const netlist::Netlist& locked,
                          const SequentialOracle* oracle = nullptr,
                          const ScopeOptions& options = {});

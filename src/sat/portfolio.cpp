@@ -38,8 +38,7 @@ constexpr std::size_t k_max_imported_learnts_total = 20000;
 }  // namespace
 
 PortfolioSolver::PortfolioSolver(std::size_t workers)
-    : workers_(workers == 0 ? 1 : workers),
-      share_(util::sat_share_from_env()) {}
+    : workers_(workers == 0 ? 1 : workers) {}
 
 Solver::Config PortfolioSolver::worker_config(std::size_t index) {
   Config c;

@@ -16,9 +16,9 @@
 // learnts (LBD <= 2) through a lock-free bounded ClauseExchange: each worker
 // publishes as it learns and imports the others' clauses at its restart
 // boundaries, so a hard instance is attacked with the union of everyone's
-// derived knowledge instead of N isolated searches. Sharing defaults on and
-// is controlled by CUTELOCK_SAT_SHARE (0 disables); it is trivially off
-// under CUTELOCK_BENCH_STABLE=1 because stable mode forces workers = 1.
+// derived knowledge instead of N isolated searches. Sharing is on whenever
+// a race runs (set_share(false) turns it off); there is no race under
+// CUTELOCK_BENCH_STABLE=1 because stable mode forces workers = 1.
 //
 // Portfolio answers are deterministic in *verdict* (Sat/Unsat agree with the
 // single solver) but not in *model* or timing — bench harnesses therefore
@@ -34,15 +34,15 @@ namespace cl::sat {
 class PortfolioSolver : public Solver {
  public:
   /// `workers` <= 1 degrades to the plain (deterministic) Solver. Live
-  /// clause sharing between the racing workers starts from CUTELOCK_SAT_SHARE
-  /// (default on); override with set_share().
+  /// clause sharing between the racing workers is on; override with
+  /// set_share().
   explicit PortfolioSolver(std::size_t workers = 1);
 
   Result solve(const std::vector<Lit>& assumptions = {}) override;
 
   std::size_t workers() const { return workers_; }
 
-  /// Live clause sharing during races (tests override the env default).
+  /// Live clause sharing during races (tests turn it off).
   void set_share(bool share) { share_ = share; }
   bool share() const { return share_; }
 
@@ -57,7 +57,7 @@ class PortfolioSolver : public Solver {
 
  private:
   std::size_t workers_;
-  bool share_;
+  bool share_ = true;
   std::size_t imported_learnts_ = 0;  // lifetime import budget consumed
   std::uint64_t shared_published_ = 0;
   std::uint64_t shared_dropped_ = 0;

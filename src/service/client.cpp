@@ -80,7 +80,8 @@ bool Client::connect_unix(const std::string& path, std::string* error) {
   return true;
 }
 
-bool Client::request(const Json& req, Json* response, std::string* error) {
+bool Client::request(const util::Json& req, util::Json* response,
+                     std::string* error) {
   if (fd_ < 0) {
     if (error != nullptr) *error = "not connected";
     return false;
@@ -104,7 +105,7 @@ bool Client::request(const Json& req, Json* response, std::string* error) {
       const std::string reply_line = buffer_.substr(0, eol);
       buffer_.erase(0, eol + 1);
       std::string parse_error;
-      if (!Json::parse(reply_line, response, &parse_error)) {
+      if (!util::Json::parse(reply_line, response, &parse_error)) {
         if (error != nullptr) *error = "bad response: " + parse_error;
         return false;
       }

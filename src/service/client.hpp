@@ -6,7 +6,7 @@
 
 #include <string>
 
-#include "service/protocol.hpp"
+#include "util/json.hpp"
 
 namespace cl::service {
 
@@ -31,7 +31,7 @@ class Client {
   /// Send one request, block for its response line. False on transport or
   /// parse failure; a server-side error still returns true (inspect the
   /// response's "ok"/"error" fields).
-  bool request(const Json& req, Json* response, std::string* error);
+  bool request(const util::Json& req, util::Json* response, std::string* error);
 
  private:
   int fd_ = -1;

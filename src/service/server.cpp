@@ -36,10 +36,10 @@
 namespace cl::service {
 namespace {
 
-Json error_reply(const std::string& message) {
-  Json reply = Json::object();
-  reply.set("ok", Json::boolean(false));
-  reply.set("error", Json::string(message));
+util::Json error_reply(const std::string& message) {
+  util::Json reply = util::Json::object();
+  reply.set("ok", util::Json::boolean(false));
+  reply.set("error", util::Json::string(message));
   return reply;
 }
 
@@ -62,37 +62,41 @@ bool bits_from_string(const std::string& text, sim::BitVec* out) {
   return true;
 }
 
-Json schedule_to_json(const std::vector<sim::BitVec>& schedule) {
-  Json arr = Json::array();
-  for (const auto& kv : schedule) arr.push_back(Json::string(sim::bits_to_string(kv)));
+util::Json schedule_to_json(const std::vector<sim::BitVec>& schedule) {
+  util::Json arr = util::Json::array();
+  for (const auto& kv : schedule) {
+    arr.push_back(util::Json::string(sim::bits_to_string(kv)));
+  }
   return arr;
 }
 
-Json diagnostics_to_json(const analysis::LintReport& report) {
-  Json arr = Json::array();
+util::Json diagnostics_to_json(const analysis::LintReport& report) {
+  util::Json arr = util::Json::array();
   for (const analysis::Diagnostic& d : report.diagnostics) {
-    Json item = Json::object();
+    util::Json item = util::Json::object();
     item.set("severity",
-             Json::string(d.severity == analysis::Severity::Error
+             util::Json::string(d.severity == analysis::Severity::Error
                               ? "error"
                               : (d.severity == analysis::Severity::Warning
                                      ? "warning"
                                      : "info")));
-    item.set("code", Json::string(d.code));
-    if (!d.signal.empty()) item.set("signal", Json::string(d.signal));
-    item.set("message", Json::string(d.message));
+    item.set("code", util::Json::string(d.code));
+    if (!d.signal.empty()) item.set("signal", util::Json::string(d.signal));
+    item.set("message", util::Json::string(d.message));
     arr.push_back(std::move(item));
   }
   return arr;
 }
 
-Json count(std::size_t n) { return Json::number(static_cast<std::uint64_t>(n)); }
+util::Json count(std::size_t n) {
+  return util::Json::number(static_cast<std::uint64_t>(n));
+}
 
 /// Netlist source for a job: inline bench text under `field`, or a
 /// server-side path under `field` + "_file". Throws std::runtime_error when
 /// absent, unreadable or unparsable; *cache_hits advances when the cache
 /// already had it.
-std::shared_ptr<const CachedCircuit> circuit_from(const Json& request,
+std::shared_ptr<const CachedCircuit> circuit_from(const util::Json& request,
                                                   const std::string& field,
                                                   CircuitCache& cache,
                                                   std::size_t* cache_hits) {
@@ -124,14 +128,14 @@ struct ModeInput {
   const netlist::Netlist& locked;
   const attack::SequentialOracle& oracle;
   const attack::AttackBudget& budget;
-  const Json& request;
+  const util::Json& request;
   std::size_t bbo_jobs;
 };
 
 /// A mode's verdict plus the result fields only that mode reports.
 struct ModeOutput {
   attack::AttackResult result;
-  std::vector<std::pair<std::string, Json>> fields;
+  std::vector<std::pair<std::string, util::Json>> fields;
 };
 
 struct AttackMode {
@@ -202,7 +206,7 @@ const AttackMode k_attack_modes[] = {
        attack::ScopeResult sr = attack::scope_attack(in.locked, &in.oracle, o);
        return {std::move(sr.result),
                {{"decided", count(sr.decided)},
-                {"verdicts", Json::string(sr.report.verdict_string())}}};
+                {"verdicts", util::Json::string(sr.report.verdict_string())}}};
      }},
     {"periodic", false,
      [](const ModeInput& in) -> ModeOutput {
@@ -257,7 +261,7 @@ std::vector<AttackModeInfo> attack_modes() {
   return modes;
 }
 
-Json run_attack_job(const Json& request, CircuitCache& cache,
+util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
                     const std::atomic<bool>* cancel, std::size_t bbo_jobs) {
   // The whole request is checked before any circuit is read.
   const std::string name = request.str_or("attack", "bmc");
@@ -344,30 +348,16 @@ Json run_attack_job(const Json& request, CircuitCache& cache,
     }
   }
 
-  Json out = Json::object();
-  out.set("attack", Json::string(name));
-  out.set("outcome", Json::string(attack::outcome_label(r.outcome)));
-  out.set("summary", Json::string(r.summary()));
-  if (!r.key.empty()) out.set("key", Json::string(sim::bits_to_string(r.key)));
-  out.set("seconds", Json::number(r.seconds));
-  out.set("iterations", Json::number(r.iterations));
-  out.set("fresh_queries", Json::number(r.fresh_queries));
-  out.set("replayed_queries", Json::number(r.replayed_queries));
-  out.set("preloaded_facts", Json::number(r.preloaded_facts));
-  if (!r.detail.empty()) out.set("detail", Json::string(r.detail));
+  util::Json out = util::Json::object();
+  out.set("attack", util::Json::string(name));
+  out.set("summary", util::Json::string(r.summary()));
+  const util::Json fields = attack::to_json(r);
+  for (const auto& [field, value] : fields.items()) out.set(field, value);
   if (criterion) {
-    out.set("accept", Json::string(accept_name));
-    out.set("accepted", Json::boolean(accept_report.accepted));
-    for (const auto& [field, fact] :
-         {std::pair{"key_exact", accept_report.key_exact},
-          std::pair{"any_key_pass", accept_report.any_key_pass}}) {
-      if (fact >= 0) out.set(field, Json::boolean(fact == 1));
-    }
-    if (accept_report.corruption_rate >= 0) {
-      out.set("corruption_rate", Json::number(accept_report.corruption_rate));
-    }
+    out.set("accept", util::Json::string(accept_name));
+    out.set("accepted", util::Json::boolean(accept_report.accepted));
     if (!accept_report.detail.empty()) {
-      out.set("accept_detail", Json::string(accept_report.detail));
+      out.set("accept_detail", util::Json::string(accept_report.detail));
     }
   }
   out.set("cache_hits", count(cache_hits));
@@ -593,11 +583,11 @@ void Server::handle_connection(int fd) {
       std::string line = buffer.substr(0, eol);
       buffer.erase(0, eol + 1);
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      Json request;
+      util::Json request;
       std::string parse_error;
-      Json response;
+      util::Json response;
       bool defer_shutdown = false;
-      if (!Json::parse(line, &request, &parse_error)) {
+      if (!util::Json::parse(line, &request, &parse_error)) {
         response = error_reply("bad request: " + parse_error);
       } else if (!request.is_object()) {
         response = error_reply("bad request: expected a JSON object");
@@ -628,19 +618,20 @@ void Server::request_shutdown() {
   shutdown_cv_.notify_all();
 }
 
-Json Server::handle_request(const Json& request) {
+util::Json Server::handle_request(const util::Json& request) {
   bool defer_shutdown = false;
-  Json response = handle_request(request, &defer_shutdown);
+  util::Json response = handle_request(request, &defer_shutdown);
   if (defer_shutdown) request_shutdown();
   return response;
 }
 
-Json Server::handle_request(const Json& request, bool* defer_shutdown) {
+util::Json Server::handle_request(const util::Json& request,
+                                  bool* defer_shutdown) {
   const std::string op = request.str_or("op", "");
   if (op == "ping") {
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
-    reply.set("op", Json::string("ping"));
+    util::Json reply = util::Json::object();
+    reply.set("ok", util::Json::boolean(true));
+    reply.set("op", util::Json::string("ping"));
     return reply;
   }
   if (op == "submit") return submit_job(request);
@@ -657,16 +648,16 @@ Json Server::handle_request(const Json& request, bool* defer_shutdown) {
   if (op == "stats") return stats();
   if (op == "shutdown") {
     *defer_shutdown = true;
-    Json reply = Json::object();
-    reply.set("ok", Json::boolean(true));
-    reply.set("op", Json::string("shutdown"));
+    util::Json reply = util::Json::object();
+    reply.set("ok", util::Json::boolean(true));
+    reply.set("op", util::Json::string("shutdown"));
     return reply;
   }
   return error_reply("unknown op \"" + op +
                      "\" (want ping/submit/status/wait/cancel/stats/shutdown)");
 }
 
-Json Server::submit_job(const Json& request) {
+util::Json Server::submit_job(const util::Json& request) {
   const std::string kind = request.str_or("job", "attack");
   if (kind != "attack" && kind != "verify" && kind != "lock" &&
       kind != "analyze") {
@@ -686,14 +677,14 @@ Json Server::submit_job(const Json& request) {
   // stopping_ under the same lock before draining the pool, so no task can
   // slip into a pool that is being destroyed.
   pool_->submit([this, raw] { run_job(*raw); });
-  Json reply = Json::object();
-  reply.set("ok", Json::boolean(true));
-  reply.set("id", Json::number(id));
-  reply.set("status", Json::string(state_label(Job::State::Queued)));
+  util::Json reply = util::Json::object();
+  reply.set("ok", util::Json::boolean(true));
+  reply.set("id", util::Json::number(id));
+  reply.set("status", util::Json::string(state_label(Job::State::Queued)));
   return reply;
 }
 
-Json Server::job_status(std::uint64_t id, bool wait) {
+util::Json Server::job_status(std::uint64_t id, bool wait) {
   std::unique_lock<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) {
@@ -705,16 +696,19 @@ Json Server::job_status(std::uint64_t id, bool wait) {
       return job.state != Job::State::Queued && job.state != Job::State::Running;
     });
   }
-  Json reply = Json::object();
-  reply.set("ok", Json::boolean(true));
-  reply.set("id", Json::number(id));
-  reply.set("status", Json::string(state_label(job.state)));
+  util::Json reply = util::Json::object();
+  reply.set("ok", util::Json::boolean(true));
+  reply.set("id", util::Json::number(id));
+  reply.set("status", util::Json::string(state_label(job.state)));
   if (job.state == Job::State::Done) reply.set("result", job.result);
-  if (job.state == Job::State::Error) reply.set("error", Json::string(job.error));
+  if (job.state == Job::State::Error) {
+    reply.set("error", util::Json::string(job.error));
+    if (job.bad_request) reply.set("bad_request", util::Json::boolean(true));
+  }
   return reply;
 }
 
-Json Server::cancel_job(std::uint64_t id) {
+util::Json Server::cancel_job(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) {
@@ -725,16 +719,16 @@ Json Server::cancel_job(std::uint64_t id) {
                         job.state == Job::State::Cancelled ||
                         job.state == Job::State::Error;
   if (!terminal) job.cancel.store(true, std::memory_order_relaxed);
-  Json reply = Json::object();
-  reply.set("ok", Json::boolean(true));
-  reply.set("id", Json::number(id));
-  reply.set("status", Json::string(state_label(job.state)));
-  reply.set("cancelled", Json::boolean(!terminal));
+  util::Json reply = util::Json::object();
+  reply.set("ok", util::Json::boolean(true));
+  reply.set("id", util::Json::number(id));
+  reply.set("status", util::Json::string(state_label(job.state)));
+  reply.set("cancelled", util::Json::boolean(!terminal));
   return reply;
 }
 
-Json Server::stats() const {
-  Json jobs = Json::object();
+util::Json Server::stats() const {
+  util::Json jobs = util::Json::object();
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::uint64_t queued = 0, running = 0, done = 0, cancelled = 0, errors = 0;
@@ -747,27 +741,27 @@ Json Server::stats() const {
         case Job::State::Error: ++errors; break;
       }
     }
-    jobs.set("submitted", Json::number(static_cast<std::uint64_t>(jobs_.size())));
-    jobs.set("queued", Json::number(queued));
-    jobs.set("running", Json::number(running));
-    jobs.set("done", Json::number(done));
-    jobs.set("cancelled", Json::number(cancelled));
-    jobs.set("errors", Json::number(errors));
+    jobs.set("submitted", count(jobs_.size()));
+    jobs.set("queued", util::Json::number(queued));
+    jobs.set("running", util::Json::number(running));
+    jobs.set("done", util::Json::number(done));
+    jobs.set("cancelled", util::Json::number(cancelled));
+    jobs.set("errors", util::Json::number(errors));
   }
-  Json cache = Json::object();
-  cache.set("entries", Json::number(static_cast<std::uint64_t>(cache_.size())));
-  cache.set("hits", Json::number(cache_.hits()));
-  cache.set("misses", Json::number(cache_.misses()));
-  Json bank = Json::object();
+  util::Json cache = util::Json::object();
+  cache.set("entries", count(cache_.size()));
+  cache.set("hits", util::Json::number(cache_.hits()));
+  cache.set("misses", util::Json::number(cache_.misses()));
+  util::Json bank = util::Json::object();
   std::uint64_t facts = 0;
   const auto keys = attack::observation_bank_keys();
   for (std::uint64_t key : keys) {
     facts += attack::observation_bank_for_key(key).size();
   }
-  bank.set("banks", Json::number(static_cast<std::uint64_t>(keys.size())));
-  bank.set("facts", Json::number(facts));
-  Json reply = Json::object();
-  reply.set("ok", Json::boolean(true));
+  bank.set("banks", count(keys.size()));
+  bank.set("facts", util::Json::number(facts));
+  util::Json reply = util::Json::object();
+  reply.set("ok", util::Json::boolean(true));
   reply.set("jobs", std::move(jobs));
   reply.set("circuit_cache", std::move(cache));
   reply.set("observation_bank", std::move(bank));
@@ -784,8 +778,9 @@ void Server::run_job(Job& job) {
     }
     job.state = Job::State::Running;
   }
-  Json result = Json::object();
+  util::Json result = util::Json::object();
   std::string error;
+  bool bad_request = false;
   try {
     if (job.kind == "attack") {
       // BBO screens at one thread: the pool already runs jobs side by side.
@@ -799,6 +794,9 @@ void Server::run_job(Job& job) {
     }
   } catch (const std::exception& e) {
     error = job.kind + ": " + e.what();
+    // A malformed request (run_attack_job checks its fields first): the
+    // status reply marks it, so clients can tell it from a failed run.
+    bad_request = dynamic_cast<const std::invalid_argument*>(&e) != nullptr;
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (job.cancel.load(std::memory_order_relaxed)) {
@@ -806,6 +804,7 @@ void Server::run_job(Job& job) {
   } else if (!error.empty()) {
     job.state = Job::State::Error;
     job.error = error;
+    job.bad_request = bad_request;
   } else {
     job.state = Job::State::Done;
     job.result = std::move(result);
@@ -813,7 +812,7 @@ void Server::run_job(Job& job) {
   job_cv_.notify_all();
 }
 
-void Server::run_verify_job(Job& job, Json* result) {
+void Server::run_verify_job(Job& job, util::Json* result) {
   std::size_t cache_hits = 0;
   const auto locked = circuit_from(job.request, "locked", cache_, &cache_hits);
   const auto reference = circuit_from(job.request, "oracle", cache_, &cache_hits);
@@ -833,17 +832,16 @@ void Server::run_verify_job(Job& job, Json* result) {
   util::Timer timer;
   const attack::VerifyResult vr = attack::verify_static_key(
       locked->netlist(), key, reference->netlist(), options);
-  Json& out = *result;
-  out.set("verdict", Json::string(attack::verdict_name(vr.verdict)));
+  util::Json& out = *result;
+  out.set("verdict", util::Json::string(attack::verdict_name(vr.verdict)));
   out.set("equivalent",
-          Json::boolean(vr.verdict == attack::Verdict::Equivalent));
-  out.set("counterexample_cycles",
-          Json::number(static_cast<std::uint64_t>(vr.counterexample.size())));
-  out.set("seconds", Json::number(timer.seconds()));
-  out.set("cache_hits", Json::number(static_cast<std::uint64_t>(cache_hits)));
+          util::Json::boolean(vr.verdict == attack::Verdict::Equivalent));
+  out.set("counterexample_cycles", count(vr.counterexample.size()));
+  out.set("seconds", util::Json::number(timer.seconds()));
+  out.set("cache_hits", count(cache_hits));
 }
 
-void Server::run_lock_job(Job& job, Json* result) {
+void Server::run_lock_job(Job& job, util::Json* result) {
   std::size_t cache_hits = 0;
   const auto circuit = circuit_from(job.request, "circuit", cache_, &cache_hits);
   core::StrOptions options;
@@ -853,39 +851,34 @@ void Server::run_lock_job(Job& job, Json* result) {
   options.seed = job.request.u64_or("seed", 1);
   options.single_key_reduction = job.request.bool_or("single_key", false);
   const lock::LockResult lr = core::cute_lock_str(circuit->netlist(), options);
-  Json& out = *result;
-  out.set("locked", Json::string(netlist::write_bench_string(lr.locked)));
-  out.set("scheme", Json::string(lr.scheme));
+  util::Json& out = *result;
+  out.set("locked", util::Json::string(netlist::write_bench_string(lr.locked)));
+  out.set("scheme", util::Json::string(lr.scheme));
   out.set("key_schedule", schedule_to_json(lr.key_schedule));
-  out.set("cache_hits", Json::number(static_cast<std::uint64_t>(cache_hits)));
+  out.set("cache_hits", count(cache_hits));
 }
 
-void Server::run_analyze_job(Job& job, Json* result) {
+void Server::run_analyze_job(Job& job, util::Json* result) {
   std::size_t cache_hits = 0;
   const auto circuit = circuit_from(job.request, "circuit", cache_, &cache_hits);
   const netlist::Netlist& nl = circuit->netlist();
   util::Timer timer;
 
-  Json& out = *result;
-  Json stats = Json::object();
-  stats.set("signals", Json::number(static_cast<std::uint64_t>(nl.size())));
-  stats.set("inputs", Json::number(static_cast<std::uint64_t>(nl.inputs().size())));
-  stats.set("key_inputs",
-            Json::number(static_cast<std::uint64_t>(nl.key_inputs().size())));
-  stats.set("outputs",
-            Json::number(static_cast<std::uint64_t>(nl.outputs().size())));
-  stats.set("dffs", Json::number(static_cast<std::uint64_t>(nl.dffs().size())));
+  util::Json& out = *result;
+  util::Json stats = util::Json::object();
+  stats.set("signals", count(nl.size()));
+  stats.set("inputs", count(nl.inputs().size()));
+  stats.set("key_inputs", count(nl.key_inputs().size()));
+  stats.set("outputs", count(nl.outputs().size()));
+  stats.set("dffs", count(nl.dffs().size()));
   out.set("stats", std::move(stats));
 
   const analysis::LintReport lint_rep = analysis::lint(nl);
-  out.set("lint_ok", Json::boolean(lint_rep.ok()));
-  out.set("lint_errors",
-          Json::number(static_cast<std::uint64_t>(lint_rep.errors())));
-  out.set("lint_warnings",
-          Json::number(static_cast<std::uint64_t>(lint_rep.warnings())));
+  out.set("lint_ok", util::Json::boolean(lint_rep.ok()));
+  out.set("lint_errors", count(lint_rep.errors()));
+  out.set("lint_warnings", count(lint_rep.warnings()));
   if (lint_rep.infos() > 0) {
-    out.set("lint_infos",
-            Json::number(static_cast<std::uint64_t>(lint_rep.infos())));
+    out.set("lint_infos", count(lint_rep.infos()));
   }
   if (!lint_rep.diagnostics.empty()) {
     out.set("diagnostics", diagnostics_to_json(lint_rep));
@@ -896,29 +889,28 @@ void Server::run_analyze_job(Job& job, Json* result) {
     opt.time_limit_s = job.request.num_or("seconds", 10.0);
     opt.profile_unateness = job.request.bool_or("unateness", true);
     const analysis::KeyHintReport report = analysis::infer_key_hints(nl, opt);
-    out.set("verdicts", Json::string(report.verdict_string()));
-    out.set("decided",
-            Json::number(static_cast<std::uint64_t>(report.decided())));
-    out.set("summary", Json::string(report.summary()));
+    out.set("verdicts", util::Json::string(report.verdict_string()));
+    out.set("decided", count(report.decided()));
+    out.set("summary", util::Json::string(report.summary()));
     if (report.budget_exhausted) {
-      out.set("budget_exhausted", Json::boolean(true));
+      out.set("budget_exhausted", util::Json::boolean(true));
     }
-    Json bits = Json::array();
+    util::Json bits = util::Json::array();
     for (const analysis::BitHint& h : report.bits) {
-      Json bit = Json::object();
-      bit.set("name", Json::string(h.name));
-      bit.set("role", Json::string(analysis::role_name(h.role)));
-      bit.set("verdict",
-              Json::string(std::string(1, analysis::verdict_char(h.verdict))));
-      bit.set("confidence", Json::number(h.confidence));
-      bit.set("unateness", Json::string(analysis::unate_name(h.unate)));
+      util::Json bit = util::Json::object();
+      bit.set("name", util::Json::string(h.name));
+      bit.set("role", util::Json::string(analysis::role_name(h.role)));
+      bit.set("verdict", util::Json::string(std::string(
+                             1, analysis::verdict_char(h.verdict))));
+      bit.set("confidence", util::Json::number(h.confidence));
+      bit.set("unateness", util::Json::string(analysis::unate_name(h.unate)));
       bits.push_back(std::move(bit));
     }
     out.set("bits", std::move(bits));
   }
 
-  out.set("seconds", Json::number(timer.seconds()));
-  out.set("cache_hits", Json::number(static_cast<std::uint64_t>(cache_hits)));
+  out.set("seconds", util::Json::number(timer.seconds()));
+  out.set("cache_hits", count(cache_hits));
 }
 
 }  // namespace cl::service

@@ -2,7 +2,7 @@
 //
 // `cutelock serve` turns the one-shot CLI/bench world into a long-running
 // service: clients submit lock/attack/verify jobs as newline-delimited JSON
-// over a TCP or Unix socket (service/protocol.hpp), the server schedules
+// over a TCP or Unix socket (util/json.hpp), the server schedules
 // them asynchronously on a util::ThreadPool with a per-job AttackBudget and
 // a cooperative cancel flag (plumbed through the SAT solver's atomic
 // interrupt hook via AttackBudget::cancel), and clients poll (`status`),
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "service/cache.hpp"
-#include "service/protocol.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cl::service {
@@ -72,7 +72,8 @@ struct AttackModeInfo {
 std::vector<AttackModeInfo> attack_modes();
 
 /// Run one `attack` job request (docs/service.md) and return its result
-/// object. The daemon runs it on its pool with BBO at one thread;
+/// object: attack::to_json of the attack's result, framed by the job's own
+/// fields. The daemon runs it on its pool with BBO at one thread;
 /// `cutelock attack` runs it in-process with a private cache.
 ///
 /// The mode name, `accept` and `true_key` are checked before any circuit is
@@ -80,7 +81,7 @@ std::vector<AttackModeInfo> attack_modes();
 /// unreadable or unparsable circuit, a lint rejection, or a scan-model mode
 /// on circuits whose scan interfaces differ throws std::runtime_error. `cancel` (may be
 /// null) is the job's kill switch; `bbo_jobs` is BBO's screening threads.
-Json run_attack_job(const Json& request, CircuitCache& cache,
+util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
                     const std::atomic<bool>* cancel, std::size_t bbo_jobs);
 
 class Server {
@@ -110,13 +111,13 @@ class Server {
 
   /// One request against this server's job table (the same dispatcher the
   /// socket connections use; `wait` blocks). Exposed for in-process tests.
-  Json handle_request(const Json& request);
+  util::Json handle_request(const util::Json& request);
 
  private:
   /// The socket path defers acting on a `shutdown` op until the reply line
   /// is on the wire — signalling from inside the dispatcher would let stop()
   /// cut the connection before the client hears its acknowledgement.
-  Json handle_request(const Json& request, bool* defer_shutdown);
+  util::Json handle_request(const util::Json& request, bool* defer_shutdown);
   void request_shutdown();
 
   struct Job {
@@ -125,9 +126,10 @@ class Server {
     enum class State { Queued, Running, Done, Cancelled, Error };
     State state = State::Queued;
     std::atomic<bool> cancel{false};
-    Json request;
-    Json result;        // payload, valid when state == Done
+    util::Json request;
+    util::Json result;  // payload, valid when state == Done
     std::string error;  // diagnostic, valid when state == Error
+    bool bad_request = false;  // Error on a malformed request field
   };
 
   static const char* state_label(Job::State s);
@@ -136,14 +138,14 @@ class Server {
   void accept_loop();
   void handle_connection(int fd);
 
-  Json submit_job(const Json& request);
-  Json job_status(std::uint64_t id, bool wait);
-  Json cancel_job(std::uint64_t id);
-  Json stats() const;
+  util::Json submit_job(const util::Json& request);
+  util::Json job_status(std::uint64_t id, bool wait);
+  util::Json cancel_job(std::uint64_t id);
+  util::Json stats() const;
   void run_job(Job& job);
-  void run_verify_job(Job& job, Json* result);
-  void run_lock_job(Job& job, Json* result);
-  void run_analyze_job(Job& job, Json* result);
+  void run_verify_job(Job& job, util::Json* result);
+  void run_lock_job(Job& job, util::Json* result);
+  void run_analyze_job(Job& job, util::Json* result);
 
   ServerOptions options_;
   CircuitCache cache_;

@@ -13,7 +13,7 @@
 //   - sharded execution: instructions within one level are independent, so
 //     each level can be chunked across a util::ThreadPool with a barrier per
 //     level — engaged automatically for netlists above a gate-count
-//     threshold (CUTELOCK_SIM_SHARD_THRESHOLD).
+//     threshold (SimConfig::shard_threshold).
 //
 // BitSim, XSim, sim::sequence and attack::SequentialOracle are thin adapters
 // over this core; tests cross-check it against sim::ReferenceSim (the
@@ -51,16 +51,15 @@ struct Instr {
   Op op = Op::Buf;
 };
 
-/// Engine knobs. sim_config_from_env() reads the sharding ones:
-///   CUTELOCK_SIM_SHARD_THRESHOLD  gate count at which eval shards
-///   CUTELOCK_JOBS                 shard pool width
+/// Engine knobs.
 struct SimConfig {
   std::size_t lanes = 1;  // W: 64-bit words per signal (WideSim only)
-  std::size_t shard_threshold = 250'000;
-  std::size_t jobs = 1;
+  std::size_t shard_threshold = 250'000;  // gate count at which eval shards
+  std::size_t jobs = 1;                   // shard pool width
 };
 
-/// The environment-derived default configuration (parsed once per call).
+/// The default configuration, with `jobs` from CUTELOCK_JOBS (parsed once
+/// per process).
 SimConfig sim_config_from_env();
 
 /// Process-wide pool for sharded evaluation, sized by CUTELOCK_JOBS on first

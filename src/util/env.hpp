@@ -38,12 +38,6 @@ std::size_t jobs_from_env();
 /// harnesses force 1 under CUTELOCK_BENCH_STABLE=1.
 std::size_t sat_portfolio_from_env();
 
-/// Live clause sharing between portfolio workers: CUTELOCK_SAT_SHARE,
-/// default on; "0" disables. Only meaningful when a race is actually running
-/// (portfolio >= 2 workers), so it is trivially off under
-/// CUTELOCK_BENCH_STABLE=1 (which forces the portfolio off).
-bool sat_share_from_env();
-
 /// Cross-attack oracle observation bank: CUTELOCK_OBS_BANK=1 enables,
 /// default off. Deterministic output requires CUTELOCK_JOBS=1 (the bank's
 /// content at each attack's start depends on job completion order).

@@ -1,11 +1,12 @@
-#include "service/protocol.hpp"
+#include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace cl::service {
+namespace cl::util {
 
 Json& Json::set(const std::string& key, Json value) {
   for (auto& [k, v] : object_) {
@@ -87,9 +88,9 @@ void dump_number(std::string& out, double v) {
     out += buf;
     return;
   }
+  // The shortest text that parses back to the same double.
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 struct Parser {
@@ -272,7 +273,30 @@ struct Parser {
   }
 };
 
-void dump_value(std::string& out, const Json& j) {
+/// What precedes a container member: ", " on one line, or a line break
+/// and indentation when the container at `depth` is expanded.
+void member_prefix(std::string& out, bool first, std::size_t depth,
+                   std::size_t expand) {
+  if (depth < expand) {
+    out += first ? "\n" : ",\n";
+    out.append(2 * (depth + 1), ' ');
+  } else if (!first) {
+    out += ", ";
+  }
+}
+
+/// Closes a container; an expanded, non-empty one closes on its own line.
+void close_container(std::string& out, char bracket, bool empty,
+                     std::size_t depth, std::size_t expand) {
+  if (!empty && depth < expand) {
+    out += '\n';
+    out.append(2 * depth, ' ');
+  }
+  out += bracket;
+}
+
+void dump_value(std::string& out, const Json& j, std::size_t depth,
+                std::size_t expand) {
   switch (j.type()) {
     case Json::Type::Null:
       out += "null";
@@ -290,24 +314,24 @@ void dump_value(std::string& out, const Json& j) {
       out += '{';
       bool first = true;
       for (const auto& [k, v] : j.items()) {
-        if (!first) out += ", ";
+        member_prefix(out, first, depth, expand);
         first = false;
         dump_string(out, k);
         out += ": ";
-        dump_value(out, v);
+        dump_value(out, v, depth + 1, expand);
       }
-      out += '}';
+      close_container(out, '}', first, depth, expand);
       break;
     }
     case Json::Type::Array: {
       out += '[';
       bool first = true;
       for (const Json& v : j.elements()) {
-        if (!first) out += ", ";
+        member_prefix(out, first, depth, expand);
         first = false;
-        dump_value(out, v);
+        dump_value(out, v, depth + 1, expand);
       }
-      out += ']';
+      close_container(out, ']', first, depth, expand);
       break;
     }
   }
@@ -315,9 +339,9 @@ void dump_value(std::string& out, const Json& j) {
 
 }  // namespace
 
-std::string Json::dump() const {
+std::string Json::dump(std::size_t expand) const {
   std::string out;
-  dump_value(out, *this);
+  dump_value(out, *this, 0, expand);
   return out;
 }
 
@@ -329,4 +353,4 @@ bool Json::parse(const std::string& text, Json* out, std::string* error) {
   return true;
 }
 
-}  // namespace cl::service
+}  // namespace cl::util

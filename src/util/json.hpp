@@ -1,23 +1,20 @@
-// Wire format of the cutelock attack service.
+// A small self-contained JSON value type: the attack service's wire format
+// (docs/service.md), the attack-result schema (attack::to_json) and the
+// bench baselines (BENCH_<harness>.json) all read and write it.
 //
-// The protocol is newline-delimited JSON: every request is one JSON object
-// on one line, and every request gets exactly one JSON object back on one
-// line (the `wait` op simply delays its line until the job completes).
-// docs/service.md specifies the request/response schema op by op.
-//
-// Json is a deliberately small self-contained value type — objects keep
-// insertion order so dumps are deterministic, numbers are doubles (job ids
-// and counters fit exactly up to 2^53, far beyond any real job table), and
-// parse() accepts exactly the JSON this code dumps plus standard escapes.
-// No third-party dependency, by constraint and by taste.
+// Objects keep insertion order so dumps are deterministic, numbers are
+// doubles (job ids and counters fit exactly up to 2^53, far beyond any real
+// job table), and parse() accepts exactly the JSON this code dumps plus
+// standard escapes. No third-party dependency, by constraint and by taste.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-namespace cl::service {
+namespace cl::util {
 
 class Json {
  public:
@@ -83,8 +80,11 @@ class Json {
   const std::vector<Json>& elements() const { return array_; }
   void push_back(Json value) { array_.push_back(std::move(value)); }
 
-  /// Single-line serialization (no newline appended): the wire format.
-  std::string dump() const;
+  /// Serialization, no newline appended. Objects and arrays nested fewer
+  /// than `expand` levels deep put each member on a line of its own,
+  /// indented two spaces per level; deeper ones stay on one line. The
+  /// default, 0, is the single-line wire format.
+  std::string dump(std::size_t expand = 0) const;
 
   /// Parse one JSON document; trailing non-whitespace is an error. On
   /// failure returns false and describes the problem in *error.
@@ -99,4 +99,4 @@ class Json {
   std::vector<Json> array_;
 };
 
-}  // namespace cl::service
+}  // namespace cl::util

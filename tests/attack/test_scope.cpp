@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/cute_lock_str.hpp"
 #include "lock/comb_locks.hpp"
 #include "netlist/bench_io.hpp"
@@ -123,6 +125,37 @@ TEST(Scope, TimeoutWhenBudgetDiesMidSweep) {
   opt.budget.time_limit_s = 1e-12;
   const ScopeResult sr = scope_attack(lr.locked, nullptr, opt);
   EXPECT_EQ(sr.result.outcome, Outcome::Timeout);
+}
+
+TEST(Scope, PresetCancelFlagEndsNotApplicable) {
+  // A set cancel flag ends SCOPE N/A before its sweep: on XOR locks, which
+  // it would otherwise decide and confirm, and on Cute-Lock-Str.
+  const std::atomic<bool> cancel{true};
+  ScopeOptions options;
+  options.budget.cancel = &cancel;
+
+  const Netlist comb = netlist::read_bench_string(k_comb, "c");
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    const auto lr = lock::xor_lock(comb, 3, rng);
+    SequentialOracle oracle(comb);
+    const ScopeResult sr = scope_attack(lr.locked, &oracle, options);
+    EXPECT_EQ(sr.result.outcome, Outcome::Timeout)
+        << "seed " << seed << ": " << sr.result.summary();
+    EXPECT_EQ(sr.result.iterations, 0u) << "seed " << seed;
+  }
+
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  core::StrOptions opt;
+  opt.num_keys = 4;
+  opt.key_bits = 2;
+  opt.locked_ffs = 2;
+  opt.seed = 1;
+  const auto lr = core::cute_lock_str(nl, opt);
+  SequentialOracle oracle(nl);
+  const ScopeResult sr = scope_attack(lr.locked, &oracle, options);
+  EXPECT_EQ(sr.result.outcome, Outcome::Timeout) << sr.result.summary();
+  EXPECT_EQ(sr.result.iterations, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "util/json.hpp"
 
 namespace cl::bench {
 namespace {
@@ -42,95 +42,23 @@ class ScopedEnv {
   std::string old_;
 };
 
-// ---- minimal JSON parser (validation only) ---------------------------------
+/// The document parsed with util::Json; a document that does not parse
+/// fails the test.
+util::Json parsed_document(const std::string& text) {
+  util::Json doc;
+  std::string error;
+  EXPECT_TRUE(util::Json::parse(text, &doc, &error)) << error << "\n" << text;
+  return doc;
+}
 
-struct JsonCursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\n' ||
-                                 text[pos] == '\t' || text[pos] == '\r')) {
-      ++pos;
-    }
+/// Record `i` of a parsed document (an empty object when absent).
+util::Json record(const util::Json& doc, std::size_t i) {
+  const util::Json* records = doc.find("records");
+  if (records == nullptr || i >= records->elements().size()) {
+    ADD_FAILURE() << "no record " << i << " in " << doc.dump();
+    return util::Json::object();
   }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool parse_string() {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != '"') return false;
-    ++pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\') ++pos;
-      ++pos;
-    }
-    return eat('"');
-  }
-  bool parse_number() {
-    skip_ws();
-    const std::size_t start = pos;
-    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '-' || text[pos] == '+')) {
-      ++pos;
-    }
-    return pos > start;
-  }
-  bool parse_literal(const char* lit) {
-    skip_ws();
-    const std::size_t n = std::string(lit).size();
-    if (text.compare(pos, n, lit) == 0) {
-      pos += n;
-      return true;
-    }
-    return false;
-  }
-  bool parse_value() {
-    skip_ws();
-    if (pos >= text.size()) return false;
-    switch (text[pos]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      case 't': return parse_literal("true");
-      case 'f': return parse_literal("false");
-      case 'n': return parse_literal("null");
-      default: return parse_number();
-    }
-  }
-  bool parse_object() {
-    if (!eat('{')) return false;
-    skip_ws();
-    if (eat('}')) return true;
-    do {
-      if (!parse_string() || !eat(':') || !parse_value()) return false;
-    } while (eat(','));
-    return eat('}');
-  }
-  bool parse_array() {
-    if (!eat('[')) return false;
-    skip_ws();
-    if (eat(']')) return true;
-    do {
-      if (!parse_value()) return false;
-    } while (eat(','));
-    return eat(']');
-  }
-};
-
-bool valid_json_document(const std::string& text) {
-  JsonCursor c{text};
-  if (!c.parse_value()) return false;
-  c.skip_ws();
-  return c.pos == text.size();
+  return records->elements()[i];
 }
 
 // ---- Runner ----------------------------------------------------------------
@@ -213,18 +141,57 @@ TEST(Runner, JsonDocumentIsValidAndCarriesTheSchema) {
   runner.add({"-", "freeform", "overhead", -1, -1},
              []() { return JobOutcome{"12.5", -1.0, 0}; });
   runner.run();
-  const std::string doc = runner.json();
-  EXPECT_TRUE(valid_json_document(doc)) << doc;
-  EXPECT_NE(doc.find("\"harness\": \"schema_check\""), std::string::npos);
-  EXPECT_NE(doc.find("\"threads\": 1"), std::string::npos);
-  EXPECT_NE(doc.find("\"suite\": \"ITC'99\""), std::string::npos);
-  EXPECT_NE(doc.find("\"circuit\": \"b10\\\"quoted\\\"\""), std::string::npos);
-  EXPECT_NE(doc.find("\"k\": 4"), std::string::npos);
-  EXPECT_NE(doc.find("\"ki\": 11"), std::string::npos);
-  EXPECT_NE(doc.find("\"outcome\": \"CNS\""), std::string::npos);
-  EXPECT_NE(doc.find("\"iterations\": 42"), std::string::npos);
-  // k/ki omitted when not applicable.
-  EXPECT_EQ(doc.find("\"k\": -1"), std::string::npos);
+  const std::string text = runner.json();
+  const util::Json doc = parsed_document(text);
+  EXPECT_EQ(doc.u64_or("schema", 0), 2u);
+  EXPECT_EQ(doc.str_or("harness", ""), "schema_check");
+  EXPECT_EQ(doc.u64_or("threads", 0), 1u);
+  const util::Json first = record(doc, 0);
+  EXPECT_EQ(first.str_or("suite", ""), "ITC'99");
+  EXPECT_EQ(first.str_or("circuit", ""), "b10\"quoted\"");
+  EXPECT_EQ(first.u64_or("k", 0), 4u);
+  EXPECT_EQ(first.u64_or("ki", 0), 11u);
+  EXPECT_EQ(first.str_or("outcome", ""), "CNS");
+  EXPECT_EQ(first.u64_or("iterations", 0), 42u);
+  // One record per line.
+  EXPECT_NE(text.find("\n    " + first.dump() + ",\n"), std::string::npos)
+      << text;
+  // k/ki are null, not -1, when not applicable.
+  const util::Json second = record(doc, 1);
+  for (const char* field : {"k", "ki"}) {
+    ASSERT_NE(second.find(field), nullptr) << field;
+    EXPECT_EQ(second.find(field)->type(), util::Json::Type::Null) << field;
+  }
+}
+
+TEST(Runner, AttackJobsWriteTheFullAttackRecord) {
+  ScopedEnv no_json("CUTELOCK_BENCH_JSON", "0");
+  Runner runner("attack_record");
+  runner.set_threads(1);
+  attack::AttackResult slot;
+  runner.add_attack({"ISCAS'89", "s27", "RANE", 4, 2}, &slot, []() {
+    attack::AttackResult r;
+    r.outcome = attack::Outcome::Equal;
+    r.key = {1, 0, 1, 1};
+    r.seconds = 0.5;
+    r.iterations = 6;
+    r.fresh_queries = 9;
+    r.batched_queries = 8;
+    r.oracle_batches = 1;
+    r.detail = "verified";
+    return r;
+  });
+  runner.run();
+  // The identity, then exactly attack::to_json of the result.
+  util::Json expected = util::Json::object();
+  expected.set("suite", util::Json::string("ISCAS'89"));
+  expected.set("circuit", util::Json::string("s27"));
+  expected.set("attack", util::Json::string("RANE"));
+  expected.set("k", util::Json::number(std::uint64_t{4}));
+  expected.set("ki", util::Json::number(std::uint64_t{2}));
+  const util::Json fields = attack::to_json(slot);
+  for (const auto& [field, value] : fields.items()) expected.set(field, value);
+  EXPECT_EQ(record(parsed_document(runner.json()), 0).dump(), expected.dump());
 }
 
 TEST(Runner, NonFiniteSecondsAreSanitizedInJson) {
@@ -238,11 +205,13 @@ TEST(Runner, NonFiniteSecondsAreSanitizedInJson) {
   runner.add({"s", "bad_timer_b", "x", -1, -1},
              []() { return JobOutcome{"ok", 1.0 / 0.0, 4}; });
   runner.run();
-  const std::string doc = runner.json();
-  EXPECT_TRUE(valid_json_document(doc)) << doc;
-  EXPECT_EQ(doc.find("nan"), std::string::npos) << doc;
-  EXPECT_EQ(doc.find("inf"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"seconds\": 0"), std::string::npos) << doc;
+  const std::string text = runner.json();
+  const util::Json doc = parsed_document(text);
+  EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+  EXPECT_EQ(text.find("inf"), std::string::npos) << text;
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(record(doc, i).num_or("seconds", -1.0), 0.0) << text;
+  }
 }
 
 TEST(Runner, WritesBaselineFileIntoConfiguredDirectory) {
@@ -257,7 +226,7 @@ TEST(Runner, WritesBaselineFileIntoConfiguredDirectory) {
   ASSERT_TRUE(in.good()) << runner.json_path();
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_TRUE(valid_json_document(buffer.str()));
+  EXPECT_EQ(parsed_document(buffer.str()).u64_or("schema", 0), 2u);
   EXPECT_EQ(buffer.str(), runner.json());
 }
 

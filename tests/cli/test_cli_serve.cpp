@@ -217,6 +217,26 @@ TEST_F(CliServe, AttackAndSubmitPrintTheSameForEveryMode) {
   stop_daemon();
 }
 
+TEST_F(CliServe, MalformedRequestsExitUsageUnderAttackAndSubmit) {
+  // A malformed request is a usage error (64) under both commands: the
+  // daemon marks the job's error as a bad request, and `submit` maps that
+  // mark to the exit code `attack` returns.
+  start_daemon();
+  for (const std::string bad :
+       {"--attack nosuch", "--accept bogus", "--true-key 01x0"}) {
+    const std::string flags =
+        quoted(locked_) + " --oracle " + quoted(s27_) + " " + bad;
+    const CliRun direct = run("attack " + flags);
+    const CliRun daemon =
+        run("submit --socket " + quoted(socket_) + " " + flags);
+    EXPECT_EQ(direct.exit_code, 64) << bad;
+    EXPECT_EQ(daemon.exit_code, 64) << bad;
+    EXPECT_EQ(direct.output, "") << bad;
+    EXPECT_EQ(daemon.output, "") << bad;
+  }
+  stop_daemon();
+}
+
 TEST_F(CliServe, SubmitWithoutDaemonFailsWithTransportExitCode) {
   const CliRun lost = run("submit --socket " + quoted(dir_ / "no.sock") +
                           " --op ping");

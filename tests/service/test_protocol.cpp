@@ -1,13 +1,13 @@
-// Wire-format tests for the service's self-contained JSON value type:
-// dump/parse round trips, escape handling, typed-lookup fallbacks, and the
-// error paths a daemon fed garbage must survive.
-#include "service/protocol.hpp"
+// Tests for util::Json, the attack service's wire format: dump/parse round
+// trips, escape handling, typed-lookup fallbacks, and the error paths a
+// daemon fed garbage must survive.
+#include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-namespace cl::service {
+namespace cl::util {
 namespace {
 
 Json parsed(const std::string& text) {
@@ -41,6 +41,32 @@ TEST(Protocol, DumpKeepsInsertionOrderAndRoundTrips) {
   EXPECT_DOUBLE_EQ(back.num_or("ratio", 0.0), 0.5);
   ASSERT_NE(back.find("tags"), nullptr);
   EXPECT_EQ(back.find("tags")->elements().size(), 2u);
+}
+
+TEST(Protocol, ExpandedDumpPutsEachMemberOnALine) {
+  // dump(2): the outer object and its arrays one member per line, deeper
+  // containers on one line (the BENCH_*.json layout: one record per line).
+  Json doc = Json::object();
+  doc.set("schema", Json::number(std::uint64_t{2}));
+  Json records = Json::array();
+  Json record = Json::object();
+  record.set("k", Json::null());
+  record.set("seconds", Json::number(0.25));
+  records.push_back(record);
+  records.push_back(record);
+  doc.set("records", std::move(records));
+  doc.set("empty", Json::array());
+  const std::string text = doc.dump(2);
+  EXPECT_EQ(text,
+            "{\n"
+            "  \"schema\": 2,\n"
+            "  \"records\": [\n"
+            "    {\"k\": null, \"seconds\": 0.25},\n"
+            "    {\"k\": null, \"seconds\": 0.25}\n"
+            "  ],\n"
+            "  \"empty\": []\n"
+            "}");
+  EXPECT_EQ(parsed(text).dump(), doc.dump());
 }
 
 TEST(Protocol, StringEscapesRoundTrip) {
@@ -77,6 +103,20 @@ TEST(Protocol, U64LookupFallsBackBeyondTwoToThe64) {
   EXPECT_EQ(j.u64_or("two64", 7), 7u);
   EXPECT_EQ(j.u64_or("huge", 7), 7u);
   EXPECT_EQ(j.u64_or("two53", 7), 9007199254740992ULL);
+}
+
+TEST(Protocol, FractionsDumpAsTheShortestRoundTrip) {
+  // Wall times and rates keep every bit, in the fewest digits that parse
+  // back to the same double.
+  for (const double v : {0.1, 0.000244188, 1.0 / 3.0, 6.2169e-05, 1e300}) {
+    Json j = Json::object();
+    j.set("v", Json::number(v));
+    EXPECT_EQ(parsed(j.dump()).num_or("v", 0.0), v) << j.dump();
+  }
+  Json j = Json::object();
+  j.set("a", Json::number(0.1));
+  j.set("b", Json::number(0.000244188));
+  EXPECT_EQ(j.dump(), "{\"a\": 0.1, \"b\": 0.000244188}");
 }
 
 TEST(Protocol, NonFiniteNumbersDumpAsZero) {
@@ -117,4 +157,4 @@ TEST(Protocol, ParseRejectsRunawayNesting) {
 }
 
 }  // namespace
-}  // namespace cl::service
+}  // namespace cl::util

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attack/observation_bank.hpp"
@@ -51,22 +52,22 @@ LockedPair s27_pair(std::uint64_t seed, std::size_t k = 4, std::size_t ki = 4) {
           netlist::write_bench_string(nl)};
 }
 
-Json attack_request(const LockedPair& pair, const std::string& mode,
+util::Json attack_request(const LockedPair& pair, const std::string& mode,
                     double seconds = 30.0) {
-  Json request = Json::object();
-  request.set("op", Json::string("submit"));
-  request.set("job", Json::string("attack"));
-  request.set("locked", Json::string(pair.locked_text));
-  request.set("oracle", Json::string(pair.original_text));
-  request.set("attack", Json::string(mode));
-  request.set("seconds", Json::number(seconds));
+  util::Json request = util::Json::object();
+  request.set("op", util::Json::string("submit"));
+  request.set("job", util::Json::string("attack"));
+  request.set("locked", util::Json::string(pair.locked_text));
+  request.set("oracle", util::Json::string(pair.original_text));
+  request.set("attack", util::Json::string(mode));
+  request.set("seconds", util::Json::number(seconds));
   return request;
 }
 
 /// An attack result without its wall time and cache hits: the fields that
 /// must not depend on where the job ran.
-Json placeless(const Json& result) {
-  Json out = Json::object();
+util::Json placeless(const util::Json& result) {
+  util::Json out = util::Json::object();
   for (const auto& [field, value] : result.items()) {
     if (field != "seconds" && field != "cache_hits") out.set(field, value);
   }
@@ -96,20 +97,20 @@ class ServiceTest : public ::testing::Test {
     ASSERT_TRUE(server.running());
   }
 
-  Json rpc(Client& client, const Json& request) {
-    Json response;
+  util::Json rpc(Client& client, const util::Json& request) {
+    util::Json response;
     std::string error;
     EXPECT_TRUE(client.request(request, &response, &error)) << error;
     return response;
   }
 
   /// submit + wait, returning the wait response.
-  Json submit_and_wait(Client& client, const Json& request) {
-    const Json submitted = rpc(client, request);
+  util::Json submit_and_wait(Client& client, const util::Json& request) {
+    const util::Json submitted = rpc(client, request);
     EXPECT_TRUE(submitted.bool_or("ok", false)) << submitted.dump();
-    Json wait = Json::object();
-    wait.set("op", Json::string("wait"));
-    wait.set("id", Json::number(submitted.u64_or("id", 0)));
+    util::Json wait = util::Json::object();
+    wait.set("op", util::Json::string("wait"));
+    wait.set("id", util::Json::number(submitted.u64_or("id", 0)));
     return rpc(client, wait);
   }
 
@@ -127,26 +128,26 @@ TEST_F(ServiceTest, PingStatsAndProtocolErrorsOverTheSocket) {
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
 
-  Json ping = Json::object();
-  ping.set("op", Json::string("ping"));
+  util::Json ping = util::Json::object();
+  ping.set("op", util::Json::string("ping"));
   EXPECT_TRUE(rpc(client, ping).bool_or("ok", false));
 
-  Json stats = Json::object();
-  stats.set("op", Json::string("stats"));
-  const Json s = rpc(client, stats);
+  util::Json stats = util::Json::object();
+  stats.set("op", util::Json::string("stats"));
+  const util::Json s = rpc(client, stats);
   EXPECT_TRUE(s.bool_or("ok", false));
   ASSERT_NE(s.find("jobs"), nullptr);
   EXPECT_EQ(s.find("jobs")->u64_or("submitted", 99), 0u);
 
-  Json bogus = Json::object();
-  bogus.set("op", Json::string("frobnicate"));
-  const Json rejected = rpc(client, bogus);
+  util::Json bogus = util::Json::object();
+  bogus.set("op", util::Json::string("frobnicate"));
+  const util::Json rejected = rpc(client, bogus);
   EXPECT_FALSE(rejected.bool_or("ok", true));
   EXPECT_NE(rejected.str_or("error", "").find("unknown op"), std::string::npos);
 
-  Json missing = Json::object();
-  missing.set("op", Json::string("status"));
-  missing.set("id", Json::number(std::uint64_t{777}));
+  util::Json missing = util::Json::object();
+  missing.set("op", util::Json::string("status"));
+  missing.set("id", util::Json::number(std::uint64_t{777}));
   EXPECT_FALSE(rpc(client, missing).bool_or("ok", true));
 
   server.stop();
@@ -164,8 +165,8 @@ TEST_F(ServiceTest, TcpLoopbackServesTheSameProtocol) {
   Client client;
   std::string error;
   ASSERT_TRUE(client.connect_tcp(server.port(), &error)) << error;
-  Json ping = Json::object();
-  ping.set("op", Json::string("ping"));
+  util::Json ping = util::Json::object();
+  ping.set("op", util::Json::string("ping"));
   EXPECT_TRUE(rpc(client, ping).bool_or("ok", false));
 }
 
@@ -197,9 +198,9 @@ TEST_F(ServiceTest, AttackJobMatchesInProcessRunAndResubmissionReplays) {
 
   // Cold submission: empty bank, so the job must walk the exact same path
   // as the in-process run — same verdict, same DIP count, same queries.
-  const Json cold = submit_and_wait(client, attack_request(pair, "bmc"));
+  const util::Json cold = submit_and_wait(client, attack_request(pair, "bmc"));
   ASSERT_EQ(cold.str_or("status", "?"), "done") << cold.dump();
-  const Json* cr = cold.find("result");
+  const util::Json* cr = cold.find("result");
   ASSERT_NE(cr, nullptr);
   EXPECT_EQ(cr->str_or("outcome", ""),
             attack::outcome_label(reference.outcome));
@@ -210,9 +211,9 @@ TEST_F(ServiceTest, AttackJobMatchesInProcessRunAndResubmissionReplays) {
 
   // Resubmission: the bank now holds the cold run's facts. Same verdict,
   // strictly fewer fresh oracle queries — the acceptance property.
-  const Json warm = submit_and_wait(client, attack_request(pair, "bmc"));
+  const util::Json warm = submit_and_wait(client, attack_request(pair, "bmc"));
   ASSERT_EQ(warm.str_or("status", "?"), "done") << warm.dump();
-  const Json* wr = warm.find("result");
+  const util::Json* wr = warm.find("result");
   ASSERT_NE(wr, nullptr);
   EXPECT_EQ(wr->str_or("outcome", ""), cr->str_or("outcome", "x"));
   EXPECT_LT(wr->u64_or("fresh_queries", 99), reference.fresh_queries);
@@ -222,12 +223,50 @@ TEST_F(ServiceTest, AttackJobMatchesInProcessRunAndResubmissionReplays) {
   // The circuit cache served the resubmission without re-parsing.
   EXPECT_GT(wr->u64_or("cache_hits", 0), 0u);
 
-  Json stats = Json::object();
-  stats.set("op", Json::string("stats"));
-  const Json s = rpc(client, stats);
+  util::Json stats = util::Json::object();
+  stats.set("op", util::Json::string("stats"));
+  const util::Json s = rpc(client, stats);
   EXPECT_EQ(s.find("jobs")->u64_or("done", 0), 2u);
   EXPECT_GT(s.find("observation_bank")->u64_or("facts", 0), 0u);
   EXPECT_GT(s.find("circuit_cache")->u64_or("hits", 0), 0u);
+}
+
+TEST_F(ServiceTest, AttackResultCarriesTheBatchCounters) {
+  // The job's result is attack::to_json of the attack's result, so the
+  // wide-lane oracle counters travel with it like every other field.
+  const LockedPair pair = s27_pair(0xba7c);
+  attack::AttackResult reference;
+  {
+    const netlist::Netlist locked =
+        netlist::read_bench_string(pair.locked_text, "locked");
+    const netlist::Netlist original =
+        netlist::read_bench_string(pair.original_text, "original");
+    attack::SequentialOracle oracle(original);
+    attack::AttackBudget budget;
+    budget.time_limit_s = 30.0;
+    reference = attack::bmc_attack(locked, oracle, budget);
+    ASSERT_GT(reference.oracle_batches, 0u);
+  }
+
+  ServerOptions options;
+  options.unix_socket = socket_path();
+  options.workers = 1;
+  options.use_observation_bank = false;
+  Server server(options);
+  start(server);
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
+  const util::Json done = submit_and_wait(client, attack_request(pair, "bmc"));
+  ASSERT_EQ(done.str_or("status", "?"), "done") << done.dump();
+  const util::Json* result = done.find("result");
+  ASSERT_NE(result, nullptr);
+  for (const auto& [field, expected] :
+       {std::pair{"batched_queries", reference.batched_queries},
+        std::pair{"oracle_batches", reference.oracle_batches}}) {
+    ASSERT_NE(result->find(field), nullptr) << field << ": " << result->dump();
+    EXPECT_EQ(result->u64_or(field, 0), expected) << field;
+  }
 }
 
 TEST_F(ServiceTest, EveryAttackModeRunsAsADaemonJobLikeInProcess) {
@@ -240,8 +279,8 @@ TEST_F(ServiceTest, EveryAttackModeRunsAsADaemonJobLikeInProcess) {
   const netlist::Netlist nl = benchgen::make_circuit("s27").netlist;
   const std::vector<AttackModeInfo> modes = attack_modes();
   ASSERT_EQ(modes.size(), 11u);
-  std::vector<Json> requests;
-  std::vector<Json> in_process;
+  std::vector<util::Json> requests;
+  std::vector<util::Json> in_process;
   for (std::size_t i = 0; i < modes.size(); ++i) {
     LockedPair pair = s27_pair(0x3000 + i);
     if (modes[i].scan_model) {
@@ -265,7 +304,7 @@ TEST_F(ServiceTest, EveryAttackModeRunsAsADaemonJobLikeInProcess) {
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
   for (std::size_t i = 0; i < modes.size(); ++i) {
-    const Json done = submit_and_wait(client, requests[i]);
+    const util::Json done = submit_and_wait(client, requests[i]);
     ASSERT_EQ(done.str_or("status", "?"), "done")
         << modes[i].name << ": " << done.dump();
     ASSERT_NE(done.find("result"), nullptr);
@@ -291,15 +330,17 @@ TEST_F(ServiceTest, MalformedAttackRequestFailsOnItsFieldBeforeAnyCircuit) {
        {std::tuple{"attack", "nope", "unknown mode \"nope\""},
         std::tuple{"accept", "bogus", "\"accept\""},
         std::tuple{"true_key", "01x0", "\"true_key\""}}) {
-    Json request = Json::object();
-    request.set("op", Json::string("submit"));
-    request.set("job", Json::string("attack"));
-    request.set("accept", Json::string("any"));
-    request.set(field, Json::string(value));
-    const Json done = submit_and_wait(client, request);
+    util::Json request = util::Json::object();
+    request.set("op", util::Json::string("submit"));
+    request.set("job", util::Json::string("attack"));
+    request.set("accept", util::Json::string("any"));
+    request.set(field, util::Json::string(value));
+    const util::Json done = submit_and_wait(client, request);
     EXPECT_EQ(done.str_or("status", "?"), "error") << done.dump();
     EXPECT_NE(done.str_or("error", "").find(needle), std::string::npos)
         << done.dump();
+    // Marked as a malformed request, so `submit` exits 64 like `attack`.
+    EXPECT_TRUE(done.bool_or("bad_request", false)) << done.dump();
 
     CircuitCache cache;
     EXPECT_THROW(run_attack_job(request, cache, nullptr, 1),
@@ -324,22 +365,22 @@ TEST_F(ServiceTest, ConcurrentJobsCarryTheirOwnBudgets) {
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
 
-  Json starved_request = attack_request(starved, "bmc");
-  starved_request.set("max_iterations", Json::number(std::uint64_t{0}));
-  const Json a = rpc(client, attack_request(quick, "bmc"));
-  const Json b = rpc(client, starved_request);
+  util::Json starved_request = attack_request(starved, "bmc");
+  starved_request.set("max_iterations", util::Json::number(std::uint64_t{0}));
+  const util::Json a = rpc(client, attack_request(quick, "bmc"));
+  const util::Json b = rpc(client, starved_request);
   ASSERT_TRUE(a.bool_or("ok", false));
   ASSERT_TRUE(b.bool_or("ok", false));
 
-  Json wait_a = Json::object();
-  wait_a.set("op", Json::string("wait"));
-  wait_a.set("id", Json::number(a.u64_or("id", 0)));
-  Json wait_b = Json::object();
-  wait_b.set("op", Json::string("wait"));
-  wait_b.set("id", Json::number(b.u64_or("id", 0)));
+  util::Json wait_a = util::Json::object();
+  wait_a.set("op", util::Json::string("wait"));
+  wait_a.set("id", util::Json::number(a.u64_or("id", 0)));
+  util::Json wait_b = util::Json::object();
+  wait_b.set("op", util::Json::string("wait"));
+  wait_b.set("id", util::Json::number(b.u64_or("id", 0)));
 
-  const Json ra = rpc(client, wait_a);
-  const Json rb = rpc(client, wait_b);
+  const util::Json ra = rpc(client, wait_a);
+  const util::Json rb = rpc(client, wait_b);
   ASSERT_EQ(ra.str_or("status", "?"), "done") << ra.dump();
   ASSERT_EQ(rb.str_or("status", "?"), "done") << rb.dump();
   EXPECT_NE(ra.find("result")->str_or("outcome", ""), "N/A");
@@ -371,28 +412,28 @@ TEST_F(ServiceTest, CancelAbortsAQueuedJob) {
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
 
-  const Json a = rpc(client, attack_request(slow, "bmc", 2.0));
+  const util::Json a = rpc(client, attack_request(slow, "bmc", 2.0));
   ASSERT_TRUE(a.bool_or("ok", false)) << a.dump();
-  const Json b = rpc(client, attack_request(fast, "bmc"));
+  const util::Json b = rpc(client, attack_request(fast, "bmc"));
   ASSERT_TRUE(b.bool_or("ok", false)) << b.dump();
 
-  Json cancel = Json::object();
-  cancel.set("op", Json::string("cancel"));
-  cancel.set("id", Json::number(b.u64_or("id", 0)));
-  const Json cancelled = rpc(client, cancel);
+  util::Json cancel = util::Json::object();
+  cancel.set("op", util::Json::string("cancel"));
+  cancel.set("id", util::Json::number(b.u64_or("id", 0)));
+  const util::Json cancelled = rpc(client, cancel);
   EXPECT_TRUE(cancelled.bool_or("ok", false));
   EXPECT_TRUE(cancelled.bool_or("cancelled", false));
 
-  Json wait_b = Json::object();
-  wait_b.set("op", Json::string("wait"));
-  wait_b.set("id", Json::number(b.u64_or("id", 0)));
-  const Json rb = rpc(client, wait_b);
+  util::Json wait_b = util::Json::object();
+  wait_b.set("op", util::Json::string("wait"));
+  wait_b.set("id", util::Json::number(b.u64_or("id", 0)));
+  const util::Json rb = rpc(client, wait_b);
   EXPECT_EQ(rb.str_or("status", "?"), "cancelled") << rb.dump();
 
   // The pinned job still finishes on its own budget.
-  Json wait_a = Json::object();
-  wait_a.set("op", Json::string("wait"));
-  wait_a.set("id", Json::number(a.u64_or("id", 0)));
+  util::Json wait_a = util::Json::object();
+  wait_a.set("op", util::Json::string("wait"));
+  wait_a.set("id", util::Json::number(a.u64_or("id", 0)));
   EXPECT_EQ(rpc(client, wait_a).str_or("status", "?"), "done");
 }
 
@@ -410,15 +451,15 @@ TEST_F(ServiceTest, VerifyAndLockJobsWork) {
       netlist::write_bench_string(benchgen::make_circuit("s27").netlist);
 
   // Lock job: returns the locked bench text and the key schedule.
-  Json lock_request = Json::object();
-  lock_request.set("op", Json::string("submit"));
-  lock_request.set("job", Json::string("lock"));
-  lock_request.set("circuit", Json::string(original_text));
-  lock_request.set("k", Json::number(std::uint64_t{2}));
-  lock_request.set("ki", Json::number(std::uint64_t{2}));
-  const Json locked_reply = submit_and_wait(client, lock_request);
+  util::Json lock_request = util::Json::object();
+  lock_request.set("op", util::Json::string("submit"));
+  lock_request.set("job", util::Json::string("lock"));
+  lock_request.set("circuit", util::Json::string(original_text));
+  lock_request.set("k", util::Json::number(std::uint64_t{2}));
+  lock_request.set("ki", util::Json::number(std::uint64_t{2}));
+  const util::Json locked_reply = submit_and_wait(client, lock_request);
   ASSERT_EQ(locked_reply.str_or("status", "?"), "done") << locked_reply.dump();
-  const Json* lr = locked_reply.find("result");
+  const util::Json* lr = locked_reply.find("result");
   ASSERT_NE(lr, nullptr);
   const std::string locked_text = lr->str_or("locked", "");
   ASSERT_FALSE(locked_text.empty());
@@ -427,26 +468,26 @@ TEST_F(ServiceTest, VerifyAndLockJobsWork) {
 
   // Verify job: a deliberately wrong static key against the dynamic lock
   // must come back non-equivalent.
-  Json verify_request = Json::object();
-  verify_request.set("op", Json::string("submit"));
-  verify_request.set("job", Json::string("verify"));
-  verify_request.set("locked", Json::string(locked_text));
-  verify_request.set("oracle", Json::string(original_text));
-  verify_request.set("key", Json::string("00"));
-  const Json verified = submit_and_wait(client, verify_request);
+  util::Json verify_request = util::Json::object();
+  verify_request.set("op", util::Json::string("submit"));
+  verify_request.set("job", util::Json::string("verify"));
+  verify_request.set("locked", util::Json::string(locked_text));
+  verify_request.set("oracle", util::Json::string(original_text));
+  verify_request.set("key", util::Json::string("00"));
+  const util::Json verified = submit_and_wait(client, verify_request);
   ASSERT_EQ(verified.str_or("status", "?"), "done") << verified.dump();
   EXPECT_FALSE(verified.find("result")->bool_or("equivalent", true));
   EXPECT_EQ(verified.find("result")->str_or("verdict", "?"), "different");
 
   // Malformed verify: wrong key width surfaces as a job error, not a crash.
-  verify_request.set("key", Json::string("010101"));
-  const Json bad = submit_and_wait(client, verify_request);
+  verify_request.set("key", util::Json::string("010101"));
+  const util::Json bad = submit_and_wait(client, verify_request);
   EXPECT_EQ(bad.str_or("status", "?"), "error");
   EXPECT_NE(bad.str_or("error", "").find("key inputs"), std::string::npos);
 
   // Unparsable netlist surfaces as a job error too.
-  Json garbage = attack_request({"NOT A NETLIST", original_text}, "bmc");
-  const Json rejected = submit_and_wait(client, garbage);
+  util::Json garbage = attack_request({"NOT A NETLIST", original_text}, "bmc");
+  const util::Json rejected = submit_and_wait(client, garbage);
   EXPECT_EQ(rejected.str_or("status", "?"), "error") << rejected.dump();
 }
 
@@ -464,13 +505,14 @@ TEST_F(ServiceTest, AnalyzeJobReportsLintAndKeyInference) {
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
 
-  Json request = Json::object();
-  request.set("op", Json::string("submit"));
-  request.set("job", Json::string("analyze"));
-  request.set("circuit", Json::string(netlist::write_bench_string(lr.locked)));
-  const Json done = submit_and_wait(client, request);
+  util::Json request = util::Json::object();
+  request.set("op", util::Json::string("submit"));
+  request.set("job", util::Json::string("analyze"));
+  request.set("circuit",
+              util::Json::string(netlist::write_bench_string(lr.locked)));
+  const util::Json done = submit_and_wait(client, request);
   ASSERT_EQ(done.str_or("status", "?"), "done") << done.dump();
-  const Json* r = done.find("result");
+  const util::Json* r = done.find("result");
   ASSERT_NE(r, nullptr);
   EXPECT_TRUE(r->bool_or("lint_ok", false)) << r->dump();
   ASSERT_NE(r->find("stats"), nullptr);
@@ -483,18 +525,18 @@ TEST_F(ServiceTest, AnalyzeJobReportsLintAndKeyInference) {
   EXPECT_EQ(r->find("bits")->elements().size(), 6u);
 
   // A key-free circuit gets lint + stats but no inference block.
-  Json plain = Json::object();
-  plain.set("op", Json::string("submit"));
-  plain.set("job", Json::string("analyze"));
-  plain.set("circuit", Json::string(netlist::write_bench_string(nl)));
-  const Json done_plain = submit_and_wait(client, plain);
+  util::Json plain = util::Json::object();
+  plain.set("op", util::Json::string("submit"));
+  plain.set("job", util::Json::string("analyze"));
+  plain.set("circuit", util::Json::string(netlist::write_bench_string(nl)));
+  const util::Json done_plain = submit_and_wait(client, plain);
   ASSERT_EQ(done_plain.str_or("status", "?"), "done") << done_plain.dump();
-  const Json* rp = done_plain.find("result");
+  const util::Json* rp = done_plain.find("result");
   ASSERT_NE(rp, nullptr);
   EXPECT_TRUE(rp->bool_or("lint_ok", false));
   EXPECT_EQ(rp->find("bits"), nullptr);
   // Resubmitting the same analyze must hit the circuit cache.
-  const Json again = submit_and_wait(client, request);
+  const util::Json again = submit_and_wait(client, request);
   ASSERT_EQ(again.str_or("status", "?"), "done");
   EXPECT_GT(again.find("result")->u64_or("cache_hits", 0), 0u);
 }
@@ -513,13 +555,15 @@ TEST_F(ServiceTest, AttackSubmissionsFailingLintAreRejected) {
   // stop the job before any solver time is spent.
   const std::string original_text =
       netlist::write_bench_string(benchgen::make_circuit("s27").netlist);
-  const Json rejected = submit_and_wait(
+  const util::Json rejected = submit_and_wait(
       client, attack_request({original_text, original_text}, "bmc"));
   EXPECT_EQ(rejected.str_or("status", "?"), "error") << rejected.dump();
   EXPECT_NE(rejected.str_or("error", "").find("netlist lint"),
             std::string::npos);
   EXPECT_NE(rejected.str_or("error", "").find("no-key-inputs"),
             std::string::npos);
+  // A lint rejection is a failed run, not a malformed request.
+  EXPECT_EQ(rejected.find("bad_request"), nullptr) << rejected.dump();
 }
 
 TEST_F(ServiceTest, ScopeAttackModeRunsOracleFreeInference) {
@@ -538,9 +582,10 @@ TEST_F(ServiceTest, ScopeAttackModeRunsOracleFreeInference) {
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
 
-  const Json done = submit_and_wait(client, attack_request(pair, "scope"));
+  const util::Json done =
+      submit_and_wait(client, attack_request(pair, "scope"));
   ASSERT_EQ(done.str_or("status", "?"), "done") << done.dump();
-  const Json* r = done.find("result");
+  const util::Json* r = done.find("result");
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->str_or("attack", ""), "scope");
   EXPECT_EQ(r->str_or("verdicts", "").size(), 6u);
@@ -563,7 +608,7 @@ TEST_F(ServiceTest, ShutdownSavesBanksAndRejectsLateSubmissions) {
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
 
-  const Json done = submit_and_wait(client, attack_request(pair, "bmc"));
+  const util::Json done = submit_and_wait(client, attack_request(pair, "bmc"));
   ASSERT_EQ(done.str_or("status", "?"), "done") << done.dump();
 
   server.stop();
@@ -578,7 +623,7 @@ TEST_F(ServiceTest, ShutdownSavesBanksAndRejectsLateSubmissions) {
 
   // After stop, the dispatcher refuses new work instead of touching a
   // drained pool.
-  const Json late = server.handle_request(attack_request(pair, "bmc"));
+  const util::Json late = server.handle_request(attack_request(pair, "bmc"));
   EXPECT_FALSE(late.bool_or("ok", true));
   EXPECT_NE(late.str_or("error", "").find("shutting down"), std::string::npos);
 }

@@ -21,6 +21,8 @@ bench_micro_perf — hard failures (exit 1):
 Table harness records (run with CUTELOCK_BENCH_STABLE=1, so every verdict
 and count is independent of the machine and of CUTELOCK_JOBS) — hard
 failures (exit 1):
+  - a "schema" version that differs between the two files (records of
+    different schemas are not compared)
   - a baseline record missing from the fresh run, or a fresh record the
     baseline lacks; records match by (suite, circuit, attack), and records
     sharing that triple match in file order
@@ -131,6 +133,10 @@ def record_name(key):
 
 def check_records(base_doc, fresh_doc):
     """Returns (failures, warnings, summary) for table harness records."""
+    base_schema, fresh_schema = base_doc.get("schema"), fresh_doc.get("schema")
+    if base_schema != fresh_schema:
+        return [f"schema {fresh_schema!r} differs from the baseline's "
+                f"{base_schema!r}"], [], "schema mismatch"
     failures = []
     baseline = keyed_records(base_doc)
     fresh = keyed_records(fresh_doc)

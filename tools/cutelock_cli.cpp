@@ -41,9 +41,9 @@
 //
 // Exit codes: 0 on success; attacks return 0 when the defense held and 2
 // when a key was recovered (so scripts can assert either way). 64 is a
-// usage error (including a malformed attack request), 65 a runtime error
-// (including a lint rejection), 66 an unreadable input file, 69 an
-// unreachable daemon.
+// usage error (including a malformed attack request, under `attack` and
+// `submit` alike), 65 a runtime error (including a lint rejection), 66 an
+// unreadable input file, 69 an unreachable daemon.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -216,12 +216,12 @@ int cmd_lock(const Args& args) {
 /// both circuits inline plus the attack flags. Returns 0 when built, 64 on
 /// a malformed number, 66 when a circuit file cannot be read.
 int attack_request(const char* command, const Args& args,
-                   service::Json* request) {
+                   util::Json* request) {
   if (args.positional.empty() || !args.flag("oracle")) return usage();
-  service::Json& r = *request;
-  r = service::Json::object();
-  r.set("op", service::Json::string("submit"));
-  r.set("job", service::Json::string("attack"));
+  util::Json& r = *request;
+  r = util::Json::object();
+  r.set("op", util::Json::string("submit"));
+  r.set("job", util::Json::string("attack"));
   // Each flag is the request field of the same name, with '-' for '_';
   // flags left out take the job's defaults (docs/service.md).
   static const std::pair<const char*, bool> k_flags[] = {
@@ -235,9 +235,9 @@ int attack_request(const char* command, const Args& args,
     const std::string text = args.get(flag, "");
     double value = 0;
     if (!number) {
-      r.set(field, service::Json::string(text));
+      r.set(field, util::Json::string(text));
     } else if (util::parse_double_strict(text.c_str(), &value) && value >= 0) {
-      r.set(field, service::Json::number(value));
+      r.set(field, util::Json::number(value));
     } else {
       std::fprintf(stderr, "cutelock %s: --%s must be a non-negative number\n",
                    command, flag);
@@ -253,14 +253,14 @@ int attack_request(const char* command, const Args& args,
                    path.c_str());
       return 66;
     }
-    r.set(field, service::Json::string(std::move(text)));
+    r.set(field, util::Json::string(std::move(text)));
   }
   return 0;
 }
 
 /// Print an attack job's result and return the exit code: 2 when the key
 /// was recovered, or under `accept` when the criterion accepted it; else 0.
-int print_attack_result(const service::Json& result) {
+int print_attack_result(const util::Json& result) {
   std::printf("%s attack: %s (%.3fs)\n", result.str_or("attack", "?").c_str(),
               result.str_or("summary", "?").c_str(),
               result.num_or("seconds", 0.0));
@@ -273,10 +273,10 @@ int print_attack_result(const service::Json& result) {
                 static_cast<unsigned long long>(replayed),
                 static_cast<unsigned long long>(preloaded));
   }
-  if (const service::Json* schedule = result.find("schedule")) {
+  if (const util::Json* schedule = result.find("schedule")) {
     std::printf("schedule (period %llu):",
                 static_cast<unsigned long long>(result.u64_or("period", 0)));
-    for (const service::Json& key : schedule->elements()) {
+    for (const util::Json& key : schedule->elements()) {
       std::printf(" %s", key.as_string().c_str());
     }
     std::printf("\n");
@@ -288,13 +288,16 @@ int print_attack_result(const service::Json& result) {
   const bool accepted = result.bool_or("accepted", false);
   std::printf("acceptance (%s): %s", accept.c_str(),
               accepted ? "accepted" : "rejected");
+  // Facts the criterion did not evaluate are null (attack::to_json).
   for (const char* fact : {"key_exact", "any_key_pass"}) {
-    if (result.find(fact) != nullptr) {
-      std::printf(" %s=%s", fact, result.bool_or(fact, false) ? "yes" : "no");
+    const util::Json* value = result.find(fact);
+    if (value != nullptr && value->type() == util::Json::Type::Bool) {
+      std::printf(" %s=%s", fact, value->as_bool() ? "yes" : "no");
     }
   }
-  if (result.find("corruption_rate") != nullptr) {
-    std::printf(" corruption_rate=%.4f", result.num_or("corruption_rate", -1.0));
+  const util::Json* rate = result.find("corruption_rate");
+  if (rate != nullptr && rate->type() == util::Json::Type::Number) {
+    std::printf(" corruption_rate=%.4f", rate->as_number());
   }
   if (result.find("accept_detail") != nullptr) {
     std::printf(" (%s)", result.str_or("accept_detail", "").c_str());
@@ -307,14 +310,14 @@ int print_attack_result(const service::Json& result) {
 /// with the observation bank on as in the daemon, so it prints what a cold
 /// daemon prints (an attack that repeats a query replays it from the bank).
 int cmd_attack(const Args& args) {
-  service::Json request;
+  util::Json request;
   if (const int rc = attack_request("attack", args, &request); rc != 0) {
     return rc;
   }
   attack::set_observation_bank_forced(true);
   maybe_load_bank_file();
   service::CircuitCache cache;
-  service::Json result;
+  util::Json result;
   try {
     result = service::run_attack_job(request, cache, nullptr,
                                      util::jobs_from_env());
@@ -443,12 +446,12 @@ int cmd_submit(const Args& args) {
   // Raw-op mode: one protocol request, response echoed as JSON.
   const std::string op = args.get("op", "");
   if (!op.empty()) {
-    service::Json request = service::Json::object();
-    request.set("op", service::Json::string(op));
+    util::Json request = util::Json::object();
+    request.set("op", util::Json::string(op));
     if (args.flag("id")) {
-      request.set("id", service::Json::number(args.get_u64("id", 0)));
+      request.set("id", util::Json::number(args.get_u64("id", 0)));
     }
-    service::Json response;
+    util::Json response;
     if (!client.request(request, &response, &error)) {
       std::fprintf(stderr, "cutelock submit: %s\n", error.c_str());
       return 69;
@@ -459,11 +462,11 @@ int cmd_submit(const Args& args) {
 
   // Attack mode: the request `cutelock attack` runs in-process, submitted
   // and waited on, then printed the same way.
-  service::Json request;
+  util::Json request;
   if (const int rc = attack_request("submit", args, &request); rc != 0) {
     return rc;
   }
-  service::Json submitted;
+  util::Json submitted;
   if (!client.request(request, &submitted, &error)) {
     std::fprintf(stderr, "cutelock submit: %s\n", error.c_str());
     return 69;
@@ -473,10 +476,10 @@ int cmd_submit(const Args& args) {
                  submitted.str_or("error", "submit rejected").c_str());
     return 65;
   }
-  service::Json wait_request = service::Json::object();
-  wait_request.set("op", service::Json::string("wait"));
-  wait_request.set("id", service::Json::number(submitted.u64_or("id", 0)));
-  service::Json reply;
+  util::Json wait_request = util::Json::object();
+  wait_request.set("op", util::Json::string("wait"));
+  wait_request.set("id", util::Json::number(submitted.u64_or("id", 0)));
+  util::Json reply;
   if (!client.request(wait_request, &reply, &error)) {
     std::fprintf(stderr, "cutelock submit: %s\n", error.c_str());
     return 69;
@@ -485,9 +488,10 @@ int cmd_submit(const Args& args) {
   if (status != "done") {
     std::fprintf(stderr, "cutelock submit: job %s: %s\n", status.c_str(),
                  reply.str_or("error", "no result").c_str());
-    return 65;
+    // A malformed request is a usage error, as under `attack`.
+    return reply.bool_or("bad_request", false) ? 64 : 65;
   }
-  const service::Json* result = reply.find("result");
+  const util::Json* result = reply.find("result");
   if (result == nullptr) {
     std::fprintf(stderr, "cutelock submit: malformed response (no result)\n");
     return 65;
