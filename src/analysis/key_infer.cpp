@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/const_prop.hpp"
 #include "netlist/optimize.hpp"
 #include "netlist/topo.hpp"
 #include "netlist/transform.hpp"
@@ -15,7 +14,6 @@ namespace cl::analysis {
 using netlist::GateType;
 using netlist::Netlist;
 using netlist::SignalId;
-using sim::Trit;
 
 namespace {
 
@@ -77,14 +75,10 @@ bool xor_vote_flipped(const Netlist& nl, SignalId key,
 /// the decoy and lets remove_dangling sweep the (now unread) true cone, so
 /// the correct side is LESS degenerate. A zero margin stays Unknown.
 void decide(const Netlist& nl, BitHint& h, bool flip_xor_vote) {
-  netlist::OptimizeStats st0, st1;
-  const auto s0 =
-      netlist::optimize(netlist::pin_signal(nl, h.signal, false), st0).stats();
-  const auto s1 =
-      netlist::optimize(netlist::pin_signal(nl, h.signal, true), st1).stats();
-  h.size_pinned0 = s0.gates + s0.dffs;
-  h.size_pinned1 = s1.gates + s1.dffs;
   if (h.role == KeyRole::Complex) return;
+  netlist::OptimizeStats st0, st1;
+  netlist::optimize(netlist::pin_signal(nl, h.signal, false), st0);
+  netlist::optimize(netlist::pin_signal(nl, h.signal, true), st1);
   const std::size_t degen0 =
       st0.gates_removed + st0.ffs_swept + st0.constants_propagated;
   const std::size_t degen1 =
@@ -159,9 +153,6 @@ KeyHintReport infer_key_hints(const Netlist& locked,
       rep.budget_exhausted = true;
       break;
     }
-    h.determined0 =
-        const_prop(locked, {{h.signal, Trit::Zero}}).determined;
-    h.determined1 = const_prop(locked, {{h.signal, Trit::One}}).determined;
     decide(locked, h,
            h.role == KeyRole::XorGate &&
                xor_vote_flipped(locked, h.signal, fanout));

@@ -47,12 +47,6 @@ struct BitHint {
   BitVerdict verdict = BitVerdict::Unknown;
   double confidence = 0.0;  ///< 0 (unknown) .. 1 (decisive synthesis margin)
   Unateness unate = Unateness::NotProfiled;
-  /// Optimized size (comb gates + FFs) with the bit pinned to 0 / to 1.
-  std::size_t size_pinned0 = 0;
-  std::size_t size_pinned1 = 0;
-  /// Ternary const-prop determined-signal counts with the bit pinned.
-  std::size_t determined0 = 0;
-  std::size_t determined1 = 0;
 };
 
 struct KeyHintReport {
@@ -85,8 +79,9 @@ struct InferOptions {
   double time_limit_s = 0.0;
 };
 
-/// Run the full inference: role classification, per-bit optimize
-/// differential, const-prop profile, and (optionally) unateness sampling.
+/// Run the full inference: role classification, the per-bit optimize
+/// differential (decidable roles only; a Complex bit stays Unknown without
+/// optimizing), and (optionally) unateness sampling.
 KeyHintReport infer_key_hints(const netlist::Netlist& locked,
                               const InferOptions& options = {});
 

@@ -1,9 +1,9 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "netlist/topo.hpp"
+#include "util/fnv.hpp"
 
 namespace cl::analysis {
 
@@ -98,23 +98,35 @@ LintReport lint(const Netlist& nl) {
         if (!live[f]) stack.push_back(f);
       }
     }
+    // A key is a decoy only when no node of its fanout cone is live, so
+    // each walk ends at the first live node it meets: an observable key
+    // costs a step or two, and only a real decoy cone is walked in full.
+    // walked_by[s] is 1 + the index of the last key whose walk reached s.
     std::vector<bool> decoy_cone(nl.size(), false);
-    for (SignalId k : nl.key_inputs()) {
+    std::vector<std::uint32_t> walked_by(nl.size(), 0);
+    std::vector<SignalId> cone;
+    std::vector<SignalId> work;
+    const std::vector<SignalId>& keys = nl.key_inputs();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const SignalId k = keys[i];
       if (fanout[k].empty()) continue;  // reported as unused-input above
-      std::vector<bool> in_cone(nl.size(), false);
-      std::vector<SignalId> cone;
-      std::vector<SignalId> work{k};
-      in_cone[k] = true;
+      const auto stamp = static_cast<std::uint32_t>(i + 1);
+      cone.clear();
+      work.assign(1, k);
+      walked_by[k] = stamp;
       bool observable = false, has_dff = false;
       while (!work.empty()) {
         const SignalId s = work.back();
         work.pop_back();
+        if (live[s]) {
+          observable = true;
+          break;
+        }
         cone.push_back(s);
-        if (live[s]) observable = true;
         if (nl.type(s) == GateType::Dff) has_dff = true;
         for (SignalId reader : fanout[s]) {
-          if (!in_cone[reader]) {
-            in_cone[reader] = true;
+          if (walked_by[reader] != stamp) {
+            walked_by[reader] = stamp;
             work.push_back(reader);
           }
         }
@@ -142,21 +154,56 @@ LintReport lint(const Netlist& nl) {
     }
   }
 
-  // Duplicate gates: same type + same (canonicalized) fanin list.
+  // Duplicate gates: same type + same (canonicalized) fanin list. The
+  // first gate of each distinct key keeps its canonical list in one flat
+  // pool; an open-addressing table (linear probing, at most half full)
+  // maps a key's hash to it. A gate costs one hash and, expected, one list
+  // comparison, however many gates share its key, and no allocation of its
+  // own.
   {
     const auto commutative = [](GateType t) {
       return t == GateType::And || t == GateType::Nand || t == GateType::Or ||
              t == GateType::Nor || t == GateType::Xor || t == GateType::Xnor;
     };
-    std::map<std::pair<GateType, std::vector<SignalId>>, std::size_t> seen;
+    struct Key {
+      std::uint32_t offset;  // canonical fanins: pool[offset, offset + size)
+      std::uint32_t size;
+      GateType type;
+    };
+    std::vector<Key> distinct;
+    std::vector<SignalId> pool;
+    std::size_t bits = 1;
+    while ((std::size_t{1} << bits) < 2 * nl.size()) ++bits;
+    std::vector<std::uint32_t> table(std::size_t{1} << bits, 0);  // 1 + index
+    const std::size_t mask = table.size() - 1;
     std::size_t duplicates = 0;
     for (SignalId s = 0; s < nl.size(); ++s) {
-      if (!netlist::is_comb_gate(nl.type(s)) || nl.type(s) == GateType::Buf) {
-        continue;
+      const GateType t = nl.type(s);
+      if (!netlist::is_comb_gate(t) || t == GateType::Buf) continue;
+      const std::vector<SignalId>& fanins = nl.node(s).fanins;
+      const auto offset = static_cast<std::uint32_t>(pool.size());
+      pool.insert(pool.end(), fanins.begin(), fanins.end());
+      const auto first = pool.begin() + offset;
+      if (commutative(t)) std::sort(first, pool.end());
+      std::uint64_t h = util::k_fnv_offset;
+      util::fnv1a_mix(h, static_cast<std::uint64_t>(t));
+      for (auto it = first; it != pool.end(); ++it) util::fnv1a_mix(h, *it);
+      std::size_t i = (h * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+      for (;; i = (i + 1) & mask) {
+        if (table[i] == 0) {
+          distinct.push_back(
+              {offset, static_cast<std::uint32_t>(fanins.size()), t});
+          table[i] = static_cast<std::uint32_t>(distinct.size());
+          break;
+        }
+        const Key& k = distinct[table[i] - 1];
+        if (k.type == t && k.size == fanins.size() &&
+            std::equal(first, pool.end(), pool.begin() + k.offset)) {
+          ++duplicates;
+          pool.resize(offset);  // the first gate of the key holds the list
+          break;
+        }
       }
-      std::vector<SignalId> fanins = nl.node(s).fanins;
-      if (commutative(nl.type(s))) std::sort(fanins.begin(), fanins.end());
-      if (++seen[{nl.type(s), std::move(fanins)}] > 1) ++duplicates;
     }
     if (duplicates > 0) {
       add(rep, Severity::Warning, "duplicate-gates", "",

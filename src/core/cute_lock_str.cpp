@@ -6,7 +6,6 @@
 
 #include "core/counter.hpp"
 #include "logic/sop_builder.hpp"
-#include "netlist/topo.hpp"
 #include "sim/bit_sim.hpp"
 
 namespace cl::core {
@@ -174,50 +173,48 @@ lock::LockResult cute_lock_str(const Netlist& nl, const StrOptions& options) {
     return diff_bits * 32 >= d_traces[a].size() * 64;
   };
 
-  // Lock only flip-flops whose corruption can propagate to a primary output
-  // (fixpoint of reverse reachability through combinational logic and
-  // registers): corrupting an unobservable FF would leave wrong keys
-  // functionally correct.
-  std::vector<bool> observable(out.size(), false);
-  {
-    for (;;) {
-      std::vector<SignalId> roots(nl.outputs().begin(), nl.outputs().end());
-      for (SignalId q : functional_ffs) {
-        if (observable[q]) roots.push_back(out.dff_input(q));
-      }
-      const std::vector<bool> cone = netlist::comb_fanin_cone(out, roots);
-      bool changed = false;
-      for (SignalId s = 0; s < out.size(); ++s) {
-        if (cone[s] && !observable[s]) {
-          observable[s] = true;
-          changed = true;
-        }
-      }
-      if (!changed) break;
-    }
-  }
   // Observability distance: how many clock cycles a corrupted FF value
   // needs before it can reach a primary output. Locking the closest FFs
   // makes wrong-key corruption visible fast (deeply buried FFs could hide
   // corruption beyond any bounded check — the attacker would then hold a
-  // key that is "equivalent enough", which defeats the purpose).
+  // key that is "equivalent enough", which defeats the purpose). Only FFs
+  // at a finite distance are locked: corrupting an unobservable FF would
+  // leave wrong keys functionally correct.
+  //
+  // One reverse walk from the outputs through combinational fanins computes
+  // it: hop h walks from the D pins of the FFs first reached at hop h - 1.
+  // Each node is walked once, at the first hop that reaches it, since every
+  // FF behind it is then reached at that hop or earlier.
   std::vector<std::size_t> distance(functional_ffs.size(), SIZE_MAX);
   {
-    std::vector<SignalId> roots(nl.outputs().begin(), nl.outputs().end());
-    for (std::size_t level = 0; !roots.empty(); ++level) {
-      const std::vector<bool> cone = netlist::comb_fanin_cone(out, roots);
-      roots.clear();
-      for (std::size_t i = 0; i < functional_ffs.size(); ++i) {
-        if (distance[i] == SIZE_MAX && cone[functional_ffs[i]]) {
-          distance[i] = level;
-          roots.push_back(out.dff_input(functional_ffs[i]));
+    std::vector<std::size_t> ff_index(out.size(), SIZE_MAX);
+    for (std::size_t i = 0; i < functional_ffs.size(); ++i) {
+      ff_index[functional_ffs[i]] = i;
+    }
+    std::vector<bool> seen(out.size(), false);
+    std::vector<SignalId> stack(nl.outputs().begin(), nl.outputs().end());
+    std::vector<SignalId> next_hop;
+    for (std::size_t hop = 0; !stack.empty(); ++hop) {
+      while (!stack.empty()) {
+        const SignalId id = stack.back();
+        stack.pop_back();
+        if (seen[id]) continue;
+        seen[id] = true;
+        if (netlist::is_comb_gate(out.type(id))) {
+          for (SignalId f : out.node(id).fanins) {
+            if (!seen[f]) stack.push_back(f);
+          }
+        } else if (ff_index[id] != SIZE_MAX) {
+          distance[ff_index[id]] = hop;
+          next_hop.push_back(out.dff_input(id));
         }
       }
+      std::swap(stack, next_hop);
     }
   }
   std::vector<std::size_t> candidates;
   for (std::size_t i = 0; i < functional_ffs.size(); ++i) {
-    if (observable[functional_ffs[i]]) candidates.push_back(i);
+    if (distance[i] != SIZE_MAX) candidates.push_back(i);
   }
   if (candidates.empty()) {  // degenerate circuit: fall back to all FFs
     for (std::size_t i = 0; i < functional_ffs.size(); ++i) candidates.push_back(i);

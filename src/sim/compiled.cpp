@@ -1,7 +1,9 @@
 #include "sim/compiled.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "netlist/topo.hpp"
 #include "sim/kernels.hpp"
@@ -98,6 +100,23 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
   }
   level_begin_.push_back(instrs_.size());
 
+  // Evaluation order: a stable counting sort of each level by opcode, so
+  // gates keep ascending SignalId within an opcode group.
+  constexpr std::size_t k_num_ops = static_cast<std::size_t>(Op::XnorN) + 1;
+  order_.resize(instrs_.size());
+  for (std::size_t l = 0; l + 1 < level_begin_.size(); ++l) {
+    std::array<std::size_t, k_num_ops> cursor{};
+    for (std::size_t i = level_begin_[l]; i < level_begin_[l + 1]; ++i) {
+      ++cursor[static_cast<std::size_t>(instrs_[i].op)];
+    }
+    std::size_t at = level_begin_[l];
+    for (std::size_t& c : cursor) at += std::exchange(c, at);
+    for (std::size_t i = level_begin_[l]; i < level_begin_[l + 1]; ++i) {
+      order_[cursor[static_cast<std::size_t>(instrs_[i].op)]++] =
+          static_cast<std::uint32_t>(i);
+    }
+  }
+
   inputs_ = nl.inputs();
   keys_ = nl.key_inputs();
   outputs_ = nl.outputs();
@@ -138,8 +157,9 @@ void CompiledNetlist::eval_range(std::size_t first, std::size_t last,
   // The Op kernels live in sim/kernels_*.cpp, one translation unit per ISA
   // tier; eval_span_for resolves the strongest tier for this host and lane
   // count (overridable via CUTELOCK_SIM_ISA).
-  kernels::eval_span_for(lanes)(instrs_.data() + first, instrs_.data() + last,
-                                pool_.data(), values, lanes);
+  kernels::eval_span_for(lanes)(instrs_.data(), order_.data() + first,
+                                order_.data() + last, pool_.data(), values,
+                                lanes);
 }
 
 void CompiledNetlist::eval(std::uint64_t* values, std::size_t lanes) const {

@@ -7,6 +7,12 @@
 //     arities <= 3 and spilled to one flat fanin pool otherwise;
 //   - arity-specialized opcodes (And2 vs AndN, ...) so the hot kernels are
 //     branch-light and vectorizable;
+//   - an evaluation order, one 4-byte index per gate, that groups each
+//     level's instructions by opcode: the kernels walk it, so their opcode
+//     switch takes one target for a whole run of gates instead of a new,
+//     mispredicted one per gate on circuits too large for the branch
+//     predictor to learn. The instruction stream itself stays in levelized
+//     order, which the CNF encoder and XSim walk;
 //   - wide lanes: every signal carries W consecutive 64-bit words, so one
 //     eval() pass simulates 64*W independent patterns (W from SimConfig,
 //     or sized from the batch by the batch APIs);
@@ -78,9 +84,16 @@ class CompiledNetlist {
   std::size_t num_gates() const { return instrs_.size(); }
   std::size_t num_levels() const { return level_begin_.size() - 1; }
 
-  // ---- instruction stream (used by the trit adapter XSim) ---------------
+  // ---- instruction stream (walked by the trit adapter XSim and the CNF
+  // encoder) ---------------------------------------------------------------
+  /// Every gate in netlist::levelize order: level by level, ascending
+  /// SignalId within a level.
   const std::vector<Instr>& instructions() const { return instrs_; }
   const std::vector<netlist::SignalId>& fanin_pool() const { return pool_; }
+  /// Indices into instructions() in the order the kernels evaluate them:
+  /// level by level like instructions(), but within each level grouped by
+  /// ascending Op, ascending SignalId within a group.
+  const std::vector<std::uint32_t>& eval_order() const { return order_; }
 
   // Source/DFF bookkeeping mirrored from the netlist (flat copies, so the
   // hot loops never touch the Netlist).
@@ -140,12 +153,14 @@ class CompiledNetlist {
   }
 
  private:
+  /// Evaluate the gates at positions [first, last) of eval_order().
   void eval_range(std::size_t first, std::size_t last, std::uint64_t* values,
                   std::size_t lanes) const;
 
   const netlist::Netlist* nl_;
   std::size_t num_signals_ = 0;
   std::vector<Instr> instrs_;               // level-sorted
+  std::vector<std::uint32_t> order_;        // op-grouped within each level
   std::vector<std::size_t> level_begin_;    // instr offsets per gate level
   std::vector<netlist::SignalId> pool_;     // N-ary fanins, contiguous
   std::vector<netlist::SignalId> inputs_;

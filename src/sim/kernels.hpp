@@ -29,23 +29,28 @@ struct Instr;
 
 namespace kernels {
 
-/// Evaluate the instruction span [first, last) over `values` (signal-major,
-/// `lanes` words per signal). N-ary instructions read their fanins from
-/// `pool`.
-using EvalSpanFn = void (*)(const Instr* first, const Instr* last,
+/// Evaluate instrs[*i] for every index i in the span [first, last), in span
+/// order, over `values` (signal-major, `lanes` words per signal). N-ary
+/// instructions read their fanins from `pool`. CompiledNetlist passes its
+/// evaluation order, which groups each level's instructions by opcode so
+/// the per-instruction opcode switch repeats one target for long runs.
+using EvalSpanFn = void (*)(const Instr* instrs, const std::uint32_t* first,
+                            const std::uint32_t* last,
                             const netlist::SignalId* pool,
                             std::uint64_t* values, std::size_t lanes);
 
 // Per-ISA entry points. The AVX functions must only be called on hosts whose
 // CPU reports the extension (active dispatch guarantees this); on toolchains
 // that cannot build the intrinsics they forward to the generic kernels.
-void eval_span_generic(const Instr* first, const Instr* last,
+void eval_span_generic(const Instr* instrs, const std::uint32_t* first,
+                       const std::uint32_t* last,
                        const netlist::SignalId* pool, std::uint64_t* values,
                        std::size_t lanes);
-void eval_span_avx2(const Instr* first, const Instr* last,
-                    const netlist::SignalId* pool, std::uint64_t* values,
-                    std::size_t lanes);
-void eval_span_avx512(const Instr* first, const Instr* last,
+void eval_span_avx2(const Instr* instrs, const std::uint32_t* first,
+                    const std::uint32_t* last, const netlist::SignalId* pool,
+                    std::uint64_t* values, std::size_t lanes);
+void eval_span_avx512(const Instr* instrs, const std::uint32_t* first,
+                      const std::uint32_t* last,
                       const netlist::SignalId* pool, std::uint64_t* values,
                       std::size_t lanes);
 

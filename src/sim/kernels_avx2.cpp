@@ -46,21 +46,22 @@ struct V256 {
 
 bool detail_avx2_compiled_in() { return true; }
 
-void eval_span_avx2(const Instr* first, const Instr* last,
+void eval_span_avx2(const Instr* instrs, const std::uint32_t* first,
+                    const std::uint32_t* last,
                     const netlist::SignalId* pool, std::uint64_t* values,
                     std::size_t lanes) {
   switch (lanes) {
     case 4:
-      impl::eval_span_impl<V256, 4>(first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 4>(instrs, first, last, pool, values, lanes);
       break;
     case 8:
-      impl::eval_span_impl<V256, 8>(first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 8>(instrs, first, last, pool, values, lanes);
       break;
     case 16:
-      impl::eval_span_impl<V256, 16>(first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 16>(instrs, first, last, pool, values, lanes);
       break;
     default:
-      impl::eval_span_impl<V256, 0>(first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 0>(instrs, first, last, pool, values, lanes);
       break;
   }
 }
@@ -69,10 +70,11 @@ void eval_span_avx2(const Instr* first, const Instr* last,
 
 bool detail_avx2_compiled_in() { return false; }
 
-void eval_span_avx2(const Instr* first, const Instr* last,
+void eval_span_avx2(const Instr* instrs, const std::uint32_t* first,
+                    const std::uint32_t* last,
                     const netlist::SignalId* pool, std::uint64_t* values,
                     std::size_t lanes) {
-  eval_span_generic(first, last, pool, values, lanes);
+  eval_span_generic(instrs, first, last, pool, values, lanes);
 }
 
 #endif

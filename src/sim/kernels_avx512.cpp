@@ -39,18 +39,19 @@ struct V512 {
 
 bool detail_avx512_compiled_in() { return true; }
 
-void eval_span_avx512(const Instr* first, const Instr* last,
+void eval_span_avx512(const Instr* instrs, const std::uint32_t* first,
+                      const std::uint32_t* last,
                       const netlist::SignalId* pool, std::uint64_t* values,
                       std::size_t lanes) {
   switch (lanes) {
     case 8:
-      impl::eval_span_impl<V512, 8>(first, last, pool, values, lanes);
+      impl::eval_span_impl<V512, 8>(instrs, first, last, pool, values, lanes);
       break;
     case 16:
-      impl::eval_span_impl<V512, 16>(first, last, pool, values, lanes);
+      impl::eval_span_impl<V512, 16>(instrs, first, last, pool, values, lanes);
       break;
     default:
-      impl::eval_span_impl<V512, 0>(first, last, pool, values, lanes);
+      impl::eval_span_impl<V512, 0>(instrs, first, last, pool, values, lanes);
       break;
   }
 }
@@ -59,10 +60,11 @@ void eval_span_avx512(const Instr* first, const Instr* last,
 
 bool detail_avx512_compiled_in() { return false; }
 
-void eval_span_avx512(const Instr* first, const Instr* last,
+void eval_span_avx512(const Instr* instrs, const std::uint32_t* first,
+                      const std::uint32_t* last,
                       const netlist::SignalId* pool, std::uint64_t* values,
                       std::size_t lanes) {
-  eval_span_avx2(first, last, pool, values, lanes);
+  eval_span_avx2(instrs, first, last, pool, values, lanes);
 }
 
 #endif

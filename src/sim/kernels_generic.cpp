@@ -10,28 +10,35 @@ namespace cl::sim::kernels {
 
 bool detail_generic_compiled_in() { return true; }
 
-void eval_span_generic(const Instr* first, const Instr* last,
+void eval_span_generic(const Instr* instrs, const std::uint32_t* first,
+                       const std::uint32_t* last,
                        const netlist::SignalId* pool, std::uint64_t* values,
                        std::size_t lanes) {
   using impl::ScalarPolicy;
   switch (lanes) {
     case 1:
-      impl::eval_span_impl<ScalarPolicy, 1>(first, last, pool, values, lanes);
+      impl::eval_span_impl<ScalarPolicy, 1>(instrs, first, last, pool, values,
+                                            lanes);
       break;
     case 2:
-      impl::eval_span_impl<ScalarPolicy, 2>(first, last, pool, values, lanes);
+      impl::eval_span_impl<ScalarPolicy, 2>(instrs, first, last, pool, values,
+                                            lanes);
       break;
     case 4:
-      impl::eval_span_impl<ScalarPolicy, 4>(first, last, pool, values, lanes);
+      impl::eval_span_impl<ScalarPolicy, 4>(instrs, first, last, pool, values,
+                                            lanes);
       break;
     case 8:
-      impl::eval_span_impl<ScalarPolicy, 8>(first, last, pool, values, lanes);
+      impl::eval_span_impl<ScalarPolicy, 8>(instrs, first, last, pool, values,
+                                            lanes);
       break;
     case 16:
-      impl::eval_span_impl<ScalarPolicy, 16>(first, last, pool, values, lanes);
+      impl::eval_span_impl<ScalarPolicy, 16>(instrs, first, last, pool, values,
+                                             lanes);
       break;
     default:
-      impl::eval_span_impl<ScalarPolicy, 0>(first, last, pool, values, lanes);
+      impl::eval_span_impl<ScalarPolicy, 0>(instrs, first, last, pool, values,
+                                            lanes);
       break;
   }
 }

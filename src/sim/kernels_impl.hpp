@@ -200,11 +200,11 @@ inline void eval_instr_v(const Instr& in, const SignalId* pool,
 }
 
 template <class V, std::size_t W>
-void eval_span_impl(const Instr* first, const Instr* last,
-                    const SignalId* pool, std::uint64_t* v,
-                    std::size_t lanes) {
-  for (const Instr* in = first; in != last; ++in) {
-    eval_instr_v<V, W>(*in, pool, v, lanes);
+void eval_span_impl(const Instr* instrs, const std::uint32_t* first,
+                    const std::uint32_t* last, const SignalId* pool,
+                    std::uint64_t* v, std::size_t lanes) {
+  for (const std::uint32_t* i = first; i != last; ++i) {
+    eval_instr_v<V, W>(instrs[*i], pool, v, lanes);
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "benchgen/catalog.hpp"
+#include "core/cute_lock_str.hpp"
 #include "lock/comb_locks.hpp"
 #include "lock/latch_lock.hpp"
 #include "netlist/bench_io.hpp"
@@ -109,6 +112,43 @@ y = OR(g1, g2)
   EXPECT_TRUE(has_code(rep, "duplicate-gates"));
 }
 
+/// The count a `duplicate-gates` warning reports, 0 when there is none.
+std::size_t duplicate_count(const LintReport& rep) {
+  for (const Diagnostic& d : rep.diagnostics) {
+    if (d.code == "duplicate-gates") return std::stoul(d.message);
+  }
+  return 0;
+}
+
+TEST(Lint, DuplicateGateCountsAreExact) {
+  const struct {
+    const char* name;
+    const char* body;
+    std::size_t duplicates;
+  } cases[] = {
+      // A commutative gate written with its fanins in both orders.
+      {"commutative", "g1 = AND(a, b)\ng2 = AND(b, a)\ng3 = NAND(a, b)\n"
+                      "y = OR(g1, g2, g3)\n", 1},
+      // Swapping a MUX's data inputs changes its function.
+      {"mux", "g1 = MUX(s, a, b)\ng2 = MUX(s, b, a)\ng3 = MUX(a, s, b)\n"
+              "y = OR(g1, g2, g3)\n", 0},
+      // Every repeat of one NOT is a duplicate of the first.
+      {"not", "g1 = NOT(a)\ng2 = NOT(a)\ng3 = NOT(a)\ng4 = NOT(b)\n"
+              "y = OR(g1, g2, g3, g4)\n", 2},
+      // N-ary gates match on the sorted fanin list, arity and type.
+      {"n-ary", "g1 = OR(a, b, s)\ng2 = OR(s, a, b)\ng3 = OR(b, s, a)\n"
+                "g4 = OR(a, b)\ng5 = NOR(a, b, s)\ng6 = XOR(a, b, s)\n"
+                "g7 = XOR(s, b, a)\ny = AND(g1, g2, g3, g4, g5, g6, g7)\n", 3},
+  };
+  for (const auto& c : cases) {
+    const std::string text =
+        std::string("INPUT(a)\nINPUT(b)\nINPUT(s)\nOUTPUT(y)\n") + c.body;
+    const LintReport rep = lint(netlist::read_bench_string(text, c.name));
+    EXPECT_EQ(duplicate_count(rep), c.duplicates)
+        << c.name << "\n" << format_diagnostics(rep);
+  }
+}
+
 TEST(Lint, ConstantOutputWarns) {
   Netlist nl("constout");
   nl.add_input("a");
@@ -209,6 +249,42 @@ TEST(Lint, LatchLockDecoysAreInfoNotDeadLogic) {
   EXPECT_NE(format_diagnostics(rep).find("info[latch-only-key]"),
             std::string::npos)
       << format_diagnostics(rep);
+}
+
+TEST(Lint, LatchLockDecoyConesKeepTheirNodeCounts) {
+  // Each decoy key's walk covers its whole cone (key -> MUX -> DFF -> MUX
+  // refresh loop), while an observable key's walk ends at its first live
+  // node; the report is the one the full walks gave.
+  const Netlist nl = netlist::read_bench_string(k_seq, "seq");
+  util::Rng rng(3);
+  const auto lr = lock::latch_lock(nl, 2, 2, rng);
+  EXPECT_EQ(format_diagnostics(lint(lr.locked)),
+            "info[latch-only-key] keyinput1: key input drives only "
+            "unobservable sequential logic (a latch-style decoy cone of 4 "
+            "node(s))\n"
+            "info[latch-only-key] keyinput3: key input drives only "
+            "unobservable sequential logic (a latch-style decoy cone of 4 "
+            "node(s))\n");
+}
+
+TEST(Lint, Syn64kCuteLockStrPairFindings) {
+  // perfbench's mega-encode lock (syn64k, k=2, ki=4, 4 FFs, the bench's
+  // lock seed 0x3e6a + gates + k): exactly these two warnings on the
+  // locked side, none on the oracle.
+  const auto circuit = benchgen::make_circuit("syn64k");
+  core::StrOptions options;
+  options.num_keys = 2;
+  options.key_bits = 4;
+  options.locked_ffs = 4;
+  options.seed = 0x3e6a + 65536 + 2;
+  const auto lr = core::cute_lock_str(circuit.netlist, options);
+  const LintReport rep = lint_attack_inputs(lr.locked, circuit.netlist);
+  EXPECT_EQ(format_diagnostics(rep),
+            "warning[dead-logic] locked: 1 gate(s)/flip-flop(s) are "
+            "unreachable from every output\n"
+            "warning[duplicate-gates] locked: 23 gate(s) duplicate another "
+            "gate's function (strash would merge them)\n");
+  EXPECT_TRUE(lint(circuit.netlist).diagnostics.empty());
 }
 
 TEST(Lint, DeadKeyConeWithoutStateIsStillDeadLogic) {

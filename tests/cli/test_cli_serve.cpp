@@ -237,6 +237,23 @@ TEST_F(CliServe, MalformedRequestsExitUsageUnderAttackAndSubmit) {
   stop_daemon();
 }
 
+TEST_F(CliServe, SubmitSendsMaxDepthLikeAttack) {
+  // --max-depth is a request field under both commands: a depth budget
+  // below BMC's start depth ends the attack the same way in the daemon.
+  start_daemon();
+  const std::string flags = quoted(locked_) + " --oracle " + quoted(s27_) +
+                            " --attack bmc --seconds 20 --max-depth 1";
+  const CliRun direct = run("attack " + flags);
+  const CliRun daemon = run("submit --socket " + quoted(socket_) + " " + flags);
+  EXPECT_EQ(direct.exit_code, 0);
+  EXPECT_EQ(daemon.exit_code, 0);
+  EXPECT_NE(direct.output.find("start depth exceeds the budget's max depth"),
+            std::string::npos)
+      << direct.output;
+  EXPECT_EQ(without_wall_time(daemon.output), without_wall_time(direct.output));
+  stop_daemon();
+}
+
 TEST_F(CliServe, SubmitWithoutDaemonFailsWithTransportExitCode) {
   const CliRun lost = run("submit --socket " + quoted(dir_ / "no.sock") +
                           " --op ping");

@@ -22,11 +22,12 @@ namespace fs = std::filesystem;
 
 std::string quoted(const fs::path& p) { return "\"" + p.string() + "\""; }
 
-// Runs the CLI with stderr silenced; returns the process exit code. Stdout
-// goes to `stdout_file` when given, else it is discarded too.
-int run_cli(const std::string& args, const fs::path& stdout_file = "/dev/null") {
+// Runs the CLI; returns the process exit code. Stdout and stderr go to
+// `stdout_file` and `stderr_file` when given, else they are discarded.
+int run_cli(const std::string& args, const fs::path& stdout_file = "/dev/null",
+            const fs::path& stderr_file = "/dev/null") {
   const std::string cmd = std::string(CUTELOCK_CLI_PATH) + " " + args + " > " +
-                          quoted(stdout_file) + " 2> /dev/null";
+                          quoted(stdout_file) + " 2> " + quoted(stderr_file);
   const int status = std::system(cmd.c_str());
   EXPECT_NE(status, -1) << "failed to spawn: " << cmd;
   // A signal death must not masquerade as exit 0 ("defense held").
@@ -125,6 +126,100 @@ TEST_F(CliSmoke, AttackExitCodesFollowTheRequestContract) {
   // is not zero, and a huge one is no deadline, not an expired one.
   EXPECT_EQ(attack(single, "--seconds 0.5"), 2);
   EXPECT_EQ(attack(single, "--seconds 100000000000"), 2);
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST_F(CliSmoke, MalformedNumbersNameTheFlagAndExitUsage) {
+  const fs::path locked = dir_ / "s27_locked.bench";
+  ASSERT_EQ(run_cli("lock " + quoted(s27_) + " -o " + quoted(locked) +
+                    " --k 4 --ki 4 --seed 1"),
+            0);
+  const fs::path err = dir_ / "stderr.txt";
+  const struct {
+    std::string args;
+    std::string flag;
+  } cases[] = {
+      {"lock " + quoted(s27_) + " -o " + quoted(dir_ / "x.bench") + " --k abc",
+       "--k"},
+      {"lock " + quoted(s27_) + " -o " + quoted(dir_ / "x.bench") +
+           " --k 2 --keys 1,x",
+       "--keys"},
+      {"vcd " + quoted(s27_) + " -o " + quoted(dir_ / "x.vcd") +
+           " --cycles 12x",
+       "--cycles"},
+      {"analyze " + quoted(locked) + " --seconds abc", "--seconds"},
+      {"attack " + quoted(locked) + " --oracle " + quoted(s27_) +
+           " --max-depth abc",
+       "--max-depth"},
+      // A port past 65535 would wrap to another port, not fail.
+      {"submit --port 70000 --op ping", "--port"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(run_cli(c.args, "/dev/null", err), 64) << c.args;
+    EXPECT_NE(slurp(err).find(c.flag), std::string::npos)
+        << c.args << ": " << slurp(err);
+  }
+  EXPECT_FALSE(fs::exists(dir_ / "x.bench"));
+  EXPECT_FALSE(fs::exists(dir_ / "x.vcd"));
+}
+
+TEST_F(CliSmoke, UnknownFlagsNameTheFlagAndExitUsage) {
+  // Every command checks its flags against its own table before it does
+  // anything, so a flag it does not take is never silently ignored.
+  const fs::path locked = dir_ / "s27_locked.bench";
+  ASSERT_EQ(run_cli("lock " + quoted(s27_) + " -o " + quoted(locked) +
+                    " --k 4 --ki 4 --seed 1"),
+            0);
+  const fs::path err = dir_ / "stderr.txt";
+  const fs::path out = dir_ / "stdout.txt";
+  const std::string oracle = " --oracle " + quoted(s27_);
+  for (const std::string& command : {
+           "info " + quoted(s27_),
+           "lock " + quoted(s27_) + " -o " + quoted(dir_ / "x.bench"),
+           "attack " + quoted(locked) + oracle + " --max-depth 3",
+           "analyze " + quoted(locked),
+           "overhead " + quoted(locked),
+           "vcd " + quoted(s27_) + " -o " + quoted(dir_ / "x.vcd"),
+           "gen s27 -o " + quoted(dir_ / "x.bench"),
+           "submit --socket " + quoted(dir_ / "no.sock") + " " +
+               quoted(locked) + oracle,
+           "submit --socket " + quoted(dir_ / "no.sock") + " --op ping",
+       }) {
+    EXPECT_EQ(run_cli(command + " --bogus-flag 7", out, err), 64) << command;
+    EXPECT_NE(slurp(err).find("--bogus-flag"), std::string::npos)
+        << command << ": " << slurp(err);
+    EXPECT_EQ(slurp(out), "") << command;
+  }
+  // A flag of another command is as unknown as a made-up one.
+  EXPECT_EQ(run_cli("info " + quoted(s27_) + " --seed 1", out, err), 64);
+  EXPECT_NE(slurp(err).find("--seed"), std::string::npos) << slurp(err);
+  EXPECT_FALSE(fs::exists(dir_ / "x.bench"));
+  EXPECT_FALSE(fs::exists(dir_ / "x.vcd"));
+}
+
+TEST_F(CliSmoke, MaxDepthReachesTheAttack) {
+  // --max-depth is the attack job's max_depth field: BMC's start depth on
+  // the multi-key s27 lock is 2, so a budget of 1 ends the attack at once.
+  const fs::path locked = dir_ / "s27_locked.bench";
+  ASSERT_EQ(run_cli("lock " + quoted(s27_) + " -o " + quoted(locked) +
+                    " --k 4 --ki 4 --seed 1"),
+            0);
+  const fs::path out = dir_ / "stdout.txt";
+  const std::string attack =
+      "attack " + quoted(locked) + " --oracle " + quoted(s27_) +
+      " --attack bmc --seconds 20";
+  EXPECT_EQ(run_cli(attack + " --max-depth 1", out), 0);
+  EXPECT_NE(slurp(out).find("start depth exceeds the budget's max depth"),
+            std::string::npos)
+      << slurp(out);
+  EXPECT_EQ(run_cli(attack + " --max-depth 8", out), 0);
+  EXPECT_NE(slurp(out).find("CNS"), std::string::npos) << slurp(out);
 }
 
 TEST_F(CliSmoke, OverheadReportSucceeds) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "benchgen/catalog.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/topo.hpp"
 
@@ -206,6 +210,33 @@ TEST(CuteLockStr, DeterministicForSameSeed) {
   const auto b = cute_lock_str(nl, opt);
   EXPECT_EQ(a.key_schedule, b.key_schedule);
   EXPECT_EQ(a.locked.size(), b.locked.size());
+}
+
+TEST(CuteLockStr, PicksTheSameFlipFlopsOnSyn64k) {
+  // The lock rewires the FFs closest to an output in register hops. On
+  // syn64k the FFs lie up to 7 hops deep (a fixpoint of one cone walk per
+  // hop needs 10 rounds there), so the one reverse walk that ranks them
+  // crosses many D pins. These are the FFs, in lock order cl_ff0..3, that
+  // the per-hop fixpoint picked.
+  const auto circuit = benchgen::make_circuit("syn64k");
+  const Netlist& nl = circuit.netlist;
+  StrOptions opt;
+  opt.num_keys = 2;
+  opt.key_bits = 4;
+  opt.locked_ffs = 4;
+  opt.seed = 0x3e6a + 65536 + 2;
+  const auto lr = cute_lock_str(nl, opt);
+  std::vector<std::string> rewired(opt.locked_ffs);
+  for (const netlist::SignalId q : nl.dffs()) {
+    if (lr.locked.dff_input(q) == nl.dff_input(q)) continue;
+    const std::string d_net = lr.locked.signal_name(lr.locked.dff_input(q));
+    ASSERT_EQ(d_net.rfind("cl_ff", 0), 0u) << d_net;
+    const std::size_t index = std::stoul(d_net.substr(5));
+    ASSERT_LT(index, rewired.size()) << d_net;
+    rewired[index] = nl.signal_name(q);
+  }
+  EXPECT_EQ(rewired,
+            (std::vector<std::string>{"w58_b5", "w72_b0", "w11_b0", "w83_b1"}));
 }
 
 TEST(CuteLockStr, AdjacentScheduleEntriesDiffer) {

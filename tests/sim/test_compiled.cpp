@@ -1,11 +1,17 @@
 // Randomized cross-checks of the compiled simulation engine against
 // sim::ReferenceSim (the frozen pre-compilation evaluator): every GateType,
-// DFF X-init, wide-lane widths W in {1, 4, 16}, sharded evaluation, and the
-// sharding-threshold boundary.
+// DFF X-init, wide-lane widths W in {1, 4, 16}, sharded evaluation, the
+// sharding-threshold boundary, and the op-grouped evaluation order on a
+// 10k-gate catalog circuit.
 #include "sim/compiled.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "benchgen/catalog.hpp"
+#include "netlist/topo.hpp"
 #include "sim/bit_sim.hpp"
 #include "sim/reference_sim.hpp"
 #include "sim/sequence.hpp"
@@ -123,6 +129,76 @@ TEST(CompiledNetlist, WideLanesMatchPerWordReferenceRuns) {
           ASSERT_EQ(wide.get_word(s, w), refs[w].get(s))
               << "W=" << lane_words << " word " << w << " signal "
               << nl.signal_name(s);
+        }
+      }
+      wide.step();
+      for (auto& r : refs) r.step();
+    }
+  }
+}
+
+TEST(CompiledNetlist, OpGroupedEvalOrderMatchesReferenceOnS35932) {
+  // The kernels walk eval_order(), which regroups each level by opcode;
+  // instructions() must keep netlist::levelize order, because the CNF
+  // encoder's variable order (and so every SAT trajectory) follows it.
+  const auto circuit = benchgen::make_circuit("s35932");
+  const Netlist& nl = circuit.netlist;
+  ASSERT_GE(nl.stats().gates, 10000u);
+  const auto compiled = std::make_shared<const CompiledNetlist>(nl);
+  const std::vector<Instr>& instrs = compiled->instructions();
+  const netlist::Levelization lv = netlist::levelize(nl);
+  ASSERT_EQ(instrs.size(), lv.order.size() - lv.level_begin[1]);
+  for (std::size_t i = 0; i < instrs.size(); ++i) {
+    ASSERT_EQ(instrs[i].out, lv.order[lv.level_begin[1] + i]) << i;
+  }
+
+  // Gate level l spans the same positions of eval_order() as of
+  // instructions(): the levelization's, less the sources of level 0.
+  const std::vector<std::uint32_t>& order = compiled->eval_order();
+  ASSERT_EQ(order.size(), instrs.size());
+  ASSERT_GT(lv.num_levels(), 2u);
+  for (std::size_t l = 1; l < lv.num_levels(); ++l) {
+    const std::size_t first = lv.level_begin[l] - lv.level_begin[1];
+    const std::size_t last = lv.level_begin[l + 1] - lv.level_begin[1];
+    std::vector<std::uint32_t> level(order.begin() + first,
+                                     order.begin() + last);
+    for (std::size_t i = 1; i < level.size(); ++i) {
+      const Instr& prev = instrs[level[i - 1]];
+      const Instr& cur = instrs[level[i]];
+      ASSERT_TRUE(prev.op < cur.op ||
+                  (prev.op == cur.op && prev.out < cur.out))
+          << "level " << l << " position " << i;
+    }
+    std::sort(level.begin(), level.end());
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      ASSERT_EQ(level[i], first + i) << "level " << l;
+    }
+  }
+
+  // W words per signal == W ReferenceSim runs, over several cycles.
+  util::Rng rng(0x35932);
+  for (const std::size_t lane_words :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SimConfig config;
+    config.lanes = lane_words;
+    config.jobs = 1;
+    WideSim wide(compiled, config);
+    std::vector<ReferenceSim> refs(lane_words, ReferenceSim(nl));
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      for (SignalId s : nl.all_inputs()) {
+        for (std::size_t w = 0; w < lane_words; ++w) {
+          const std::uint64_t word = rand_word(rng);
+          wide.set_word(s, w, word);
+          refs[w].set(s, word);
+        }
+      }
+      wide.eval();
+      for (auto& r : refs) r.eval();
+      for (SignalId s = 0; s < nl.size(); ++s) {
+        for (std::size_t w = 0; w < lane_words; ++w) {
+          ASSERT_EQ(wide.get_word(s, w), refs[w].get(s))
+              << "W=" << lane_words << " cycle " << cycle << " word " << w
+              << " signal " << nl.signal_name(s);
         }
       }
       wide.step();

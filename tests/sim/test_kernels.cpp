@@ -32,6 +32,7 @@ struct Playground {
   std::vector<Instr> instrs;
   std::vector<SignalId> pool;
   SignalId next = num_inputs;
+  std::uint32_t layer1_end = 0;  // instrs[0, layer1_end) read inputs only
 
   SignalId op1(Op op, std::uint32_t a) {
     instrs.push_back(Instr{next, a, 0, 0, op});
@@ -70,6 +71,7 @@ struct Playground {
     opn(Op::OrN, {3, 6, 9, 0, 1});
     opn(Op::NorN, {0, 1, 2, 3, 4, 5, 6, 7, 8});
     opn(Op::XnorN, {10, 11, 0, 5, 7, 9, 2});
+    layer1_end = static_cast<std::uint32_t>(instrs.size());
     // Layer 2: the same opcodes over layer-1 outputs, so lane words flow
     // through dependent instructions.
     op2(Op::Xor2, b, n);
@@ -84,7 +86,9 @@ struct Playground {
 /// Evaluate the playground with `fn` at `lanes` words per signal, the value
 /// block starting `offset` words into a 64-byte-aligned allocation (offset 1
 /// = deliberately misaligned base, legal because all kernel loads/stores are
-/// unaligned ops). Returns the full value buffer.
+/// unaligned ops). The index span walks the stream in reverse within each
+/// layer, as a real evaluation order may reorder a level. Returns the full
+/// value buffer.
 std::vector<std::uint64_t> run_playground(const Playground& pg, EvalSpanFn fn,
                                           std::size_t lanes,
                                           std::size_t offset) {
@@ -94,8 +98,14 @@ std::vector<std::uint64_t> run_playground(const Playground& pg, EvalSpanFn fn,
   for (std::size_t s = 0; s < Playground::num_inputs; ++s) {
     for (std::size_t w = 0; w < lanes; ++w) v[s * lanes + w] = rng.next_u64();
   }
-  fn(pg.instrs.data(), pg.instrs.data() + pg.instrs.size(), pg.pool.data(), v,
-     lanes);
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t i = pg.layer1_end; i-- > 0;) order.push_back(i);
+  for (auto i = static_cast<std::uint32_t>(pg.instrs.size());
+       i-- > pg.layer1_end;) {
+    order.push_back(i);
+  }
+  fn(pg.instrs.data(), order.data(), order.data() + order.size(),
+     pg.pool.data(), v, lanes);
   return {buf.begin(), buf.end()};
 }
 

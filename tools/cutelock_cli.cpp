@@ -9,8 +9,8 @@
 //   cutelock attack <locked.bench> --oracle <original.bench>
 //            [--attack bmc|kc2|rane|sat|appsat|double-dip|bbo|fall|dana|
 //             scope|periodic] [--seconds 10] [--max-iterations N]
-//            [--max-period 8] [--accept exact|any|approx] [--epsilon 0.05]
-//            [--true-key 0101]
+//            [--max-depth N] [--max-period 8] [--accept exact|any|approx]
+//            [--epsilon 0.05] [--true-key 0101]
 //            (runs the daemon's attack job in-process — docs/service.md —
 //             so it prints what `submit` to a cold daemon prints)
 //            (--accept judges the reported key under the chosen acceptance
@@ -39,18 +39,24 @@
 // and print its result the same way, so scripts can treat the two
 // interchangeably.
 //
+// Each command takes exactly the flags listed for it above; any other flag,
+// a flag missing its value, or a malformed number is a usage error that
+// names the flag.
+//
 // Exit codes: 0 on success; attacks return 0 when the defense held and 2
 // when a key was recovered (so scripts can assert either way). 64 is a
 // usage error (including a malformed attack request, under `attack` and
 // `submit` alike), 65 a runtime error (including a lint rejection), 66 an
 // unreadable input file, 69 an unreachable daemon.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -72,6 +78,25 @@ namespace {
 
 using namespace cl;
 
+/// A malformed command line: main prints "cutelock <command>: <what>" and
+/// exits 64.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parse a whole decimal string as an unsigned count, naming `flag` on
+/// failure.
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw UsageError("--" + flag + " must be a non-negative integer, not '" +
+                     text + "'");
+  }
+  return value;
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -82,24 +107,49 @@ struct Args {
   }
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const {
     const auto it = options.find(name);
-    return it == options.end() ? fallback : std::stoull(it->second);
+    return it == options.end() ? fallback : parse_count(name, it->second);
+  }
+  double get_seconds(const std::string& name, double fallback) const {
+    const auto it = options.find(name);
+    if (it == options.end()) return fallback;
+    double value = 0;
+    if (!util::parse_double_strict(it->second.c_str(), &value) ||
+        !(value >= 0)) {
+      throw UsageError("--" + name + " must be a non-negative number");
+    }
+    return value;
   }
 };
 
-Args parse(int argc, char** argv) {
+/// One accepted flag of a command: a switch stands alone, any other flag
+/// takes the next token as its value.
+struct FlagSpec {
+  const char* name;
+  bool takes_value;
+};
+
+/// Split argv[2..] into positionals and the command's flags ("-o" is
+/// "--out"). Throws UsageError on a flag outside `flags` or a value flag
+/// with no value.
+Args parse(int argc, char** argv, const std::vector<FlagSpec>& flags) {
   Args args;
   for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0 || a == "-o") {
-      const std::string name = (a == "-o") ? "out" : a.substr(2);
-      // Boolean flags have no value; peek at the next token.
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        args.options[name] = argv[++i];
-      } else {
-        args.options[name] = "1";
-      }
-    } else {
+    const std::string a = argv[i];
+    if (a.rfind("--", 0) != 0 && a != "-o") {
       args.positional.push_back(a);
+      continue;
+    }
+    const std::string name = (a == "-o") ? "out" : a.substr(2);
+    const auto spec =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const FlagSpec& f) { return name == f.name; });
+    if (spec == flags.end()) throw UsageError("unknown flag " + a);
+    if (!spec->takes_value) {
+      args.options[name] = "1";
+    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+      args.options[name] = argv[++i];
+    } else {
+      throw UsageError(a + " needs a value");
     }
   }
   return args;
@@ -197,7 +247,7 @@ int cmd_lock(const Args& args) {
   options.single_key_reduction = args.flag("single-key");
   if (args.flag("keys")) {
     for (const std::string& v : util::split(args.get("keys", ""), ",")) {
-      options.explicit_keys.push_back(std::stoull(v));
+      options.explicit_keys.push_back(parse_count("keys", v));
     }
   }
   const lock::LockResult locked = core::cute_lock_str(nl, options);
@@ -212,6 +262,18 @@ int cmd_lock(const Args& args) {
   return 0;
 }
 
+/// An attack request field and the flag that sets it: the field's name
+/// with '-' for '_'. A number field must parse as a non-negative number.
+struct RequestFlag {
+  const char* name;
+  bool number;
+};
+
+constexpr RequestFlag k_request_flags[] = {
+    {"attack", false},   {"seconds", true},    {"max-iterations", true},
+    {"max-depth", true}, {"max-period", true}, {"accept", false},
+    {"epsilon", true},   {"true-key", false}};
+
 /// The attack request `attack` and `submit` both send (docs/service.md):
 /// both circuits inline plus the attack flags. Returns 0 when built, 64 on
 /// a malformed number, 66 when a circuit file cannot be read.
@@ -222,13 +284,8 @@ int attack_request(const char* command, const Args& args,
   r = util::Json::object();
   r.set("op", util::Json::string("submit"));
   r.set("job", util::Json::string("attack"));
-  // Each flag is the request field of the same name, with '-' for '_';
-  // flags left out take the job's defaults (docs/service.md).
-  static const std::pair<const char*, bool> k_flags[] = {
-      {"attack", false},  {"seconds", true}, {"max-iterations", true},
-      {"max-period", true}, {"accept", false}, {"epsilon", true},
-      {"true-key", false}};
-  for (const auto& [flag, number] : k_flags) {
+  // Flags left out take the job's defaults (docs/service.md).
+  for (const auto& [flag, number] : k_request_flags) {
     if (!args.flag(flag)) continue;
     std::string field = flag;
     std::replace(field.begin(), field.end(), '-', '_');
@@ -350,7 +407,7 @@ int cmd_analyze(const Args& args) {
   if (!nl.key_inputs().empty()) {
     analysis::InferOptions options;
     options.profile_unateness = !args.flag("no-unate");
-    options.time_limit_s = static_cast<double>(args.get_u64("seconds", 10));
+    options.time_limit_s = args.get_seconds("seconds", 10);
     const analysis::KeyHintReport report =
         analysis::infer_key_hints(nl, options);
     std::printf("\nkey inference (%s):\n", report.summary().c_str());
@@ -395,10 +452,17 @@ int cmd_gen(const Args& args) {
   return 0;
 }
 
+/// --port as a TCP port, 0 when absent.
+int port_flag(const Args& args) {
+  const std::uint64_t port = args.get_u64("port", 0);
+  if (port > 65535) throw UsageError("--port must be at most 65535");
+  return static_cast<int>(port);
+}
+
 int cmd_serve(const Args& args) {
   service::ServerOptions options;
   options.unix_socket = args.get("socket", "");
-  options.tcp_port = static_cast<int>(args.get_u64("port", 0));
+  options.tcp_port = port_flag(args);
   options.workers = args.get_u64("workers", 0);
   options.obs_bank_path = args.get("bank", "");
   service::Server server(std::move(options));
@@ -426,7 +490,7 @@ int connect_client(const Args& args, service::Client* client) {
   if (!socket_path.empty()) {
     if (client->connect_unix(socket_path, &error)) return 0;
   } else {
-    const int port = static_cast<int>(args.get_u64("port", 0));
+    const int port = port_flag(args);
     if (port == 0) {
       std::fprintf(stderr,
                    "cutelock submit: need --socket <path> or --port <port>\n");
@@ -519,25 +583,59 @@ int cmd_vcd(const Args& args) {
   return 0;
 }
 
+/// `attack`'s flags: --oracle plus one per request field. `submit` takes
+/// them after its own.
+std::vector<FlagSpec> attack_flags(std::vector<FlagSpec> flags = {}) {
+  flags.push_back({"oracle", true});
+  for (const RequestFlag& f : k_request_flags) flags.push_back({f.name, true});
+  return flags;
+}
+
+/// Every command with the flags it takes.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<FlagSpec> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"info", cmd_info, {}},
+      {"lock", cmd_lock,
+       {{"out", true}, {"k", true}, {"ki", true}, {"ffs", true},
+        {"seed", true}, {"single-key", false}, {"keys", true},
+        {"scheme", true}}},
+      {"attack", cmd_attack, attack_flags()},
+      {"analyze", cmd_analyze, {{"seconds", true}, {"no-unate", false}}},
+      {"overhead", cmd_overhead, {{"baseline", true}}},
+      {"vcd", cmd_vcd, {{"out", true}, {"cycles", true}, {"seed", true}}},
+      {"serve", cmd_serve,
+       {{"socket", true}, {"port", true}, {"workers", true}, {"bank", true}}},
+      {"submit", cmd_submit,
+       attack_flags({{"socket", true}, {"port", true}, {"op", true},
+                     {"id", true}})},
+      {"gen", cmd_gen, {{"out", true}}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  const Args args = parse(argc, argv);
+  const std::string name = argv[1];
+  const auto& table = commands();
+  const auto command =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return name == c.name; });
+  if (command == table.end()) return usage();
   try {
-    if (command == "info") return cmd_info(args);
-    if (command == "lock") return cmd_lock(args);
-    if (command == "attack") return cmd_attack(args);
-    if (command == "analyze") return cmd_analyze(args);
-    if (command == "overhead") return cmd_overhead(args);
-    if (command == "vcd") return cmd_vcd(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "submit") return cmd_submit(args);
-    if (command == "gen") return cmd_gen(args);
+    return command->run(parse(argc, argv, command->flags));
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "cutelock %s: %s\n", command->name, e.what());
+    return 64;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cutelock: %s\n", e.what());
     return 65;
   }
-  return usage();
 }
