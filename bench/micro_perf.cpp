@@ -22,7 +22,6 @@
 #include "netlist/transform.hpp"
 #include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
-#include "sim/bit_sim.hpp"
 #include "sim/compiled.hpp"
 #include "sim/kernels.hpp"
 #include "sim/reference_sim.hpp"
@@ -509,21 +508,6 @@ void BM_BboScreen(benchmark::State& state) {
 }
 BENCHMARK(BM_BboScreen);
 
-void BM_BitSim64Lanes(benchmark::State& state) {
-  const auto circuit = benchgen::make_circuit("b14");
-  sim::BitSim simulator(circuit.netlist);
-  util::Rng rng(7);
-  for (auto _ : state) {
-    for (auto i : circuit.netlist.inputs()) simulator.set(i, rng.next_u64());
-    simulator.eval();
-    simulator.step();
-    benchmark::DoNotOptimize(simulator.get(circuit.netlist.outputs()[0]));
-  }
-  // 64 parallel lanes per eval.
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_BitSim64Lanes);
-
 // ---- Simulation throughput axis -------------------------------------------
 //
 // items == pattern·gates, so items_per_second in BENCH_micro_perf.json is
@@ -562,10 +546,9 @@ void BM_CompiledSimWide(benchmark::State& state) {
   const std::size_t lane_words = static_cast<std::size_t>(state.range(0));
   const auto& circuit = large_circuit();
   const std::size_t gates = circuit.netlist.stats().gates;
-  sim::SimConfig config;
-  config.lanes = lane_words;
-  config.jobs = 1;  // single-thread: the honest 5x comparison
-  sim::WideSim simulator(circuit.netlist, config);
+  // b19 is below sim::k_shard_threshold, so this stays single-threaded:
+  // the honest 5x comparison.
+  sim::WideSim simulator(circuit.netlist, lane_words);
   util::Rng rng(7);
   for (auto _ : state) {
     for (auto i : circuit.netlist.inputs()) {
@@ -606,10 +589,7 @@ void BM_CompiledSimIsa(benchmark::State& state, util::SimIsa isa,
   const std::size_t gates = circuit.netlist.stats().gates;
   const util::SimIsa previous = sim::kernels::active_isa();
   sim::kernels::set_active_isa(isa);
-  sim::SimConfig config;
-  config.lanes = lane_words;
-  config.jobs = 1;
-  sim::WideSim simulator(circuit.netlist, config);
+  sim::WideSim simulator(circuit.netlist, lane_words);
   util::Rng rng(7);
   for (auto _ : state) {
     for (auto i : circuit.netlist.inputs()) {

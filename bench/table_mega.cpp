@@ -7,8 +7,14 @@
 // runs the engine-based oracle-guided suite (INT / KC2 / periodic) against
 // each instance. Unroll depth and iteration budgets are deliberately tiny —
 // one miter frame of syn256k is already ~half a million SAT variables — so
-// the table records how far each attack gets (expected: N/A / CNS, never
-// Equal), plus the oracle-query split when the ObservationBank is on.
+// the table records how far each attack gets, plus the oracle-query split
+// when the ObservationBank is on.
+//
+// The static-key attacks (INT, KC2) are the paper's claim: they must end
+// N/A or CNS, never Equal, and the exit status gates on them alone. The
+// periodic column is the adaptive attacker that models the time base; it
+// may recover the schedule (as bench_ablation_periodic_attack shows on
+// s27), so its recoveries are printed as leakage, not gated.
 //
 // Small profile (CI smoke): one row — syn64k at k=2 — with the INT attack
 // only. The full run adds syn256k, k=4, and the KC2/periodic columns.
@@ -113,11 +119,15 @@ int main() {
 
   util::Table table({"suite", "circuit", "k", "ki", "INT", "KC2", "periodic"});
   std::size_t attacks_run = 0, defenses_held = 0;
+  std::size_t periodic_run = 0, schedules_recovered = 0;
   for (const Row& row : rows) {
-    attacks_run += row.full ? 3 : 1;
+    attacks_run += row.full ? 2 : 1;
     if (attack::defense_held(row.bmc.outcome)) ++defenses_held;
     if (row.full && attack::defense_held(row.kc2.outcome)) ++defenses_held;
-    if (row.full && attack::defense_held(row.periodic.outcome)) ++defenses_held;
+    if (row.full) {
+      ++periodic_run;
+      if (!attack::defense_held(row.periodic.outcome)) ++schedules_recovered;
+    }
     table.add_row({"mega", row.spec.name, std::to_string(row.k), "4",
                    bench::attack_cell(row.bmc),
                    row.full ? bench::attack_cell(row.kc2) : "-",
@@ -127,5 +137,10 @@ int main() {
   std::printf("defense held in %zu / %zu attack runs "
               "(Equal would mean a recovered key)\n",
               defenses_held, attacks_run);
+  if (periodic_run > 0) {
+    std::printf("leakage: the periodic attacker recovered the key schedule "
+                "in %zu / %zu runs (adaptive, not gated)\n",
+                schedules_recovered, periodic_run);
+  }
   return defenses_held == attacks_run ? 0 : 1;
 }

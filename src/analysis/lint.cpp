@@ -58,14 +58,14 @@ LintReport lint(const Netlist& nl) {
   }
   if (floating) return rep;
 
+  const auto fanout = netlist::fanouts(nl);
   try {
-    (void)netlist::topo_order(nl);
+    (void)netlist::levelize(nl, fanout);
   } catch (const std::exception& e) {
     add(rep, Severity::Error, "comb-loop", "", e.what());
     return rep;
   }
 
-  const auto fanout = netlist::fanouts(nl);
   for (SignalId i : nl.inputs()) {
     if (fanout[i].empty() && !is_output(nl, i)) {
       add(rep, Severity::Warning, "unused-input", nl.signal_name(i),

@@ -6,7 +6,7 @@
 
 #include "core/counter.hpp"
 #include "logic/sop_builder.hpp"
-#include "sim/bit_sim.hpp"
+#include "sim/compiled.hpp"
 
 namespace cl::core {
 
@@ -151,14 +151,16 @@ lock::LockResult cute_lock_str(const Netlist& nl, const StrOptions& options) {
   std::vector<std::vector<std::uint64_t>> d_traces(
       original_d.size());  // [ff][cycle] 64-lane words
   {
-    sim::BitSim profiler(nl);
+    sim::WideSim profiler(nl);
     util::Rng sim_rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
     const std::size_t profile_cycles = 96;
     for (std::size_t c = 0; c < profile_cycles; ++c) {
-      for (SignalId i : nl.inputs()) profiler.set(i, sim_rng.next_u64());
+      for (SignalId i : nl.inputs()) {
+        profiler.set_word(i, 0, sim_rng.next_u64());
+      }
       profiler.eval();
       for (std::size_t f = 0; f < original_d.size(); ++f) {
-        d_traces[f].push_back(profiler.get(original_d[f]));
+        d_traces[f].push_back(profiler.get_word(original_d[f], 0));
       }
       profiler.step();
     }

@@ -1,106 +1,11 @@
 #include "fsm/kiss_io.hpp"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
-
-#include "util/strings.hpp"
 
 namespace cl::fsm {
 
-namespace {
-[[noreturn]] void fail(int line, const std::string& msg) {
-  throw std::runtime_error("kiss:" + std::to_string(line) + ": " + msg);
-}
-}  // namespace
-
-Stg read_kiss(std::istream& in) {
-  int ni = -1, no = -1;
-  std::string reset_name;
-  struct Row {
-    std::string cube, from, to, out;
-    int line;
-  };
-  std::vector<Row> rows;
-
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    if (const auto hash = raw.find('#'); hash != std::string::npos) {
-      raw = raw.substr(0, hash);
-    }
-    const auto tok = util::split(raw);
-    if (tok.empty()) continue;
-    if (tok[0] == ".i") {
-      if (tok.size() != 2) fail(line_no, ".i needs a count");
-      ni = std::stoi(tok[1]);
-    } else if (tok[0] == ".o") {
-      if (tok.size() != 2) fail(line_no, ".o needs a count");
-      no = std::stoi(tok[1]);
-    } else if (tok[0] == ".p" || tok[0] == ".s") {
-      // informational; ignored
-    } else if (tok[0] == ".r") {
-      if (tok.size() != 2) fail(line_no, ".r needs a state");
-      reset_name = tok[1];
-    } else if (tok[0] == ".e" || tok[0] == ".end") {
-      break;
-    } else if (tok[0][0] == '.') {
-      fail(line_no, "unknown directive " + tok[0]);
-    } else {
-      if (tok.size() != 4) fail(line_no, "transition needs 4 fields");
-      rows.push_back({tok[0], tok[1], tok[2], tok[3], line_no});
-    }
-  }
-  if (ni < 0 || no < 0) throw std::runtime_error("kiss: missing .i/.o");
-
-  Stg stg(ni, no);
-  const auto state_of = [&stg](const std::string& name) {
-    const int existing = stg.find_state(name);
-    return existing >= 0 ? existing : stg.add_state(name);
-  };
-  for (const Row& r : rows) {
-    if (static_cast<int>(r.cube.size()) != ni) fail(r.line, "cube width != .i");
-    if (static_cast<int>(r.out.size()) != no) fail(r.line, "output width != .o");
-    const int from = state_of(r.from);
-    const int to = state_of(r.to);
-    std::uint64_t out_bits = 0;
-    for (int o = 0; o < no; ++o) {
-      if (r.out[static_cast<std::size_t>(o)] == '1') out_bits |= 1ULL << o;
-    }
-    logic::Cube cube;
-    try {
-      cube = logic::Cube::parse(r.cube);
-    } catch (const std::invalid_argument& e) {
-      fail(r.line, e.what());
-    }
-    try {
-      stg.add_transition(from, cube, to, out_bits);
-    } catch (const std::invalid_argument& e) {
-      fail(r.line, e.what());
-    }
-  }
-  if (!reset_name.empty()) {
-    const int r = stg.find_state(reset_name);
-    if (r < 0) throw std::runtime_error("kiss: unknown reset state " + reset_name);
-    stg.set_initial(r);
-  }
-  stg.check();
-  return stg;
-}
-
-Stg read_kiss_string(const std::string& text) {
-  std::istringstream in(text);
-  return read_kiss(in);
-}
-
-Stg read_kiss_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return read_kiss(in);
-}
-
-void write_kiss(std::ostream& out, const Stg& stg) {
+std::string write_kiss_string(const Stg& stg) {
+  std::ostringstream out;
   out << ".i " << stg.num_inputs() << '\n';
   out << ".o " << stg.num_outputs() << '\n';
   out << ".p " << stg.num_transitions() << '\n';
@@ -117,18 +22,7 @@ void write_kiss(std::ostream& out, const Stg& stg) {
     }
   }
   out << ".e\n";
-}
-
-std::string write_kiss_string(const Stg& stg) {
-  std::ostringstream out;
-  write_kiss(out, stg);
   return out.str();
-}
-
-void write_kiss_file(const std::string& path, const Stg& stg) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  write_kiss(out, stg);
 }
 
 }  // namespace cl::fsm

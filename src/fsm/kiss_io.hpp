@@ -1,25 +1,17 @@
-// KISS2 FSM format reader/writer (the format used by the classic LGSynth /
-// MCNC FSM benchmark suites).
+// KISS2 FSM format writer (the format used by the classic LGSynth / MCNC FSM
+// benchmark suites).
 //
 //   .i <inputs>   .o <outputs>   .p <terms>   .s <states>   .r <reset>
 //   <input-cube> <from> <to> <output-bits>
 //   .e
-// Output '-' bits are read as 0 (we model concrete Mealy outputs).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "fsm/stg.hpp"
 
 namespace cl::fsm {
 
-Stg read_kiss(std::istream& in);
-Stg read_kiss_string(const std::string& text);
-Stg read_kiss_file(const std::string& path);
-
-void write_kiss(std::ostream& out, const Stg& stg);
 std::string write_kiss_string(const Stg& stg);
-void write_kiss_file(const std::string& path, const Stg& stg);
 
 }  // namespace cl::fsm

@@ -5,7 +5,10 @@
 
 namespace cl::netlist {
 
-Levelization levelize(const Netlist& nl) {
+Levelization levelize(const Netlist& nl) { return levelize(nl, fanouts(nl)); }
+
+Levelization levelize(const Netlist& nl,
+                      const std::vector<std::vector<SignalId>>& fo) {
   const std::size_t n = nl.size();
   Levelization out;
   out.level.assign(n, 0);
@@ -22,7 +25,6 @@ Levelization levelize(const Netlist& nl) {
     }
     pending[id] = deg;
   }
-  std::vector<std::vector<SignalId>> fo = fanouts(nl);
   std::vector<SignalId> ready;
   for (SignalId id = 0; id < n; ++id) {
     if (is_comb_gate(nl.type(id)) && pending[id] == 0) ready.push_back(id);
@@ -80,10 +82,6 @@ std::vector<SignalId> topo_order(const Netlist& nl) {
   return levelize(nl).order;
 }
 
-std::vector<int> logic_levels(const Netlist& nl) {
-  return levelize(nl).level;
-}
-
 std::vector<std::vector<SignalId>> fanouts(const Netlist& nl) {
   std::vector<std::vector<SignalId>> fo(nl.size());
   for (SignalId id = 0; id < nl.size(); ++id) {
@@ -108,15 +106,6 @@ std::vector<bool> comb_fanin_cone(const Netlist& nl,
     }
   }
   return in_cone;
-}
-
-std::vector<SignalId> keys_in_cone(const Netlist& nl, SignalId root) {
-  const std::vector<bool> cone = comb_fanin_cone(nl, {root});
-  std::vector<SignalId> keys;
-  for (SignalId k : nl.key_inputs()) {
-    if (cone[k]) keys.push_back(k);
-  }
-  return keys;
 }
 
 std::vector<std::vector<SignalId>> dff_dependencies(const Netlist& nl) {

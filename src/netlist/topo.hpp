@@ -1,5 +1,5 @@
-// Structural analyses over a Netlist: topological order of the combinational
-// core, logic levels, fanout lists, and transitive fanin/fanout cones.
+// Structural analyses over a Netlist: topological order and logic levels of
+// the combinational core, fanout lists, and transitive fanin cones.
 #pragma once
 
 #include <vector>
@@ -16,22 +16,22 @@ namespace cl::netlist {
 /// delimits level l inside `order` (level 0 = the sources).
 struct Levelization {
   std::vector<SignalId> order;
-  std::vector<int> level;                 // per SignalId
+  std::vector<int> level;  // per SignalId: 0 for sources, 1 + max fanin level
   std::vector<std::size_t> level_begin;   // size num_levels + 1
   std::size_t num_levels() const { return level_begin.size() - 1; }
 };
 
 /// Compute the levelization. Throws on combinational cycles.
 Levelization levelize(const Netlist& nl);
+/// Same, over the netlist's fanouts(nl), for callers that already built
+/// them.
+Levelization levelize(const Netlist& nl,
+                      const std::vector<std::vector<SignalId>>& fanouts);
 
 /// Topological order of all nodes such that every combinational gate appears
 /// after its fanins. Sources and DFFs (whose Q is a sequential source) come
 /// first. Throws on combinational cycles. (Convenience view of levelize().)
 std::vector<SignalId> topo_order(const Netlist& nl);
-
-/// Logic level per node: sources/DFF-Q are level 0; a gate is 1 + max fanin
-/// level. Indexed by SignalId. (Convenience view of levelize().)
-std::vector<int> logic_levels(const Netlist& nl);
 
 /// Fanout adjacency: for each signal, the list of nodes reading it (gate
 /// fanins and DFF D-pins). Primary-output designations are not included.
@@ -41,11 +41,6 @@ std::vector<std::vector<SignalId>> fanouts(const Netlist& nl);
 /// DFF outputs. Returned as a membership flag vector indexed by SignalId.
 std::vector<bool> comb_fanin_cone(const Netlist& nl,
                                   const std::vector<SignalId>& roots);
-
-/// Signals of the combinational next-state/output logic that a given signal
-/// structurally depends on, restricted to key inputs. Convenience for the
-/// structural attacks.
-std::vector<SignalId> keys_in_cone(const Netlist& nl, SignalId root);
 
 /// For every DFF d, the set of DFFs whose Q appears in the combinational
 /// fanin cone of d's D pin — the register dependency graph used by DANA.

@@ -570,7 +570,12 @@ void Server::accept_loop() {
 }
 
 void Server::handle_connection(int fd) {
+  // `buffer` holds the input not yet consumed, and holds no newline before
+  // `scanned`: each search resumes there, and consumed lines are dropped
+  // once per recv, so a line costs time linear in its length however many
+  // recv calls deliver it.
   std::string buffer;
+  std::size_t scanned = 0;
   char chunk[4096];
   bool open = true;
   while (open) {
@@ -578,10 +583,11 @@ void Server::handle_connection(int fd) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
     std::size_t eol;
-    while (open && (eol = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, eol);
-      buffer.erase(0, eol + 1);
+    while (open && (eol = buffer.find('\n', scanned)) != std::string::npos) {
+      const std::string line = buffer.substr(start, eol - start);
+      start = scanned = eol + 1;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
       util::Json request;
       std::string parse_error;
@@ -599,6 +605,8 @@ void Server::handle_connection(int fd) {
       // down this very connection.
       if (defer_shutdown) request_shutdown();
     }
+    buffer.erase(0, start);
+    scanned = buffer.size();
   }
   // The thread owns the close; stop() only ever shutdown()s a still-listed
   // fd, so marking the slot under the lock keeps the two from racing.

@@ -15,17 +15,6 @@ using netlist::GateType;
 using netlist::Netlist;
 using netlist::SignalId;
 
-SimConfig sim_config_from_env() {
-  // Parsed once per process: the hot sequence runners call this per run,
-  // and an invalid value should warn once, not once per oracle query.
-  static const SimConfig cached = [] {
-    SimConfig c;
-    c.jobs = util::jobs_from_env();
-    return c;
-  }();
-  return cached;
-}
-
 util::ThreadPool& shard_pool() {
   static util::ThreadPool pool(util::jobs_from_env());
   return pool;
@@ -203,9 +192,9 @@ void CompiledNetlist::eval_sharded(std::uint64_t* values, std::size_t lanes,
   }
 }
 
-void CompiledNetlist::eval_auto(std::uint64_t* values, std::size_t lanes,
-                                const SimConfig& config) const {
-  if (config.jobs > 1 && num_gates() >= config.shard_threshold) {
+void CompiledNetlist::eval_auto(std::uint64_t* values,
+                                std::size_t lanes) const {
+  if (num_gates() >= k_shard_threshold) {
     eval_sharded(values, lanes, shard_pool());
   } else {
     eval(values, lanes);
@@ -224,14 +213,13 @@ void CompiledNetlist::step_words_raw(std::uint64_t* values, std::size_t lanes,
   }
 }
 
-WideSim::WideSim(const Netlist& nl, SimConfig config)
-    : WideSim(std::make_shared<const CompiledNetlist>(nl), config) {}
+WideSim::WideSim(const Netlist& nl, std::size_t lane_words)
+    : WideSim(std::make_shared<const CompiledNetlist>(nl), lane_words) {}
 
 WideSim::WideSim(std::shared_ptr<const CompiledNetlist> compiled,
-                 SimConfig config)
+                 std::size_t lane_words)
     : compiled_(std::move(compiled)),
-      config_(config),
-      lanes_(std::max<std::size_t>(1, config.lanes)),
+      lanes_(std::max<std::size_t>(1, lane_words)),
       values_(compiled_->buffer_words(lanes_), 0) {
   reset();
 }
@@ -250,20 +238,7 @@ void WideSim::set_word(SignalId s, std::size_t w, std::uint64_t word) {
   values_[s * lanes_ + w] = word;
 }
 
-void WideSim::set_bit(SignalId s, std::size_t p, bool bit) {
-  if (!compiled_->settable(s)) {
-    throw std::invalid_argument("WideSim::set_bit: not an input: " +
-                                compiled_->source().signal_name(s));
-  }
-  if (p >= patterns()) {
-    throw std::out_of_range("WideSim::set_bit: pattern index out of range");
-  }
-  std::uint64_t& word = values_[s * lanes_ + p / 64];
-  const std::uint64_t mask = 1ULL << (p % 64);
-  word = bit ? (word | mask) : (word & ~mask);
-}
-
-void WideSim::eval() { compiled_->eval_auto(values_.data(), lanes_, config_); }
+void WideSim::eval() { compiled_->eval_auto(values_.data(), lanes_); }
 
 void WideSim::step() { compiled_->step_words(values_.data(), lanes_, scratch_); }
 

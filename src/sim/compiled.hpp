@@ -14,16 +14,16 @@
 //     predictor to learn. The instruction stream itself stays in levelized
 //     order, which the CNF encoder and XSim walk;
 //   - wide lanes: every signal carries W consecutive 64-bit words, so one
-//     eval() pass simulates 64*W independent patterns (W from SimConfig,
-//     or sized from the batch by the batch APIs);
+//     eval() pass simulates 64*W independent patterns (W chosen by the
+//     WideSim owner, or sized from the batch by the batch APIs);
 //   - sharded execution: instructions within one level are independent, so
 //     each level can be chunked across a util::ThreadPool with a barrier per
-//     level — engaged automatically for netlists above a gate-count
-//     threshold (SimConfig::shard_threshold).
+//     level — engaged automatically for netlists of at least
+//     k_shard_threshold gates.
 //
-// BitSim, XSim, sim::sequence and attack::SequentialOracle are thin adapters
-// over this core; tests cross-check it against sim::ReferenceSim (the
-// pre-compilation evaluator).
+// WideSim, XSim, sim::sequence and attack::SequentialOracle are thin
+// adapters over this core; tests cross-check it against sim::ReferenceSim
+// (the pre-compilation evaluator).
 #pragma once
 
 #include <cstdint>
@@ -57,16 +57,9 @@ struct Instr {
   Op op = Op::Buf;
 };
 
-/// Engine knobs.
-struct SimConfig {
-  std::size_t lanes = 1;  // W: 64-bit words per signal (WideSim only)
-  std::size_t shard_threshold = 250'000;  // gate count at which eval shards
-  std::size_t jobs = 1;                   // shard pool width
-};
-
-/// The default configuration, with `jobs` from CUTELOCK_JOBS (parsed once
-/// per process).
-SimConfig sim_config_from_env();
+/// Gate count from which eval_auto() shards a netlist's levels across
+/// shard_pool().
+inline constexpr std::size_t k_shard_threshold = 250'000;
 
 /// Process-wide pool for sharded evaluation, sized by CUTELOCK_JOBS on first
 /// use. Distinct from any bench::Runner pool, so a Runner worker evaluating
@@ -119,8 +112,8 @@ class CompiledNetlist {
     return num_signals_ * lanes;
   }
 
-  /// Zero every word, then load DFF power-up values (X treated as 0, as in
-  /// BitSim) and constant-source values.
+  /// Zero every word, then load DFF power-up values (X treated as 0) and
+  /// constant-source values.
   void reset_words(std::uint64_t* values, std::size_t lanes) const;
 
   /// Propagate through the combinational core, single-threaded.
@@ -133,10 +126,9 @@ class CompiledNetlist {
   void eval_sharded(std::uint64_t* values, std::size_t lanes,
                     util::ThreadPool& pool) const;
 
-  /// eval() or eval_sharded(shard_pool()) according to `config` (gate count
-  /// >= shard_threshold and jobs > 1).
-  void eval_auto(std::uint64_t* values, std::size_t lanes,
-                 const SimConfig& config) const;
+  /// eval_sharded(shard_pool()) from k_shard_threshold gates on, else
+  /// eval().
+  void eval_auto(std::uint64_t* values, std::size_t lanes) const;
 
   /// Latch every DFF: Q <= D, two-phase (register-to-register safe).
   /// `scratch` must hold dff_qs().size() * lanes words.
@@ -174,43 +166,42 @@ class CompiledNetlist {
   std::vector<std::uint8_t> settable_;
 };
 
-/// Wide-lane engine: owns a W-word-per-signal buffer over a compiled
-/// netlist. One eval() simulates 64*W patterns; pattern p lives in bit
-/// (p % 64) of word (p / 64). Sharded evaluation engages automatically per
-/// SimConfig.
+/// The two-valued simulator: owns a W-word-per-signal buffer over a
+/// compiled netlist. One eval() simulates 64*W patterns; pattern p lives in
+/// bit (p % 64) of word (p / 64). Sequential circuits advance with step(),
+/// which latches each DFF's D word into its Q word; DFFs with X power-up
+/// start at 0 (XSim keeps the X). Evaluation goes through eval_auto(), so
+/// large netlists shard on their own.
 class WideSim {
  public:
-  /// Compile privately with W = config.lanes.
-  explicit WideSim(const netlist::Netlist& nl,
-                   SimConfig config = sim_config_from_env());
+  /// Compile privately, with `lane_words` words per signal (W).
+  explicit WideSim(const netlist::Netlist& nl, std::size_t lane_words = 1);
   /// Share a compilation (e.g. one compile, many parallel evaluators).
-  WideSim(std::shared_ptr<const CompiledNetlist> compiled,
-          SimConfig config = sim_config_from_env());
+  explicit WideSim(std::shared_ptr<const CompiledNetlist> compiled,
+                   std::size_t lane_words = 1);
 
   const CompiledNetlist& compiled() const { return *compiled_; }
   /// W: 64-bit words per signal.
   std::size_t lane_words() const { return lanes_; }
-  /// 64 * W.
-  std::size_t patterns() const { return 64 * lanes_; }
 
+  /// Back to power-up: DFF init values and constants, every other word 0.
   void reset();
-  /// Word `w` (0 <= w < lane_words()) of input/key signal `s`.
+  /// Word `w` of input/key signal `s`. Throws std::invalid_argument for
+  /// any other signal and std::out_of_range unless w < lane_words().
   void set_word(netlist::SignalId s, std::size_t w, std::uint64_t word);
+  /// Word `w` of any signal (valid after eval()).
   std::uint64_t get_word(netlist::SignalId s, std::size_t w) const {
     return values_[s * lanes_ + w];
   }
-  /// Set pattern-lane p of signal s to a scalar bit.
-  void set_bit(netlist::SignalId s, std::size_t p, bool bit);
-  bool get_bit(netlist::SignalId s, std::size_t p) const {
-    return (values_[s * lanes_ + p / 64] >> (p % 64)) & 1ULL;
-  }
 
+  /// Propagate through the combinational core (inputs and DFF Qs are
+  /// sources).
   void eval();
+  /// Latch every DFF: Q <= D. Call after eval().
   void step();
 
  private:
   std::shared_ptr<const CompiledNetlist> compiled_;
-  SimConfig config_;
   std::size_t lanes_;
   util::AlignedVec<std::uint64_t> values_;   // 64-byte-aligned SoA buffer
   util::AlignedVec<std::uint64_t> scratch_;

@@ -2,7 +2,7 @@
 // topological order, one switch per gate per eval. Kept verbatim as (a) the
 // independent oracle the randomized CompiledNetlist cross-check tests
 // compare against and (b) the bench_micro_perf baseline the compiled
-// engine's speedup is measured from. Production code paths use BitSim,
+// engine's speedup is measured from. Production code paths use WideSim,
 // which rides the compiled core.
 #pragma once
 

@@ -50,7 +50,6 @@ std::vector<BitVec> run_sequence(const CompiledNetlist& compiled,
                                  const std::vector<BitVec>& keys) {
   check_widths(compiled.inputs().size(), compiled.key_inputs().size(), inputs,
                keys);
-  const SimConfig config = sim_config_from_env();
   util::AlignedVec<std::uint64_t> v(compiled.buffer_words(1), 0);
   util::AlignedVec<std::uint64_t> scratch;
   compiled.reset_words(v.data(), 1);
@@ -66,7 +65,7 @@ std::vector<BitVec> run_sequence(const CompiledNetlist& compiled,
         v[compiled.key_inputs()[k]] = kv[k] ? ~0ULL : 0ULL;
       }
     }
-    compiled.eval_auto(v.data(), 1, config);
+    compiled.eval_auto(v.data(), 1);
     BitVec cycle_out(compiled.outputs().size());
     for (std::size_t o = 0; o < compiled.outputs().size(); ++o) {
       cycle_out[o] = (v[compiled.outputs()[o]] & 1ULL) ? 1 : 0;
@@ -111,7 +110,6 @@ std::vector<std::vector<BitVec>> run_sequences_batched(
         "given");
   }
   const std::size_t lanes = (sequences.size() + 63) / 64;  // W words
-  SimConfig config = sim_config_from_env();
   util::AlignedVec<std::uint64_t> v(compiled.buffer_words(lanes), 0);
   util::AlignedVec<std::uint64_t> scratch;
   compiled.reset_words(v.data(), lanes);
@@ -134,7 +132,7 @@ std::vector<std::vector<BitVec>> run_sequences_batched(
         std::fill(words, words + lanes, kv[k] ? ~0ULL : 0ULL);
       }
     }
-    compiled.eval_auto(v.data(), lanes, config);
+    compiled.eval_auto(v.data(), lanes);
     for (std::size_t j = 0; j < sequences.size(); ++j) {
       BitVec& cycle_out = out[j][c];
       cycle_out.resize(compiled.outputs().size());
@@ -213,7 +211,6 @@ std::vector<std::uint64_t> screen_static_keys(
   if (lanes == 0) return alive;
   if (candidates % 64 != 0) alive.back() = (1ULL << (candidates % 64)) - 1;
 
-  const SimConfig config = sim_config_from_env();
   util::AlignedVec<std::uint64_t> v(compiled.buffer_words(lanes), 0);
   util::AlignedVec<std::uint64_t> scratch;
   for (std::size_t s = 0; s < stimuli.size(); ++s) {
@@ -228,7 +225,7 @@ std::vector<std::uint64_t> screen_static_keys(
         std::uint64_t* words = v.data() + compiled.inputs()[i] * lanes;
         std::fill(words, words + lanes, stimuli[s][c][i] ? ~0ULL : 0ULL);
       }
-      compiled.eval_auto(v.data(), lanes, config);
+      compiled.eval_auto(v.data(), lanes);
       for (std::size_t o = 0; o < num_outputs; ++o) {
         const std::uint64_t* got = v.data() + compiled.outputs()[o] * lanes;
         const std::uint64_t want = responses[s][c][o] ? ~0ULL : 0ULL;

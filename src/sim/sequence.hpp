@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/bit_sim.hpp"
+#include "sim/compiled.hpp"
 #include "sim/x_sim.hpp"
 #include "util/rng.hpp"
 

@@ -44,7 +44,7 @@ class XSim {
   void step();
 
   /// Outputs in declaration order, as of the last eval(). Does NOT
-  /// evaluate: callers own eval() (same contract as BitSim::outputs()).
+  /// evaluate: callers own eval().
   std::vector<Trit> outputs() const;
 
  private:

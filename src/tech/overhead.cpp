@@ -1,7 +1,9 @@
 #include "tech/overhead.hpp"
 
+#include <bit>
+
 #include "netlist/optimize.hpp"
-#include "sim/bit_sim.hpp"
+#include "sim/compiled.hpp"
 #include "util/rng.hpp"
 
 namespace cl::tech {
@@ -42,16 +44,27 @@ OverheadReport analyze_overhead(const Netlist& nl,
   report.ios = nl.inputs().size() + nl.key_inputs().size() +
                nl.outputs().size() + 1;  // +1 clock
 
-  // Switching activity: random inputs & keys, 64 lanes, toggle counting on
+  // Switching activity: random inputs & keys, 64 lanes, toggles counted on
   // the mapped design so tree-decomposition internal nodes are included.
+  // From the second cycle on, a signal toggles once per lane whose word
+  // differs from its word at the previous cycle's evaluation.
   const Netlist& m = mapped.netlist;
-  sim::BitSim simulator(m);
-  simulator.enable_toggle_counting(true);
+  sim::WideSim simulator(m);
+  std::vector<std::uint64_t> previous(m.size(), 0);
+  std::vector<std::uint64_t> toggles(m.size(), 0);
   util::Rng rng(options.seed);
   for (std::size_t c = 0; c < options.activity_cycles; ++c) {
-    for (SignalId i : m.inputs()) simulator.set(i, rng.next_u64());
-    for (SignalId k : m.key_inputs()) simulator.set(k, rng.next_u64());
+    for (SignalId i : m.inputs()) simulator.set_word(i, 0, rng.next_u64());
+    for (SignalId k : m.key_inputs()) simulator.set_word(k, 0, rng.next_u64());
     simulator.eval();
+    for (SignalId s = 0; s < m.size(); ++s) {
+      const std::uint64_t word = simulator.get_word(s, 0);
+      if (c > 0) {
+        toggles[s] +=
+            static_cast<std::uint64_t>(std::popcount(word ^ previous[s]));
+      }
+      previous[s] = word;
+    }
     simulator.step();
   }
 
@@ -62,8 +75,7 @@ OverheadReport analyze_overhead(const Netlist& nl,
     if (t == netlist::GateType::Input || t == netlist::GateType::KeyInput) {
       continue;
     }
-    const double toggles_per_cycle =
-        static_cast<double>(simulator.toggle_counts()[s]) / lanes;
+    const double toggles_per_cycle = static_cast<double>(toggles[s]) / lanes;
     const Cell& cell = lib.cell(cell_for_gate(t));
     // E[J/toggle] * toggles/cycle * cycles/s.
     dynamic_w += cell.switch_energy_fj * 1e-15 * toggles_per_cycle *

@@ -2,7 +2,7 @@
 
 #include "cnf/hashed_encoder.hpp"
 #include "netlist/bench_io.hpp"
-#include "sim/bit_sim.hpp"
+#include "sim/compiled.hpp"
 #include "sim/compiled.hpp"
 #include "util/rng.hpp"
 
@@ -32,7 +32,7 @@ void check_encoding_matches_sim(const Netlist& nl, std::uint64_t seed) {
   const std::vector<Lit> states = fresh_lits(enc, nl.dffs().size());
   const sim::CompiledNetlist prog(nl);
   const std::vector<Lit> frame = enc.encode_frame(prog, inputs, keys, states);
-  sim::BitSim sim(nl);
+  sim::WideSim sim(nl);
 
   for (int trial = 0; trial < 16; ++trial) {
     std::vector<Lit> assumptions;
@@ -40,18 +40,18 @@ void check_encoding_matches_sim(const Netlist& nl, std::uint64_t seed) {
                            const std::vector<Lit>& lits) {
       for (std::size_t i = 0; i < sources.size(); ++i) {
         const bool v = rng.chance(1, 2);
-        sim.set(sources[i], v ? ~0ULL : 0ULL);
+        sim.set_word(sources[i], 0, v ? ~0ULL : 0ULL);
         assumptions.push_back(v ? lits[i] : ~lits[i]);
       }
     };
     drive(nl.inputs(), inputs);
     drive(nl.key_inputs(), keys);
-    // DFF outputs are frame sources too; BitSim holds their reset value 0.
+    // DFF outputs are frame sources too; WideSim holds their reset value 0.
     for (const Lit q : states) assumptions.push_back(~q);
     sim.eval();
     ASSERT_EQ(solver.solve(assumptions), Result::Sat);
     for (SignalId s = 0; s < nl.size(); ++s) {
-      const bool sim_val = sim.get(s) & 1ULL;
+      const bool sim_val = sim.get_word(s, 0) & 1ULL;
       EXPECT_EQ(solver.model_value(frame[s]), sim_val)
           << nl.signal_name(s) << " trial " << trial;
     }

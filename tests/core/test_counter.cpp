@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/bit_sim.hpp"
+#include "sim/compiled.hpp"
 
 namespace cl::core {
 namespace {
@@ -27,19 +27,20 @@ TEST_P(TimeBaseSweep, CountsModuloKWithOneHotIndicators) {
   // Anchor the indicators so the netlist has outputs for cleanliness.
   for (auto s : tb.is_time) nl.add_output(s);
   nl.check();
-  sim::BitSim sim(nl);
+  sim::WideSim sim(nl);
   for (std::size_t cycle = 0; cycle < 3 * k + 1; ++cycle) {
     sim.eval();
     const std::size_t expect = cycle % k;
     // Counter value.
     std::uint64_t value = 0;
     for (std::size_t b = 0; b < tb.counter_ffs.size(); ++b) {
-      if (sim.get(tb.counter_ffs[b]) & 1ULL) value |= 1ULL << b;
+      if (sim.get_word(tb.counter_ffs[b], 0) & 1ULL) value |= 1ULL << b;
     }
     EXPECT_EQ(value, expect) << "cycle " << cycle;
     // Indicators are one-hot at the current slot.
     for (std::size_t t = 0; t < k; ++t) {
-      EXPECT_EQ(sim.get(tb.is_time[t]) & 1ULL, t == expect ? 1ULL : 0ULL)
+      EXPECT_EQ(sim.get_word(tb.is_time[t], 0) & 1ULL,
+                t == expect ? 1ULL : 0ULL)
           << "cycle " << cycle << " slot " << t;
     }
     sim.step();
@@ -58,14 +59,14 @@ TEST(TimeBase, NonPowerOfTwoPeriodsWrapToZeroNotIntoDeadStates) {
     const TimeBase tb = build_time_base(nl, k, "t");
     for (auto s : tb.is_time) nl.add_output(s);
     nl.check();
-    sim::BitSim sim(nl);
+    sim::WideSim sim(nl);
     std::size_t wraps_seen = 0;
     std::size_t prev = 0;
     for (std::size_t cycle = 0; cycle < 3 * k + 1; ++cycle) {
       sim.eval();
       std::uint64_t value = 0;
       for (std::size_t b = 0; b < tb.counter_ffs.size(); ++b) {
-        if (sim.get(tb.counter_ffs[b]) & 1ULL) value |= 1ULL << b;
+        if (sim.get_word(tb.counter_ffs[b], 0) & 1ULL) value |= 1ULL << b;
       }
       // Never inside the dead zone [k, 2^bits).
       ASSERT_LT(value, k) << "k=" << k << " cycle " << cycle;
@@ -79,7 +80,8 @@ TEST(TimeBase, NonPowerOfTwoPeriodsWrapToZeroNotIntoDeadStates) {
       }
       // One-hot indicator agrees with the register value.
       for (std::size_t t = 0; t < k; ++t) {
-        EXPECT_EQ(sim.get(tb.is_time[t]) & 1ULL, t == value ? 1ULL : 0ULL)
+        EXPECT_EQ(sim.get_word(tb.is_time[t], 0) & 1ULL,
+                  t == value ? 1ULL : 0ULL)
             << "k=" << k << " cycle " << cycle << " slot " << t;
       }
       prev = value;

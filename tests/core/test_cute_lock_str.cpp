@@ -8,6 +8,7 @@
 #include "benchgen/catalog.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/topo.hpp"
+#include "sim/compiled.hpp"
 
 namespace cl::core {
 namespace {
@@ -83,22 +84,22 @@ TEST(CuteLockStr, EveryStaticKeyDerailsTheStateMachine) {
     bool state_diverged = false;
     for (int trial = 0; trial < 4 && !state_diverged; ++trial) {
       const auto stim = sim::random_stimulus(rng, 64, nl.inputs().size());
-      sim::BitSim orig(nl);
-      sim::BitSim locked(lr.locked);
+      sim::WideSim orig(nl);
+      sim::WideSim locked(lr.locked);
       const auto kv = sim::u64_to_bits(key, 3);
       for (std::size_t t = 0; t < stim.size() && !state_diverged; ++t) {
         for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-          orig.set(nl.inputs()[i], stim[t][i] ? ~0ULL : 0ULL);
-          locked.set(lr.locked.inputs()[i], stim[t][i] ? ~0ULL : 0ULL);
+          orig.set_word(nl.inputs()[i], 0, stim[t][i] ? ~0ULL : 0ULL);
+          locked.set_word(lr.locked.inputs()[i], 0, stim[t][i] ? ~0ULL : 0ULL);
         }
         for (std::size_t b = 0; b < kv.size(); ++b) {
-          locked.set(lr.locked.key_inputs()[b], kv[b] ? ~0ULL : 0ULL);
+          locked.set_word(lr.locked.key_inputs()[b], 0, kv[b] ? ~0ULL : 0ULL);
         }
         orig.eval();
         locked.eval();
         for (netlist::SignalId q : nl.dffs()) {
           const netlist::SignalId lq = lr.locked.find(nl.signal_name(q));
-          if ((orig.get(q) & 1ULL) != (locked.get(lq) & 1ULL)) {
+          if ((orig.get_word(q, 0) ^ locked.get_word(lq, 0)) & 1ULL) {
             state_diverged = true;
           }
         }

@@ -1,5 +1,5 @@
 // End-to-end integration: the full pipeline the bench harnesses rely on,
-// exercised through the public API including file-format round trips.
+// exercised through the public API including .bench round trips.
 #include <gtest/gtest.h>
 
 #include "attack/bbo.hpp"
@@ -12,8 +12,6 @@
 #include "core/cute_lock_str.hpp"
 #include "fsm/synth.hpp"
 #include "netlist/bench_io.hpp"
-#include "netlist/blif_io.hpp"
-#include "netlist/verilog_io.hpp"
 #include "tech/overhead.hpp"
 
 namespace cl {
@@ -71,27 +69,6 @@ TEST(EndToEnd, BehFlowFromFsmToAttackedNetlist) {
   // The behavioral RTL emission stays syntactically plausible.
   const std::string rtl = lock.behavioral_verilog("dmac_l");
   EXPECT_NE(rtl.find("module dmac_l"), std::string::npos);
-}
-
-TEST(EndToEnd, AllFormatsCarryTheLockedDesign) {
-  const benchgen::SyntheticCircuit circuit = benchgen::make_circuit("b06");
-  core::StrOptions options;
-  options.num_keys = 2;
-  options.key_bits = 1;
-  options.seed = 7;
-  const lock::LockResult locked = core::cute_lock_str(circuit.netlist, options);
-
-  // BLIF round trip preserves behaviour.
-  const netlist::Netlist via_blif =
-      netlist::read_blif_string(netlist::write_blif_string(locked.locked));
-  util::Rng rng(8);
-  const auto stim = sim::random_stimulus(rng, 16, circuit.netlist.inputs().size());
-  const auto keys = locked.keys_for(16);
-  EXPECT_EQ(sim::run_sequence(via_blif, stim, keys),
-            sim::run_sequence(locked.locked, stim, keys));
-  // Verilog emission contains the key ports.
-  const std::string v = netlist::write_verilog_string(locked.locked);
-  EXPECT_NE(v.find("keyinput0"), std::string::npos);
 }
 
 TEST(EndToEnd, OverheadPipelineOnLockedDesigns) {

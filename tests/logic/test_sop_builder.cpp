@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "logic/minimize.hpp"
-#include "sim/bit_sim.hpp"
+#include "sim/compiled.hpp"
 #include "util/rng.hpp"
 
 namespace cl::logic {
@@ -15,12 +15,12 @@ using netlist::SignalId;
 /// Evaluate a single-output combinational netlist on minterm m (inputs in
 /// declaration order, input i = bit i).
 bool eval_netlist(const Netlist& nl, SignalId out, std::uint64_t m) {
-  sim::BitSim bs(nl);
+  sim::WideSim bs(nl);
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    bs.set(nl.inputs()[i], ((m >> i) & 1ULL) ? ~0ULL : 0ULL);
+    bs.set_word(nl.inputs()[i], 0, ((m >> i) & 1ULL) ? ~0ULL : 0ULL);
   }
   bs.eval();
-  return bs.get(out) & 1ULL;
+  return bs.get_word(out, 0) & 1ULL;
 }
 
 TEST(SopBuilder, BuildsCoverSemantics) {

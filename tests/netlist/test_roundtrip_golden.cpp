@@ -1,7 +1,7 @@
 // Serialization regression: write -> read -> write must be a fixpoint for
-// .bench and BLIF, and every round trip must preserve the interface that
-// locking correctness depends on — key inputs (names and order) and flip-
-// flops (names, D-pin wiring, init values). Runs over catalog circuits both
+// .bench, and the round trip must preserve the interface that locking
+// correctness depends on — key inputs (names and order) and flip-flops
+// (names, D-pin wiring, init values). Runs over catalog circuits both
 // unlocked and after Cute-Lock-Str, so keyinput handling is exercised for
 // real locked netlists, not just hand-written fixtures.
 #include <gtest/gtest.h>
@@ -12,9 +12,7 @@
 #include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
 #include "netlist/bench_io.hpp"
-#include "netlist/blif_io.hpp"
 #include "netlist/netlist.hpp"
-#include "netlist/verilog_io.hpp"
 
 namespace cl::netlist {
 namespace {
@@ -36,20 +34,14 @@ std::vector<Netlist> golden_circuits() {
   return out;
 }
 
-// compare_gates is off for BLIF trips: the BLIF reader decomposes .names
-// covers into AND/OR/NOT networks (see blif_io.hpp), which changes the gate
-// count but must never change the interface.
-void expect_same_interface(const Netlist& a, const Netlist& b,
-                           bool compare_gates = true) {
+void expect_same_interface(const Netlist& a, const Netlist& b) {
   const NetlistStats sa = a.stats();
   const NetlistStats sb = b.stats();
   EXPECT_EQ(sa.inputs, sb.inputs);
   EXPECT_EQ(sa.key_inputs, sb.key_inputs);
   EXPECT_EQ(sa.outputs, sb.outputs);
   EXPECT_EQ(sa.dffs, sb.dffs);
-  if (compare_gates) {
-    EXPECT_EQ(sa.gates, sb.gates);
-  }
+  EXPECT_EQ(sa.gates, sb.gates);
 
   ASSERT_EQ(a.key_inputs().size(), b.key_inputs().size());
   for (std::size_t i = 0; i < a.key_inputs().size(); ++i) {
@@ -74,39 +66,6 @@ TEST(RoundtripGolden, BenchWriteReadWriteIsFixpoint) {
     const Netlist back = read_bench_string(first, nl.name());
     EXPECT_EQ(first, write_bench_string(back));
     expect_same_interface(nl, back);
-  }
-}
-
-TEST(RoundtripGolden, BlifWriteReadWriteIsFixpoint) {
-  for (const Netlist& nl : golden_circuits()) {
-    SCOPED_TRACE(nl.name());
-    // One write/read pass normalizes the netlist into the reader's
-    // AND/OR/NOT vocabulary; from then on write -> read -> write must be a
-    // text-level fixpoint.
-    const Netlist normalized = read_blif_string(write_blif_string(nl));
-    expect_same_interface(nl, normalized, /*compare_gates=*/false);
-    const std::string first = write_blif_string(normalized);
-    const Netlist back = read_blif_string(first);
-    EXPECT_EQ(first, write_blif_string(back));
-    expect_same_interface(normalized, back);
-  }
-}
-
-// There is no Verilog reader; the guarantee is that the Verilog view is a
-// pure function of the netlist, i.e. unchanged by a .bench round trip.
-TEST(RoundtripGolden, VerilogStableAcrossBenchRoundtrip) {
-  for (const Netlist& nl : golden_circuits()) {
-    SCOPED_TRACE(nl.name());
-    const Netlist back = read_bench_string(write_bench_string(nl), nl.name());
-    EXPECT_EQ(write_verilog_string(nl), write_verilog_string(back));
-  }
-}
-
-TEST(RoundtripGolden, BenchToBlifToBenchPreservesInterface) {
-  for (const Netlist& nl : golden_circuits()) {
-    SCOPED_TRACE(nl.name());
-    const Netlist via_blif = read_blif_string(write_blif_string(nl));
-    expect_same_interface(nl, via_blif, /*compare_gates=*/false);
   }
 }
 

@@ -36,12 +36,18 @@ TEST(Topo, OrderRespectsFaninBeforeGate) {
 
 TEST(Topo, LevelsIncreaseAlongChain) {
   const Netlist nl = chain3();
-  const auto level = logic_levels(nl);
+  const Levelization lv = levelize(nl);
+  const auto& level = lv.level;
   EXPECT_EQ(level[nl.find("a")], 0);
   EXPECT_EQ(level[nl.find("q")], 0);
   EXPECT_EQ(level[nl.find("g1")], 1);
   EXPECT_EQ(level[nl.find("g2")], 2);
   EXPECT_EQ(level[nl.find("g3")], 3);
+  // Prebuilt fanout lists give the same levelization.
+  const Levelization again = levelize(nl, fanouts(nl));
+  EXPECT_EQ(again.level, lv.level);
+  EXPECT_EQ(again.order, lv.order);
+  EXPECT_EQ(again.level_begin, lv.level_begin);
 }
 
 TEST(Topo, FanoutsListReaders) {
@@ -64,18 +70,6 @@ TEST(Topo, ConeStopsAtDffOutputs) {
   EXPECT_TRUE(cone[nl.find("a")]);
   EXPECT_TRUE(cone[nl.find("q")]);   // included as a cone leaf
   EXPECT_FALSE(cone[nl.find("g3")]); // not in the fanin of g2
-}
-
-TEST(Topo, KeysInConeFindsOnlyReachableKeys) {
-  Netlist nl;
-  const SignalId a = nl.add_input("a");
-  const SignalId k0 = nl.add_key_input("keyinput0");
-  nl.add_key_input("keyinput1");  // not connected to g
-  const SignalId g = nl.add_xor(a, k0, "g");
-  nl.add_output(g);
-  const auto keys = keys_in_cone(nl, g);
-  ASSERT_EQ(keys.size(), 1u);
-  EXPECT_EQ(keys[0], k0);
 }
 
 TEST(Topo, DffDependenciesFormRegisterGraph) {

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -168,6 +171,63 @@ TEST_F(ServiceTest, TcpLoopbackServesTheSameProtocol) {
   util::Json ping = util::Json::object();
   ping.set("op", util::Json::string("ping"));
   EXPECT_TRUE(rpc(client, ping).bool_or("ok", false));
+}
+
+TEST_F(ServiceTest, LongLinesAndPipelinedRequestsAreAnsweredInOrder) {
+  ServerOptions options;
+  options.unix_socket = socket_path();
+  options.workers = 1;
+  Server server(options);
+  start(server);
+
+  // A raw connection, so that one write can carry two requests.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path().c_str(), sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const auto send_text = [fd](const std::string& text) {
+    for (std::size_t sent = 0; sent < text.size();) {
+      const ssize_t n = ::send(fd, text.data() + sent, text.size() - sent, 0);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  std::string pending;
+  const auto reply = [fd, &pending] {
+    std::size_t eol;
+    char chunk[4096];
+    while ((eol = pending.find('\n')) == std::string::npos) {
+      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+      if (n <= 0) return util::Json();
+      pending.append(chunk, static_cast<std::size_t>(n));
+    }
+    util::Json parsed;
+    std::string error;
+    EXPECT_TRUE(util::Json::parse(pending.substr(0, eol), &parsed, &error))
+        << error;
+    pending.erase(0, eol + 1);
+    return parsed;
+  };
+
+  // One ping padded past 8 MB arrives over some two thousand recv calls.
+  const std::string pad(std::size_t{8} << 20, 'x');
+  ASSERT_TRUE(send_text("{\"op\":\"ping\",\"pad\":\"" + pad + "\"}\n"));
+  const util::Json long_ping = reply();
+  EXPECT_TRUE(long_ping.bool_or("ok", false)) << long_ping.dump();
+  EXPECT_EQ(long_ping.str_or("op", ""), "ping");
+
+  ASSERT_TRUE(send_text("{\"op\":\"ping\"}\n{\"op\":\"stats\"}\n"));
+  const util::Json first = reply();
+  const util::Json second = reply();
+  EXPECT_EQ(first.str_or("op", ""), "ping") << first.dump();
+  EXPECT_TRUE(second.bool_or("ok", false)) << second.dump();
+  EXPECT_NE(second.find("jobs"), nullptr) << second.dump();
+  ::close(fd);
 }
 
 TEST_F(ServiceTest, AttackJobMatchesInProcessRunAndResubmissionReplays) {

@@ -1,8 +1,7 @@
 // Randomized cross-checks of the compiled simulation engine against
 // sim::ReferenceSim (the frozen pre-compilation evaluator): every GateType,
-// DFF X-init, wide-lane widths W in {1, 4, 16}, sharded evaluation, the
-// sharding-threshold boundary, and the op-grouped evaluation order on a
-// 10k-gate catalog circuit.
+// DFF X-init, wide-lane widths W in {1, 4, 16}, sharded evaluation, and
+// the op-grouped evaluation order on a 10k-gate catalog circuit.
 #include "sim/compiled.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 
 #include "benchgen/catalog.hpp"
 #include "netlist/topo.hpp"
-#include "sim/bit_sim.hpp"
 #include "sim/reference_sim.hpp"
 #include "sim/sequence.hpp"
 #include "sim/x_sim.hpp"
@@ -77,22 +75,22 @@ TEST(CompiledNetlist, MatchesReferenceOnRandomCircuits) {
   for (int trial = 0; trial < 12; ++trial) {
     const Netlist nl = random_netlist(rng, 40 + 20 * trial);
     ReferenceSim ref(nl);
-    BitSim fast(nl);
+    WideSim fast(nl);
     for (int cycle = 0; cycle < 6; ++cycle) {
       for (SignalId i : nl.inputs()) {
         const std::uint64_t w = rand_word(rng);
         ref.set(i, w);
-        fast.set(i, w);
+        fast.set_word(i, 0, w);
       }
       for (SignalId k : nl.key_inputs()) {
         const std::uint64_t w = rand_word(rng);
         ref.set(k, w);
-        fast.set(k, w);
+        fast.set_word(k, 0, w);
       }
       ref.eval();
       fast.eval();
       for (SignalId s = 0; s < nl.size(); ++s) {
-        ASSERT_EQ(fast.get(s), ref.get(s))
+        ASSERT_EQ(fast.get_word(s, 0), ref.get(s))
             << "trial " << trial << " cycle " << cycle << " signal "
             << nl.signal_name(s);
       }
@@ -109,10 +107,7 @@ TEST(CompiledNetlist, WideLanesMatchPerWordReferenceRuns) {
   for (const std::size_t lane_words : {std::size_t{1}, std::size_t{4},
                                        std::size_t{16}}) {
     const Netlist nl = random_netlist(rng, 120);
-    SimConfig config;
-    config.lanes = lane_words;
-    config.jobs = 1;
-    WideSim wide(nl, config);
+    WideSim wide(nl, lane_words);
     std::vector<ReferenceSim> refs(lane_words, ReferenceSim(nl));
     for (int cycle = 0; cycle < 4; ++cycle) {
       for (SignalId s : nl.all_inputs()) {
@@ -179,10 +174,7 @@ TEST(CompiledNetlist, OpGroupedEvalOrderMatchesReferenceOnS35932) {
   util::Rng rng(0x35932);
   for (const std::size_t lane_words :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    SimConfig config;
-    config.lanes = lane_words;
-    config.jobs = 1;
-    WideSim wide(compiled, config);
+    WideSim wide(compiled, lane_words);
     std::vector<ReferenceSim> refs(lane_words, ReferenceSim(nl));
     for (int cycle = 0; cycle < 4; ++cycle) {
       for (SignalId s : nl.all_inputs()) {
@@ -231,36 +223,6 @@ TEST(CompiledNetlist, ShardedEvalIsBitIdenticalToSerial) {
   }
 }
 
-TEST(CompiledNetlist, ShardThresholdBoundaryDoesNotChangeResults) {
-  // BitSim shards iff gates >= threshold; results must agree on both sides
-  // of the boundary.
-  util::Rng rng(0x7007);
-  const Netlist nl = random_netlist(rng, 200);
-  const std::size_t gates = nl.stats().gates;
-  SimConfig below;  // gates < threshold: serial path
-  below.shard_threshold = gates + 1;
-  below.jobs = 3;
-  SimConfig at;     // gates >= threshold: sharded path
-  at.shard_threshold = gates;
-  at.jobs = 3;
-  BitSim serial(nl, below);
-  BitSim sharded(nl, at);
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    for (SignalId s : nl.all_inputs()) {
-      const std::uint64_t w = rand_word(rng);
-      serial.set(s, w);
-      sharded.set(s, w);
-    }
-    serial.eval();
-    sharded.eval();
-    for (SignalId s = 0; s < nl.size(); ++s) {
-      ASSERT_EQ(serial.get(s), sharded.get(s)) << nl.signal_name(s);
-    }
-    serial.step();
-    sharded.step();
-  }
-}
-
 TEST(CompiledNetlist, DffXInitIsZeroInWordSimAndXInXSim) {
   // The two-valued engines (Reference and compiled) treat X power-up as 0;
   // XSim preserves the X through the compiled instruction stream.
@@ -269,11 +231,11 @@ TEST(CompiledNetlist, DffXInitIsZeroInWordSimAndXInXSim) {
   const SignalId qx = nl.add_dff(a, DffInit::X, "qx");
   const SignalId g = nl.add_gate(GateType::Buf, {qx}, "g");
   nl.add_output(g);
-  BitSim fast(nl);
+  WideSim fast(nl);
   ReferenceSim ref(nl);
   fast.eval();
   ref.eval();
-  EXPECT_EQ(fast.get(g), 0ULL);
+  EXPECT_EQ(fast.get_word(g, 0), 0ULL);
   EXPECT_EQ(ref.get(g), 0ULL);
   XSim xs(nl);
   xs.set(a, Trit::One);
@@ -286,25 +248,26 @@ TEST(CompiledNetlist, DffXInitIsZeroInWordSimAndXInXSim) {
 
 TEST(CompiledNetlist, XSimMatchesBitSimLaneZeroWhenFullyDefined) {
   // With all inputs driven and no X power-up, Kleene semantics collapse to
-  // two-valued: XSim over the compiled stream must track BitSim lane 0.
+  // two-valued: XSim over the compiled stream must track WideSim lane 0.
   util::Rng rng(0xfade);
   for (int trial = 0; trial < 4; ++trial) {
     Netlist nl = random_netlist(rng, 100);
     for (SignalId d : nl.dffs()) {
       if (nl.dff_init(d) == DffInit::X) nl.set_dff_init(d, DffInit::Zero);
     }
-    BitSim bits(nl);
+    WideSim bits(nl);
     XSim xs(nl);
     for (int cycle = 0; cycle < 5; ++cycle) {
       for (SignalId s : nl.all_inputs()) {
         const bool bit = rng.chance(1, 2);
-        bits.set(s, bit ? ~0ULL : 0ULL);
+        bits.set_word(s, 0, bit ? ~0ULL : 0ULL);
         xs.set(s, bit ? Trit::One : Trit::Zero);
       }
       bits.eval();
       xs.eval();
       for (SignalId s = 0; s < nl.size(); ++s) {
-        const Trit want = (bits.get(s) & 1ULL) ? Trit::One : Trit::Zero;
+        const Trit want =
+            (bits.get_word(s, 0) & 1ULL) ? Trit::One : Trit::Zero;
         ASSERT_EQ(xs.get(s), want) << nl.signal_name(s);
       }
       bits.step();

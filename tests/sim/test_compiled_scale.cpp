@@ -25,30 +25,37 @@ TEST(CompiledScale, MillionGateSuiteSimulatesThroughShardedPath) {
   const CompiledNetlist compiled(circuit.netlist);
   EXPECT_EQ(compiled.num_gates(), stats.gates);
   EXPECT_GT(compiled.num_levels(), 1u);
-  // syn1m must actually be above the default auto-shard threshold.
-  EXPECT_GE(compiled.num_gates(), SimConfig{}.shard_threshold);
+  // syn1m must actually be above the auto-shard threshold, so eval_auto
+  // takes the sharded path on shard_pool().
+  EXPECT_GE(compiled.num_gates(), k_shard_threshold);
 
   util::ThreadPool pool(4);
   util::Rng rng(11);
   std::vector<std::uint64_t> serial(compiled.buffer_words(1), 0);
   std::vector<std::uint64_t> sharded(compiled.buffer_words(1), 0);
+  std::vector<std::uint64_t> automatic(compiled.buffer_words(1), 0);
   compiled.reset_words(serial.data(), 1);
   compiled.reset_words(sharded.data(), 1);
-  std::vector<std::uint64_t> scratch_a, scratch_b;
+  compiled.reset_words(automatic.data(), 1);
+  std::vector<std::uint64_t> scratch_a, scratch_b, scratch_c;
   for (int cycle = 0; cycle < 3; ++cycle) {
     for (SignalId i : compiled.inputs()) {
       const std::uint64_t w = rng.next_u64();
       serial[i] = w;
       sharded[i] = w;
+      automatic[i] = w;
     }
     compiled.eval(serial.data(), 1);
     compiled.eval_sharded(sharded.data(), 1, pool);
+    compiled.eval_auto(automatic.data(), 1);
     for (SignalId o : compiled.outputs()) {
       ASSERT_EQ(serial[o], sharded[o]) << "cycle " << cycle;
     }
     ASSERT_EQ(serial, sharded) << "cycle " << cycle;
+    ASSERT_EQ(serial, automatic) << "cycle " << cycle;
     compiled.step_words(serial.data(), 1, scratch_a);
     compiled.step_words(sharded.data(), 1, scratch_b);
+    compiled.step_words(automatic.data(), 1, scratch_c);
   }
   // The outputs must be alive (not stuck) for the suite to be useful in
   // attack studies.

@@ -196,9 +196,7 @@ TEST(Kernels, WideSimIdenticalAcrossTiersOnRealCircuit) {
        {SimIsa::Generic, SimIsa::Avx2, SimIsa::Avx512}) {
     if (!kernels::available(isa)) continue;
     ASSERT_TRUE(kernels::set_active_isa(isa));
-    SimConfig config;
-    config.lanes = 16;
-    WideSim simulator(circuit.netlist, config);
+    WideSim simulator(circuit.netlist, 16);
     util::Rng rng(99);
     std::vector<std::uint64_t> trace;
     for (int cycle = 0; cycle < 3; ++cycle) {

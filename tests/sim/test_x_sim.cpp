@@ -70,7 +70,7 @@ TEST(XSim, ControllingValuesMaskX) {
 }
 
 TEST(XSim, OutputsReadsLastEvalWithoutReEvaluating) {
-  // Same contract as BitSim::outputs(): a pure reader, callers own eval().
+  // outputs() is a pure reader: callers own eval().
   Netlist nl("outx");
   const SignalId a = nl.add_input("a");
   const SignalId g = nl.add_not(a, "g");

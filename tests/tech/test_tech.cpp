@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/s27.hpp"
+#include "core/cute_lock_str.hpp"
 #include "sim/sequence.hpp"
 #include "tech/cell_library.hpp"
 #include "tech/mapper.hpp"
@@ -106,6 +107,18 @@ TEST(Overhead, PercentagesAgainstZeroBaseAreZero) {
   OverheadReport a, b;
   a.power_w = 1.0;
   EXPECT_EQ(a.power_overhead_pct(b), 0.0);
+}
+
+TEST(Overhead, SwitchingPowerIsPinned) {
+  // Toggles count, per lane, each signal's flips between consecutive
+  // evaluations from the second cycle on; these are the exact powers that
+  // rule gives for s27 and one Cute-Lock-Str lock of it.
+  const Netlist nl = benchgen::make_s27();
+  core::StrOptions options;
+  options.seed = 7;
+  const Netlist locked = core::cute_lock_str(nl, options).locked;
+  EXPECT_EQ(analyze_overhead(nl).power_w, 5.7866135912698419e-07);
+  EXPECT_EQ(analyze_overhead(locked).power_w, 3.4391859126984127e-06);
 }
 
 TEST(Overhead, DeterministicForSameSeed) {
