@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
@@ -52,6 +52,9 @@ int main() {
   }
 
   bench::Runner runner("ablation_key_count");
+  const attack::AttackMode& bmc = attack::find_attack_mode("bmc");
+  attack::ModeOptions options;
+  options.budget = bench::table_budget(seconds);
   for (Sweep& sweep : sweeps) {
     const std::size_t k = sweep.k;
     runner.add({"ITC'99", "b10", "overhead", static_cast<int>(k), 4},
@@ -70,14 +73,13 @@ int main() {
                  std::snprintf(area, sizeof area, "%.1f", sweep.area_pct);
                  return bench::JobOutcome{area, -1.0, 0};
                });
-    runner.add_attack({"ITC'99", "b10", "INT", static_cast<int>(k), 4},
-                      &sweep.bmc, [k, seconds]() {
+    runner.add_attack({"ITC'99", "b10", bmc.label, static_cast<int>(k), 4},
+                      &sweep.bmc, [k, &bmc, options]() {
                         const auto circuit = benchgen::make_circuit("b10");
                         const auto locked = lock_circuit(circuit.netlist, k);
-                        attack::SequentialOracle oracle(circuit.netlist);
-                        return attack::bmc_attack(
-                            locked.locked, oracle,
-                            bench::table_budget(seconds));
+                        return attack::run_attack_mode(bmc, locked.locked,
+                                                       circuit.netlist, options)
+                            .result;
                       });
   }
   runner.run();

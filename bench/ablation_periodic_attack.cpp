@@ -9,10 +9,12 @@
 // Two Runner jobs per k (static BMC, adaptive periodic), each rebuilding
 // s27, lock and oracle.
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "attack/periodic_attack.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "bench_common.hpp"
 #include "benchgen/s27.hpp"
 #include "core/cute_lock_str.hpp"
@@ -23,11 +25,21 @@ namespace {
 
 using namespace cl;
 
+/// The static attack, then the adaptive one, by attack-registry mode name.
+const char* const k_modes[] = {"bmc", "periodic"};
+
 struct Row {
   std::size_t k;
-  attack::AttackResult static_bmc;
-  attack::PeriodicAttackResult adaptive;
+  attack::ModeResult results[std::size(k_modes)];
 };
+
+/// The period the adaptive attack recovered, "-" when none.
+std::string period_found(const attack::ModeResult& adaptive) {
+  for (const auto& [name, value] : adaptive.facts) {
+    if (name == "period") return value.dump();
+  }
+  return "-";
+}
 
 lock::LockResult lock_s27(const netlist::Netlist& s27, std::size_t k) {
   core::StrOptions options;
@@ -47,45 +59,38 @@ int main() {
   const double seconds = bench::attack_seconds(20.0);
 
   std::vector<Row> rows;
-  for (const std::size_t k : {2u, 4u, 8u}) rows.push_back(Row{k, {}, {}});
+  for (const std::size_t k : {2u, 4u, 8u}) rows.push_back(Row{k, {}});
 
   bench::Runner runner("ablation_periodic_attack");
   for (Row& row : rows) {
     const std::size_t k = row.k;
-    runner.add_attack({"ISCAS'89", "s27", "INT", static_cast<int>(k), 2},
-                      &row.static_bmc, [k, seconds]() {
-                        const auto s27 = benchgen::make_s27();
-                        const auto locked = lock_s27(s27, k);
-                        attack::SequentialOracle oracle(s27);
-                        return attack::bmc_attack(
-                            locked.locked, oracle,
-                            bench::table_budget(seconds));
-                      });
-    runner.add_attack({"ISCAS'89", "s27", "periodic", static_cast<int>(k), 2},
-                      &row.adaptive.result, [&row, k, seconds]() {
-                        const auto s27 = benchgen::make_s27();
-                        const auto locked = lock_s27(s27, k);
-                        attack::SequentialOracle oracle(s27);
-                        attack::PeriodicAttackOptions popt;
-                        popt.max_period = k;
-                        popt.budget = bench::table_budget(seconds);
-                        row.adaptive = attack::periodic_key_attack(
-                            locked.locked, oracle, popt);
-                        return row.adaptive.result;
-                      });
+    attack::ModeOptions options;
+    options.budget = bench::table_budget(seconds);
+    options.max_period = k;
+    for (std::size_t i = 0; i < std::size(k_modes); ++i) {
+      const attack::AttackMode& mode = attack::find_attack_mode(k_modes[i]);
+      attack::ModeResult* slot = &row.results[i];
+      runner.add_attack({"ISCAS'89", "s27", mode.label, static_cast<int>(k), 2},
+                        &slot->result, [slot, k, &mode, options]() {
+                          const auto s27 = benchgen::make_s27();
+                          const auto locked = lock_s27(s27, k);
+                          attack::ModeResult run = attack::run_attack_mode(
+                              mode, locked.locked, s27, options);
+                          slot->facts = std::move(run.facts);
+                          return run.result;
+                        });
+    }
   }
   runner.run();
 
   util::Table table({"k", "ki", "static BMC", "periodic attack", "period found",
                      "oracle queries"});
   for (const Row& row : rows) {
+    const attack::ModeResult& adaptive = row.results[1];
     table.add_row({std::to_string(row.k), "2",
-                   bench::attack_cell(row.static_bmc),
-                   bench::attack_cell(row.adaptive.result),
-                   row.adaptive.recovered_period
-                       ? std::to_string(row.adaptive.recovered_period)
-                       : "-",
-                   std::to_string(row.adaptive.result.iterations)});
+                   bench::attack_cell(row.results[0].result),
+                   bench::attack_cell(adaptive.result), period_found(adaptive),
+                   std::to_string(adaptive.result.iterations)});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("reading: static-key attacks dead-end (the paper's tables); an\n"

@@ -9,19 +9,13 @@
 
 namespace cl::bench {
 
-namespace {
-
-bool env_flag(const char* name) { return util::env_flag(name); }
-
-}  // namespace
-
 double attack_seconds(double fallback) {
   return util::env_double_or("CUTELOCK_ATTACK_SECONDS", fallback);
 }
 
-bool small_run() { return env_flag("CUTELOCK_BENCH_SMALL"); }
+bool small_run() { return util::env_flag("CUTELOCK_BENCH_SMALL"); }
 
-bool stable_cells() { return env_flag("CUTELOCK_BENCH_STABLE"); }
+bool stable_cells() { return util::env_flag("CUTELOCK_BENCH_STABLE"); }
 
 std::size_t jobs_from_env() { return util::jobs_from_env(); }
 
@@ -44,7 +38,6 @@ attack::AttackBudget table_budget(double seconds) {
   b.max_depth = 24;
   b.conflict_budget = 4'000'000;
   b.sat_workers = util::sat_portfolio_from_env();
-  b.sat_preprocess = util::sat_preprocess_from_env();
   if (stable_cells()) {
     // Byte-identical output requires outcomes that do not depend on the
     // clock: replace wall deadlines (attack and candidate-key verification)
@@ -54,9 +47,6 @@ attack::AttackBudget table_budget(double seconds) {
     b.time_limit_s = 1e9;
     b.verify_time_limit_s = 1e9;
     b.sat_workers = 1;
-    // sat_preprocess_from_env already yields false under stable mode; force
-    // it here too so a direct table_budget caller cannot drift.
-    b.sat_preprocess = false;
   }
   return b;
 }

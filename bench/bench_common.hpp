@@ -13,6 +13,9 @@
 //                            portfolio off)
 //   CUTELOCK_SAT_PORTFOLIO   diversified CDCL workers racing each solver
 //                            call (default 1 = off)
+//   CUTELOCK_OBS_BANK=1      the Runner switches the cross-attack
+//                            observation bank on (deterministic only with
+//                            CUTELOCK_JOBS=1)
 //
 // Full reference: docs/benchmarks.md.
 #pragma once

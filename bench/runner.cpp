@@ -6,14 +6,18 @@
 #include <stdexcept>
 #include <utility>
 
+#include "attack/observation_bank.hpp"
 #include "bench_common.hpp"
+#include "util/env.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cl::bench {
 
 Runner::Runner(std::string harness)
-    : harness_(std::move(harness)), threads_(jobs_from_env()) {}
+    : harness_(std::move(harness)), threads_(jobs_from_env()) {
+  if (util::obs_bank_from_env()) attack::set_observation_bank_forced(true);
+}
 
 std::size_t Runner::add(JobMeta meta, std::function<JobOutcome()> fn) {
   if (ran_) throw std::logic_error("Runner::add: run() already happened");

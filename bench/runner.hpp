@@ -42,7 +42,8 @@ struct JobOutcome {
 
 class Runner {
  public:
-  /// `harness` names the JSON baseline: BENCH_<harness>.json.
+  /// `harness` names the JSON baseline: BENCH_<harness>.json. Under
+  /// CUTELOCK_OBS_BANK=1 this switches the process's observation bank on.
   explicit Runner(std::string harness);
 
   /// Register a job. Jobs must be self-contained: they run concurrently and

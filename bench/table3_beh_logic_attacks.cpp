@@ -8,10 +8,11 @@
 // One Runner job per (FSM x attack); every job synthesizes its own lock and
 // oracle (deterministic), so results are independent of CUTELOCK_JOBS.
 #include <cstdio>
+#include <iterator>
+#include <string>
 #include <vector>
 
-#include "attack/bbo.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "bench_common.hpp"
 #include "benchgen/fsm_suite.hpp"
 #include "core/cute_lock_beh.hpp"
@@ -23,9 +24,12 @@ namespace {
 
 using namespace cl;
 
+/// The table's columns, by attack-registry mode name.
+const char* const k_modes[] = {"bbo", "bmc", "kc2"};
+
 struct Row {
   benchgen::FsmSpec spec;
-  attack::AttackResult bbo, bmc, kc2;
+  attack::AttackResult results[std::size(k_modes)];
 };
 
 struct LockedPair {
@@ -57,53 +61,43 @@ int main() {
   std::vector<Row> rows;
   for (const benchgen::FsmSpec& spec :
        bench::selected_fsms(benchgen::synthezza_specs())) {
-    rows.push_back(Row{spec, {}, {}, {}});
+    rows.push_back(Row{spec, {}});
   }
 
   bench::Runner runner("table3_beh_logic_attacks");
+  // BBO screens at one thread (the ModeOptions default): the Runner already
+  // saturates cores across table cells.
+  attack::ModeOptions options;
+  options.budget = bench::table_budget(seconds);
   for (Row& row : rows) {
     const benchgen::FsmSpec spec = row.spec;
-    const attack::AttackBudget budget = bench::table_budget(seconds);
-    const auto meta = [&](const char* attack_name) {
-      return bench::JobMeta{"synthezza", spec.name, attack_name,
-                            static_cast<int>(spec.lock_keys),
-                            static_cast<int>(spec.lock_bits)};
-    };
-    runner.add_attack(meta("BBO"), &row.bbo, [spec, budget]() {
-      const LockedPair pair = synthesize_pair(spec);
-      attack::SequentialOracle oracle(pair.original);
-      attack::BboOptions bbo_options;
-      bbo_options.budget = budget;
-      // The Runner already saturates cores across table cells; intra-attack
-      // screening threads would only multiply contention here.
-      bbo_options.jobs = 1;
-      return attack::bbo_attack(pair.locked, oracle, bbo_options);
-    });
-    runner.add_attack(meta("INT"), &row.bmc, [spec, budget]() {
-      const LockedPair pair = synthesize_pair(spec);
-      attack::SequentialOracle oracle(pair.original);
-      return attack::bmc_attack(pair.locked, oracle, budget);
-    });
-    runner.add_attack(meta("KC2"), &row.kc2, [spec, budget]() {
-      const LockedPair pair = synthesize_pair(spec);
-      attack::SequentialOracle oracle(pair.original);
-      return attack::kc2_attack(pair.locked, oracle, budget);
-    });
+    for (std::size_t i = 0; i < std::size(k_modes); ++i) {
+      const attack::AttackMode& mode = attack::find_attack_mode(k_modes[i]);
+      runner.add_attack(
+          {"synthezza", spec.name, mode.label, static_cast<int>(spec.lock_keys),
+           static_cast<int>(spec.lock_bits)},
+          &row.results[i], [spec, &mode, options]() {
+            const LockedPair pair = synthesize_pair(spec);
+            return attack::run_attack_mode(mode, pair.locked, pair.original,
+                                           options)
+                .result;
+          });
+    }
   }
   runner.run();
 
   util::Table table({"tier", "circuit", "k", "ki", "BBO", "INT", "KC2"});
   std::size_t attacks_run = 0, defenses_held = 0;
   for (const Row& row : rows) {
-    for (const auto* r : {&row.bbo, &row.bmc, &row.kc2}) {
+    std::vector<std::string> cells = {row.spec.tier, row.spec.name,
+                                      std::to_string(row.spec.lock_keys),
+                                      std::to_string(row.spec.lock_bits)};
+    for (const attack::AttackResult& r : row.results) {
       ++attacks_run;
-      if (attack::defense_held(r->outcome)) ++defenses_held;
+      if (attack::defense_held(r.outcome)) ++defenses_held;
+      cells.push_back(bench::attack_cell(r));
     }
-    table.add_row({row.spec.tier, row.spec.name,
-                   std::to_string(row.spec.lock_keys),
-                   std::to_string(row.spec.lock_bits),
-                   bench::attack_cell(row.bbo), bench::attack_cell(row.bmc),
-                   bench::attack_cell(row.kc2)});
+    table.add_row(cells);
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("defense held in %zu / %zu attack runs "

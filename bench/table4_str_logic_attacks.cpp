@@ -9,10 +9,11 @@
 // byte-identical however many workers CUTELOCK_JOBS grants.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <string>
 #include <vector>
 
-#include "attack/bbo.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
@@ -23,10 +24,13 @@ namespace {
 
 using namespace cl;
 
+/// The table's columns, by attack-registry mode name.
+const char* const k_modes[] = {"bbo", "bmc", "kc2", "rane"};
+
 struct Row {
   const char* suite;
   benchgen::CircuitSpec spec;
-  attack::AttackResult bbo, bmc, kc2, rane;
+  attack::AttackResult results[std::size(k_modes)];
 };
 
 lock::LockResult lock_circuit(const benchgen::SyntheticCircuit& circuit,
@@ -53,65 +57,47 @@ int main() {
                            const std::vector<benchgen::CircuitSpec>& specs) {
     for (const benchgen::CircuitSpec& spec : bench::selected_circuits(specs)) {
       if (spec.name == "s27") continue;  // validation circuit (Table II)
-      rows.push_back(Row{suite, spec, {}, {}, {}, {}});
+      rows.push_back(Row{suite, spec, {}});
     }
   };
   collect("ISCAS'89", benchgen::iscas89_specs());
   collect("ITC'99", benchgen::itc99_specs());
 
   bench::Runner runner("table4_str_logic_attacks");
+  // BBO screens at one thread (the ModeOptions default): the Runner already
+  // saturates cores across table cells.
+  attack::ModeOptions options;
+  options.budget = bench::table_budget(seconds);
   for (Row& row : rows) {
     const benchgen::CircuitSpec spec = row.spec;
-    const attack::AttackBudget budget = bench::table_budget(seconds);
-    const auto meta = [&](const char* attack_name) {
-      return bench::JobMeta{row.suite, spec.name, attack_name,
-                            static_cast<int>(spec.lock_keys),
-                            static_cast<int>(spec.lock_bits)};
-    };
-    runner.add_attack(meta("BBO"), &row.bbo, [spec, budget]() {
-      const auto circuit = benchgen::make_circuit(spec);
-      const auto locked = lock_circuit(circuit, spec);
-      attack::SequentialOracle oracle(circuit.netlist);
-      attack::BboOptions bbo_options;
-      bbo_options.budget = budget;
-      // The Runner already saturates cores across table cells; intra-attack
-      // screening threads would only multiply contention here.
-      bbo_options.jobs = 1;
-      return attack::bbo_attack(locked.locked, oracle, bbo_options);
-    });
-    runner.add_attack(meta("INT"), &row.bmc, [spec, budget]() {
-      const auto circuit = benchgen::make_circuit(spec);
-      const auto locked = lock_circuit(circuit, spec);
-      attack::SequentialOracle oracle(circuit.netlist);
-      return attack::bmc_attack(locked.locked, oracle, budget);
-    });
-    runner.add_attack(meta("KC2"), &row.kc2, [spec, budget]() {
-      const auto circuit = benchgen::make_circuit(spec);
-      const auto locked = lock_circuit(circuit, spec);
-      attack::SequentialOracle oracle(circuit.netlist);
-      return attack::kc2_attack(locked.locked, oracle, budget);
-    });
-    runner.add_attack(meta("RANE"), &row.rane, [spec, budget]() {
-      const auto circuit = benchgen::make_circuit(spec);
-      const auto locked = lock_circuit(circuit, spec);
-      attack::SequentialOracle oracle(circuit.netlist);
-      return attack::rane_attack(locked.locked, oracle, budget);
-    });
+    for (std::size_t i = 0; i < std::size(k_modes); ++i) {
+      const attack::AttackMode& mode = attack::find_attack_mode(k_modes[i]);
+      runner.add_attack(
+          {row.suite, spec.name, mode.label, static_cast<int>(spec.lock_keys),
+           static_cast<int>(spec.lock_bits)},
+          &row.results[i], [spec, &mode, options]() {
+            const auto circuit = benchgen::make_circuit(spec);
+            const auto locked = lock_circuit(circuit, spec);
+            return attack::run_attack_mode(mode, locked.locked,
+                                           circuit.netlist, options)
+                .result;
+          });
+    }
   }
   runner.run();
 
   util::Table table({"suite", "circuit", "k", "ki", "BBO", "INT", "KC2", "RANE"});
   std::size_t attacks_run = 0, defenses_held = 0;
   for (const Row& row : rows) {
-    for (const auto* r : {&row.bbo, &row.bmc, &row.kc2, &row.rane}) {
+    std::vector<std::string> cells = {row.suite, row.spec.name,
+                                      std::to_string(row.spec.lock_keys),
+                                      std::to_string(row.spec.lock_bits)};
+    for (const attack::AttackResult& r : row.results) {
       ++attacks_run;
-      if (attack::defense_held(r->outcome)) ++defenses_held;
+      if (attack::defense_held(r.outcome)) ++defenses_held;
+      cells.push_back(bench::attack_cell(r));
     }
-    table.add_row({row.suite, row.spec.name,
-                   std::to_string(row.spec.lock_keys),
-                   std::to_string(row.spec.lock_bits),
-                   bench::attack_cell(row.bbo), bench::attack_cell(row.bmc),
-                   bench::attack_cell(row.kc2), bench::attack_cell(row.rane)});
+    table.add_row(cells);
   }
 
   std::printf("%s\n", table.to_string().c_str());

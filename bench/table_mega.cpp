@@ -20,10 +20,10 @@
 // only. The full run adds syn256k, k=4, and the KC2/periodic columns.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
-#include "attack/periodic_attack.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
@@ -33,6 +33,9 @@
 namespace {
 
 using namespace cl;
+
+/// The attack columns, by attack-registry mode name.
+const char* const k_modes[] = {"bmc", "kc2", "periodic"};
 
 struct Row {
   benchgen::CircuitSpec spec;
@@ -87,33 +90,23 @@ int main() {
   for (Row& row : rows) {
     const benchgen::CircuitSpec spec = row.spec;
     const std::size_t k = row.k;
-    const attack::AttackBudget budget = mega_budget(seconds);
-    const auto meta = [&](const char* attack_name) {
-      return bench::JobMeta{"mega", spec.name, attack_name,
-                            static_cast<int>(k), 4};
-    };
-    runner.add_attack(meta("INT"), &row.bmc, [spec, k, budget]() {
-      const auto circuit = benchgen::make_circuit(spec);
-      const auto locked = lock_circuit(circuit, spec, k);
-      attack::SequentialOracle oracle(circuit.netlist);
-      return attack::bmc_attack(locked.locked, oracle, budget);
-    });
-    if (!row.full) continue;
-    runner.add_attack(meta("KC2"), &row.kc2, [spec, k, budget]() {
-      const auto circuit = benchgen::make_circuit(spec);
-      const auto locked = lock_circuit(circuit, spec, k);
-      attack::SequentialOracle oracle(circuit.netlist);
-      return attack::kc2_attack(locked.locked, oracle, budget);
-    });
-    runner.add_attack(meta("periodic"), &row.periodic, [spec, k, budget]() {
-      const auto circuit = benchgen::make_circuit(spec);
-      const auto locked = lock_circuit(circuit, spec, k);
-      attack::SequentialOracle oracle(circuit.netlist);
-      attack::PeriodicAttackOptions o;
-      o.budget = budget;
-      o.max_period = k;
-      return attack::periodic_key_attack(locked.locked, oracle, o).result;
-    });
+    attack::ModeOptions options;
+    options.budget = mega_budget(seconds);
+    options.max_period = k;
+    attack::AttackResult* const slots[] = {&row.bmc, &row.kc2, &row.periodic};
+    const std::size_t columns = row.full ? std::size(k_modes) : 1;
+    for (std::size_t i = 0; i < columns; ++i) {
+      const attack::AttackMode& mode = attack::find_attack_mode(k_modes[i]);
+      runner.add_attack(
+          {"mega", spec.name, mode.label, static_cast<int>(k), 4}, slots[i],
+          [spec, k, &mode, options]() {
+            const auto circuit = benchgen::make_circuit(spec);
+            const auto locked = lock_circuit(circuit, spec, k);
+            return attack::run_attack_mode(mode, locked.locked,
+                                           circuit.netlist, options)
+                .result;
+          });
+    }
   }
   runner.run();
 

@@ -19,17 +19,13 @@
 // are structurally inapplicable (scan exposure widens the interface past the
 // oracle's) and rendered as "n/a (scan)".
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "attack/accept.hpp"
-#include "attack/bbo.hpp"
-#include "attack/sat_attack.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
 #include "lock/lock_registry.hpp"
-#include "netlist/transform.hpp"
 #include "runner.hpp"
 #include "util/table.hpp"
 
@@ -37,12 +33,13 @@ namespace {
 
 using namespace cl;
 
-const char* const k_attacks[] = {"INT", "KC2", "RANE", "SAT", "BBO"};
+/// The attacks of every row, by attack-registry mode name.
+const char* const k_modes[] = {"bmc", "kc2", "rane", "sat", "bbo"};
 
 struct Cell {
   std::string circuit;
   const lock::RegisteredLock* entry;
-  const char* attack_name;
+  const attack::AttackMode* mode;
   bool applicable;
   attack::AttackResult result;
 };
@@ -56,32 +53,13 @@ std::uint64_t lock_seed(const std::string& circuit, const std::string& lock) {
 }
 
 attack::AttackResult run_cell(const Cell& cell,
-                              const attack::AttackBudget& budget) {
+                              const attack::ModeOptions& options) {
   const auto circuit = benchgen::make_circuit(cell.circuit);
   util::Rng rng(lock_seed(cell.circuit, cell.entry->name));
   const lock::LockResult lr = cell.entry->build(circuit.netlist, rng);
-  const std::string mode = cell.attack_name;
-
-  attack::AttackResult r;
-  if (mode == "SAT") {
-    const auto locked_scan = netlist::scan_expose(lr.locked);
-    const auto original_scan = netlist::scan_expose(circuit.netlist);
-    attack::SequentialOracle scan_oracle(original_scan);
-    attack::SatAttackOptions o;
-    o.budget = budget;
-    r = attack::sat_attack(locked_scan, scan_oracle, o);
-  } else {
-    attack::SequentialOracle oracle(circuit.netlist);
-    if (mode == "INT") r = attack::bmc_attack(lr.locked, oracle, budget);
-    else if (mode == "KC2") r = attack::kc2_attack(lr.locked, oracle, budget);
-    else if (mode == "RANE") r = attack::rane_attack(lr.locked, oracle, budget);
-    else {
-      attack::BboOptions o;
-      o.budget = budget;
-      o.jobs = 1;
-      r = attack::bbo_attack(lr.locked, oracle, o);
-    }
-  }
+  attack::AttackResult r =
+      attack::run_attack_mode(*cell.mode, lr.locked, circuit.netlist, options)
+          .result;
   // Judge the reported key under both criteria in one evaluation. Dynamic
   // locks have no static ground truth, so their acceptance fields stay -1.
   if (!cell.entry->dynamic_key && !r.key.empty()) {
@@ -110,23 +88,25 @@ int main() {
   std::vector<Cell> cells;
   for (const std::string& circuit : circuits) {
     for (const lock::RegisteredLock& entry : lock::lock_registry()) {
-      for (const char* attack_name : k_attacks) {
-        const bool scan_cell = std::string(attack_name) == "SAT";
-        cells.push_back(Cell{circuit, &entry, attack_name,
-                             !(scan_cell && entry.adds_state), {}});
+      for (const char* name : k_modes) {
+        const attack::AttackMode& mode = attack::find_attack_mode(name);
+        cells.push_back(Cell{circuit, &entry, &mode,
+                             !(mode.scan_model && entry.adds_state), {}});
       }
     }
   }
 
   bench::Runner runner("table_rivals");
-  const attack::AttackBudget budget = bench::table_budget(seconds);
+  attack::ModeOptions options;
+  options.budget = bench::table_budget(seconds);
   for (Cell& cell : cells) {
     if (!cell.applicable) continue;
     const Cell snapshot = cell;
     runner.add_attack(
-        bench::JobMeta{cell.entry->name, cell.circuit, cell.attack_name, -1,
+        bench::JobMeta{cell.entry->name, cell.circuit, cell.mode->label, -1,
                        -1},
-        &cell.result, [snapshot, budget]() { return run_cell(snapshot, budget); });
+        &cell.result,
+        [snapshot, options]() { return run_cell(snapshot, options); });
   }
   runner.run();
 
@@ -135,7 +115,7 @@ int main() {
   std::size_t broken_exact = 0, broken_any = 0, gap_cells = 0, run = 0;
   for (const Cell& cell : cells) {
     if (!cell.applicable) {
-      table.add_row({cell.circuit, cell.entry->name, cell.attack_name,
+      table.add_row({cell.circuit, cell.entry->name, cell.mode->label,
                      "n/a (scan)", "-", "-", "-"});
       continue;
     }
@@ -148,7 +128,7 @@ int main() {
     if (r.corruption_rate >= 0) {
       std::snprintf(corr, sizeof corr, "%.4f", r.corruption_rate);
     }
-    table.add_row({cell.circuit, cell.entry->name, cell.attack_name,
+    table.add_row({cell.circuit, cell.entry->name, cell.mode->label,
                    bench::attack_cell(r), tri(r.key_exact),
                    tri(r.any_key_pass), corr});
   }

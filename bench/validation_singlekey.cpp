@@ -11,10 +11,11 @@
 // lock and oracle.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <string>
 #include <vector>
 
-#include "attack/bbo.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
@@ -25,10 +26,13 @@ namespace {
 
 using namespace cl;
 
+/// The table's columns, by attack-registry mode name.
+const char* const k_modes[] = {"bmc", "kc2", "bbo"};
+
 struct Row {
   const char* name;
   bool reduced;
-  attack::AttackResult bmc, kc2, bbo;
+  attack::AttackResult results[std::size(k_modes)];
 };
 
 lock::LockResult lock_circuit(const benchgen::SyntheticCircuit& circuit,
@@ -53,43 +57,30 @@ int main() {
   std::vector<Row> rows;
   for (const char* name : {"s27", "s298", "b01", "b03", "b06"}) {
     for (const bool reduced : {true, false}) {
-      rows.push_back(Row{name, reduced, {}, {}, {}});
+      rows.push_back(Row{name, reduced, {}});
     }
   }
 
   bench::Runner runner("validation_singlekey");
+  // BBO screens at one thread (the ModeOptions default): the Runner already
+  // saturates cores across table cells.
+  attack::ModeOptions options;
+  options.budget = bench::table_budget(seconds);
   for (Row& row : rows) {
     const char* name = row.name;
     const bool reduced = row.reduced;
-    const attack::AttackBudget budget = bench::table_budget(seconds);
-    const auto meta = [&](const char* attack_name) {
-      bench::JobMeta m{reduced ? "single-key" : "multi-key", name, attack_name,
-                       4, 3};
-      return m;
-    };
-    runner.add_attack(meta("INT"), &row.bmc, [name, reduced, budget]() {
-      const auto circuit = benchgen::make_circuit(name);
-      const auto locked = lock_circuit(circuit, reduced);
-      attack::SequentialOracle oracle(circuit.netlist);
-      return attack::bmc_attack(locked.locked, oracle, budget);
-    });
-    runner.add_attack(meta("KC2"), &row.kc2, [name, reduced, budget]() {
-      const auto circuit = benchgen::make_circuit(name);
-      const auto locked = lock_circuit(circuit, reduced);
-      attack::SequentialOracle oracle(circuit.netlist);
-      return attack::kc2_attack(locked.locked, oracle, budget);
-    });
-    runner.add_attack(meta("BBO"), &row.bbo, [name, reduced, budget]() {
-      const auto circuit = benchgen::make_circuit(name);
-      const auto locked = lock_circuit(circuit, reduced);
-      attack::SequentialOracle oracle(circuit.netlist);
-      attack::BboOptions bbo_options;
-      bbo_options.budget = budget;
-      // The Runner already saturates cores across table cells; intra-attack
-      // screening threads would only multiply contention here.
-      bbo_options.jobs = 1;
-      return attack::bbo_attack(locked.locked, oracle, bbo_options);
-    });
+    for (std::size_t i = 0; i < std::size(k_modes); ++i) {
+      const attack::AttackMode& mode = attack::find_attack_mode(k_modes[i]);
+      runner.add_attack(
+          {reduced ? "single-key" : "multi-key", name, mode.label, 4, 3},
+          &row.results[i], [name, reduced, &mode, options]() {
+            const auto circuit = benchgen::make_circuit(name);
+            const auto locked = lock_circuit(circuit, reduced);
+            return attack::run_attack_mode(mode, locked.locked,
+                                           circuit.netlist, options)
+                .result;
+          });
+    }
   }
   runner.run();
 
@@ -97,18 +88,19 @@ int main() {
   std::size_t reduced_broken = 0, reduced_total = 0;
   std::size_t multi_held = 0, multi_total = 0;
   for (const Row& row : rows) {
-    for (const auto* r : {&row.bmc, &row.kc2, &row.bbo}) {
+    std::vector<std::string> cells = {
+        row.name, row.reduced ? "single-key (reduced)" : "multi-key"};
+    for (const attack::AttackResult& r : row.results) {
       if (row.reduced) {
         ++reduced_total;
-        if (r->outcome == attack::Outcome::Equal) ++reduced_broken;
+        if (r.outcome == attack::Outcome::Equal) ++reduced_broken;
       } else {
         ++multi_total;
-        if (attack::defense_held(r->outcome)) ++multi_held;
+        if (attack::defense_held(r.outcome)) ++multi_held;
       }
+      cells.push_back(bench::attack_cell(r));
     }
-    table.add_row({row.name, row.reduced ? "single-key (reduced)" : "multi-key",
-                   bench::attack_cell(row.bmc), bench::attack_cell(row.kc2),
-                   bench::attack_cell(row.bbo)});
+    table.add_row(cells);
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("single-key reductions broken: %zu / %zu (expected: all)\n",

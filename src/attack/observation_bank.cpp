@@ -8,7 +8,6 @@
 #include <map>
 #include <ostream>
 
-#include "util/env.hpp"
 #include "util/fnv.hpp"
 
 namespace cl::attack {
@@ -222,10 +221,7 @@ void set_observation_bank_forced(bool on) {
 
 ObservationBank* observation_bank_for(const netlist::Netlist& locked,
                                       const netlist::Netlist& reference) {
-  if (!g_bank_forced.load(std::memory_order_relaxed) &&
-      !util::obs_bank_from_env()) {
-    return nullptr;
-  }
+  if (!g_bank_forced.load(std::memory_order_relaxed)) return nullptr;
   return &observation_bank_for_key(bank_key(locked, reference));
 }
 

@@ -18,12 +18,13 @@
 // sequential views of the same lock hash differently, which is exactly
 // right: their I/O interfaces differ.
 //
-// Enabled by CUTELOCK_OBS_BANK=1 (off by default: replay changes the
-// solver's path, and bank content at each attack's start depends on job
-// completion order, so deterministic table output additionally needs
-// CUTELOCK_JOBS=1). AttackResult records how many constraints were replayed
-// from the bank vs queried fresh; bench::Runner surfaces both in
-// BENCH_*.json.
+// Off by default: replay changes the solver's path, and bank content at
+// each attack's start depends on job completion order. One process switch,
+// set_observation_bank_forced, turns it on: the serve daemon and
+// `cutelock attack` always, bench::Runner under CUTELOCK_OBS_BANK=1 (whose
+// deterministic table output additionally needs CUTELOCK_JOBS=1).
+// AttackResult records how many constraints were replayed from the bank vs
+// queried fresh; bench::Runner surfaces both in BENCH_*.json.
 #pragma once
 
 #include <cstdint>
@@ -102,18 +103,18 @@ std::uint64_t lock_instance_key(const netlist::Netlist& nl);
 std::uint64_t bank_key(const netlist::Netlist& locked,
                        const netlist::Netlist& reference);
 
-/// Process-wide bank for the (locked, reference) pair, or nullptr when
-/// CUTELOCK_OBS_BANK is not enabled. Banks live for the process lifetime (a
-/// table harness is one process); the registry is thread-safe.
+/// Process-wide bank for the (locked, reference) pair, or nullptr while the
+/// process switch is off. Banks live for the process lifetime (a table
+/// harness is one process); the registry is thread-safe.
 ObservationBank* observation_bank_for(const netlist::Netlist& locked,
                                       const netlist::Netlist& reference);
 
-/// Registry lookup bypassing the env gate (tests and explicit wiring).
+/// Registry lookup bypassing the switch (tests and explicit wiring).
 ObservationBank& observation_bank_for_key(std::uint64_t key);
 
-/// Force the registry on for this process regardless of CUTELOCK_OBS_BANK —
-/// the serve daemon's switch (cross-run caching is its whole point; it must
-/// not depend on the client's environment).
+/// The process switch observation_bank_for reads: the serve daemon's (cross-
+/// run caching is its whole point), `cutelock attack`'s and, under
+/// CUTELOCK_OBS_BANK=1, bench::Runner's.
 void set_observation_bank_forced(bool on);
 
 /// Keys of every bank currently in the registry (facts or not), sorted.

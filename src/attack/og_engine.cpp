@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "analysis/key_infer.hpp"
-#include "util/env.hpp"
-
 namespace cl::attack {
 
 using netlist::Netlist;
 using sat::Result;
 
 namespace {
-// Bits below this confidence stay out of the assumption set: a wrong hint is
-// recoverable (Unsat drops the whole set) but costs a wasted solve.
-constexpr double k_hint_confidence = 0.75;
-
 /// A banked fact the engine may use on `nl`: nonempty, one output frame per
 /// input frame, every frame as wide as nl's inputs (outputs). A bank file is
 /// untrusted input, and the fact encoder indexes every frame.
@@ -65,15 +58,6 @@ void OgEngine::set_hints(std::vector<std::pair<std::size_t, bool>> hints) {
 }
 
 void OgEngine::prepare_hints() {
-  if (hints_.empty() && util::key_hints_from_env()) {
-    // Auto-compute from the structural analysis pass. Its cost counts
-    // against this attack's own wall budget (the timer is already running),
-    // so cap it well below the total.
-    analysis::InferOptions opt;
-    opt.time_limit_s = budget_.time_limit_s / 4;
-    hints_ = analysis::infer_key_hints(locked_, opt)
-                 .decided_bits(k_hint_confidence);
-  }
   const std::size_t bits = locked_.key_inputs().size();
   hints_.erase(std::remove_if(hints_.begin(), hints_.end(),
                               [bits](const std::pair<std::size_t, bool>& h) {

@@ -149,9 +149,8 @@ class OgEngine {
   /// verification — they are dropped for the rest of the run, so every
   /// terminal verdict (Equal is externally verified; Cns and WrongKey are
   /// concluded hint-free) is as sound as an unhinted run. Call before run();
-  /// when unset, run() auto-computes hints from analysis::infer_key_hints
-  /// iff CUTELOCK_KEY_HINTS=1 (and stable mode is off). Out-of-range bit
-  /// indices are discarded at run().
+  /// without it the run is unhinted. Out-of-range bit indices are discarded
+  /// at run().
   void set_hints(std::vector<std::pair<std::size_t, bool>> hints);
 
   /// Solver factory for strategies that manage their own instances (the

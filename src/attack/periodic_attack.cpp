@@ -1,6 +1,7 @@
 #include "attack/periodic_attack.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "attack/og_engine.hpp"
@@ -158,6 +159,10 @@ class PeriodicScheduleStrategy : public DipStrategy {
 PeriodicAttackResult periodic_key_attack(const Netlist& locked,
                                          const SequentialOracle& oracle,
                                          const PeriodicAttackOptions& options) {
+  if (options.max_period == 0) {
+    throw std::invalid_argument(
+        "periodic_key_attack: max_period must be at least 1");
+  }
   PeriodicAttackResult out;
   OgEngine engine(locked, oracle, options.budget,
                   observation_bank_for(locked, oracle.reference()));

@@ -19,8 +19,7 @@ namespace cl::attack {
 
 struct PeriodicAttackOptions {
   AttackBudget budget;
-  std::size_t max_period = 8;   // largest hypothesized schedule period
-  std::size_t start_depth = 2;  // unroll start (grows like the BMC attack)
+  std::size_t max_period = 8;  // largest hypothesized schedule period; >= 1
 };
 
 struct PeriodicAttackResult {
@@ -29,6 +28,8 @@ struct PeriodicAttackResult {
   std::vector<sim::BitVec> recovered_schedule; // key per slot, when successful
 };
 
+/// Throws std::invalid_argument, before any oracle query, when max_period
+/// is 0: that bound tests no hypothesis, so it could prove nothing.
 PeriodicAttackResult periodic_key_attack(const netlist::Netlist& locked,
                                          const SequentialOracle& oracle,
                                          const PeriodicAttackOptions& options = {});

@@ -56,4 +56,12 @@ util::Json to_json(const AttackResult& r) {
   return j;
 }
 
+util::Json schedule_to_json(const std::vector<sim::BitVec>& schedule) {
+  util::Json arr = util::Json::array();
+  for (const sim::BitVec& key : schedule) {
+    arr.push_back(util::Json::string(sim::bits_to_string(key)));
+  }
+  return arr;
+}
+
 }  // namespace cl::attack

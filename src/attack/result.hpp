@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/sequence.hpp"
 #include "util/json.hpp"
@@ -49,9 +50,9 @@ struct AttackResult {
   /// Both zero for attacks (or phases) that query one sequence at a time.
   std::uint64_t batched_queries = 0;
   std::uint64_t oracle_batches = 0;
-  /// Key bits pinned as startup unit assumptions from a structural
-  /// analysis::KeyHintReport (CUTELOCK_KEY_HINTS=1; forced off in stable
-  /// mode). Zero when no hints were injected.
+  /// Key bits pinned as startup unit assumptions from explicit structural
+  /// hints (SatAttackOptions::hints, OgEngine::set_hints). Zero when no
+  /// hints were injected.
   std::uint64_t hinted_bits = 0;
   /// Fraction of injected hints matching the verified key, computed when
   /// the attack ends Equal with hints active; -1 = not applicable.
@@ -76,6 +77,9 @@ struct AttackResult {
 /// `any_key_pass`, `corruption_rate` at -1) is null.
 util::Json to_json(const AttackResult& r);
 
+/// A key schedule as JSON: one bit string per slot, in slot order.
+util::Json schedule_to_json(const std::vector<sim::BitVec>& schedule);
+
 /// Budget shared by all attacks. Attacks stop with Timeout when exceeded.
 struct AttackBudget {
   double time_limit_s = 20.0;
@@ -88,15 +92,13 @@ struct AttackBudget {
   double verify_time_limit_s = 5.0;
   /// Diversified CDCL workers racing each solver call
   /// (sat::PortfolioSolver); 1 = single deterministic solver. Seeded from
-  /// CUTELOCK_SAT_PORTFOLIO by the bench harnesses and the CLI, and forced
-  /// to 1 under CUTELOCK_BENCH_STABLE=1 (a race winner's model is not
-  /// deterministic).
+  /// CUTELOCK_SAT_PORTFOLIO by the bench harnesses, and forced to 1 under
+  /// CUTELOCK_BENCH_STABLE=1 (a race winner's model is not deterministic).
   std::size_t sat_workers = 1;
   /// SAT pre/inprocessing: run bounded variable elimination (with model
   /// reconstruction) on each rebuilt miter before search, and
-  /// subsumption/vivification at restart boundaries. Seeded from
-  /// CUTELOCK_SAT_PREPROCESS by the bench harnesses and the CLI, and forced
-  /// off under CUTELOCK_BENCH_STABLE=1 (it changes solver trajectories).
+  /// subsumption/vivification at restart boundaries. Off unless the caller
+  /// sets it (it changes solver trajectories).
   bool sat_preprocess = false;
   /// Cooperative cancellation (the attack-service's per-job kill switch).
   /// When non-null, the engine checks the flag alongside its wall/iteration

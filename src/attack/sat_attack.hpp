@@ -22,8 +22,7 @@ struct SatAttackOptions {
   enum class Mode { Classic, AppSat, DoubleDip } mode = Mode::Classic;
   /// Structural key hints (key-bit index, value) installed as unit
   /// assumptions on the engine (OgEngine::set_hints): advisory, dropped on
-  /// any contradiction, never able to flip a verdict. Empty = engine
-  /// default (auto-compute iff CUTELOCK_KEY_HINTS=1 and not stable mode).
+  /// any contradiction, never able to flip a verdict. Empty = unhinted.
   std::vector<std::pair<std::size_t, bool>> hints;
   // AppSAT settling parameters (Shamsi et al., HOST'17): every
   // `appsat_sample_every` DIP rounds draw `appsat_samples` random queries;

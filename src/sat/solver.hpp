@@ -173,14 +173,14 @@ class Solver {
   /// elimination, bounded variable elimination (sat::Preprocessor). Records
   /// every elimination in the Remapper for model reconstruction and
   /// revival. Only legal at decision level 0. Returns false when the
-  /// formula is refuted. Gated by the caller (CUTELOCK_SAT_PREPROCESS /
-  /// AttackBudget::sat_preprocess) — never runs implicitly.
+  /// formula is refuted. Gated by the caller (AttackBudget::sat_preprocess)
+  /// — never runs implicitly.
   bool preprocess();
 
   /// Enable inprocessing at restart boundaries: backward subsumption with
   /// self-subsuming resolution plus bounded clause vivification, first after
   /// 10 restarts, then at doubling intervals. Off by default (stable-mode
-  /// determinism). Gated together with preprocess() by the same knobs.
+  /// determinism). Gated together with preprocess() by the same flag.
   void set_inprocess(bool on) { inprocess_enabled_ = on; }
 
   /// Arena GC trigger: collect when `frac` of the arena words are wasted.

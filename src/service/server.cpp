@@ -17,20 +17,13 @@
 #include "analysis/key_infer.hpp"
 #include "analysis/lint.hpp"
 #include "attack/accept.hpp"
-#include "attack/bbo.hpp"
-#include "attack/dana.hpp"
-#include "attack/fall.hpp"
 #include "attack/observation_bank.hpp"
-#include "attack/periodic_attack.hpp"
-#include "attack/sat_attack.hpp"
-#include "attack/scope.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "attack/verify.hpp"
 #include "core/cute_lock_str.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/transform.hpp"
 #include "sim/sequence.hpp"
-#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace cl::service {
@@ -60,14 +53,6 @@ bool bits_from_string(const std::string& text, sim::BitVec* out) {
     out->push_back(c == '1' ? 1 : 0);
   }
   return true;
-}
-
-util::Json schedule_to_json(const std::vector<sim::BitVec>& schedule) {
-  util::Json arr = util::Json::array();
-  for (const auto& kv : schedule) {
-    arr.push_back(util::Json::string(sim::bits_to_string(kv)));
-  }
-  return arr;
 }
 
 util::Json diagnostics_to_json(const analysis::LintReport& report) {
@@ -122,109 +107,6 @@ std::shared_ptr<const CachedCircuit> circuit_from(const util::Json& request,
   return circuit;
 }
 
-/// What a mode runs on: the circuits (scan-exposed for scan-model modes),
-/// the job's budget, and the request for mode-specific fields.
-struct ModeInput {
-  const netlist::Netlist& locked;
-  const attack::SequentialOracle& oracle;
-  const attack::AttackBudget& budget;
-  const util::Json& request;
-  std::size_t bbo_jobs;
-};
-
-/// A mode's verdict plus the result fields only that mode reports.
-struct ModeOutput {
-  attack::AttackResult result;
-  std::vector<std::pair<std::string, util::Json>> fields;
-};
-
-struct AttackMode {
-  const char* name;
-  bool scan_model;
-  ModeOutput (*run)(const ModeInput&);
-};
-
-/// The engine attacks that take nothing but the budget (BMC, KC2, RANE).
-template <attack::AttackResult (*Attack)(const netlist::Netlist&,
-                                         const attack::SequentialOracle&,
-                                         const attack::AttackBudget&)>
-ModeOutput run_engine(const ModeInput& in) {
-  return {Attack(in.locked, in.oracle, in.budget), {}};
-}
-
-template <attack::SatAttackOptions::Mode Mode>
-ModeOutput run_sat(const ModeInput& in) {
-  attack::SatAttackOptions o;
-  o.budget = in.budget;
-  o.mode = Mode;
-  return {attack::sat_attack(in.locked, in.oracle, o), {}};
-}
-
-using SatMode = attack::SatAttackOptions::Mode;
-
-/// The one dispatch from mode name to attack.
-const AttackMode k_attack_modes[] = {
-    {"bmc", false, run_engine<attack::bmc_attack>},
-    {"kc2", false, run_engine<attack::kc2_attack>},
-    {"rane", false, run_engine<attack::rane_attack>},
-    {"sat", true, run_sat<SatMode::Classic>},
-    {"appsat", true, run_sat<SatMode::AppSat>},
-    {"double-dip", true, run_sat<SatMode::DoubleDip>},
-    {"bbo", false,
-     [](const ModeInput& in) -> ModeOutput {
-       attack::BboOptions o;
-       o.budget = in.budget;
-       o.jobs = in.bbo_jobs;
-       return {attack::bbo_attack(in.locked, in.oracle, o), {}};
-     }},
-    {"fall", false,
-     [](const ModeInput& in) -> ModeOutput {
-       attack::FallOptions o;
-       o.budget = in.budget;
-       attack::FallResult fr = attack::fall_attack(in.locked, in.oracle, o);
-       return {std::move(fr.result),
-               {{"candidates", count(fr.candidates)},
-                {"confirmed", count(fr.confirmed)}}};
-     }},
-    {"dana", false,
-     [](const ModeInput& in) -> ModeOutput {
-       // Register clustering recovers no key: the outcome stays FAIL.
-       const attack::DanaResult dr = attack::dana_attack(in.locked);
-       attack::AttackResult r;
-       r.seconds = dr.seconds;
-       r.iterations = dr.rounds;
-       r.detail = std::to_string(dr.clusters.size()) + " clusters over " +
-                  std::to_string(in.locked.dffs().size()) + " FFs";
-       return {std::move(r), {{"clusters", count(dr.clusters.size())}}};
-     }},
-    {"scope", false,
-     [](const ModeInput& in) -> ModeOutput {
-       // Oracle-free structural inference; the oracle only confirms a fully
-       // decided key.
-       attack::ScopeOptions o;
-       o.budget = in.budget;
-       attack::ScopeResult sr = attack::scope_attack(in.locked, &in.oracle, o);
-       return {std::move(sr.result),
-               {{"decided", count(sr.decided)},
-                {"verdicts", util::Json::string(sr.report.verdict_string())}}};
-     }},
-    {"periodic", false,
-     [](const ModeInput& in) -> ModeOutput {
-       attack::PeriodicAttackOptions o;
-       o.budget = in.budget;
-       o.max_period = static_cast<std::size_t>(
-           in.request.u64_or("max_period", o.max_period));
-       attack::PeriodicAttackResult pr =
-           attack::periodic_key_attack(in.locked, in.oracle, o);
-       ModeOutput out{std::move(pr.result), {}};
-       if (pr.recovered_period != 0) {
-         out.fields = {{"period", count(pr.recovered_period)},
-                       {"schedule", schedule_to_json(pr.recovered_schedule)}};
-       }
-       return out;
-     }},
-};
-
 /// Scan-access threat model: full scan-chain access turns a circuit
 /// combinational. The view is cached under its own structural key, so a
 /// resubmission skips the transform's compile cost too.
@@ -253,28 +135,43 @@ bool send_all(int fd, const std::string& data) {
 
 }  // namespace
 
-std::vector<AttackModeInfo> attack_modes() {
-  std::vector<AttackModeInfo> modes;
-  for (const AttackMode& m : k_attack_modes) {
-    modes.push_back({m.name, m.scan_model});
+void load_bank_file(const std::string& path, const char* who) {
+  if (path.empty()) return;
+  // A missing file is a cold start, not an error; a corrupt file is
+  // rejected loudly but must not keep the run from going ahead.
+  if (!std::ifstream(path, std::ios::binary)) return;
+  std::string error;
+  if (!attack::load_observation_banks(path, &error)) {
+    std::fprintf(stderr, "%s: warning: ignoring observation-bank file: %s\n",
+                 who, error.c_str());
   }
-  return modes;
+}
+
+void save_bank_file(const std::string& path, const char* who) {
+  std::string error;
+  if (!path.empty() && !attack::save_observation_banks(path, &error)) {
+    std::fprintf(stderr, "%s: warning: could not save observation banks: %s\n",
+                 who, error.c_str());
+  }
 }
 
 util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
-                    const std::atomic<bool>* cancel, std::size_t bbo_jobs) {
+                          const std::atomic<bool>* cancel,
+                          std::size_t bbo_jobs) {
   // The whole request is checked before any circuit is read.
   const std::string name = request.str_or("attack", "bmc");
-  const AttackMode* mode = nullptr;
-  std::string names;
-  for (const AttackMode& m : k_attack_modes) {
-    if (name == m.name) mode = &m;
-    names += (names.empty() ? "" : "/") + std::string(m.name);
-  }
-  if (mode == nullptr) {
-    throw std::invalid_argument("unknown mode \"" + name + "\" (want " +
-                                names + ")");
-  }
+  const attack::AttackMode& mode = attack::find_attack_mode(name);
+  attack::ModeOptions options;
+  attack::AttackBudget& budget = options.budget;
+  budget.time_limit_s = request.num_or("seconds", 10.0);
+  budget.max_iterations = request.u64_or("max_iterations", budget.max_iterations);
+  budget.max_depth =
+      static_cast<std::size_t>(request.u64_or("max_depth", budget.max_depth));
+  budget.cancel = cancel;
+  options.bbo_jobs = bbo_jobs;
+  options.max_period = static_cast<std::size_t>(
+      request.u64_or("max_period", options.max_period));
+  attack::check_mode_options(mode, options);
   // Acceptance-criterion judgement (docs/locking.md): when the request names
   // a criterion, the reported key is re-judged under it and the verdict
   // rides along in the result, so clients can score multi-key locks without
@@ -304,33 +201,13 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
   }
   auto attacked = locked;
   auto queried = reference;
-  if (mode->scan_model) {
+  if (mode.scan_model) {
     attacked = scan_view(*locked, cache, &cache_hits);
     queried = scan_view(*reference, cache, &cache_hits);
-    const netlist::Netlist& ls = attacked->netlist();
-    const netlist::Netlist& rs = queried->netlist();
-    if (ls.inputs().size() != rs.inputs().size() ||
-        ls.outputs().size() != rs.outputs().size()) {
-      throw std::runtime_error(
-          "scan interfaces differ (" + std::to_string(ls.inputs().size()) +
-          " vs " + std::to_string(rs.inputs().size()) + " inputs, " +
-          std::to_string(ls.outputs().size()) + " vs " +
-          std::to_string(rs.outputs().size()) +
-          " outputs): the lock adds state elements, so the scan-model attacks "
-          "do not apply; use bmc/kc2/rane instead");
-    }
+    attack::check_scan_interfaces(attacked->netlist(), queried->netlist());
   }
-
-  attack::AttackBudget budget;
-  budget.time_limit_s = request.num_or("seconds", 10.0);
-  budget.max_iterations = request.u64_or("max_iterations", budget.max_iterations);
-  budget.max_depth =
-      static_cast<std::size_t>(request.u64_or("max_depth", budget.max_depth));
-  budget.sat_workers = util::sat_portfolio_from_env();
-  budget.sat_preprocess = util::sat_preprocess_from_env();
-  budget.cancel = cancel;
-  ModeOutput run = mode->run(
-      {attacked->netlist(), queried->oracle(), budget, request, bbo_jobs});
+  attack::ModeResult run =
+      mode.run(attacked->netlist(), queried->oracle(), options);
   attack::AttackResult& r = run.result;
 
   attack::AcceptReport accept_report;
@@ -361,14 +238,8 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
     }
   }
   out.set("cache_hits", count(cache_hits));
-  for (auto& [field, value] : run.fields) out.set(field, std::move(value));
+  for (auto& [field, value] : run.facts) out.set(field, std::move(value));
   return out;
-}
-
-Server::Server(ServerOptions options) : options_(std::move(options)) {
-  if (options_.obs_bank_path.empty()) {
-    options_.obs_bank_path = util::obs_bank_path_from_env();
-  }
 }
 
 Server::~Server() { stop(); }
@@ -458,23 +329,10 @@ bool Server::start(std::string* error) {
   if (options_.use_observation_bank) {
     attack::set_observation_bank_forced(true);
   }
-  if (!options_.obs_bank_path.empty()) {
-    // A missing file is a cold start, not an error; a corrupt file is
-    // rejected loudly but must not keep the daemon from serving.
-    std::ifstream probe(options_.obs_bank_path, std::ios::binary);
-    if (probe) {
-      probe.close();
-      std::string load_error;
-      if (!attack::load_observation_banks(options_.obs_bank_path, &load_error)) {
-        std::fprintf(stderr,
-                     "cutelock serve: warning: ignoring observation-bank file: "
-                     "%s\n",
-                     load_error.c_str());
-      }
-    }
-  }
+  load_bank_file(options_.obs_bank_path, "cutelock serve");
   pool_ = std::make_unique<util::ThreadPool>(
-      options_.workers == 0 ? util::jobs_from_env() : options_.workers);
+      options_.workers == 0 ? util::ThreadPool::default_thread_count()
+                            : options_.workers);
   {
     std::lock_guard<std::mutex> lock(mu_);
     started_ = true;
@@ -515,15 +373,7 @@ void Server::stop() {
   connection_threads_.clear();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (!options_.obs_bank_path.empty()) {
-    std::string save_error;
-    if (!attack::save_observation_banks(options_.obs_bank_path, &save_error)) {
-      std::fprintf(stderr,
-                   "cutelock serve: warning: could not save observation banks: "
-                   "%s\n",
-                   save_error.c_str());
-    }
-  }
+  save_bank_file(options_.obs_bank_path, "cutelock serve");
   // The socket file disappears last: scripts that poll for it to vanish may
   // immediately start a successor daemon, which must find the bank on disk.
   if (!options_.unix_socket.empty()) ::unlink(options_.unix_socket.c_str());
@@ -862,7 +712,7 @@ void Server::run_lock_job(Job& job, util::Json* result) {
   util::Json& out = *result;
   out.set("locked", util::Json::string(netlist::write_bench_string(lr.locked)));
   out.set("scheme", util::Json::string(lr.scheme));
-  out.set("key_schedule", schedule_to_json(lr.key_schedule));
+  out.set("key_schedule", attack::schedule_to_json(lr.key_schedule));
   out.set("cache_hits", count(cache_hits));
 }
 

@@ -17,10 +17,10 @@
 //     daemon's lifetime, so every attack's oracle facts prime the next
 //     attack on the same (locked, oracle) pair — a repeated job replays
 //     from the bank and reports strictly fewer fresh_queries;
-//   * optional disk persistence for the banks (ServerOptions::obs_bank_path,
-//     default CUTELOCK_OBS_BANK_PATH): loaded on start, saved on shutdown,
-//     so oracle knowledge survives restarts and can be shipped between
-//     machines.
+//   * optional disk persistence for the banks (ServerOptions::obs_bank_path;
+//     `cutelock serve` defaults it to CUTELOCK_OBS_BANK_PATH): loaded on
+//     start, saved on shutdown, so oracle knowledge survives restarts and
+//     can be shipped between machines.
 //
 // Protocol schema, job lifecycle, and the persistence format: docs/service.md.
 #pragma once
@@ -33,6 +33,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/cache.hpp"
@@ -48,45 +49,44 @@ struct ServerOptions {
   /// When unix_socket is empty: listen on 127.0.0.1:tcp_port (0 picks an
   /// ephemeral port; read it back with port()).
   int tcp_port = 0;
-  /// Attack workers (concurrent jobs); 0 = CUTELOCK_JOBS / hardware.
+  /// Attack workers (concurrent jobs); 0 = one per hardware thread.
   std::size_t workers = 0;
   /// Observation-bank persistence file: loaded on start (missing file is
   /// fine, corrupt is rejected with a warning), saved on stop. Empty = no
   /// persistence.
   std::string obs_bank_path;
-  /// Force the cross-run observation bank on for the daemon's lifetime —
-  /// cross-job caching is the service's point, so it must not depend on the
-  /// client's CUTELOCK_OBS_BANK environment.
+  /// Switch the cross-run observation bank on for the daemon's lifetime:
+  /// cross-job caching is the service's point.
   bool use_observation_bank = true;
 };
 
-/// One attack mode an `attack` job accepts.
-struct AttackModeInfo {
-  std::string name;
-  /// Runs on scan-exposed views of both circuits (the scan-access threat
-  /// model), so it rejects locks that add state elements.
-  bool scan_model = false;
-};
-
-/// Every registered attack mode, in table order.
-std::vector<AttackModeInfo> attack_modes();
+/// Observation-bank persistence at `path`, a no-op when it is empty. Load
+/// merges the file into the banks (a missing file is a cold start); a
+/// corrupt file, or a save that fails, warns on stderr as `who` and is
+/// otherwise ignored.
+void load_bank_file(const std::string& path, const char* who);
+void save_bank_file(const std::string& path, const char* who);
 
 /// Run one `attack` job request (docs/service.md) and return its result
 /// object: attack::to_json of the attack's result, framed by the job's own
-/// fields. The daemon runs it on its pool with BBO at one thread;
-/// `cutelock attack` runs it in-process with a private cache.
+/// fields. The mode runs from the attack registry (attack/registry.hpp)
+/// with one SAT solver and no preprocessing; the job reads no environment.
+/// The daemon runs it on its pool with BBO at one thread; `cutelock attack`
+/// runs it in-process with a private cache.
 ///
-/// The mode name, `accept` and `true_key` are checked before any circuit is
-/// read: a malformed request throws std::invalid_argument. A missing,
-/// unreadable or unparsable circuit, a lint rejection, or a scan-model mode
-/// on circuits whose scan interfaces differ throws std::runtime_error. `cancel` (may be
-/// null) is the job's kill switch; `bbo_jobs` is BBO's screening threads.
+/// The mode name and options, `accept` and `true_key` are checked before
+/// any circuit is read: a malformed request throws std::invalid_argument. A
+/// missing, unreadable or unparsable circuit, a lint rejection, or a
+/// scan-model mode on circuits whose scan interfaces differ throws
+/// std::runtime_error. `cancel` (may be null) is the job's kill switch;
+/// `bbo_jobs` is BBO's screening threads.
 util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
-                    const std::atomic<bool>* cancel, std::size_t bbo_jobs);
+                          const std::atomic<bool>* cancel,
+                          std::size_t bbo_jobs);
 
 class Server {
  public:
-  explicit Server(ServerOptions options);
+  explicit Server(ServerOptions options) : options_(std::move(options)) {}
   ~Server();
 
   Server(const Server&) = delete;

@@ -92,19 +92,6 @@ std::string obs_bank_path_from_env() {
   return env == nullptr ? std::string() : std::string(env);
 }
 
-bool key_hints_from_env() {
-  // Stable mode wins: hint injection changes solver trajectories, and the
-  // stable tables promise byte-identical output at any knob setting.
-  return env_flag("CUTELOCK_KEY_HINTS") && !env_flag("CUTELOCK_BENCH_STABLE");
-}
-
-bool sat_preprocess_from_env() {
-  // Stable mode wins, exactly like key hints: preprocessing changes solver
-  // trajectories, and the stable tables promise byte-identical output.
-  return env_flag("CUTELOCK_SAT_PREPROCESS") &&
-         !env_flag("CUTELOCK_BENCH_STABLE");
-}
-
 double sat_gc_frac_from_env() {
   static const double cached = [] {
     const double v = env_double_or("CUTELOCK_SAT_GC_FRAC", 0.25);

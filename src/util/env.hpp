@@ -1,6 +1,8 @@
-// Strict environment-variable parsing shared by the bench harnesses and the
-// simulation engine. All parsers reject trailing junk (atof would silently
-// read "2s" as 2) and warn on stderr when an invalid value is ignored.
+// Strict environment-variable parsing for the entry points (the CLI, the
+// bench harnesses, `cutelock serve`) and for the few process-wide values the
+// library reads once: the simulator and portfolio pool widths and the arena
+// GC fraction. All parsers reject trailing junk (atof would silently read
+// "2s" as 2) and warn on stderr when an invalid value is ignored.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +31,9 @@ double env_double_or(const char* name, double fallback);
 std::size_t env_size_or(const char* name, std::size_t fallback);
 
 /// Worker-thread count: CUTELOCK_JOBS, or hardware_concurrency when unset.
-/// Always >= 1. Shared by bench::Runner, the sharded simulator pool, and
-/// the CLI's BBO screening threads (BboOptions::jobs).
+/// Always >= 1. Shared by bench::Runner, the sharded simulator pool, the
+/// portfolio race pool, the CLI's BBO screening threads (BboOptions::jobs)
+/// and `cutelock serve`'s --workers default.
 std::size_t jobs_from_env();
 
 /// Diversified CDCL workers racing each solver call: CUTELOCK_SAT_PORTFOLIO,
@@ -38,30 +41,17 @@ std::size_t jobs_from_env();
 /// harnesses force 1 under CUTELOCK_BENCH_STABLE=1.
 std::size_t sat_portfolio_from_env();
 
-/// Cross-attack oracle observation bank: CUTELOCK_OBS_BANK=1 enables,
-/// default off. Deterministic output requires CUTELOCK_JOBS=1 (the bank's
-/// content at each attack's start depends on job completion order).
+/// Cross-attack oracle observation bank: CUTELOCK_OBS_BANK=1 makes
+/// bench::Runner switch it on, default off. Deterministic output requires
+/// CUTELOCK_JOBS=1 (the bank's content at each attack's start depends on job
+/// completion order).
 bool obs_bank_from_env();
 
 /// Observation-bank persistence file: CUTELOCK_OBS_BANK_PATH, empty when
-/// unset. The serve daemon (and the CLI attack mode, when the bank is on)
-/// loads banked oracle facts from this file at start and saves them back on
+/// unset. `cutelock serve` (as its --bank default) and `cutelock attack`
+/// load banked oracle facts from this file at start and save them back on
 /// shutdown, so facts survive restarts and can be shipped between machines.
 std::string obs_bank_path_from_env();
-
-/// Structural key hints seeding the oracle-guided engine:
-/// CUTELOCK_KEY_HINTS=1 makes OgEngine run analysis::infer_key_hints on the
-/// locked netlist and install high-confidence bits as startup unit
-/// assumptions. Default off, and forced off under CUTELOCK_BENCH_STABLE=1 so
-/// the stable tables stay byte-identical.
-bool key_hints_from_env();
-
-/// SAT pre/inprocessing: CUTELOCK_SAT_PREPROCESS=1 makes the attacks run
-/// bounded variable elimination before search and subsumption/vivification
-/// at restart boundaries (seeds AttackBudget::sat_preprocess). Default off,
-/// and forced off under CUTELOCK_BENCH_STABLE=1 so the stable tables stay
-/// byte-identical.
-bool sat_preprocess_from_env();
 
 /// Arena GC trigger fraction: CUTELOCK_SAT_GC_FRAC, default 0.25; collect
 /// when that fraction of the clause arena is wasted words. Values > 1 warn

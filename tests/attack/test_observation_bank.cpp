@@ -146,13 +146,13 @@ TEST(ObservationBank, ReplaySavesFreshQueriesAndKeepsTheVerdict) {
 
   // Bank enabled: one run populates the bank, the next replays from it.
   {
-    setenv("CUTELOCK_OBS_BANK", "1", 1);
+    set_observation_bank_forced(true);
     const AttackResult warmup = seq_attack(lr.locked, oracle, options);
     EXPECT_EQ(warmup.outcome, Outcome::Equal) << warmup.summary();
     EXPECT_GT(bank.size(), 0u);
 
     const AttackResult warm = seq_attack(lr.locked, oracle, options);
-    unsetenv("CUTELOCK_OBS_BANK");
+    set_observation_bank_forced(false);
     EXPECT_EQ(warm.outcome, Outcome::Equal) << warm.summary();
     EXPECT_EQ(warm.key, cold.key);
     EXPECT_GT(warm.replayed_queries, 0u);
@@ -185,10 +185,10 @@ TEST(ObservationBank, CrossAttackReplayDrivesMultiKeyLockToCnsCheaper) {
   const AttackResult kc2_cold = kc2_attack(lr.locked, oracle, budget);
   ASSERT_TRUE(defense_held(kc2_cold.outcome)) << kc2_cold.summary();
 
-  setenv("CUTELOCK_OBS_BANK", "1", 1);
+  set_observation_bank_forced(true);
   const AttackResult bmc = bmc_attack(lr.locked, oracle, budget);
   const AttackResult kc2_warm = kc2_attack(lr.locked, oracle, budget);
-  unsetenv("CUTELOCK_OBS_BANK");
+  set_observation_bank_forced(false);
 
   EXPECT_TRUE(defense_held(bmc.outcome)) << bmc.summary();
   EXPECT_TRUE(defense_held(kc2_warm.outcome)) << kc2_warm.summary();
@@ -270,11 +270,11 @@ TEST(ObservationBank, FactsThatDoNotFitTheCircuitAreNotReplayed) {
     bank.record(widened(inputs), sim::run_sequence(nl, inputs));
     ASSERT_EQ(bank.size(), 2u);
   }
-  setenv("CUTELOCK_OBS_BANK", "1", 1);
+  set_observation_bank_forced(true);
   const AttackResult kc2_warm = kc2_attack(kc2_lock.locked, oracle, bank_budget());
   const PeriodicAttackResult periodic_warm =
       periodic_key_attack(periodic_lock.locked, oracle, periodic_options());
-  unsetenv("CUTELOCK_OBS_BANK");
+  set_observation_bank_forced(false);
 
   EXPECT_EQ(kc2_warm.outcome, kc2_cold.outcome) << kc2_warm.summary();
   EXPECT_EQ(kc2_warm.preloaded_facts, 0u);
@@ -302,7 +302,7 @@ TEST(ObservationBank, BankHitsThatDoNotFitTheCircuitAreQueriedFresh) {
   for (const auto* lr : {&kc2_source, &kc2_lock, &periodic_source, &periodic_lock}) {
     ASSERT_EQ(observation_bank_for_key(bank_key(lr->locked, nl)).size(), 0u);
   }
-  setenv("CUTELOCK_OBS_BANK", "1", 1);
+  set_observation_bank_forced(true);
   kc2_attack(kc2_source.locked, oracle, bank_budget());
   periodic_key_attack(periodic_source.locked, oracle, periodic_options());
   std::vector<std::size_t> crafted;
@@ -320,7 +320,7 @@ TEST(ObservationBank, BankHitsThatDoNotFitTheCircuitAreQueriedFresh) {
   const AttackResult kc2_warm = kc2_attack(kc2_lock.locked, oracle, bank_budget());
   const PeriodicAttackResult periodic_warm =
       periodic_key_attack(periodic_lock.locked, oracle, periodic_options());
-  unsetenv("CUTELOCK_OBS_BANK");
+  set_observation_bank_forced(false);
 
   for (const auto& [cold, warm] : {std::pair{&kc2_cold, &kc2_warm},
                                    std::pair{&periodic_cold.result,

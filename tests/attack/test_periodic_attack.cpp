@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "benchgen/s27.hpp"
 #include "core/cute_lock_str.hpp"
 #include "lock/comb_locks.hpp"
@@ -65,6 +67,20 @@ TEST(PeriodicAttack, TooSmallPeriodHypothesisRefuted) {
   const PeriodicAttackResult r =
       periodic_key_attack(locked.locked, oracle, quick(2));
   EXPECT_NE(r.result.outcome, Outcome::Equal) << r.result.summary();
+}
+
+TEST(PeriodicAttack, BoundZeroIsRejectedBeforeAnyOracleQuery) {
+  // A bound of 0 tests no schedule, so it cannot prove CNS.
+  const auto s27 = benchgen::make_s27();
+  core::StrOptions options;
+  options.num_keys = 4;
+  options.key_bits = 4;
+  options.seed = 1;
+  const auto locked = core::cute_lock_str(s27, options);
+  SequentialOracle oracle(s27);
+  EXPECT_THROW(periodic_key_attack(locked.locked, oracle, quick(0)),
+               std::invalid_argument);
+  EXPECT_EQ(oracle.num_queries(), 0u);
 }
 
 }  // namespace

@@ -17,9 +17,9 @@
 #include <string>
 #include <thread>
 
+#include "attack/registry.hpp"
 #include "benchgen/catalog.hpp"
 #include "netlist/bench_io.hpp"
-#include "service/server.hpp"
 
 namespace {
 
@@ -193,7 +193,7 @@ TEST_F(CliServe, AttackAndSubmitPrintTheSameForEveryMode) {
   // get an XOR lock, the rest Cute-Lock-Str.
   start_daemon();
   std::uint64_t seed = 100;
-  for (const cl::service::AttackModeInfo& mode : cl::service::attack_modes()) {
+  for (const cl::attack::AttackMode& mode : cl::attack::attack_modes()) {
     for (const std::string accept : {"", " --accept any"}) {
       const fs::path locked = dir_ / ("mode_" + std::to_string(seed) + ".bench");
       ASSERT_EQ(run("lock " + quoted(s27_) + " -o " + quoted(locked) +
@@ -202,7 +202,8 @@ TEST_F(CliServe, AttackAndSubmitPrintTheSameForEveryMode) {
                     .exit_code,
                 0);
       const std::string flags = quoted(locked) + " --oracle " + quoted(s27_) +
-                                " --attack " + mode.name + " --seconds 20" +
+                                " --attack " + std::string(mode.name) +
+                                " --seconds 20" +
                                 accept;
       const CliRun direct = run("attack " + flags);
       const CliRun daemon = run("submit --socket " + quoted(socket_) + " " + flags);
@@ -210,7 +211,8 @@ TEST_F(CliServe, AttackAndSubmitPrintTheSameForEveryMode) {
       EXPECT_EQ(without_wall_time(daemon.output),
                 without_wall_time(direct.output))
           << mode.name << accept;
-      EXPECT_NE(direct.output.find(mode.name + " attack: "), std::string::npos)
+      EXPECT_NE(direct.output.find(std::string(mode.name) + " attack: "),
+                std::string::npos)
           << direct.output;
     }
   }
@@ -223,7 +225,8 @@ TEST_F(CliServe, MalformedRequestsExitUsageUnderAttackAndSubmit) {
   // mark to the exit code `attack` returns.
   start_daemon();
   for (const std::string bad :
-       {"--attack nosuch", "--accept bogus", "--true-key 01x0"}) {
+       {"--attack nosuch", "--accept bogus", "--true-key 01x0",
+        "--attack periodic --max-period 0"}) {
     const std::string flags =
         quoted(locked_) + " --oracle " + quoted(s27_) + " " + bad;
     const CliRun direct = run("attack " + flags);

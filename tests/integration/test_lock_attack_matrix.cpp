@@ -1,5 +1,6 @@
 // Lock x attack conformance matrix: every registered defense must run
-// through every attack mode without crashing, produce lint-clean instances,
+// through the attack registry's bmc, kc2, rane, sat and bbo modes without
+// crashing, produce lint-clean instances,
 // and end in a documented verdict. The only allowed "does not apply" cell is
 // the scan-model family (sat/appsat/double-dip) on locks that add their own
 // state, where scan exposure changes the I/O interface — the same rejection
@@ -12,64 +13,31 @@
 // broken defenses.
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <stdexcept>
 
 #include "analysis/lint.hpp"
 #include "attack/accept.hpp"
-#include "attack/bbo.hpp"
-#include "attack/sat_attack.hpp"
-#include "attack/seq_attack.hpp"
+#include "attack/registry.hpp"
 #include "benchgen/catalog.hpp"
 #include "benchgen/fsm_suite.hpp"
 #include "core/cute_lock_beh.hpp"
 #include "fsm/synth.hpp"
 #include "lock/lock_registry.hpp"
-#include "netlist/transform.hpp"
 
 namespace cl {
 namespace {
 
-attack::AttackBudget matrix_budget() {
-  attack::AttackBudget b;
-  b.time_limit_s = 5.0;
-  b.max_iterations = 80;
-  b.max_depth = 8;
-  b.verify_time_limit_s = 2.0;
-  return b;
+attack::ModeOptions matrix_options() {
+  attack::ModeOptions o;
+  o.budget.time_limit_s = 5.0;
+  o.budget.max_iterations = 80;
+  o.budget.max_depth = 8;
+  o.budget.verify_time_limit_s = 2.0;
+  return o;
 }
 
+/// The matrix's attacks, by attack-registry mode name.
 const char* const k_attacks[] = {"bmc", "kc2", "rane", "sat", "bbo"};
-
-/// One matrix cell. nullopt = the documented scan-interface rejection.
-std::optional<attack::AttackResult> run_attack(
-    const std::string& mode, const netlist::Netlist& locked,
-    const netlist::Netlist& original) {
-  const attack::AttackBudget budget = matrix_budget();
-  attack::SequentialOracle oracle(original);
-  if (mode == "bmc") return attack::bmc_attack(locked, oracle, budget);
-  if (mode == "kc2") return attack::kc2_attack(locked, oracle, budget);
-  if (mode == "rane") return attack::rane_attack(locked, oracle, budget);
-  if (mode == "bbo") {
-    attack::BboOptions o;
-    o.budget = budget;
-    o.jobs = 1;
-    return attack::bbo_attack(locked, oracle, o);
-  }
-  // Scan-access model: full scan turns both circuits combinational. A lock
-  // that added flip-flops of its own widens the scan interface past the
-  // oracle's, and the attack does not apply (CLI/service reject the same
-  // way).
-  const netlist::Netlist locked_scan = netlist::scan_expose(locked);
-  const netlist::Netlist original_scan = netlist::scan_expose(original);
-  if (locked_scan.inputs().size() != original_scan.inputs().size() ||
-      locked_scan.outputs().size() != original_scan.outputs().size()) {
-    return std::nullopt;
-  }
-  attack::SequentialOracle scan_oracle(original_scan);
-  attack::SatAttackOptions o;
-  o.budget = matrix_budget();
-  return attack::sat_attack(locked_scan, scan_oracle, o);
-}
 
 struct GapTally {
   std::size_t cells_run = 0;
@@ -98,29 +66,34 @@ void run_matrix(const netlist::Netlist& original, std::uint64_t seed,
     EXPECT_EQ(pair.errors(), 0u)
         << entry.name << ":\n" << analysis::format_diagnostics(pair);
 
-    for (const char* mode : k_attacks) {
-      SCOPED_TRACE(std::string(entry.name) + " x " + mode);
-      const auto result = run_attack(mode, lr.locked, original);
-      if (!result) {
-        // Only the scan family on state-adding locks may bail out.
-        EXPECT_STREQ(mode, "sat");
-        EXPECT_TRUE(entry.adds_state);
+    for (const char* name : k_attacks) {
+      SCOPED_TRACE(std::string(entry.name) + " x " + name);
+      const attack::AttackMode& mode = attack::find_attack_mode(name);
+      if (mode.scan_model && entry.adds_state) {
+        // Scan exposure widens a state-adding lock's interface past the
+        // oracle's: the scan-model attacks do not apply, and the registry
+        // rejects the cell as the CLI and the service do.
+        EXPECT_THROW(attack::run_attack_mode(mode, lr.locked, original,
+                                             matrix_options()),
+                     std::runtime_error);
         ++tally.skipped;
         continue;
       }
+      const attack::AttackResult result =
+          attack::run_attack_mode(mode, lr.locked, original, matrix_options())
+              .result;
       ++tally.cells_run;
       if (entry.dynamic_key) {
         // No static key exists; an Equal here would be a verifier bug.
-        EXPECT_TRUE(attack::defense_held(result->outcome))
-            << result->summary();
+        EXPECT_TRUE(attack::defense_held(result.outcome)) << result.summary();
         continue;
       }
-      if (result->outcome != attack::Outcome::Equal) continue;
+      if (result.outcome != attack::Outcome::Equal) continue;
       // The attack claims success: the acceptance layer must agree that the
       // reported key is functionally passing, whichever bits it picked for
       // the decoys.
       const attack::AcceptReport rep = attack::verify_any_key(
-          lr.locked, result->key, original, &lr.correct_key);
+          lr.locked, result.key, original, &lr.correct_key);
       EXPECT_TRUE(rep.accepted) << rep.detail;
       EXPECT_EQ(rep.any_key_pass, 1);
       // No exactness assertion even for locks not flagged multi_key: two
@@ -166,12 +139,14 @@ TEST(LockAttackMatrix, BehSynthesizedPairSurvivesSequentialAttacks) {
   const analysis::LintReport pair =
       analysis::lint_attack_inputs(lr.locked, original);
   EXPECT_EQ(pair.errors(), 0u) << analysis::format_diagnostics(pair);
-  for (const char* mode : {"bmc", "kc2"}) {
-    SCOPED_TRACE(mode);
-    const auto result = run_attack(mode, lr.locked, original);
-    ASSERT_TRUE(result.has_value());
+  for (const char* name : {"bmc", "kc2"}) {
+    SCOPED_TRACE(name);
+    const attack::AttackResult result =
+        attack::run_attack_mode(attack::find_attack_mode(name), lr.locked,
+                                original, matrix_options())
+            .result;
     // The correct key is a per-cycle schedule; no static key can be Equal.
-    EXPECT_TRUE(attack::defense_held(result->outcome)) << result->summary();
+    EXPECT_TRUE(attack::defense_held(result.outcome)) << result.summary();
   }
 }
 

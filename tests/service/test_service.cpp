@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "attack/observation_bank.hpp"
+#include "attack/registry.hpp"
 #include "attack/seq_attack.hpp"
 #include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
@@ -337,7 +339,7 @@ TEST_F(ServiceTest, EveryAttackModeRunsAsADaemonJobLikeInProcess) {
   // and the comparison sees the job function alone. (The CLI serve test
   // compares `attack` with a cold daemon from separate processes.)
   const netlist::Netlist nl = benchgen::make_circuit("s27").netlist;
-  const std::vector<AttackModeInfo> modes = attack_modes();
+  const std::span<const attack::AttackMode> modes = attack::attack_modes();
   ASSERT_EQ(modes.size(), 11u);
   std::vector<util::Json> requests;
   std::vector<util::Json> in_process;

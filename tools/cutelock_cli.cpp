@@ -27,6 +27,8 @@
 //   cutelock gen <s27|s1423|b14|...> -o <circuit.bench>   (catalog circuits)
 //   cutelock serve [--socket <path> | --port 0] [--workers N]
 //            [--bank <obs-bank file>]
+//            (--workers defaults to CUTELOCK_JOBS, --bank to
+//             CUTELOCK_OBS_BANK_PATH)
 //   cutelock submit <locked.bench> --oracle <original.bench>
 //            (--socket <path> | --port <p>) [the attack flags above]
 //   cutelock submit --op <ping|stats|shutdown|status|wait|cancel> [--id N]
@@ -170,34 +172,6 @@ bool read_text_file(const std::string& path, std::string* out) {
   buf << in.rdbuf();
   *out = buf.str();
   return true;
-}
-
-/// Observation-bank persistence for one-shot attack runs, the daemon's
-/// default --bank: with CUTELOCK_OBS_BANK_PATH set, facts from earlier
-/// processes prime this attack, and this attack's facts are saved back for
-/// the next one.
-void maybe_load_bank_file() {
-  const std::string path = util::obs_bank_path_from_env();
-  if (path.empty()) return;
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) return;  // cold start: nothing persisted yet
-  probe.close();
-  std::string error;
-  if (!attack::load_observation_banks(path, &error)) {
-    std::fprintf(stderr, "cutelock: warning: ignoring observation-bank file: %s\n",
-                 error.c_str());
-  }
-}
-
-void maybe_save_bank_file() {
-  const std::string path = util::obs_bank_path_from_env();
-  if (path.empty()) return;
-  std::string error;
-  if (!attack::save_observation_banks(path, &error)) {
-    std::fprintf(stderr,
-                 "cutelock: warning: could not save observation banks: %s\n",
-                 error.c_str());
-  }
 }
 
 int cmd_info(const Args& args) {
@@ -371,8 +345,12 @@ int cmd_attack(const Args& args) {
   if (const int rc = attack_request("attack", args, &request); rc != 0) {
     return rc;
   }
+  // Bank persistence follows CUTELOCK_OBS_BANK_PATH, the daemon's default
+  // --bank: facts from earlier processes prime this attack, and its facts
+  // are saved back for the next one.
   attack::set_observation_bank_forced(true);
-  maybe_load_bank_file();
+  const std::string bank_path = util::obs_bank_path_from_env();
+  service::load_bank_file(bank_path, "cutelock");
   service::CircuitCache cache;
   util::Json result;
   try {
@@ -382,7 +360,7 @@ int cmd_attack(const Args& args) {
     std::fprintf(stderr, "cutelock attack: %s\n", e.what());
     return 64;
   }
-  maybe_save_bank_file();
+  service::save_bank_file(bank_path, "cutelock");
   return print_attack_result(result);
 }
 
@@ -463,8 +441,8 @@ int cmd_serve(const Args& args) {
   service::ServerOptions options;
   options.unix_socket = args.get("socket", "");
   options.tcp_port = port_flag(args);
-  options.workers = args.get_u64("workers", 0);
-  options.obs_bank_path = args.get("bank", "");
+  options.workers = args.get_u64("workers", util::jobs_from_env());
+  options.obs_bank_path = args.get("bank", util::obs_bank_path_from_env());
   service::Server server(std::move(options));
   std::string error;
   if (!server.start(&error)) {
