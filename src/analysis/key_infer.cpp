@@ -94,39 +94,6 @@ void decide(const Netlist& nl, BitHint& h, bool flip_xor_vote) {
   h.confidence = std::min(1.0, 0.7 + 0.1 * static_cast<double>(margin));
 }
 
-/// FALL-style sampled unateness: flip one key bit against random input
-/// sequences and random settings of the other bits, and record the output
-/// movement direction. One compilation for the whole ki x trials sweep.
-void profile_unateness(const Netlist& nl, std::vector<BitHint>& bits,
-                       const InferOptions& opt) {
-  if (bits.empty()) return;
-  const sim::CompiledNetlist compiled(nl);
-  util::Rng rng(opt.seed);
-  for (std::size_t k = 0; k < bits.size(); ++k) {
-    bool pos = false, neg = false;
-    for (std::size_t trial = 0; trial < opt.unate_trials; ++trial) {
-      const auto stim =
-          sim::random_stimulus(rng, opt.unate_cycles, nl.inputs().size());
-      sim::BitVec key = sim::random_bits(rng, bits.size());
-      key[k] = 0;
-      const auto lo = sim::run_sequence(compiled, stim, {key});
-      key[k] = 1;
-      const auto hi = sim::run_sequence(compiled, stim, {key});
-      for (std::size_t c = 0; c < lo.size(); ++c) {
-        for (std::size_t o = 0; o < lo[c].size(); ++o) {
-          if (lo[c][o] < hi[c][o]) pos = true;
-          else if (lo[c][o] > hi[c][o]) neg = true;
-        }
-      }
-      if (pos && neg) break;
-    }
-    bits[k].unate = pos && neg  ? Unateness::Binate
-                    : pos       ? Unateness::Positive
-                    : neg       ? Unateness::Negative
-                                : Unateness::Insensitive;
-  }
-}
-
 }  // namespace
 
 KeyHintReport infer_key_hints(const Netlist& locked,
@@ -146,7 +113,20 @@ KeyHintReport infer_key_hints(const Netlist& locked,
     h.role = classify(locked, keys[i], fanout);
   }
 
-  if (options.profile_unateness) profile_unateness(locked, rep.bits, options);
+  // FALL-style sampled unateness: the directions the outputs moved when the
+  // bit flipped against random stimuli and random settings of the others.
+  if (options.profile_unateness) {
+    util::Rng rng(0x5c03eULL);
+    const auto flips =
+        sim::sample_key_flips(sim::CompiledNetlist(locked), rng);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const sim::KeyFlip& f = flips[i];
+      rep.bits[i].unate = f.rose && f.fell ? Unateness::Binate
+                          : f.rose         ? Unateness::Positive
+                          : f.fell         ? Unateness::Negative
+                                           : Unateness::Insensitive;
+    }
+  }
 
   for (BitHint& h : rep.bits) {
     if (options.time_limit_s > 0 && timer.seconds() > options.time_limit_s) {

@@ -69,11 +69,9 @@ struct KeyHintReport {
 };
 
 struct InferOptions {
-  /// Run the sampled unateness profiling pass (sim-based, seeded).
+  /// Run the sampled unateness profiling pass (sim::sample_key_flips from a
+  /// fixed seed: 16 draws of 8 cycles per key bit).
   bool profile_unateness = true;
-  std::size_t unate_trials = 16;
-  std::size_t unate_cycles = 8;
-  std::uint64_t seed = 0x5c03eULL;
   /// Wall budget for the whole sweep; 0 = unlimited. On exhaustion the
   /// remaining bits stay Unknown and budget_exhausted is set.
   double time_limit_s = 0.0;

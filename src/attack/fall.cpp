@@ -6,6 +6,7 @@
 
 #include "attack/verify.hpp"
 #include "netlist/topo.hpp"
+#include "sim/sequence.hpp"
 #include "util/timer.hpp"
 
 namespace cl::attack {
@@ -63,30 +64,6 @@ std::optional<InputPattern> flatten_comparator(
   return pattern;
 }
 
-/// Key-unateness profile: a comparator-driven flip structure makes outputs
-/// binate (non-unate) in the affected keys; purely decorative keys show no
-/// sensitivity at all. Used as the functional-analysis pruning step and
-/// reported in the detail string.
-std::size_t count_sensitive_keys(const Netlist& locked, util::Rng& rng) {
-  // One compilation for the whole ki x trials sweep; per-call compilation
-  // would dominate on large netlists.
-  const sim::CompiledNetlist compiled(locked);
-  std::size_t sensitive = 0;
-  for (std::size_t k = 0; k < locked.key_inputs().size(); ++k) {
-    bool found = false;
-    for (int trial = 0; trial < 16 && !found; ++trial) {
-      const auto stim = sim::random_stimulus(rng, 8, locked.inputs().size());
-      sim::BitVec key = sim::random_bits(rng, locked.key_inputs().size());
-      const auto base = sim::run_sequence(compiled, stim, {key});
-      key[k] ^= 1;
-      const auto flipped = sim::run_sequence(compiled, stim, {key});
-      found = sim::first_divergence(base, flipped) != -1;
-    }
-    if (found) ++sensitive;
-  }
-  return sensitive;
-}
-
 }  // namespace
 
 FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
@@ -120,7 +97,14 @@ FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
   }
   out.candidates = patterns.size();
 
-  const std::size_t sensitive = count_sensitive_keys(locked, rng);
+  // Functional profile: a key bit is sensitive when flipping it moves some
+  // output in the sample (sim::sample_key_flips). A comparator-driven flip
+  // structure makes outputs move; purely decorative keys never do.
+  std::size_t sensitive = 0;
+  for (const sim::KeyFlip& f :
+       sim::sample_key_flips(sim::CompiledNetlist(locked), rng)) {
+    if (f.rose || f.fell) ++sensitive;
+  }
 
   // Step 3+4: candidate keys from pattern polarities, verified on the
   // oracle. The pattern over inputs {i0 < i1 < ...} maps positionally onto
@@ -140,7 +124,6 @@ FallResult fall_attack(const Netlist& locked, const SequentialOracle& oracle,
         timer.seconds() > options.budget.time_limit_s) {
       return stopped();
     }
-    if (p.size() != ki) continue;  // cannot be the key comparator
     sim::BitVec key(ki, 0);
     std::size_t j = 0;
     for (const auto& [input, polarity] : p) key[j++] = polarity ? 1 : 0;

@@ -6,6 +6,7 @@
 
 #include "attack/og_engine.hpp"
 #include "cnf/miter.hpp"
+#include "sim/sequence.hpp"
 #include "util/timer.hpp"
 
 namespace cl::attack {
@@ -15,31 +16,6 @@ using sat::Result;
 using sat::Var;
 
 namespace {
-
-/// Heavy randomized validation of a recovered schedule. Takes pre-compiled
-/// circuits: the caller tests many schedules against the same pair.
-bool schedule_works(const sim::CompiledNetlist& locked,
-                    const sim::CompiledNetlist& original,
-                    const std::vector<sim::BitVec>& schedule, util::Rng& rng,
-                    std::vector<sim::BitVec>* counterexample) {
-  for (int trial = 0; trial < 48; ++trial) {
-    const auto stim =
-        sim::random_stimulus(rng, 64, original.inputs().size());
-    std::vector<sim::BitVec> keys;
-    keys.reserve(stim.size());
-    for (std::size_t t = 0; t < stim.size(); ++t) {
-      keys.push_back(schedule[t % schedule.size()]);
-    }
-    const auto want = sim::run_sequence(original, stim);
-    const auto got = sim::run_sequence(locked, stim, keys);
-    const int diverge = sim::first_divergence(want, got);
-    if (diverge != -1) {
-      counterexample->assign(stim.begin(), stim.begin() + diverge + 1);
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Adaptive periodic-key attacker: the one strategy whose hypothesis is not
 /// a static key but a schedule K[t mod p], swept over periods p. It replaces
@@ -127,9 +103,14 @@ class PeriodicScheduleStrategy : public DipStrategy {
         for (const auto& slot : slots) {
           schedule.push_back(cnf::extract_bits(*solver, slot));
         }
-        std::vector<sim::BitVec> counterexample;
-        if (schedule_works(compiled_locked, compiled_reference, schedule,
-                           engine.rng(), &counterexample)) {
+        std::vector<sim::BitVec> keys(k_check_cycles);
+        for (std::size_t t = 0; t < keys.size(); ++t) {
+          keys[t] = schedule[t % schedule.size()];
+        }
+        std::vector<sim::BitVec> counterexample = sim::find_counterexample(
+            compiled_reference, compiled_locked, keys, engine.rng(),
+            k_check_sequences, k_check_cycles);
+        if (counterexample.empty()) {
           recovered_period = period;
           recovered_schedule = std::move(schedule);
           if (!recovered_schedule.empty()) {
@@ -151,6 +132,10 @@ class PeriodicScheduleStrategy : public DipStrategy {
   std::vector<sim::BitVec> recovered_schedule;
 
  private:
+  // Heavy randomized validation of a recovered schedule.
+  static constexpr std::size_t k_check_sequences = 48;
+  static constexpr std::size_t k_check_cycles = 64;
+
   PeriodicAttackOptions options_;
 };
 
@@ -159,9 +144,10 @@ class PeriodicScheduleStrategy : public DipStrategy {
 PeriodicAttackResult periodic_key_attack(const Netlist& locked,
                                          const SequentialOracle& oracle,
                                          const PeriodicAttackOptions& options) {
-  if (options.max_period == 0) {
+  if (options.max_period == 0 || options.max_period > k_max_period_limit) {
     throw std::invalid_argument(
-        "periodic_key_attack: max_period must be at least 1");
+        "periodic_key_attack: max_period must be 1.." +
+        std::to_string(k_max_period_limit));
   }
   PeriodicAttackResult out;
   OgEngine engine(locked, oracle, options.budget,

@@ -17,9 +17,13 @@
 
 namespace cl::attack {
 
+/// Largest max_period accepted: the seed traces grow with it, and the
+/// paper's largest time base has 16 slots.
+inline constexpr std::size_t k_max_period_limit = 64;
+
 struct PeriodicAttackOptions {
   AttackBudget budget;
-  std::size_t max_period = 8;  // largest hypothesized schedule period; >= 1
+  std::size_t max_period = 8;  // largest hypothesized period; 1..64
 };
 
 struct PeriodicAttackResult {
@@ -29,7 +33,8 @@ struct PeriodicAttackResult {
 };
 
 /// Throws std::invalid_argument, before any oracle query, when max_period
-/// is 0: that bound tests no hypothesis, so it could prove nothing.
+/// is 0 (that bound tests no hypothesis, so it could prove nothing) or
+/// above k_max_period_limit.
 PeriodicAttackResult periodic_key_attack(const netlist::Netlist& locked,
                                          const SequentialOracle& oracle,
                                          const PeriodicAttackOptions& options = {});

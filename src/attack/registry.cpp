@@ -119,10 +119,12 @@ const AttackMode& find_attack_mode(const std::string& name) {
 }
 
 void check_mode_options(const AttackMode& mode, const ModeOptions& options) {
-  if (std::string(mode.name) == "periodic" && options.max_period == 0) {
+  if (std::string(mode.name) == "periodic" &&
+      (options.max_period == 0 || options.max_period > k_max_period_limit)) {
     throw std::invalid_argument(
-        "periodic: max_period must be at least 1 (a bound of 0 tests no "
-        "schedule)");
+        "periodic: max_period must be 1.." +
+        std::to_string(k_max_period_limit) +
+        " (0 tests no schedule; the seed traces grow with the bound)");
   }
 }
 

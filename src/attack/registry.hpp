@@ -51,7 +51,7 @@ std::span<const AttackMode> attack_modes();
 const AttackMode& find_attack_mode(const std::string& name);
 
 /// Throws std::invalid_argument when `options` cannot drive `mode` (periodic
-/// with `max_period` 0). Reads no circuit.
+/// with `max_period` 0 or above k_max_period_limit). Reads no circuit.
 void check_mode_options(const AttackMode& mode, const ModeOptions& options);
 
 /// Throws std::runtime_error when the scan-exposed views differ in input or

@@ -37,14 +37,14 @@ Netlist sweep(const Netlist& nl, bool& changed, std::size_t& consts_propagated) 
     const Node& n = nl.node(id);
     if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
+    // Merging a constant into the shared one is no change: merging two
+    // shrinks the netlist, and optimize() stops only when nothing shrank.
     else if (n.type == GateType::Const0) {
       remap[id] = c0();
       cval[id] = CVal::Zero;
-      changed = true;  // merged into the shared constant
     } else if (n.type == GateType::Const1) {
       remap[id] = c1();
       cval[id] = CVal::One;
-      changed = true;
     }
   }
   std::vector<SignalId> src_dffs = nl.dffs();

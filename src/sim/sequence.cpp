@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace cl::sim {
 
@@ -37,6 +38,17 @@ const BitVec& key_for_cycle(const std::vector<BitVec>& keys, std::size_t c) {
   return keys.size() == 1 ? keys[0] : keys[c];
 }
 
+/// Input i of cycle c of every sequence, on lanes: sequence j rides bit
+/// j % 64 of words[j / 64]. Every word of the block is written.
+void pack_lanes(std::uint64_t* words,
+                std::span<const std::vector<BitVec>> sequences, std::size_t c,
+                std::size_t i) {
+  for (std::size_t j = 0; j < sequences.size(); ++j) {
+    const std::uint64_t bit = std::uint64_t{sequences[j][c][i]} << (j % 64);
+    words[j / 64] = j % 64 == 0 ? bit : words[j / 64] | bit;
+  }
+}
+
 }  // namespace
 
 std::vector<BitVec> run_sequence(const Netlist& nl,
@@ -48,37 +60,12 @@ std::vector<BitVec> run_sequence(const Netlist& nl,
 std::vector<BitVec> run_sequence(const CompiledNetlist& compiled,
                                  const std::vector<BitVec>& inputs,
                                  const std::vector<BitVec>& keys) {
-  check_widths(compiled.inputs().size(), compiled.key_inputs().size(), inputs,
-               keys);
-  util::AlignedVec<std::uint64_t> v(compiled.buffer_words(1), 0);
-  util::AlignedVec<std::uint64_t> scratch;
-  compiled.reset_words(v.data(), 1);
-  std::vector<BitVec> out;
-  out.reserve(inputs.size());
-  for (std::size_t c = 0; c < inputs.size(); ++c) {
-    for (std::size_t i = 0; i < compiled.inputs().size(); ++i) {
-      v[compiled.inputs()[i]] = inputs[c][i] ? ~0ULL : 0ULL;
-    }
-    if (!keys.empty()) {
-      const BitVec& kv = key_for_cycle(keys, c);
-      for (std::size_t k = 0; k < compiled.key_inputs().size(); ++k) {
-        v[compiled.key_inputs()[k]] = kv[k] ? ~0ULL : 0ULL;
-      }
-    }
-    compiled.eval_auto(v.data(), 1);
-    BitVec cycle_out(compiled.outputs().size());
-    for (std::size_t o = 0; o < compiled.outputs().size(); ++o) {
-      cycle_out[o] = (v[compiled.outputs()[o]] & 1ULL) ? 1 : 0;
-    }
-    out.push_back(std::move(cycle_out));
-    compiled.step_words(v.data(), 1, scratch);
-  }
-  return out;
+  return std::move(run_sequences_batched(compiled, {&inputs, 1}, keys).front());
 }
 
 std::vector<std::vector<BitVec>> run_sequences_batched(
     const CompiledNetlist& compiled,
-    const std::vector<std::vector<BitVec>>& sequences,
+    std::span<const std::vector<BitVec>> sequences,
     const std::vector<BitVec>& keys) {
   if (sequences.empty()) return {};
   const std::size_t cycles = sequences[0].size();
@@ -87,55 +74,32 @@ std::vector<std::vector<BitVec>> run_sequences_batched(
       throw std::invalid_argument(
           "run_sequences_batched: sequences must have equal length");
     }
-    for (const BitVec& v : seq) {
-      if (v.size() != compiled.inputs().size()) {
-        throw std::invalid_argument(
-            "run_sequences_batched: input width mismatch");
-      }
-    }
-  }
-  for (const BitVec& v : keys) {
-    if (v.size() != compiled.key_inputs().size()) {
-      throw std::invalid_argument("run_sequences_batched: key width mismatch");
-    }
-  }
-  if (!keys.empty() && keys.size() != 1 && keys.size() != cycles) {
-    throw std::invalid_argument(
-        "run_sequences_batched: keys must be empty, size 1 (static) or "
-        "per-cycle");
-  }
-  if (keys.empty() && !compiled.key_inputs().empty()) {
-    throw std::invalid_argument(
-        "run_sequences_batched: circuit has key inputs but no key values "
-        "given");
+    check_widths(compiled.inputs().size(), compiled.key_inputs().size(), seq,
+                 keys);
   }
   const std::size_t lanes = (sequences.size() + 63) / 64;  // W words
   util::AlignedVec<std::uint64_t> v(compiled.buffer_words(lanes), 0);
   util::AlignedVec<std::uint64_t> scratch;
   compiled.reset_words(v.data(), lanes);
-  std::vector<std::vector<BitVec>> out(
-      sequences.size(), std::vector<BitVec>(cycles));
+  std::vector<std::vector<BitVec>> out(sequences.size());
+  for (std::vector<BitVec>& trace : out) trace.reserve(cycles);
   for (std::size_t c = 0; c < cycles; ++c) {
     for (std::size_t i = 0; i < compiled.inputs().size(); ++i) {
-      std::uint64_t* words = v.data() + compiled.inputs()[i] * lanes;
-      std::fill(words, words + lanes, 0ULL);
-      for (std::size_t j = 0; j < sequences.size(); ++j) {
-        if (sequences[j][c][i]) words[j / 64] |= 1ULL << (j % 64);
-      }
+      pack_lanes(v.data() + compiled.inputs()[i] * lanes, sequences, c, i);
     }
-    if (!keys.empty()) {
+    if (!keys.empty() && (c == 0 || keys.size() > 1)) {
       // The key candidate is shared by every lane: broadcast each key bit
-      // across the whole lane block.
+      // across the whole lane block. A static key is written once.
       const BitVec& kv = key_for_cycle(keys, c);
       for (std::size_t k = 0; k < compiled.key_inputs().size(); ++k) {
         std::uint64_t* words = v.data() + compiled.key_inputs()[k] * lanes;
-        std::fill(words, words + lanes, kv[k] ? ~0ULL : 0ULL);
+        const std::uint64_t word = kv[k] ? ~0ULL : 0ULL;
+        for (std::size_t w = 0; w < lanes; ++w) words[w] = word;
       }
     }
     compiled.eval_auto(v.data(), lanes);
     for (std::size_t j = 0; j < sequences.size(); ++j) {
-      BitVec& cycle_out = out[j][c];
-      cycle_out.resize(compiled.outputs().size());
+      BitVec& cycle_out = out[j].emplace_back(compiled.outputs().size());
       for (std::size_t o = 0; o < compiled.outputs().size(); ++o) {
         const std::uint64_t word =
             v[compiled.outputs()[o] * lanes + j / 64];
@@ -239,6 +203,90 @@ std::vector<std::uint64_t> screen_static_keys(
     }
   }
   return alive;
+}
+
+std::vector<KeyFlip> sample_key_flips(const CompiledNetlist& compiled,
+                                      util::Rng& rng) {
+  constexpr std::size_t k_pass_draws = 256;  // 512 lanes, BBO's width
+  const std::size_t num_keys = compiled.key_inputs().size();
+  const std::size_t total = num_keys * k_key_flip_draws;
+  std::vector<KeyFlip> flips(num_keys);
+  util::AlignedVec<std::uint64_t> v;
+  util::AlignedVec<std::uint64_t> scratch;
+  for (std::size_t first = 0; first < total; first += k_pass_draws) {
+    const std::size_t draws = std::min(k_pass_draws, total - first);
+    std::vector<std::vector<BitVec>> stims(draws), clear(draws), set(draws);
+    for (std::size_t j = 0; j < draws; ++j) {
+      stims[j] = random_stimulus(rng, k_key_flip_cycles,
+                                 compiled.inputs().size());
+      clear[j] = set[j] = {random_bits(rng, num_keys)};
+      clear[j][0][(first + j) / k_key_flip_draws] = 0;
+      set[j][0][(first + j) / k_key_flip_draws] = 1;
+    }
+    // Draw j rides lane j of the "clear" half and of the "set" half, which
+    // starts `half` words in; both halves see the same stimulus.
+    const std::size_t half = (draws + 63) / 64;
+    const std::size_t lanes = 2 * half;
+    v.resize(compiled.buffer_words(lanes));
+    compiled.reset_words(v.data(), lanes);
+    for (std::size_t k = 0; k < num_keys; ++k) {
+      std::uint64_t* words = v.data() + compiled.key_inputs()[k] * lanes;
+      pack_lanes(words, clear, 0, k);
+      pack_lanes(words + half, set, 0, k);
+    }
+    std::vector<std::uint64_t> rose(half, 0), fell(half, 0);
+    for (std::size_t c = 0; c < k_key_flip_cycles; ++c) {
+      for (std::size_t i = 0; i < compiled.inputs().size(); ++i) {
+        std::uint64_t* words = v.data() + compiled.inputs()[i] * lanes;
+        pack_lanes(words, stims, c, i);
+        std::copy(words, words + half, words + half);
+      }
+      compiled.eval_auto(v.data(), lanes);
+      for (const SignalId o : compiled.outputs()) {
+        const std::uint64_t* lo = v.data() + o * lanes;
+        const std::uint64_t* hi = lo + half;
+        for (std::size_t w = 0; w < half; ++w) {
+          rose[w] |= ~lo[w] & hi[w];
+          fell[w] |= lo[w] & ~hi[w];
+        }
+      }
+      compiled.step_words(v.data(), lanes, scratch);
+    }
+    for (std::size_t j = 0; j < draws; ++j) {
+      KeyFlip& f = flips[(first + j) / k_key_flip_draws];
+      f.rose = f.rose || ((rose[j / 64] >> (j % 64)) & 1ULL);
+      f.fell = f.fell || ((fell[j / 64] >> (j % 64)) & 1ULL);
+    }
+  }
+  return flips;
+}
+
+std::vector<BitVec> find_counterexample(const CompiledNetlist& reference,
+                                        const CompiledNetlist& locked,
+                                        const std::vector<BitVec>& keys,
+                                        util::Rng& rng, std::size_t sequences,
+                                        std::size_t cycles) {
+  // Rounds of one lane word keep the early exit cheap when divergence is
+  // common (the DIP loop's refuted candidates).
+  for (std::size_t done = 0; done < sequences;) {
+    const std::size_t chunk = std::min<std::size_t>(64, sequences - done);
+    std::vector<std::vector<BitVec>> stims;
+    stims.reserve(chunk);
+    for (std::size_t t = 0; t < chunk; ++t) {
+      stims.push_back(
+          random_stimulus(rng, cycles, reference.inputs().size()));
+    }
+    const auto want = run_sequences_batched(reference, stims);
+    const auto got = run_sequences_batched(locked, stims, keys);
+    for (std::size_t t = 0; t < chunk; ++t) {
+      const int diverge = first_divergence(want[t], got[t]);
+      if (diverge != -1) {
+        return {stims[t].begin(), stims[t].begin() + diverge + 1};
+      }
+    }
+    done += chunk;
+  }
+  return {};
 }
 
 BitVec random_bits(util::Rng& rng, std::size_t n) {

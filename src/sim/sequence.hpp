@@ -1,10 +1,12 @@
-// Multi-cycle sequence simulation helpers: scalar (lane-0) and wide-lane
-// batched runs, static-key screening, random stimulus generation, and
-// sequence comparison. These are the building blocks for oracles,
-// validation tables, and the black-box attack.
+// Multi-cycle sequence simulation helpers: wide-lane batched runs (a single
+// sequence is the one-lane case), static-key screening, key-flip sampling,
+// the random counterexample scan, random stimulus generation, and sequence
+// comparison. These are the building blocks for oracles, key verification,
+// validation tables, and the attacks that decide by simulation.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,8 @@ std::vector<BitVec> run_sequence(const netlist::Netlist& nl,
 
 /// Same, over a pre-compiled netlist — the hot-path variant: callers that
 /// run many sequences on one circuit (oracles, verifiers, screening loops)
-/// compile once and skip the per-call levelization.
+/// compile once and skip the per-call levelization. The one-sequence case
+/// of run_sequences_batched.
 std::vector<BitVec> run_sequence(const CompiledNetlist& compiled,
                                  const std::vector<BitVec>& inputs,
                                  const std::vector<BitVec>& keys = {});
@@ -41,10 +44,11 @@ std::vector<BitVec> run_sequence(const CompiledNetlist& compiled,
 /// run_sequence contract (empty for key-free circuits, one entry held
 /// static, or per-cycle) and is broadcast to every lane, so a keyed circuit
 /// can batch many stimuli under one key candidate. Returns per-sequence
-/// output traces, element-for-element equal to running run_sequence on each.
+/// output traces. Throws std::invalid_argument when the sequences differ in
+/// length or break that contract.
 std::vector<std::vector<BitVec>> run_sequences_batched(
     const CompiledNetlist& compiled,
-    const std::vector<std::vector<BitVec>>& sequences,
+    std::span<const std::vector<BitVec>> sequences,
     const std::vector<BitVec>& keys = {});
 
 /// Three-valued variant (power-up X preserved). Returns trits per cycle.
@@ -71,6 +75,38 @@ std::vector<std::uint64_t> screen_static_keys(
     const std::vector<std::vector<BitVec>>& stimuli,
     const std::vector<std::vector<BitVec>>& responses,
     const std::vector<std::uint64_t>& key_words, std::size_t candidates);
+
+/// Whether some output rose (0 -> 1) or fell (1 -> 0) when one key bit went
+/// from clear to set, on some cycle of some draw of sample_key_flips.
+struct KeyFlip {
+  bool rose = false;
+  bool fell = false;
+};
+
+/// Draws per key bit, and cycles per draw, of sample_key_flips.
+inline constexpr std::size_t k_key_flip_draws = 16;
+inline constexpr std::size_t k_key_flip_cycles = 8;
+
+/// Key-flip sampling, the functional profile of FALL and SCOPE: one KeyFlip
+/// per key bit. Bit k takes draws 16k..16k+15 from `rng`, each a
+/// random_stimulus followed by a random_bits key, and runs each draw from
+/// reset with the bit clear and with it set, on lane j of two halves of one
+/// pass. A pass holds at most 256 draws (8 lane words per signal), so memory
+/// does not grow with the key width.
+std::vector<KeyFlip> sample_key_flips(const CompiledNetlist& compiled,
+                                      util::Rng& rng);
+
+/// Random-simulation counterexample scan (key verification's fast phase):
+/// draws `sequences` random stimuli of `cycles` cycles, up to 64 per round,
+/// and runs each round on `reference` without keys and on `locked` under
+/// `keys` (run_sequence's key contract). Returns the first diverging
+/// stimulus in draw order, cut after its first diverging cycle, or an empty
+/// vector when none diverges.
+std::vector<BitVec> find_counterexample(const CompiledNetlist& reference,
+                                        const CompiledNetlist& locked,
+                                        const std::vector<BitVec>& keys,
+                                        util::Rng& rng, std::size_t sequences,
+                                        std::size_t cycles);
 
 /// Uniform random bit-vector of width n.
 BitVec random_bits(util::Rng& rng, std::size_t n);

@@ -83,5 +83,21 @@ TEST(PeriodicAttack, BoundZeroIsRejectedBeforeAnyOracleQuery) {
   EXPECT_EQ(oracle.num_queries(), 0u);
 }
 
+TEST(PeriodicAttack, BoundAboveTheLimitIsRejectedBeforeAnyOracleQuery) {
+  // The seed traces grow with the bound, so an unbounded one is unbounded
+  // memory.
+  const auto s27 = benchgen::make_s27();
+  core::StrOptions options;
+  options.num_keys = 4;
+  options.key_bits = 4;
+  options.seed = 1;
+  const auto locked = core::cute_lock_str(s27, options);
+  SequentialOracle oracle(s27);
+  EXPECT_THROW(
+      periodic_key_attack(locked.locked, oracle, quick(k_max_period_limit + 1)),
+      std::invalid_argument);
+  EXPECT_EQ(oracle.num_queries(), 0u);
+}
+
 }  // namespace
 }  // namespace cl::attack

@@ -93,6 +93,17 @@ TEST(AttackRegistry, PeriodicBoundZeroIsRejectedBeforeAnyCircuit) {
   EXPECT_NO_THROW(check_mode_options(find_attack_mode("periodic"), quick()));
 }
 
+TEST(AttackRegistry, PeriodicBoundAboveTheLimitIsRejectedBeforeAnyCircuit) {
+  ModeOptions o = quick();
+  o.max_period = k_max_period_limit + 1;
+  EXPECT_THROW(check_mode_options(find_attack_mode("periodic"), o),
+               std::invalid_argument);
+  EXPECT_NO_THROW(check_mode_options(find_attack_mode("bmc"), o));
+  o.max_period = k_max_period_limit;
+  EXPECT_EQ(o.max_period, 64u);
+  EXPECT_NO_THROW(check_mode_options(find_attack_mode("periodic"), o));
+}
+
 TEST(AttackRegistry, ScanModelRejectsALockThatAddsState) {
   const Netlist s27 = benchgen::make_s27();
   core::StrOptions options;

@@ -226,7 +226,8 @@ TEST_F(CliServe, MalformedRequestsExitUsageUnderAttackAndSubmit) {
   start_daemon();
   for (const std::string bad :
        {"--attack nosuch", "--accept bogus", "--true-key 01x0",
-        "--attack periodic --max-period 0"}) {
+        "--attack periodic --max-period 0",
+        "--attack periodic --max-period 65"}) {
     const std::string flags =
         quoted(locked_) + " --oracle " + quoted(s27_) + " " + bad;
     const CliRun direct = run("attack " + flags);

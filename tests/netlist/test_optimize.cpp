@@ -200,6 +200,24 @@ y = XOR(a, b)
   EXPECT_EQ(stats.ffs_swept, 0u);
 }
 
+// A constant that survives optimization is not a change: the pass stops at
+// its fixpoint after one round instead of running all 8.
+TEST(Optimize, SurvivingConstantReachesTheFixpointInOneRound) {
+  const char* text = R"(
+INPUT(s)
+INPUT(a)
+OUTPUT(y)
+zero = CONST0()
+y = MUX(s, zero, a)
+)";
+  const Netlist nl = read_bench_string(text, "keep0");
+  OptimizeStats stats;
+  const Netlist opt = optimize(nl, stats);
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_EQ(opt.stats().gates, 1u);
+  expect_equivalent(nl, opt, 22);
+}
+
 TEST(Optimize, StatsOverloadMatchesPlainOverload) {
   const benchgen::SyntheticCircuit circuit = benchgen::make_circuit("b03");
   OptimizeStats stats;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "benchgen/catalog.hpp"
+#include "benchgen/s27.hpp"
+#include "core/cute_lock_str.hpp"
+#include "lock/comb_locks.hpp"
 #include "netlist/bench_io.hpp"
 #include "sim/compiled.hpp"
 
@@ -305,6 +311,232 @@ TEST(Sequence, ScreenStaticKeysRejectsMismatchedShapes) {
   EXPECT_THROW(
       screen_static_keys(compiled, stimuli, narrow_response, words, 100),
       std::invalid_argument);
+}
+
+/// Per-draw reference of sample_key_flips: the documented draw order, each
+/// draw run twice on one lane with run_sequence.
+std::vector<KeyFlip> per_draw_key_flips(const CompiledNetlist& compiled,
+                                        util::Rng& rng) {
+  const std::size_t num_keys = compiled.key_inputs().size();
+  std::vector<KeyFlip> flips(num_keys);
+  for (std::size_t k = 0; k < num_keys; ++k) {
+    for (std::size_t d = 0; d < k_key_flip_draws; ++d) {
+      const auto stim = random_stimulus(rng, k_key_flip_cycles,
+                                        compiled.inputs().size());
+      BitVec key = random_bits(rng, num_keys);
+      key[k] = 0;
+      const auto clear = run_sequence(compiled, stim, {key});
+      key[k] = 1;
+      const auto set = run_sequence(compiled, stim, {key});
+      for (std::size_t c = 0; c < clear.size(); ++c) {
+        for (std::size_t o = 0; o < clear[c].size(); ++o) {
+          if (clear[c][o] < set[c][o]) flips[k].rose = true;
+          if (clear[c][o] > set[c][o]) flips[k].fell = true;
+        }
+      }
+    }
+  }
+  return flips;
+}
+
+/// Samples `nl` both ways from one seed and checks every bit, and that both
+/// consumed the same draws. Returns which bits moved.
+std::vector<bool> expect_key_flips_match_per_draw(const Netlist& nl) {
+  const CompiledNetlist compiled(nl);
+  util::Rng lanes_rng(0xf11b), draw_rng(0xf11b);
+  const auto got = sample_key_flips(compiled, lanes_rng);
+  const auto want = per_draw_key_flips(compiled, draw_rng);
+  EXPECT_EQ(got.size(), nl.key_inputs().size());
+  std::vector<bool> moved;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].rose, want[k].rose) << "bit " << k;
+    EXPECT_EQ(got[k].fell, want[k].fell) << "bit " << k;
+    moved.push_back(got[k].rose || got[k].fell);
+  }
+  EXPECT_EQ(lanes_rng.next_u64(), draw_rng.next_u64());
+  return moved;
+}
+
+TEST(Sequence, KeyFlipSamplerMatchesPerDrawRunsOnS27) {
+  const Netlist s27 = benchgen::make_s27();
+  util::Rng rng(7);
+  const auto lr = lock::xor_lock(s27, 4, rng);
+  const auto moved = expect_key_flips_match_per_draw(lr.locked);
+  EXPECT_NE(std::count(moved.begin(), moved.end(), true), 0);
+}
+
+TEST(Sequence, KeyFlipSamplerMatchesPerDrawRunsAcrossPasses) {
+  // 20 bits x 16 draws = 320 draws: bits 0-15 ride a pass of 256 draws,
+  // bits 16-19 a second pass of 64.
+  const Netlist s298 = benchgen::make_circuit("s298").netlist;
+  util::Rng rng(11);
+  const auto lr = lock::xor_lock(s298, 20, rng);
+  ASSERT_EQ(lr.locked.key_inputs().size(), 20u);
+  const auto moved = expect_key_flips_match_per_draw(lr.locked);
+  ASSERT_EQ(moved.size(), 20u);
+  EXPECT_NE(std::count(moved.begin(), moved.begin() + 16, true), 0);
+  EXPECT_NE(std::count(moved.begin() + 16, moved.end(), true), 0);
+}
+
+TEST(Sequence, KeyFlipSamplerReportsEachDirection) {
+  // Setting keyinput0 can only raise y0, setting keyinput1 can only lower
+  // y1, and keyinput2 reaches no output.
+  const Netlist nl = netlist::read_bench_string(R"(
+INPUT(a)
+INPUT(b)
+INPUT(keyinput0)
+INPUT(keyinput1)
+INPUT(keyinput2)
+OUTPUT(y0)
+OUTPUT(y1)
+y0 = AND(a, keyinput0)
+y1 = NOR(b, keyinput1)
+dead = BUF(keyinput2)
+)", "unate");
+  expect_key_flips_match_per_draw(nl);
+  util::Rng rng(4);
+  const auto flips = sample_key_flips(CompiledNetlist(nl), rng);
+  ASSERT_EQ(flips.size(), 3u);
+  EXPECT_TRUE(flips[0].rose && !flips[0].fell);
+  EXPECT_TRUE(!flips[1].rose && flips[1].fell);
+  EXPECT_TRUE(!flips[2].rose && !flips[2].fell);
+}
+
+TEST(Sequence, KeyFlipSamplerOfAKeyFreeCircuitDrawsNothing) {
+  const CompiledNetlist compiled(benchgen::make_s27());
+  util::Rng rng(3), fresh(3);
+  EXPECT_TRUE(sample_key_flips(compiled, rng).empty());
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
+}
+
+/// Per-trial reference of find_counterexample: one stimulus, one pair of
+/// single-lane runs at a time. `*trial` is the diverging draw's index.
+std::vector<BitVec> per_trial_counterexample(const CompiledNetlist& reference,
+                                             const CompiledNetlist& locked,
+                                             const std::vector<BitVec>& keys,
+                                             util::Rng& rng,
+                                             std::size_t sequences,
+                                             std::size_t cycles,
+                                             std::size_t* trial = nullptr) {
+  for (std::size_t t = 0; t < sequences; ++t) {
+    const auto stim =
+        random_stimulus(rng, cycles, reference.inputs().size());
+    const int diverge = first_divergence(run_sequence(reference, stim),
+                                         run_sequence(locked, stim, keys));
+    if (diverge != -1) {
+      if (trial) *trial = t;
+      return {stim.begin(), stim.begin() + diverge + 1};
+    }
+  }
+  return {};
+}
+
+TEST(Sequence, CounterexampleScanMatchesPerTrialScan) {
+  const Netlist s27 = benchgen::make_s27();
+  util::Rng lock_rng(5);
+  const auto lr = lock::xor_lock(s27, 4, lock_rng);
+  const CompiledNetlist reference(s27);
+  const CompiledNetlist locked(lr.locked);
+  std::size_t found = 0;
+  for (std::uint64_t wrong = 0; wrong < 16; ++wrong) {
+    const BitVec key = u64_to_bits(wrong, 4);
+    if (key == lr.correct_key) continue;
+    util::Rng scan_rng(wrong), trial_rng(wrong);
+    const auto got =
+        find_counterexample(reference, locked, {key}, scan_rng, 100, 4);
+    const auto want =
+        per_trial_counterexample(reference, locked, {key}, trial_rng, 100, 4);
+    EXPECT_EQ(got, want) << "key " << bits_to_string(key);
+    if (!got.empty()) {
+      ++found;
+      EXPECT_NE(first_divergence(run_sequence(reference, got),
+                                 run_sequence(locked, got, {key})),
+                -1);
+    }
+  }
+  EXPECT_GT(found, 0u);
+}
+
+// The wrong key shows only when all 8 inputs are 1 (1 draw in 256), so
+// the first counterexample usually lies past the first round of 64.
+TEST(Sequence, CounterexampleScanMatchesPerTrialScanAcrossRounds) {
+  const Netlist reference_nl = netlist::read_bench_string(R"(
+INPUT(a0)
+INPUT(a1)
+INPUT(a2)
+INPUT(a3)
+INPUT(a4)
+INPUT(a5)
+INPUT(a6)
+INPUT(a7)
+OUTPUT(y)
+n0 = NOT(a0)
+y = AND(a0, n0)
+)", "zero");
+  const Netlist locked_nl = netlist::read_bench_string(R"(
+INPUT(a0)
+INPUT(a1)
+INPUT(a2)
+INPUT(a3)
+INPUT(a4)
+INPUT(a5)
+INPUT(a6)
+INPUT(a7)
+INPUT(keyinput0)
+OUTPUT(y)
+y = AND(a0, a1, a2, a3, a4, a5, a6, a7, keyinput0)
+)", "rare");
+  const CompiledNetlist reference(reference_nl);
+  const CompiledNetlist locked(locked_nl);
+  std::size_t late = 0;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    util::Rng scan_rng(seed), trial_rng(seed);
+    std::size_t trial = 0;
+    const auto got =
+        find_counterexample(reference, locked, {BitVec{1}}, scan_rng, 2000, 1);
+    const auto want = per_trial_counterexample(
+        reference, locked, {BitVec{1}}, trial_rng, 2000, 1, &trial);
+    ASSERT_FALSE(want.empty()) << "seed " << seed;
+    EXPECT_EQ(got, want) << "seed " << seed;
+    if (trial >= 64) ++late;
+  }
+  EXPECT_GT(late, 0u);
+}
+
+TEST(Sequence, CounterexampleScanFindsNoneUnderTheCorrectKey) {
+  const Netlist s27 = benchgen::make_s27();
+  const CompiledNetlist reference(s27);
+  util::Rng lock_rng(5);
+  const auto lr = lock::xor_lock(s27, 4, lock_rng);
+  util::Rng rng(1);
+  EXPECT_TRUE(find_counterexample(reference, CompiledNetlist(lr.locked),
+                                  {lr.correct_key}, rng, 100, 32)
+                  .empty());
+
+  // A Cute-Lock-Str lock under its per-cycle schedule.
+  core::StrOptions options;
+  options.num_keys = 4;
+  options.key_bits = 4;
+  options.seed = 1;
+  const auto str = core::cute_lock_str(s27, options);
+  ASSERT_TRUE(str.is_dynamic());
+  EXPECT_TRUE(find_counterexample(reference, CompiledNetlist(str.locked),
+                                  str.keys_for(64), rng, 48, 64)
+                  .empty());
+}
+
+TEST(Sequence, CounterexampleScanOfNoSequencesDrawsNothing) {
+  const Netlist s27 = benchgen::make_s27();
+  const CompiledNetlist reference(s27);
+  util::Rng lock_rng(5);
+  const auto lr = lock::xor_lock(s27, 4, lock_rng);
+  BitVec wrong = lr.correct_key;
+  wrong[0] ^= 1;
+  util::Rng rng(9), fresh(9);
+  EXPECT_TRUE(find_counterexample(reference, CompiledNetlist(lr.locked),
+                                  {wrong}, rng, 0, 32)
+                  .empty());
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
 }
 
 TEST(Sequence, FirstDivergenceFindsCycle) {

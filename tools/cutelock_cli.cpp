@@ -9,7 +9,8 @@
 //   cutelock attack <locked.bench> --oracle <original.bench>
 //            [--attack bmc|kc2|rane|sat|appsat|double-dip|bbo|fall|dana|
 //             scope|periodic] [--seconds 10] [--max-iterations N]
-//            [--max-depth N] [--max-period 8] [--accept exact|any|approx]
+//            [--max-depth N] [--max-period 8 (1..64)]
+//            [--accept exact|any|approx]
 //            [--epsilon 0.05] [--true-key 0101]
 //            (runs the daemon's attack job in-process — docs/service.md —
 //             so it prints what `submit` to a cold daemon prints)
