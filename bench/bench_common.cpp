@@ -37,16 +37,12 @@ attack::AttackBudget table_budget(double seconds) {
   b.max_iterations = 500;
   b.max_depth = 24;
   b.conflict_budget = 4'000'000;
-  b.sat_workers = util::sat_portfolio_from_env();
   if (stable_cells()) {
     // Byte-identical output requires outcomes that do not depend on the
     // clock: replace wall deadlines (attack and candidate-key verification)
-    // with the deterministic budgets above (iterations, depth, conflicts),
-    // and race no portfolio (the winning worker — hence the recovered key
-    // model — depends on scheduling).
+    // with the deterministic budgets above (iterations, depth, conflicts).
     b.time_limit_s = 1e9;
     b.verify_time_limit_s = 1e9;
-    b.sat_workers = 1;
   }
   return b;
 }

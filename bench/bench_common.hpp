@@ -9,10 +9,7 @@
 //                            hardware_concurrency)
 //   CUTELOCK_BENCH_STABLE=1  omit wall-clock durations from table cells so
 //                            the rendered table is byte-identical across
-//                            runs and thread counts (also forces the SAT
-//                            portfolio off)
-//   CUTELOCK_SAT_PORTFOLIO   diversified CDCL workers racing each solver
-//                            call (default 1 = off)
+//                            runs and thread counts
 //   CUTELOCK_OBS_BANK=1      the Runner switches the cross-attack
 //                            observation bank on (deterministic only with
 //                            CUTELOCK_JOBS=1)

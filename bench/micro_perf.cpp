@@ -20,7 +20,6 @@
 #include "lock/comb_locks.hpp"
 #include "logic/minimize.hpp"
 #include "netlist/transform.hpp"
-#include "sat/portfolio.hpp"
 #include "sat/solver.hpp"
 #include "sim/compiled.hpp"
 #include "sim/kernels.hpp"
@@ -51,9 +50,6 @@ void accumulate_stats(sat::Solver::Stats& into, const sat::Solver::Stats& s) {
   into.restarts += s.restarts;
   into.learnts_deleted += s.learnts_deleted;
   into.minimized_literals += s.minimized_literals;
-  into.vars_eliminated += s.vars_eliminated;
-  into.clauses_subsumed += s.clauses_subsumed;
-  into.vivified_lits += s.vivified_lits;
   into.arena_gc_bytes += s.arena_gc_bytes;
 }
 
@@ -74,12 +70,6 @@ void report_solver_stats(benchmark::State& state,
   // hard-fails on any drift in these (tools/check_bench_baseline.py).
   state.counters["conflicts"] =
       Counter(static_cast<double>(total.conflicts), Counter::kAvgIterations);
-  state.counters["vars_eliminated"] = Counter(
-      static_cast<double>(total.vars_eliminated), Counter::kAvgIterations);
-  state.counters["clauses_subsumed"] = Counter(
-      static_cast<double>(total.clauses_subsumed), Counter::kAvgIterations);
-  state.counters["vivified_lits"] = Counter(
-      static_cast<double>(total.vivified_lits), Counter::kAvgIterations);
   state.counters["arena_gc_bytes"] = Counter(
       static_cast<double>(total.arena_gc_bytes), Counter::kAvgIterations);
   state.SetItemsProcessed(static_cast<std::int64_t>(total.conflicts));
@@ -155,42 +145,6 @@ void BM_SolverPlantedSat(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverPlantedSat)->Arg(200)->Arg(800);
 
-/// Same planted family as BM_SolverPlantedSat/800, but with bounded variable
-/// elimination before search and subsumption/vivification at restart
-/// boundaries — the preprocessing axis (vars_eliminated, clauses_subsumed,
-/// vivified_lits counters come from here).
-void BM_SolverPreprocessedPlantedSat(benchmark::State& state) {
-  const int nv = static_cast<int>(state.range(0));
-  sat::Solver::Stats total;
-  for (auto _ : state) {
-    util::Rng rng(42);
-    sat::Solver solver;
-    solver.set_inprocess(true);
-    std::vector<sat::Var> vars;
-    std::vector<bool> planted;
-    for (int i = 0; i < nv; ++i) {
-      vars.push_back(solver.new_var());
-      planted.push_back(rng.chance(1, 2));
-    }
-    for (int c = 0; c < 4 * nv; ++c) {
-      std::vector<sat::Lit> clause;
-      const std::size_t sat_pos = rng.next_below(3);
-      for (std::size_t l = 0; l < 3; ++l) {
-        const std::size_t v = rng.next_below(static_cast<std::uint64_t>(nv));
-        bool neg = rng.chance(1, 2);
-        if (l == sat_pos) neg = !planted[v];
-        clause.push_back(sat::Lit(vars[v], neg));
-      }
-      solver.add_clause(clause);
-    }
-    solver.preprocess();
-    benchmark::DoNotOptimize(solver.solve());
-    accumulate_stats(total, solver.stats());
-  }
-  report_solver_stats(state, total);
-}
-BENCHMARK(BM_SolverPreprocessedPlantedSat)->Arg(800);
-
 void BM_SolverHardUnsatPigeonHole(benchmark::State& state) {
   // PHP(n, n-1): exponentially hard UNSAT for resolution — the
   // learnt-clause machinery (reduction, restarts, minimization) dominates.
@@ -248,28 +202,6 @@ void BM_SolverIncrementalAssumptions(benchmark::State& state) {
   report_solver_stats(state, total);
 }
 BENCHMARK(BM_SolverIncrementalAssumptions);
-
-void BM_SolverPortfolioRace(benchmark::State& state) {
-  // N diversified workers racing the phase-transition mix; first winner
-  // cancels the rest. Wall time (UseRealTime) is the honest comparison
-  // against the single-solver BM_SolverRandom3SatPhaseTransition above.
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
-  const int nv = 150;
-  const int nc = static_cast<int>(nv * 4.26);
-  sat::Solver::Stats total;
-  for (auto _ : state) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      util::Rng rng(seed);
-      sat::PortfolioSolver solver(workers);
-      add_random_3sat(solver, rng, nv, nc);
-      benchmark::DoNotOptimize(solver.solve());
-      accumulate_stats(total, solver.stats());
-    }
-  }
-  report_solver_stats(state, total);
-  state.counters["workers"] = static_cast<double>(workers);
-}
-BENCHMARK(BM_SolverPortfolioRace)->Arg(4)->UseRealTime();
 
 // ---- Key verification axis -------------------------------------------------
 //

@@ -207,14 +207,13 @@ void OgEngine::add_io_batch(
   }
 }
 
-std::unique_ptr<sat::PortfolioSolver> OgEngine::make_solver() const {
-  auto solver = std::make_unique<sat::PortfolioSolver>(budget_.sat_workers);
+std::unique_ptr<sat::Solver> OgEngine::make_solver() const {
+  auto solver = std::make_unique<sat::Solver>();
   solver->set_conflict_budget(budget_.conflict_budget);
   // A cancelled job must not sit out a long solve: the budget's cancel flag
   // doubles as the solver's interrupt hook (solve returns Unknown, which the
   // loop routes to finish_timeout).
   if (budget_.cancel != nullptr) solver->set_interrupt(budget_.cancel);
-  solver->set_inprocess(budget_.sat_preprocess);
   return solver;
 }
 
@@ -223,19 +222,6 @@ void OgEngine::rebuild(std::size_t depth) {
   miter_ = std::make_unique<cnf::SequentialMiter>(*solver_, locked_,
                                                   spec_.symbolic_init);
   miter_->extend_to(depth);
-  if (budget_.sat_preprocess) {
-    // BVE must never touch the variables the attack reads back (key bits)
-    // or later re-constrains (the initial state every oracle fact starts
-    // from): freeze them. Everything else — the unrolled copies of the
-    // circuit internals — is fair game; eliminated variables revive
-    // automatically if replayed IO mentions them again.
-    for (const sat::Var v : miter_->keys_a()) solver_->set_frozen(v, true);
-    for (const sat::Var v : miter_->keys_b()) solver_->set_frozen(v, true);
-    for (const sat::Var v : miter_->initial_state_vars()) {
-      solver_->set_frozen(v, true);
-    }
-    solver_->preprocess();
-  }
   for (const IoFact& fact : io_) {
     constrain_both_keys(fact.inputs, fact.outputs);
   }

@@ -48,6 +48,8 @@ class SequentialOracle {
   std::size_t num_inputs() const { return original_.inputs().size(); }
   std::size_t num_outputs() const { return original_.outputs().size(); }
   const netlist::Netlist& reference() const { return original_; }
+  /// The reference circuit as compiled once at construction.
+  const sim::CompiledNetlist& compiled() const { return compiled_; }
 
  private:
   const netlist::Netlist& original_;

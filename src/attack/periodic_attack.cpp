@@ -39,7 +39,7 @@ class PeriodicScheduleStrategy : public DipStrategy {
   AttackResult attack(OgEngine& engine) override {
     const sim::CompiledNetlist& compiled_locked = engine.compiled();
     const std::size_t ki = compiled_locked.key_inputs().size();
-    const sim::CompiledNetlist compiled_reference(engine.oracle().reference());
+    const sim::CompiledNetlist& compiled_reference = engine.oracle().compiled();
 
     // Shared pool of oracle responses, reused across period hypotheses.
     // Banked facts from earlier attacks on this instance join it for free.

@@ -90,15 +90,10 @@ struct AttackBudget {
   /// phase of verify_static_key). Kept separate from time_limit_s so bench
   /// harnesses can trade wall deadlines for deterministic budgets.
   double verify_time_limit_s = 5.0;
-  /// Diversified CDCL workers racing each solver call
-  /// (sat::PortfolioSolver); 1 = single deterministic solver. Seeded from
-  /// CUTELOCK_SAT_PORTFOLIO by the bench harnesses, and forced to 1 under
-  /// CUTELOCK_BENCH_STABLE=1 (a race winner's model is not deterministic).
+  /// Nothing reads sat_workers or sat_preprocess: every attack runs one
+  /// sat::Solver without preprocessing. The fields stay declared only
+  /// because the perfbench workloads assign them their defaults.
   std::size_t sat_workers = 1;
-  /// SAT pre/inprocessing: run bounded variable elimination (with model
-  /// reconstruction) on each rebuilt miter before search, and
-  /// subsumption/vivification at restart boundaries. Off unless the caller
-  /// sets it (it changes solver trajectories).
   bool sat_preprocess = false;
   /// Cooperative cancellation (the attack-service's per-job kill switch).
   /// When non-null, the engine checks the flag alongside its wall/iteration

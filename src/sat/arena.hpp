@@ -51,7 +51,6 @@ class ClauseArena {
     for (const Lit& l : lits) {
       mem_.push_back(static_cast<std::uint32_t>(l.code()));
     }
-    ++live_;
     return ref;
   }
 
@@ -64,24 +63,8 @@ class ClauseArena {
     return Lit::from_code(
         static_cast<std::int32_t>(mem_[c + k_header_words + i]));
   }
-  void set_lit(CRef c, std::uint32_t i, Lit l) {
-    mem_[c + k_header_words + i] = static_cast<std::uint32_t>(l.code());
-  }
   void swap_lits(CRef c, std::uint32_t i, std::uint32_t j) {
     std::swap(mem_[c + k_header_words + i], mem_[c + k_header_words + j]);
-  }
-  /// Copy the literals out (preprocessing, problem replay, clause export).
-  std::vector<Lit> lits(CRef c) const {
-    std::vector<Lit> out;
-    copy_lits(c, out);
-    return out;
-  }
-  /// Same, into a caller-owned buffer that is reused across clauses.
-  void copy_lits(CRef c, std::vector<Lit>& out) const {
-    const std::uint32_t n = size(c);
-    out.clear();
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) out.push_back(lit(c, i));
   }
 
   int lbd(CRef c) const { return static_cast<int>(mem_[c + 1]); }
@@ -101,41 +84,33 @@ class ClauseArena {
     mem_[c + 3] = static_cast<std::uint32_t>(bits >> 32);
   }
 
-  /// Shrink a live clause in place (vivification / strengthening). The freed
-  /// tail words count as wasted until the next GC.
-  void shrink(CRef c, std::uint32_t new_size) {
-    const std::uint32_t old_size = size(c);
-    assert(new_size >= 1 && new_size <= old_size);
-    wasted_ += old_size - new_size;
-    mem_[c] = (new_size << 3) | (mem_[c] & 7u);
-  }
-
   /// Mark a clause dead. The caller must have detached it from every watch
   /// list / reason slot; the words are reclaimed by the next GC.
   void free_clause(CRef c) {
     assert(!dead(c));
     wasted_ += k_header_words + size(c);
     mem_[c] |= 2u;
-    --live_;
   }
 
   /// Relocate a live clause into `to`, leaving a forwarding ref behind, and
-  /// return the new ref. Idempotent: a second call (another watcher of the
-  /// same clause) just follows the forwarding ref.
+  /// return the new ref. The clause's words (header, LBD, activity and
+  /// literals) are copied verbatim. Idempotent: a second call (another
+  /// watcher of the same clause) just follows the forwarding ref.
   CRef relocate(CRef c, ClauseArena& to) {
     if (relocated(c)) return mem_[c + 1];
     assert(!dead(c));
-    const CRef moved = to.alloc(lits(c), learnt(c), lbd(c));
-    to.set_activity(moved, activity(c));
+    const CRef moved = static_cast<CRef>(to.mem_.size());
+    const auto first = mem_.begin() + static_cast<std::ptrdiff_t>(c);
+    to.mem_.insert(to.mem_.end(), first,
+                   first + static_cast<std::ptrdiff_t>(k_header_words + size(c)));
     mem_[c] |= 1u;
     mem_[c + 1] = moved;
     return moved;
   }
 
-  std::size_t live_clauses() const { return live_; }
   std::size_t size_bytes() const { return mem_.size() * sizeof(std::uint32_t); }
   std::size_t wasted_bytes() const { return wasted_ * sizeof(std::uint32_t); }
-  /// GC is worthwhile once `frac` of the arena is dead/shrunk words.
+  /// GC is worthwhile once `frac` of the arena is dead words.
   bool gc_due(double frac) const {
     return !mem_.empty() &&
            static_cast<double>(wasted_) >=
@@ -147,8 +122,7 @@ class ClauseArena {
 
  private:
   std::vector<std::uint32_t> mem_;
-  std::uint64_t wasted_ = 0;  // dead/shrunk words awaiting GC
-  std::size_t live_ = 0;
+  std::uint64_t wasted_ = 0;  // dead words awaiting GC
 };
 
 }  // namespace cl::sat

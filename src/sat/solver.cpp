@@ -4,39 +4,30 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sat/exchange.hpp"
 #include "util/env.hpp"
-#include "util/fnv.hpp"
 
 namespace cl::sat {
 
+namespace {
+
+/// Luby restart base interval, in conflicts.
+constexpr int k_restart_unit = 64;
+
+}  // namespace
+
 Solver::Solver() : gc_frac_(util::sat_gc_frac_from_env()) {
   level_stamp_.push_back(0);  // slot for decision level 0
-}
-
-Solver::~Solver() = default;
-
-std::uint64_t Solver::next_rand() {
-  // xorshift64*: deterministic per Config::seed, cheap enough for the
-  // decision loop.
-  rng_state_ ^= rng_state_ >> 12;
-  rng_state_ ^= rng_state_ << 25;
-  rng_state_ ^= rng_state_ >> 27;
-  return rng_state_ * 0x2545F4914F6CDD1DULL;
 }
 
 Var Solver::new_var() {
   const Var v = static_cast<Var>(activity_.size());
   activity_.push_back(0.0);
   assigns_.push_back(LBool::Undef);
-  bool initial_phase = config_.default_phase;
-  if (config_.random_initial_phase) initial_phase = (next_rand() & 1) != 0;
-  phase_.push_back(initial_phase);
-  best_phase_.push_back(initial_phase);
+  phase_.push_back(false);
+  best_phase_.push_back(false);
   reason_.push_back(k_cref_undef);
   level_.push_back(0);
   seen_.push_back(false);
-  frozen_.push_back(false);
   watches_.emplace_back();
   watches_.emplace_back();
   bin_watches_.emplace_back();
@@ -45,54 +36,6 @@ Var Solver::new_var() {
   heap_pos_.push_back(-1);
   heap_insert(v);
   return v;
-}
-
-void Solver::set_config(const Config& config) {
-  if (decision_level() != 0) {
-    throw std::logic_error("set_config: only legal at decision level 0");
-  }
-  config_ = config;
-  max_learnts_ = config.max_learnts;
-  rng_state_ = config.seed * 0x9E3779B97F4A7C15ULL + 0x853c49e6748fea9bULL;
-  if (rng_state_ == 0) rng_state_ = 0x853c49e6748fea9bULL;
-  for (Var v = 0; v < num_vars(); ++v) {
-    if (assigns_[v] != LBool::Undef) continue;  // keep root-implied values
-    bool initial_phase = config_.default_phase;
-    if (config_.random_initial_phase) initial_phase = (next_rand() & 1) != 0;
-    phase_[v] = initial_phase;
-  }
-  best_phase_ = phase_;
-  best_trail_size_ = 0;
-}
-
-void Solver::set_frozen(Var v, bool frozen) {
-  frozen_[static_cast<std::size_t>(v)] = frozen;
-}
-
-void Solver::copy_problem_into(Solver& dst) const {
-  if (decision_level() != 0) {
-    throw std::logic_error("copy_problem_into: only legal at decision level 0");
-  }
-  if (dst.num_vars() > num_vars()) {
-    throw std::invalid_argument("copy_problem_into: destination has extra variables");
-  }
-  while (dst.num_vars() < num_vars()) dst.new_var();
-  if (!ok_) {
-    dst.ok_ = false;
-    return;
-  }
-  for (const Lit& l : trail_) dst.add_clause({l});  // root-level units
-  std::vector<Lit> lits;
-  for (const CRef c : clauses_) {
-    arena_.copy_lits(c, lits);
-    dst.add_clause(lits);
-  }
-  // Learnts are implied by the problem clauses, so replaying them seeds the
-  // clone with everything this solver has derived so far.
-  for (const CRef c : learnts_) {
-    arena_.copy_lits(c, lits);
-    dst.add_clause(lits);
-  }
 }
 
 LBool Solver::lit_value(Lit l) const {
@@ -106,18 +49,6 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
   if (decision_level() != 0) {
     throw std::logic_error("add_clause: only legal at decision level 0");
-  }
-  // A clause over an eliminated variable re-opens it: revive first (re-adds
-  // the clauses BVE removed and freezes the variable) so the incremental
-  // database stays equivalent to the original problem. Revival re-enters
-  // add_clause, so the scratch buffer is only filled after this loop.
-  if (!remapper_.empty()) {
-    for (const Lit& l : lits) {
-      if (l.var() >= 0 && l.var() < num_vars() && remapper_.eliminated(l.var())) {
-        revive(l.var());
-        if (!ok_) return false;
-      }
-    }
   }
   // Simplify: sort, drop duplicates, detect tautology, drop false literals,
   // detect satisfied clauses. Survivors are compacted in place.
@@ -462,26 +393,9 @@ void Solver::backtrack(int target_level) {
 }
 
 Lit Solver::pick_branch() {
-  if (config_.random_decision_freq > 0.0 && !heap_.empty()) {
-    // Occasional random decision (portfolio diversification). The variable
-    // stays in the heap; the VSIDS pop below skips assigned entries anyway.
-    const double roll = static_cast<double>(next_rand() >> 11) * 0x1.0p-53;
-    if (roll < config_.random_decision_freq) {
-      const Var v = heap_[static_cast<std::size_t>(next_rand() % heap_.size())];
-      if (assigns_[v] == LBool::Undef &&
-          (remapper_.empty() || !remapper_.eliminated(v))) {
-        ++stats_.decisions;
-        ++stats_.random_decisions;
-        return Lit(v, !phase_[v]);
-      }
-    }
-  }
   while (!heap_empty()) {
     const Var v = heap_pop();
     if (assigns_[v] != LBool::Undef) continue;
-    // Eliminated variables appear in no clause: deciding them is wasted
-    // work, and their model values come from Remapper::extend anyway.
-    if (!remapper_.empty() && remapper_.eliminated(v)) continue;
     ++stats_.decisions;
     return Lit(v, !phase_[v]);
   }
@@ -550,58 +464,6 @@ void Solver::analyze_final(Lit p) {
   seen_[p.var()] = false;
 }
 
-void Solver::set_exchange(ClauseExchange* exchange, std::size_t source) {
-  exchange_ = exchange;
-  exchange_source_ = source;
-  exchange_cursor_ = 0;
-  imported_hashes_.clear();
-}
-
-namespace {
-
-/// Order-independent clause identity for reader-side dedup: FNV-1a over the
-/// sorted literal codes.
-std::uint64_t clause_hash(const Lit* lits, std::size_t n) {
-  std::int32_t codes[ClauseExchange::k_max_lits];
-  for (std::size_t i = 0; i < n; ++i) codes[i] = lits[i].code();
-  std::sort(codes, codes + n);
-  std::uint64_t h = util::k_fnv_offset;
-  for (std::size_t i = 0; i < n; ++i) {
-    util::fnv1a_mix(h, static_cast<std::uint32_t>(codes[i]));
-  }
-  return h;
-}
-
-}  // namespace
-
-void Solver::export_learnt(const std::vector<Lit>& learnt, int lbd) {
-  if (learnt.size() > ClauseExchange::k_max_lits) return;
-  if (learnt.size() > 1 && lbd > 2) return;  // units and glue only
-  if (exchange_->publish(exchange_source_, learnt.data(), learnt.size())) {
-    ++stats_.shared_exported;
-  }
-}
-
-void Solver::import_shared() {
-  // Caller backtracked to level 0 (import happens at restart boundaries), so
-  // add_clause is legal; imported clauses are implied by the shared problem
-  // database, so a root conflict here is a genuine Unsat verdict (ok_ flips
-  // and solve() reports it).
-  ClauseExchange::Cursor cursor{exchange_cursor_};
-  exchange_->collect(cursor, exchange_source_, [&](const Lit* lits,
-                                                   std::size_t n) {
-    if (!ok_) return;
-    const std::uint64_t h = clause_hash(lits, n);
-    const auto it =
-        std::lower_bound(imported_hashes_.begin(), imported_hashes_.end(), h);
-    if (it != imported_hashes_.end() && *it == h) return;  // already adopted
-    imported_hashes_.insert(it, h);
-    add_clause(std::span<const Lit>(lits, n));
-    ++stats_.shared_imported;
-  });
-  exchange_cursor_ = cursor.next;
-}
-
 double Solver::luby(double y, int i) {
   int size = 1, seq = 0;
   while (size < i + 1) {
@@ -624,18 +486,6 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
     ok_ = false;
     return Result::Unsat;
   }
-  // Assumptions over eliminated variables: revive them (re-adds the clauses
-  // BVE removed, freezes the variable) so the verdict covers the original
-  // problem, not the reduced one.
-  if (!remapper_.empty()) {
-    for (const Lit& a : assumptions) {
-      if (a.var() >= 0 && a.var() < num_vars() &&
-          remapper_.eliminated(a.var())) {
-        revive(a.var());
-      }
-    }
-    if (!ok_) return Result::Unsat;
-  }
   // Honour an already-expired wall deadline (or a fired interrupt) before
   // any search: conflicts are the only other place these are read, and an
   // easy instance may never produce one.
@@ -646,7 +496,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
 
   int restart_count = 0;
   std::int64_t conflicts_until_restart = static_cast<std::int64_t>(
-      luby(2.0, restart_count) * config_.restart_unit);
+      luby(2.0, restart_count) * k_restart_unit);
   best_trail_size_ = 0;  // best-phase tracking is per solve call
 
   std::vector<Lit> learnt;
@@ -697,7 +547,6 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       analyze(conflict, learnt, back_level);
       // Exact LBD of the freshly learnt clause, while levels are live.
       const int learnt_lbd = clause_lbd(learnt);
-      if (exchange_ != nullptr) export_learnt(learnt, learnt_lbd);
       if (learnt.size() == 1) {
         // A unit learnt clause is implied by the clause database alone (not
         // the assumptions), so assert it at the root; the decision loop
@@ -742,31 +591,12 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
         ++restart_count;
         ++stats_.restarts;
         conflicts_until_restart = static_cast<std::int64_t>(
-            luby(2.0, restart_count) * config_.restart_unit);
-        if (config_.use_best_phase && best_trail_size_ > 0) {
-          phase_ = best_phase_;
-        }
-        if (exchange_ != nullptr) {
-          // Restart boundary: adopt what the other workers published. Import
-          // needs level 0 (full restart instead of the assumption-prefix
-          // one); the decision loop re-places the assumptions afterwards.
-          backtrack(0);
-          import_shared();
-          if (!ok_) return Result::Unsat;
-        } else {
-          backtrack(static_cast<int>(assumptions.size()) <= decision_level()
-                        ? static_cast<int>(assumptions.size())
-                        : 0);
-        }
-        if (inprocess_enabled_ && stats_.restarts >= inprocess_next_restarts_) {
-          // Inprocessing needs the root (clauses must be unlocked); the
-          // decision loop re-places the assumptions afterwards. Doubling
-          // intervals keep the amortized cost bounded.
-          backtrack(0);
-          inprocess();
-          if (!ok_) return Result::Unsat;
-          inprocess_next_restarts_ *= 2;
-        }
+            luby(2.0, restart_count) * k_restart_unit);
+        // Best-phase restore: re-target the deepest trail seen this call.
+        if (best_trail_size_ > 0) phase_ = best_phase_;
+        backtrack(static_cast<int>(assumptions.size()) <= decision_level()
+                      ? static_cast<int>(assumptions.size())
+                      : 0);
         maybe_gc();
       }
       if (learnts_.size() > max_learnts_) {
@@ -799,11 +629,9 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       }
       const Lit next = pick_branch();
       if (next.code() < 0) {
-        // All variables assigned: model found. Copy it out, reconstruct
-        // values for preprocessing-eliminated variables, and restore the
+        // All variables assigned: model found. Copy it out and restore the
         // solver to level 0 so clauses can be added incrementally.
         model_ = assigns_;
-        if (!remapper_.empty()) remapper_.extend(model_);
         backtrack(0);
         return Result::Sat;
       }
@@ -844,8 +672,7 @@ void Solver::set_time_budget(double seconds) {
   deadline_check_countdown_ = 0;
   const auto now = std::chrono::steady_clock::now();
   // A deadline past what the clock can represent would overflow into the
-  // past; such a budget means no deadline (PortfolioSolver's workers read
-  // the same field).
+  // past; such a budget means no deadline.
   const double headroom_s = std::chrono::duration<double>(
       std::chrono::steady_clock::time_point::max() - now).count();
   time_budget_s_ = seconds < headroom_s ? seconds : -1.0;
@@ -853,294 +680,6 @@ void Solver::set_time_budget(double seconds) {
     deadline_ = now +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(seconds));
-  }
-}
-
-// ---- preprocessing / inprocessing internals ---------------------------------
-
-bool Solver::preprocess() {
-  if (decision_level() != 0) {
-    throw std::logic_error("preprocess: only legal at decision level 0");
-  }
-  if (!ok_) return false;
-  if (propagate() != k_cref_undef) {
-    ok_ = false;
-    return false;
-  }
-  Preprocessor pre(*this);
-  return pre.run();
-}
-
-void Solver::revive(Var v) {
-  // take() clears the eliminated flag before we re-add the clauses, so the
-  // add_clause -> revive recursion (clauses mentioning other eliminated
-  // variables) terminates.
-  Remapper::Record rec = remapper_.take(v);
-  frozen_[static_cast<std::size_t>(v)] = true;
-  // The variable may have been popped (and skipped) from the decision heap
-  // while it was eliminated; put it back so the search can decide it again.
-  if (assigns_[v] == LBool::Undef && heap_pos_[v] < 0) heap_insert(v);
-  for (auto* side : {&rec.pos, &rec.neg}) {
-    for (const std::vector<Lit>& cl : *side) {
-      if (!ok_) return;
-      add_clause(cl);
-    }
-  }
-}
-
-void Solver::remove_clause_ref(CRef c) {
-  // A root-level implication may still name `c` as its reason; clear the
-  // slot (root assignments never need their reasons again) so nothing
-  // dangles into freed arena words.
-  const Lit first = arena_.lit(c, 0);
-  if (assigns_[first.var()] != LBool::Undef && reason_[first.var()] == c) {
-    reason_[first.var()] = k_cref_undef;
-  }
-  detach(c);
-  arena_.free_clause(c);
-}
-
-void Solver::clear_root_reasons() {
-  for (const Lit& l : trail_) {
-    if (level_[l.var()] == 0) reason_[l.var()] = k_cref_undef;
-  }
-}
-
-void Solver::compact_clause_lists() {
-  std::erase_if(clauses_, [this](CRef c) { return arena_.dead(c); });
-  std::erase_if(learnts_, [this](CRef c) { return arena_.dead(c); });
-}
-
-void Solver::inprocess() {
-  // Level 0, clauses unlocked (root reasons cleared) — reduce_db's lock
-  // check and the passes' frees then never collide with the trail.
-  clear_root_reasons();
-  subsume_pass();
-  if (ok_) vivify_pass();
-  compact_clause_lists();
-  maybe_gc();
-}
-
-void Solver::subsume_pass() {
-  // Backward subsumption with self-subsuming resolution. Subsumers are
-  // problem clauses only (deleting a learnt that subsumes a problem clause
-  // would be unsound bookkeeping: learnts are disposable); subsumees are
-  // both problem clauses and learnts. Work is bounded by a literal-scan
-  // budget so a pathological occurrence profile cannot stall the search.
-  std::int64_t scan_budget = std::int64_t{1} << 22;
-
-  // Occurrence lists over every live clause (the subsumee side).
-  std::vector<std::vector<CRef>> occ(watches_.size());
-  auto index_clause = [&](CRef c) {
-    const std::uint32_t n = arena_.size(c);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      occ[static_cast<std::size_t>(arena_.lit(c, i).code())].push_back(c);
-    }
-  };
-  for (const CRef c : clauses_) {
-    if (!arena_.dead(c)) index_clause(c);
-  }
-  for (const CRef c : learnts_) {
-    if (!arena_.dead(c)) index_clause(c);
-  }
-
-  // Literal-code stamps identify the current subsumer's literal set.
-  std::vector<std::uint32_t> stamp(watches_.size(), 0);
-  std::uint32_t cur = 0;
-
-  for (std::size_t ci = 0; ci < clauses_.size() && scan_budget > 0 && ok_;
-       ++ci) {
-    const CRef c = clauses_[ci];
-    if (arena_.dead(c)) continue;
-    const std::uint32_t m = arena_.size(c);
-    // Root-satisfied clauses are dead weight; drop instead of subsuming with.
-    bool satisfied = false;
-    for (std::uint32_t i = 0; i < m; ++i) {
-      if (lit_value(arena_.lit(c, i)) == LBool::True) {
-        satisfied = true;
-        break;
-      }
-    }
-    if (satisfied) {
-      remove_clause_ref(c);
-      continue;
-    }
-    ++cur;
-    std::size_t min_occ = static_cast<std::size_t>(-1);
-    Lit min_lit = Lit::from_code(-2);
-    for (std::uint32_t i = 0; i < m; ++i) {
-      const Lit l = arena_.lit(c, i);
-      stamp[static_cast<std::size_t>(l.code())] = cur;
-      const std::size_t o = occ[static_cast<std::size_t>(l.code())].size();
-      if (o < min_occ) {
-        min_occ = o;
-        min_lit = l;
-      }
-    }
-    // Scan the shortest occurrence list for clauses c subsumes (every
-    // literal of c present) or strengthens (all but one present, that one
-    // present flipped: self-subsuming resolution removes it).
-    auto& cands = occ[static_cast<std::size_t>(min_lit.code())];
-    for (const CRef d : cands) {
-      if (d == c || arena_.dead(d)) continue;
-      const std::uint32_t dn = arena_.size(d);
-      if (dn < m) continue;
-      scan_budget -= static_cast<std::int64_t>(dn);
-      std::uint32_t found = 0;
-      std::uint32_t flipped = 0;
-      Lit flip_lit = Lit::from_code(-2);
-      for (std::uint32_t i = 0; i < dn; ++i) {
-        const Lit dl = arena_.lit(d, i);
-        if (stamp[static_cast<std::size_t>(dl.code())] == cur) {
-          ++found;
-        } else if (stamp[static_cast<std::size_t>((~dl).code())] == cur) {
-          ++flipped;
-          flip_lit = dl;
-        }
-      }
-      if (found == m) {
-        remove_clause_ref(d);
-        ++stats_.clauses_subsumed;
-      } else if (found == m - 1 && flipped == 1) {
-        strengthen_clause(d, flip_lit);
-        if (!ok_) return;
-        // Unit propagation inside strengthen_clause may have satisfied or
-        // falsified c itself; re-validation happens when c's literals are
-        // next scanned, which is sound either way.
-      }
-      if (scan_budget <= 0) break;
-    }
-  }
-}
-
-void Solver::strengthen_clause(CRef d, Lit out_lit) {
-  // Remove `out_lit` from `d` in place (order-preserving), reattach with
-  // sound root-level watches, and handle the unit/empty collapse.
-  detach(d);
-  const std::uint32_t dn = arena_.size(d);
-  std::uint32_t w = 0;
-  for (std::uint32_t i = 0; i < dn; ++i) {
-    const Lit dl = arena_.lit(d, i);
-    if (dl == out_lit) continue;
-    arena_.set_lit(d, w++, dl);
-  }
-  arena_.shrink(d, w);
-  ++stats_.vivified_lits;
-  reattach_simplified(d);
-}
-
-void Solver::reattach_simplified(CRef d) {
-  // `d` is detached and was just shrunk at decision level 0. Fresh watches
-  // must sit on non-false literals (a literal falsified before attach would
-  // never wake the clause), so partition non-false literals to the front;
-  // collapse to a root unit / conflict when fewer than two remain.
-  const std::uint32_t n = arena_.size(d);
-  std::uint32_t front = 0;
-  bool satisfied = false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const LBool v = lit_value(arena_.lit(d, i));
-    if (v == LBool::True) satisfied = true;
-    if (v != LBool::False) {
-      if (i != front) arena_.swap_lits(d, front, i);
-      ++front;
-    }
-  }
-  if (satisfied) {
-    // Root-satisfied: no longer worth keeping.
-    arena_.free_clause(d);
-    return;
-  }
-  if (front == 0) {
-    arena_.free_clause(d);
-    ok_ = false;
-    return;
-  }
-  if (front == 1) {
-    const Lit unit = arena_.lit(d, 0);
-    arena_.free_clause(d);
-    enqueue(unit, k_cref_undef);
-    if (propagate() != k_cref_undef) {
-      ok_ = false;
-      return;
-    }
-    // The propagation just recorded reasons for new root assignments;
-    // clear them so later frees in this pass cannot dangle.
-    clear_root_reasons();
-    return;
-  }
-  if (front < n) arena_.shrink(d, front);
-  attach(d);
-}
-
-void Solver::vivify_pass() {
-  // Bounded clause vivification: for each problem clause (l1 .. ln), assume
-  // ~l1, ~l2, ... in turn under a throwaway decision level. A conflict
-  // proves the assumed prefix is already a valid clause; a literal found
-  // true proves the prefix plus that literal is; a literal found false is
-  // redundant (resolution on it against the implied prefix clause). The
-  // cursor persists across calls so successive inprocessing rounds walk
-  // different clauses.
-  const std::uint64_t prop_budget = 20000;
-  const std::uint64_t start_props = stats_.propagations;
-  std::size_t examined = 0;
-  std::vector<Lit> keep;
-  while (ok_ && examined < clauses_.size() &&
-         stats_.propagations - start_props < prop_budget) {
-    if (vivify_cursor_ >= clauses_.size()) vivify_cursor_ = 0;
-    const CRef c = clauses_[vivify_cursor_++];
-    ++examined;
-    if (arena_.dead(c) || arena_.size(c) < 3) continue;
-    const std::uint32_t n = arena_.size(c);
-    bool satisfied = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (lit_value(arena_.lit(c, i)) == LBool::True) {
-        satisfied = true;
-        break;
-      }
-    }
-    if (satisfied) {
-      remove_clause_ref(c);
-      continue;
-    }
-    detach(c);  // c must not propagate against itself below
-    keep.clear();
-    bool shortcut = false;  // conflict or satisfied-literal exit
-    new_decision_level();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const Lit l = arena_.lit(c, i);
-      const LBool v = lit_value(l);
-      if (v == LBool::True) {
-        // ~keep implies l: (keep, l) is a valid replacement.
-        keep.push_back(l);
-        shortcut = true;
-        break;
-      }
-      if (v == LBool::False) continue;  // ~keep implies ~l: drop l
-      keep.push_back(l);
-      enqueue(~l, k_cref_undef);
-      if (propagate() != k_cref_undef) {
-        // ~keep is contradictory: keep alone is a valid replacement.
-        shortcut = true;
-        break;
-      }
-    }
-    backtrack(0);
-    (void)shortcut;
-    if (keep.size() >= n) {
-      attach(c);  // nothing gained
-      continue;
-    }
-    stats_.vivified_lits += n - static_cast<std::uint32_t>(keep.size());
-    if (keep.empty()) {
-      arena_.free_clause(c);
-      ok_ = false;
-      return;
-    }
-    for (std::uint32_t i = 0; i < keep.size(); ++i) {
-      arena_.set_lit(c, i, keep[static_cast<std::size_t>(i)]);
-    }
-    arena_.shrink(c, static_cast<std::uint32_t>(keep.size()));
-    reattach_simplified(c);
   }
 }
 
@@ -1186,13 +725,6 @@ Var Solver::heap_pop() {
     heap_percolate_down(0);
   }
   return top;
-}
-
-void Solver::heap_update(Var v) {
-  if (heap_pos_[v] >= 0) {
-    heap_percolate_up(heap_pos_[v]);
-    heap_percolate_down(heap_pos_[v]);
-  }
 }
 
 void Solver::heap_percolate_up(int i) {

@@ -8,12 +8,8 @@
 // recursive clause minimization, exact LBD (glue) computation with
 // update-on-use and LBD/activity-driven learned-clause reduction, Luby
 // restarts, incremental solving under assumptions (required by the KC2
-// attack), optional preprocessing (sat/preprocess.hpp — bounded variable
-// elimination with model reconstruction) and inprocessing at restart
-// boundaries (backward subsumption / self-subsuming resolution, clause
-// vivification), per-instance diversification via Config (seeds, polarities,
-// restart pacing) and an external interrupt flag (first-winner cancellation
-// in the portfolio). No external dependencies.
+// attack) and an external interrupt flag (a cancelled attack job stops its
+// solve). No external dependencies.
 #pragma once
 
 #include <atomic>
@@ -24,37 +20,16 @@
 #include <vector>
 
 #include "sat/arena.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/types.hpp"
 
 namespace cl::sat {
 
-class ClauseExchange;
-
 class Solver {
  public:
-  /// Search-strategy knobs. The defaults are the tuned single-solver
-  /// configuration; PortfolioSolver hands each worker a diversified variant.
-  /// Apply with set_config() before the first solve() — it reseeds the
-  /// decision RNG and re-derives the initial polarity of every unassigned
-  /// variable, discarding saved phases.
-  struct Config {
-    std::uint64_t seed = 0;            ///< decision/polarity RNG seed
-    bool default_phase = false;        ///< initial saved polarity
-    bool random_initial_phase = false; ///< scramble initial polarities (seed)
-    double random_decision_freq = 0.0; ///< fraction of random decisions
-    int restart_unit = 64;             ///< Luby base interval, in conflicts
-    bool use_best_phase = true;        ///< restore best-trail phases on restart
-    std::size_t max_learnts = 4000;    ///< learnt-DB reduction threshold
-  };
-
   /// Counters over the solver's lifetime (cumulative across solve() calls).
-  /// After a portfolio race, the winner's counters are folded in — stats
-  /// measure the critical path, not the aggregate of cancelled workers.
   struct Stats {
     std::uint64_t conflicts = 0;
     std::uint64_t decisions = 0;
-    std::uint64_t random_decisions = 0;
     std::uint64_t propagations = 0;
     std::uint64_t restarts = 0;
     std::uint64_t learned = 0;
@@ -62,17 +37,10 @@ class Solver {
     std::uint64_t glue_protected = 0;   ///< clauses the reduce sweep spared
                                         ///< only because LBD <= 2 (or binary)
     std::uint64_t minimized_literals = 0;  ///< literals removed from learnts
-    std::uint64_t shared_exported = 0;  ///< clauses published to the exchange
-    std::uint64_t shared_imported = 0;  ///< clauses adopted from the exchange
-    std::uint64_t vars_eliminated = 0;  ///< variables removed by BVE
-    std::uint64_t clauses_subsumed = 0;  ///< clauses removed by subsumption
-    std::uint64_t vivified_lits = 0;  ///< literals removed by vivification
-                                      ///< and self-subsuming resolution
     std::uint64_t arena_gc_bytes = 0;  ///< bytes reclaimed by arena GC
   };
 
   Solver();
-  virtual ~Solver();
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
@@ -82,12 +50,10 @@ class Solver {
 
   /// Add a clause over existing variables. Returns false if the database is
   /// already unsatisfiable (the clause is still recorded as appropriate).
-  /// Mentioning an eliminated variable revives it first (see preprocess()).
-  /// The literals are read, sorted and simplified in solver-owned scratch
-  /// (after any revival, which re-enters add_clause), then copied into the
-  /// clause arena: no heap allocation per clause. `lits` must not alias the
-  /// solver's own storage. The braced form (and add_unit/add_binary/
-  /// add_ternary) reads a stack array.
+  /// The literals are read, sorted and simplified in solver-owned scratch,
+  /// then copied into the clause arena: no heap allocation per clause.
+  /// `lits` must not alias the solver's own storage. The braced form (and
+  /// add_unit/add_binary/add_ternary) reads a stack array.
   bool add_clause(std::span<const Lit> lits);
   bool add_clause(std::initializer_list<Lit> lits) {
     return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
@@ -98,13 +64,10 @@ class Solver {
 
   /// Solve under the given assumptions. Returns Unknown when a budget set via
   /// set_conflict_budget / set_propagation_budget is exhausted, the deadline
-  /// passes, or the interrupt flag fires. Assumptions over eliminated
-  /// variables revive (and freeze) them first.
-  virtual Result solve(const std::vector<Lit>& assumptions = {});
+  /// passes, or the interrupt flag fires.
+  Result solve(const std::vector<Lit>& assumptions = {});
 
-  /// Model access after Result::Sat. Models always cover the *original*
-  /// problem: values of preprocessing-eliminated variables are reconstructed
-  /// through the Remapper before solve() returns.
+  /// Model access after Result::Sat.
   bool model_value(Var v) const;
   bool model_value(Lit l) const;
 
@@ -135,61 +98,18 @@ class Solver {
 
   /// External cancellation: solve() polls `flag` once per conflict (and at
   /// entry) and returns Unknown when it reads true. The pointed-to flag must
-  /// outlive the solve call; nullptr disables. This is the portfolio's
-  /// first-winner cancellation hook.
+  /// outlive the solve call; nullptr disables. The attack engine arms a
+  /// job's cancel flag here.
   void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
 
-  /// Live clause sharing (portfolio races): publish root units and glue
-  /// learnts (LBD <= 2) to `exchange` as they are learned, and import what
-  /// other workers published at every restart boundary. `source` identifies
-  /// this solver so it skips its own clauses. The exchange must outlive the
-  /// solve call; nullptr disables (the default — a lone solver stays exactly
-  /// deterministic).
-  void set_exchange(ClauseExchange* exchange, std::size_t source);
-
-  /// Replace the search configuration (see Config). Only legal at decision
-  /// level 0, i.e. outside solve().
-  void set_config(const Config& config);
-  const Config& config() const { return config_; }
-
-  /// Replay this solver's problem — variables, root-level units, problem
-  /// clauses, and current learnts (they are implied, so sharing them seeds
-  /// the clone with everything learned so far) — into `dst`, which must not
-  /// have more variables than this solver. Only legal at decision level 0.
-  /// Elimination records are NOT copied: revive assumption variables first
-  /// if the clone will be solved under assumptions (PortfolioSolver does).
-  void copy_problem_into(Solver& dst) const;
-
-  // ---- preprocessing / inprocessing ---------------------------------------
-
-  /// Frozen variables are never eliminated by preprocess(). Freeze every
-  /// variable whose value must survive into the model untouched by
-  /// reconstruction ordering, and every variable that later clauses or
-  /// assumptions will mention cheaply (revival re-adds all removed clauses).
-  void set_frozen(Var v, bool frozen);
-  bool frozen(Var v) const { return frozen_[static_cast<std::size_t>(v)]; }
-
-  /// Root-level simplification: unit propagation to fixpoint, pure-literal
-  /// elimination, bounded variable elimination (sat::Preprocessor). Records
-  /// every elimination in the Remapper for model reconstruction and
-  /// revival. Only legal at decision level 0. Returns false when the
-  /// formula is refuted. Gated by the caller (AttackBudget::sat_preprocess)
-  /// — never runs implicitly.
-  bool preprocess();
-
-  /// Enable inprocessing at restart boundaries: backward subsumption with
-  /// self-subsuming resolution plus bounded clause vivification, first after
-  /// 10 restarts, then at doubling intervals. Off by default (stable-mode
-  /// determinism). Gated together with preprocess() by the same flag.
-  void set_inprocess(bool on) { inprocess_enabled_ = on; }
+  /// Learnt-DB reduction threshold (default 4000; each reduction raises it
+  /// by 10%). Tests shrink it to force frequent reductions.
+  void set_max_learnts(std::size_t max_learnts) { max_learnts_ = max_learnts; }
 
   /// Arena GC trigger: collect when `frac` of the arena words are wasted.
   /// Default 0.25, or CUTELOCK_SAT_GC_FRAC (the ASan stress jobs set it very
   /// low so compaction runs constantly).
   void set_gc_frac(double frac) { gc_frac_ = frac; }
-
-  const Remapper& remapper() const { return remapper_; }
-  bool eliminated(Var v) const { return remapper_.eliminated(v); }
 
   // Statistics.
   const Stats& stats() const { return stats_; }
@@ -201,10 +121,7 @@ class Solver {
   std::size_t num_learnts() const { return learnts_.size(); }
   std::size_t arena_bytes() const { return arena_.size_bytes(); }
 
- protected:
-  friend class PortfolioSolver;
-  friend class Preprocessor;
-
+ private:
   struct Watcher {
     CRef clause;
     Lit blocker;
@@ -239,33 +156,7 @@ class Solver {
   bool interrupted() const {
     return interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed);
   }
-  void export_learnt(const std::vector<Lit>& learnt, int lbd);
-  void import_shared();
-  std::uint64_t next_rand();
   static double luby(double y, int i);
-
-  // ---- preprocessing / inprocessing internals -----------------------------
-
-  /// Re-add the removed clauses of an eliminated variable and freeze it
-  /// (recursively revives other eliminated variables those clauses mention).
-  void revive(Var v);
-  /// Detach + free, clearing a root reason slot if `c` holds one.
-  void remove_clause_ref(CRef c);
-  /// Root assignments never need their reasons again (analysis skips level
-  /// 0); clearing them unlocks the clauses for inprocessing.
-  void clear_root_reasons();
-  /// Backward subsumption + self-subsuming resolution. Level 0 only.
-  void subsume_pass();
-  /// Remove one literal from a clause (self-subsuming resolution) in place.
-  void strengthen_clause(CRef d, Lit out_lit);
-  /// Reattach a detached, just-shrunk clause with root-sound watches,
-  /// collapsing to a unit / conflict when fewer than two literals survive.
-  void reattach_simplified(CRef d);
-  /// Bounded clause vivification over problem clauses. Level 0 only.
-  void vivify_pass();
-  /// Drop dead refs from clauses_/learnts_ after a simplification pass.
-  void compact_clause_lists();
-  void inprocess();
 
   // ---- arena GC -----------------------------------------------------------
 
@@ -276,7 +167,6 @@ class Solver {
 
   // Heap of variables ordered by activity.
   void heap_insert(Var v);
-  void heap_update(Var v);
   Var heap_pop();
   bool heap_empty() const { return heap_.empty(); }
   void heap_percolate_up(int i);
@@ -314,14 +204,6 @@ class Solver {
   std::vector<LBool> model_;
   bool ok_ = true;
 
-  Config config_;
-  std::uint64_t rng_state_ = 0x853c49e6748fea9bULL;
-
-  ClauseExchange* exchange_ = nullptr;
-  std::size_t exchange_source_ = 0;
-  std::uint64_t exchange_cursor_ = 0;
-  std::vector<std::uint64_t> imported_hashes_;  // sorted; reader-side dedup
-
   std::int64_t conflict_budget_ = -1;
   std::int64_t propagation_budget_ = -1;
   double time_budget_s_ = -1.0;
@@ -329,11 +211,6 @@ class Solver {
   std::chrono::steady_clock::time_point deadline_{};
   const std::atomic<bool>* interrupt_ = nullptr;
 
-  Remapper remapper_;
-  std::vector<bool> frozen_;
-  bool inprocess_enabled_ = false;
-  std::uint64_t inprocess_next_restarts_ = 10;
-  std::size_t vivify_cursor_ = 0;
   double gc_frac_;
 
   Stats stats_;

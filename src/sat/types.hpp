@@ -1,7 +1,6 @@
-// Core SAT types shared by the solver, the clause arena, and the
-// preprocessor: variables, literals, solver results, tri-state values.
-// Split out of solver.hpp so sat/arena.hpp and sat/preprocess.hpp can be
-// included without pulling in the whole solver.
+// Core SAT types shared by the solver and the clause arena: variables,
+// literals, solver results, tri-state values. Split out of solver.hpp so
+// sat/arena.hpp can be included without pulling in the whole solver.
 #pragma once
 
 #include <cstdint>

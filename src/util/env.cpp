@@ -81,10 +81,6 @@ std::size_t jobs_from_env() {
   return env_size_or("CUTELOCK_JOBS", ThreadPool::default_thread_count());
 }
 
-std::size_t sat_portfolio_from_env() {
-  return env_size_or("CUTELOCK_SAT_PORTFOLIO", 1);
-}
-
 bool obs_bank_from_env() { return env_flag("CUTELOCK_OBS_BANK"); }
 
 std::string obs_bank_path_from_env() {

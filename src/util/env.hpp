@@ -1,7 +1,7 @@
 // Strict environment-variable parsing for the entry points (the CLI, the
 // bench harnesses, `cutelock serve`) and for the few process-wide values the
-// library reads once: the simulator and portfolio pool widths and the arena
-// GC fraction. All parsers reject trailing junk (atof would silently read
+// library reads once: the SIMD kernel tier, the simulator pool width and the
+// arena GC fraction. All parsers reject trailing junk (atof would silently read
 // "2s" as 2) and warn on stderr when an invalid value is ignored.
 #pragma once
 
@@ -32,14 +32,9 @@ std::size_t env_size_or(const char* name, std::size_t fallback);
 
 /// Worker-thread count: CUTELOCK_JOBS, or hardware_concurrency when unset.
 /// Always >= 1. Shared by bench::Runner, the sharded simulator pool, the
-/// portfolio race pool, the CLI's BBO screening threads (BboOptions::jobs)
-/// and `cutelock serve`'s --workers default.
+/// CLI's BBO screening threads (BboOptions::jobs) and `cutelock serve`'s
+/// --workers default.
 std::size_t jobs_from_env();
-
-/// Diversified CDCL workers racing each solver call: CUTELOCK_SAT_PORTFOLIO,
-/// default 1 (portfolio off). Seeds AttackBudget::sat_workers; bench
-/// harnesses force 1 under CUTELOCK_BENCH_STABLE=1.
-std::size_t sat_portfolio_from_env();
 
 /// Cross-attack oracle observation bank: CUTELOCK_OBS_BANK=1 makes
 /// bench::Runner switch it on, default off. Deterministic output requires

@@ -100,29 +100,6 @@ TEST(SatAttack, BreaksXorLockOnScanModel) {
   }
 }
 
-TEST(SatAttack, BreaksXorLockWithSatPreprocessing) {
-  // Same attack with SAT pre/inprocessing enabled: bounded variable
-  // elimination runs on every rebuilt miter (key and state variables
-  // frozen) and the recovered key must still verify against the oracle —
-  // i.e. model reconstruction hands back real key bits, not artifacts of
-  // the reduced formula.
-  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    util::Rng rng(seed);
-    const auto lr = lock::xor_lock(nl, 6, rng);
-    const ScanFixture fx(lr, nl);
-    SequentialOracle oracle(fx.original_scan);
-    SatAttackOptions options;
-    options.budget.sat_preprocess = true;
-    const AttackResult r = sat_attack(fx.locked_scan, oracle, options);
-    ASSERT_EQ(r.outcome, Outcome::Equal) << "seed " << seed << ": " << r.summary();
-    EXPECT_EQ(r.key, fx.correct_key) << "seed " << seed;
-    const VerifyResult vr =
-        verify_static_key(fx.locked_scan, r.key, fx.original_scan);
-    EXPECT_EQ(vr.verdict, Verdict::Equivalent) << "seed " << seed;
-  }
-}
-
 TEST(SatAttack, BreaksMuxLockOnScanModel) {
   const Netlist nl = netlist::read_bench_string(k_s27, "s27");
   util::Rng rng(7);

@@ -1,7 +1,6 @@
-// Shared CNF generators and oracles for the sat tests: pigeon-hole
-// instances, random width-k CNFs, brute-force verdicts, and clause loading.
-// Kept header-only so both test_solver.cpp and test_portfolio.cpp use the
-// exact same instance distributions.
+// CNF generators and oracles for the sat tests (test_solver.cpp):
+// pigeon-hole instances, random width-k CNFs, brute-force verdicts, and
+// clause loading.
 #pragma once
 
 #include <cmath>

@@ -10,13 +10,11 @@ The format is read from the baseline: Google Benchmark output
 bench_micro_perf — hard failures (exit 1):
   - a baseline benchmark missing from the fresh run
   - any drift in the deterministic trajectory counters (conflicts, restarts,
-    learnts_deleted, minimized_lits, vars_eliminated, clauses_subsumed,
-    vivified_lits, sim_gates, sim_lane_words, cnf_vars, cnf_clauses,
-    bbo_batches) — the solver is seeded and single-threaded in these
+    learnts_deleted, minimized_lits, sim_gates, sim_lane_words, cnf_vars,
+    cnf_clauses, bbo_batches) — the solver is single-threaded in these
     benchmarks, so these must match bit-for-bit across machines
   Warnings only (exit 0):
   - real_time regression beyond 15% (throughput depends on the machine)
-  BM_SolverPortfolioRace is excluded: a race winner depends on scheduling.
 
 Table harness records (run with CUTELOCK_BENCH_STABLE=1, so every verdict
 and count is independent of the machine and of CUTELOCK_JOBS) — hard
@@ -38,9 +36,6 @@ TRAJECTORY_COUNTERS = [
     "restarts",
     "learnts_deleted",
     "minimized_lits",
-    "vars_eliminated",
-    "clauses_subsumed",
-    "vivified_lits",
     # Sim-axis determinism: circuit size and lane width of the
     # BM_CompiledSimIsa rows are fixed properties of the benchmark, so any
     # drift means the harness changed shape, not the machine.
@@ -55,7 +50,6 @@ TRAJECTORY_COUNTERS = [
     # exhaustive screen proves CNS.
     "bbo_batches",
 ]
-EXCLUDED_PREFIXES = ("BM_SolverPortfolioRace",)
 TIME_REGRESSION_FACTOR = 1.15
 REL_TOL = 1e-9
 
@@ -67,8 +61,6 @@ def load_benchmarks(data):
     for b in data.get("benchmarks", []):
         name = b.get("name", "")
         if b.get("run_type") != "iteration":
-            continue
-        if name.startswith(EXCLUDED_PREFIXES):
             continue
         out[name] = b
     return out
