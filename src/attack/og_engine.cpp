@@ -191,20 +191,10 @@ void OgEngine::constrain_both_keys(const std::vector<sim::BitVec>& inputs,
 }
 
 void OgEngine::add_io(const std::vector<sim::BitVec>& inputs) {
-  IoFact fact{inputs, query_oracle(inputs)};
+  Observation fact{inputs, query_oracle(inputs)};
   constrain_both_keys(fact.inputs, fact.outputs);
   io_.push_back(std::move(fact));
   ++result_.iterations;
-}
-
-void OgEngine::add_io_batch(
-    const std::vector<std::vector<sim::BitVec>>& sequences) {
-  std::vector<std::vector<sim::BitVec>> outputs = query_oracle_batch(sequences);
-  for (std::size_t j = 0; j < sequences.size(); ++j) {
-    constrain_both_keys(sequences[j], outputs[j]);
-    io_.push_back(IoFact{sequences[j], std::move(outputs[j])});
-    ++result_.iterations;
-  }
 }
 
 std::unique_ptr<sat::Solver> OgEngine::make_solver() const {
@@ -222,9 +212,33 @@ void OgEngine::rebuild(std::size_t depth) {
   miter_ = std::make_unique<cnf::SequentialMiter>(*solver_, locked_,
                                                   spec_.symbolic_init);
   miter_->extend_to(depth);
-  for (const IoFact& fact : io_) {
+  for (const Observation& fact : io_) {
     constrain_both_keys(fact.inputs, fact.outputs);
   }
+}
+
+Result OgEngine::solve_recorded_facts() {
+  // Thrown away afterwards: the DIS search must start from exactly the
+  // formula rebuild() encodes, and the decision limit would not hold on the
+  // miter, whose shared inputs are free sources.
+  const std::unique_ptr<sat::Solver> solver = make_solver();
+  std::vector<sat::Var> keys(locked_.key_inputs().size());
+  for (sat::Var& v : keys) v = solver->new_var();
+  std::vector<sat::Var> init(spec_.symbolic_init ? locked_.dffs().size() : 0);
+  for (sat::Var& v : init) v = solver->new_var();
+  // Once the key (and reset state) is set, propagation decides every other
+  // variable of a fact, so the search branches on nothing else.
+  solver->set_decision_limit(solver->num_vars());
+  Result r = Result::Sat;
+  for (const Observation& fact : io_) {
+    cnf::constrain_key_on_sequence(*solver, *compiled_, keys, fact.inputs,
+                                   fact.outputs,
+                                   spec_.symbolic_init ? &init : nullptr);
+    arm_deadline(*solver);
+    r = solver->solve();
+    if (r != Result::Sat) break;
+  }
+  return r;
 }
 
 std::vector<Observation> OgEngine::banked_observations() {
@@ -242,13 +256,6 @@ std::vector<Observation> OgEngine::banked_observations() {
     ++result_.preloaded_facts;
   }
   return out;
-}
-
-void OgEngine::replay_bank() {
-  for (const Observation& obs : banked_observations()) {
-    constrain_both_keys(obs.inputs, obs.outputs);
-    io_.push_back(IoFact{obs.inputs, obs.outputs});
-  }
 }
 
 AttackResult OgEngine::finish(Outcome outcome, std::string detail) {
@@ -276,17 +283,16 @@ AttackResult OgEngine::finish_timeout(std::string detail) {
 }
 
 AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
-  rebuild(spec_.start_depth);
-  replay_bank();
+  // The banked facts, then the warmup's, are recorded without encoding:
+  // rebuild() encodes them after the miter, in this order.
+  io_ = banked_observations();
   if (spec_.warmup_sequences > 0 && !out_of_budget()) {
     // Simulation-guided warmup: random traces prune the hypothesis space
     // before the (expensive) discriminating-sequence search starts. Warmup
     // queries are real oracle queries, so they honour the budget too — a
     // job cancelled before its first solve must not pay any, and the batch
-    // is capped at the iterations the budget has left. Stimuli are drawn in
-    // the same RNG order as per-sequence warmup, and add_io_batch constrains
-    // in element order, so the solver sees an identical clause stream — the
-    // only change is that all bank misses ride one wide oracle pass.
+    // is capped at the iterations the budget has left. All bank misses ride
+    // one wide oracle pass.
     const std::uint64_t room = budget_.max_iterations - result_.iterations;
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(spec_.warmup_sequences, room));
@@ -296,7 +302,11 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
       warm.push_back(sim::random_stimulus(rng_, spec_.warmup_cycles,
                                           oracle_.num_inputs()));
     }
-    add_io_batch(warm);
+    std::vector<std::vector<sim::BitVec>> responses = query_oracle_batch(warm);
+    for (std::size_t w = 0; w < n; ++w) {
+      io_.push_back(Observation{std::move(warm[w]), std::move(responses[w])});
+      ++result_.iterations;
+    }
   }
 
   const std::size_t depth = spec_.start_depth;
@@ -304,17 +314,33 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
     return finish(Outcome::Fail, "start depth exceeds the budget's max depth");
   }
   std::size_t dip_rounds = 0;
+  const auto budget_exhausted = [&] {
+    return finish_timeout(
+        spec_.combinational
+            ? "budget exhausted after " + std::to_string(dip_rounds) +
+                  " DIP rounds"
+            : "budget exhausted at depth " + std::to_string(depth));
+  };
+  const auto key_space_empty = [&] {
+    return finish(
+        Outcome::Cns,
+        spec_.combinational
+            ? "no static key is consistent with the oracle responses"
+            : "key space empty after " + std::to_string(io_.size()) +
+                  " oracle sequences (depth " + std::to_string(depth) + ")");
+  };
+  if (out_of_budget()) return budget_exhausted();
+  // No key fits the recorded facts: the DIS search would find no DIS and
+  // its consistency solve no key, so conclude CNS without building it.
+  if (!io_.empty() && solve_recorded_facts() == Result::Unsat) {
+    return key_space_empty();
+  }
+  rebuild(depth);
   for (;;) {
     // DIS search at the current depth.
     bool dis_exhausted = false;
     while (!dis_exhausted) {
-      if (out_of_budget()) {
-        return finish_timeout(
-            spec_.combinational
-                ? "budget exhausted after " + std::to_string(dip_rounds) +
-                      " DIP rounds"
-                : "budget exhausted at depth " + std::to_string(depth));
-      }
+      if (out_of_budget()) return budget_exhausted();
       arm_deadline();
       const Result r = solve_hinted({miter_->diff_within(depth)}, false);
       if (r == Result::Unknown) {
@@ -332,13 +358,7 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
           // the same budget check and deadline re-arm as the first, or a
           // round with a large dips_per_round blows far past
           // time_limit_s/max_iterations.
-          if (out_of_budget()) {
-            return finish_timeout(
-                spec_.combinational
-                    ? "budget exhausted after " + std::to_string(dip_rounds) +
-                          " DIP rounds"
-                    : "budget exhausted at depth " + std::to_string(depth));
-          }
+          if (out_of_budget()) return budget_exhausted();
           arm_deadline();
           rr = solve_hinted({miter_->diff_within(depth)}, false);
         }
@@ -378,14 +398,7 @@ AttackResult OgEngine::run_dip_loop(DipStrategy& strategy) {
                                 ? "consistency check exceeded solver budget"
                                 : "consistency check exceeded budget");
     }
-    if (consistent == Result::Unsat) {
-      return finish(
-          Outcome::Cns,
-          spec_.combinational
-              ? "no static key is consistent with the oracle responses"
-              : "key space empty after " + std::to_string(io_.size()) +
-                    " oracle sequences (depth " + std::to_string(depth) + ")");
-    }
+    if (consistent == Result::Unsat) return key_space_empty();
     const sim::BitVec key = miter_->extract_key_a();
     set_candidate(key);
     const VerifyResult v =

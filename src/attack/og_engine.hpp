@@ -22,6 +22,11 @@
 // that follow (`fresh_queries`). All three counters land in AttackResult
 // and, via bench::Runner, in BENCH_*.json.
 //
+// The shared loop records the banked and warmup facts before it encodes
+// anything, and first asks a throwaway one-key-copy solver whether they
+// leave any static key: a time-base-keyed lock usually fails on the warmup
+// alone, and then the two-copy DIS miter is never built.
+//
 // The public attack entry points (sat_attack, bmc_attack, kc2_attack,
 // rane_attack, periodic_key_attack) are thin wrappers that pick a strategy
 // and run it here; their signatures and semantics are unchanged.
@@ -83,8 +88,9 @@ class OgEngine {
   util::Rng& rng() { return rng_; }
   ObservationBank* bank() { return bank_; }
 
-  /// Engine-owned solver/miter; valid inside the shared DIP loop (the first
-  /// rebuild happens when run_dip_loop starts).
+  /// Engine-owned solver/miter. They exist only once the shared loop's DIS
+  /// search starts (its one rebuild); a run that ends on the recorded facts
+  /// never builds them.
   sat::Solver& solver() { return *solver_; }
   cnf::SequentialMiter& miter() { return *miter_; }
 
@@ -130,12 +136,9 @@ class OgEngine {
   /// to the replayable I/O log, count one iteration.
   void add_io(const std::vector<sim::BitVec>& inputs);
 
-  /// add_io over many sequences with one batched oracle pass. Constraints
-  /// are added and iterations counted in element order, so the solver sees
-  /// the exact clause stream of per-sequence add_io calls.
-  void add_io_batch(const std::vector<std::vector<sim::BitVec>>& sequences);
-
-  /// Fresh solver + miter at `depth`, replaying the recorded I/O log.
+  /// Fresh solver + miter at `depth`, then every recorded fact on both key
+  /// copies in recording order (banked, warmup, then DIPs and
+  /// counterexamples).
   void rebuild(std::size_t depth);
 
   /// Best key candidate so far; every Timeout path reports it uniformly.
@@ -161,22 +164,24 @@ class OgEngine {
   AttackResult finish(Outcome outcome, std::string detail);
   AttackResult finish_timeout(std::string detail);
 
-  /// The shared loop (DipStrategy::attack's default body): bank replay,
-  /// warmup, DIS search, consistency check, verification, counterexample
+  /// The shared loop (DipStrategy::attack's default body): record the
+  /// banked and warmup facts, settle CNS on them when no static key fits,
+  /// else DIS search, consistency check, verification, counterexample
   /// feedback.
   AttackResult run_dip_loop(DipStrategy& strategy);
 
  private:
-  struct IoFact {
-    std::vector<sim::BitVec> inputs;
-    std::vector<sim::BitVec> outputs;
-  };
-
   /// The bank's response to exactly `inputs` when its widths fit the locked
   /// circuit (counted as a replayed query), else nullopt.
   std::optional<std::vector<sim::BitVec>> bank_lookup(
       const std::vector<sim::BitVec>& inputs);
-  void replay_bank();
+  /// Whether the recorded facts leave a static key (and, under a symbolic
+  /// reset, a reset state): the facts on one key copy of a throwaway solver
+  /// that branches only on the key and reset-state variables, solved after
+  /// each fact. Unsat is exact. Sat can also mean that a fact's X power-up
+  /// sources stayed open, and Unknown that the budget ran out; both send
+  /// the loop on to the DIS search.
+  sat::Result solve_recorded_facts();
   void prepare_hints();
   /// solver_->solve(assumptions) with the active hints appended as unit
   /// assumptions over BOTH key copies. With `drop_on_unsat` (the consistency
@@ -195,7 +200,7 @@ class OgEngine {
   util::Rng rng_;
   AttackResult result_;
   sim::BitVec candidate_;
-  std::vector<IoFact> io_;  // replayed on rebuild()
+  std::vector<Observation> io_;  // encoded on rebuild()
   std::vector<std::pair<std::size_t, bool>> hints_;
   bool hints_active_ = false;
   std::optional<sim::CompiledNetlist> compiled_;

@@ -34,7 +34,7 @@ Var Solver::new_var() {
   bin_watches_.emplace_back();
   level_stamp_.push_back(0);
   heap_pos_.push_back(-1);
-  heap_insert(v);
+  if (v < decision_limit_) heap_insert(v);
   return v;
 }
 
@@ -385,7 +385,7 @@ void Solver::backtrack(int target_level) {
     const Var v = trail_[static_cast<std::size_t>(i)].var();
     assigns_[v] = LBool::Undef;
     reason_[v] = k_cref_undef;
-    if (heap_pos_[v] < 0) heap_insert(v);
+    if (heap_pos_[v] < 0 && v < decision_limit_) heap_insert(v);
   }
   trail_.resize(static_cast<std::size_t>(limit));
   level_limits_.resize(static_cast<std::size_t>(target_level));
@@ -663,6 +663,17 @@ void Solver::set_propagation_budget(std::int64_t max_propagations) {
       max_propagations < 0
           ? -1
           : static_cast<std::int64_t>(stats_.propagations) + max_propagations;
+}
+
+void Solver::set_decision_limit(Var limit) {
+  decision_limit_ = limit < 0 ? std::numeric_limits<Var>::max() : limit;
+  // Refill the decision heap with exactly the unassigned variables below the
+  // new limit; backtrack and new_var keep it that way.
+  for (const Var v : heap_) heap_pos_[v] = -1;
+  heap_.clear();
+  for (Var v = 0; v < num_vars() && v < decision_limit_; ++v) {
+    if (assigns_[v] == LBool::Undef) heap_insert(v);
+  }
 }
 
 void Solver::set_time_budget(double seconds) {

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -105,6 +106,14 @@ class Solver {
   /// Learnt-DB reduction threshold (default 4000; each reduction raises it
   /// by 10%). Tests shrink it to force frequent reductions.
   void set_max_learnts(std::size_t max_learnts) { max_learnts_ = max_learnts; }
+
+  /// Branch only on variables below `limit` (negative: on every variable,
+  /// the default). solve() then reports Sat once those variables are all
+  /// assigned without conflict, and a variable propagation left unassigned
+  /// reads false in the model. Unsat stays exact; Sat is exact when every
+  /// other variable is decided by propagation from those below the limit,
+  /// as in a cnf::HashedEncoder circuit whose sources all lie below it.
+  void set_decision_limit(Var limit);
 
   /// Arena GC trigger: collect when `frac` of the arena words are wasted.
   /// Default 0.25, or CUTELOCK_SAT_GC_FRAC (the ASan stress jobs set it very
@@ -215,6 +224,8 @@ class Solver {
 
   Stats stats_;
   std::size_t max_learnts_ = 4000;
+  Var decision_limit_ = std::numeric_limits<Var>::max();  // heap holds only
+                                                          // variables below it
 };
 
 }  // namespace cl::sat

@@ -9,6 +9,8 @@
 #include "analysis/key_infer.hpp"
 #include "attack/sat_attack.hpp"
 #include "attack/seq_attack.hpp"
+#include "benchgen/catalog.hpp"
+#include "core/cute_lock_str.hpp"
 #include "lock/comb_locks.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/transform.hpp"
@@ -167,9 +169,9 @@ TEST(OgEngine, BatchedOracleQueriesMatchSerialAndCountTraffic) {
 }
 
 TEST(OgEngine, WarmupSequencesRideOneOracleBatch) {
-  // The shared DIP loop's warmup sampling goes through add_io_batch: the
-  // stimuli retire in one wide pass and the accounting shows up in the
-  // result (and from there in the BENCH json).
+  // The shared DIP loop's warmup stimuli retire in one wide oracle pass,
+  // and the accounting shows up in the result (and from there in the BENCH
+  // json).
   const Netlist nl = s27();
   util::Rng rng(7);
   const auto lr = lock::xor_lock(nl, 4, rng);
@@ -184,6 +186,30 @@ TEST(OgEngine, WarmupSequencesRideOneOracleBatch) {
   EXPECT_EQ(r.batched_queries, 6u);
   EXPECT_EQ(r.oracle_batches, 1u);
   EXPECT_GE(r.fresh_queries, r.batched_queries);
+}
+
+TEST(OgEngine, WarmupThatUsesUpTheIterationBudgetEndsNotApplicable) {
+  // RANE's eight warmup traces leave no static key on this two-phase lock,
+  // but with max_iterations = 8 they also use up the budget: the budget test
+  // comes first, so the run ends N/A, not CNS.
+  const Netlist nl = benchgen::make_circuit("b03").netlist;
+  core::StrOptions options;
+  options.num_keys = 4;
+  options.key_bits = 3;
+  options.seed = 7;
+  const auto lr = core::cute_lock_str(nl, options);
+  SequentialOracle oracle(nl);
+  AttackBudget budget;
+  budget.time_limit_s = 30.0;
+  const AttackResult cns = rane_attack(lr.locked, oracle, budget);
+  ASSERT_EQ(cns.outcome, Outcome::Cns) << cns.summary();
+  ASSERT_EQ(cns.iterations, 8u);
+
+  budget.max_iterations = 8;
+  const AttackResult r = rane_attack(lr.locked, oracle, budget);
+  EXPECT_EQ(r.outcome, Outcome::Timeout) << r.summary();
+  EXPECT_EQ(r.detail, "budget exhausted at depth 2");
+  EXPECT_EQ(r.iterations, 8u);
 }
 
 TEST(OgEngine, ValidationErrorsKeepTheirCallers) {

@@ -11,18 +11,29 @@
 // that is NOT the ground-truth bit vector (any_key_pass = 1, key_exact = 0),
 // which is exactly the regime where the classic scoreboard undercounts
 // broken defenses.
+//
+// The sequential modes' CNS verdicts on their warmup traces are checked
+// against brute force: every static key (and, for RANE, every reset state)
+// simulated on the facts the run recorded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/lint.hpp"
 #include "attack/accept.hpp"
+#include "attack/observation_bank.hpp"
 #include "attack/registry.hpp"
 #include "benchgen/catalog.hpp"
 #include "benchgen/fsm_suite.hpp"
 #include "core/cute_lock_beh.hpp"
 #include "fsm/synth.hpp"
 #include "lock/lock_registry.hpp"
+#include "netlist/bench_io.hpp"
+#include "sim/sequence.hpp"
 
 namespace cl {
 namespace {
@@ -147,6 +158,152 @@ TEST(LockAttackMatrix, BehSynthesizedPairSurvivesSequentialAttacks) {
             .result;
     // The correct key is a per-cycle schedule; no static key can be Equal.
     EXPECT_TRUE(attack::defense_held(result.outcome)) << result.summary();
+  }
+}
+
+/// Whether some static key reproduces every fact of `facts` on `locked`, by
+/// simulating all 2^|key| keys at once. With `any_reset` the run may start
+/// from any one reset state shared by all facts (RANE's threat model);
+/// otherwise it starts from the power-up values, an X taking either value
+/// afresh in each fact.
+bool some_key_fits(const netlist::Netlist& locked,
+                   const std::vector<attack::Observation>& facts,
+                   bool any_reset) {
+  const std::size_t key_bits = locked.key_inputs().size();
+  const std::size_t keys = std::size_t{1} << key_bits;
+  const std::size_t words = (keys + 63) / 64;
+  std::vector<std::uint64_t> key_words(key_bits * words, 0);
+  for (std::size_t j = 0; j < keys; ++j) {
+    for (std::size_t k = 0; k < key_bits; ++k) {
+      if ((j >> k) & 1) key_words[k * words + j / 64] |= 1ull << (j % 64);
+    }
+  }
+  const std::vector<netlist::SignalId>& dffs = locked.dffs();
+  std::vector<std::size_t> open;  // the DFFs each enumerated state assigns
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    if (any_reset || locked.dff_init(dffs[i]) == netlist::DffInit::X) {
+      open.push_back(i);
+    }
+  }
+  // Survivors over `runs` (stimuli, responses) with the open DFFs starting
+  // from any state; one lane word per 64 keys.
+  const auto survivors = [&](const std::vector<attack::Observation>& runs) {
+    std::vector<std::vector<sim::BitVec>> stimuli, responses;
+    for (const attack::Observation& run : runs) {
+      stimuli.push_back(run.inputs);
+      responses.push_back(run.outputs);
+    }
+    std::vector<std::uint64_t> any(words, 0);
+    for (std::size_t state = 0; state < (std::size_t{1} << open.size());
+         ++state) {
+      netlist::Netlist start = locked;
+      for (std::size_t b = 0; b < open.size(); ++b) {
+        start.set_dff_init(dffs[open[b]], (state >> b) & 1
+                                              ? netlist::DffInit::One
+                                              : netlist::DffInit::Zero);
+      }
+      const std::vector<std::uint64_t> alive = sim::screen_static_keys(
+          sim::CompiledNetlist(start), stimuli, responses, key_words, keys);
+      for (std::size_t w = 0; w < words; ++w) any[w] |= alive[w];
+    }
+    return any;
+  };
+  std::vector<std::uint64_t> fit(words, ~0ull);
+  if (any_reset) {
+    fit = survivors(facts);
+  } else {
+    for (const attack::Observation& fact : facts) {
+      const std::vector<std::uint64_t> alive = survivors({fact});
+      for (std::size_t w = 0; w < words; ++w) fit[w] &= alive[w];
+    }
+  }
+  for (std::size_t w = 0; w < words; ++w) {
+    if (fit[w] != 0) return true;
+  }
+  return false;
+}
+
+/// Warmup traces per sequential mode (seq_attack.cpp's defaults).
+struct WarmupMode {
+  const char* name;
+  std::size_t warmup;
+  bool symbolic_reset;
+};
+constexpr WarmupMode k_warmup_modes[] = {
+    {"bmc", 2, false}, {"kc2", 2, false}, {"rane", 8, true}};
+
+/// Attack `locked` with `mode` on a fresh observation bank, then check its
+/// verdict against brute force over the warmup facts the bank recorded:
+/// the run ends CNS after exactly its warmup traces iff no key fits them.
+/// Returns whether some key fit.
+bool check_warmup_verdict(const netlist::Netlist& locked,
+                          const netlist::Netlist& original,
+                          const WarmupMode& mode) {
+  attack::ObservationBank& bank =
+      attack::observation_bank_for_key(attack::bank_key(locked, original));
+  EXPECT_EQ(bank.size(), 0u) << "the bank must start cold";
+  attack::set_observation_bank_forced(true);
+  const attack::AttackResult result =
+      attack::run_attack_mode(attack::find_attack_mode(mode.name), locked,
+                              original, matrix_options())
+          .result;
+  attack::set_observation_bank_forced(false);
+  std::vector<attack::Observation> facts = bank.snapshot();
+  EXPECT_GE(facts.size(), mode.warmup) << result.summary();
+  facts.resize(std::min(facts.size(), mode.warmup));
+  const bool fits = some_key_fits(locked, facts, mode.symbolic_reset);
+  const bool settled = result.outcome == attack::Outcome::Cns &&
+                       result.iterations == mode.warmup;
+  EXPECT_EQ(settled, !fits) << result.summary();
+  return fits;
+}
+
+TEST(LockAttackMatrix, WarmupCnsMatchesBruteForceOnS27) {
+  const netlist::Netlist original = benchgen::make_circuit("s27").netlist;
+  std::size_t cells = 0, fitting = 0;
+  std::uint64_t seed = 101;
+  for (const lock::RegisteredLock& entry : lock::lock_registry()) {
+    for (const WarmupMode& mode : k_warmup_modes) {
+      // A lock of its own per cell, so each run starts on a cold bank.
+      util::Rng rng(seed++);
+      const lock::LockResult lr = entry.build(original, rng);
+      if (lr.locked.key_inputs().size() > 10) continue;
+      SCOPED_TRACE(entry.name + " x " + mode.name);
+      ++cells;
+      if (check_warmup_verdict(lr.locked, original, mode)) ++fitting;
+    }
+  }
+  // Both sides of the equivalence occur: static locks fit their facts, and
+  // Cute-Lock-Str's time-base keys do not.
+  EXPECT_GE(cells, 12u);
+  EXPECT_GT(fitting, 0u);
+  EXPECT_LT(fitting, cells);
+}
+
+TEST(LockAttackMatrix, RaneWarmupFitsOnlyFromAnotherResetState) {
+  // The chip powers up with q = 1 and always answers y = 1. The locked
+  // circuit powers up with q = 0, where y = k & a misses every cycle with
+  // a = 0; from q = 1 with k = 0 it answers y = 1. So BMC and KC2 must end
+  // CNS on their warmup, and RANE, whose reset state is a secret, must not:
+  // a check that started RANE's facts from power-up would fail here.
+  const netlist::Netlist original = netlist::read_bench_string(R"(
+INPUT(a)
+OUTPUT(y)
+q = DFF(q)
+y = OR(q, a)
+# init q 1
+)",
+                                                             "chip");
+  for (const WarmupMode& mode : k_warmup_modes) {
+    SCOPED_TRACE(mode.name);
+    // A gate name of its own per mode, so each run starts on a cold bank.
+    const std::string t = std::string("t_") + mode.name;
+    const netlist::Netlist locked = netlist::read_bench_string(
+        "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\nq = DFF(q)\n" + t +
+            " = AND(keyinput0, a)\ny = XOR(q, " + t + ")\n# init q 0\n",
+        "chip_locked");
+    EXPECT_EQ(check_warmup_verdict(locked, original, mode),
+              mode.symbolic_reset);
   }
 }
 

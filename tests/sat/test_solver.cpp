@@ -9,7 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "cnf/hashed_encoder.hpp"
 #include "cnf_test_util.hpp"
+#include "netlist/netlist.hpp"
+#include "sim/compiled.hpp"
 #include "util/rng.hpp"
 
 namespace cl::sat {
@@ -731,6 +734,93 @@ TEST(Solver, UnsatAssumptionSubsetExcludesImpliedUnits) {
   // Still reusable.
   EXPECT_EQ(s.solve({pos(a)}), Result::Sat);
   EXPECT_TRUE(s.model_value(c));
+}
+
+/// Random combinational netlist over 6 inputs, 4 key inputs and both
+/// constants: `gates` gates of every combinational type, 6 outputs.
+netlist::Netlist random_circuit(util::Rng& rng, std::size_t gates) {
+  using netlist::GateType;
+  netlist::Netlist nl("rand");
+  std::vector<netlist::SignalId> sigs;
+  for (int i = 0; i < 6; ++i) {
+    sigs.push_back(nl.add_input("pi" + std::to_string(i)));
+  }
+  for (int i = 0; i < 4; ++i) {
+    sigs.push_back(nl.add_key_input("k" + std::to_string(i)));
+  }
+  sigs.push_back(nl.add_const(false, "c0"));
+  sigs.push_back(nl.add_const(true, "c1"));
+  constexpr GateType kinds[] = {GateType::Buf, GateType::Not, GateType::And,
+                                GateType::Nand, GateType::Or, GateType::Nor,
+                                GateType::Xor, GateType::Xnor, GateType::Mux};
+  const auto pick = [&] { return sigs[rng.next_below(sigs.size())]; };
+  for (std::size_t g = 0; g < gates; ++g) {
+    const GateType t = kinds[rng.next_below(std::size(kinds))];
+    std::vector<netlist::SignalId> fanins;
+    if (t == GateType::Buf || t == GateType::Not) {
+      fanins = {pick()};
+    } else if (t == GateType::Mux) {
+      fanins = {pick(), pick(), pick()};
+    } else {
+      const std::size_t arity = 2 + rng.next_below(3);  // 2..4
+      for (std::size_t f = 0; f < arity; ++f) fanins.push_back(pick());
+    }
+    sigs.push_back(nl.add_gate(t, fanins, nl.fresh_name("g")));
+  }
+  for (int o = 0; o < 6; ++o) nl.add_output(pick());
+  nl.check();
+  return nl;
+}
+
+TEST(Solver, DecisionLimitOnCircuitSourcesKeepsVerdictsAndModels) {
+  // Once a circuit's sources are set, propagation decides every gate of its
+  // cnf::HashedEncoder encoding, so a solver that branches only on the
+  // sources reaches the default solver's verdict, and its Sat model
+  // satisfies every clause: a third solver whose every variable is fixed to
+  // that model by a unit clause stays Sat.
+  util::Rng rng(0xd1ce);
+  std::size_t sat = 0, unsat = 0;
+  for (std::size_t trial = 0; trial < 80; ++trial) {
+    const netlist::Netlist nl = random_circuit(rng, 20 + trial);
+    const sim::CompiledNetlist prog(nl);
+    std::vector<bool> response(prog.outputs().size());
+    for (std::size_t o = 0; o < response.size(); ++o) {
+      response[o] = rng.next_below(2) != 0;
+    }
+    const auto encode = [&](Solver& s, bool limit) {
+      cnf::HashedEncoder enc(s);
+      std::vector<Lit> inputs(prog.inputs().size());
+      std::vector<Lit> keys(prog.key_inputs().size());
+      for (Lit& l : inputs) l = enc.fresh();
+      for (Lit& l : keys) l = enc.fresh();
+      if (limit) s.set_decision_limit(s.num_vars());
+      const std::vector<Lit> lits = enc.encode_frame(prog, inputs, keys, {});
+      for (std::size_t o = 0; o < response.size(); ++o) {
+        const Lit y = lits[prog.outputs()[o]];
+        s.add_unit(response[o] ? y : ~y);
+      }
+    };
+    Solver plain;
+    encode(plain, false);
+    Solver limited;
+    encode(limited, true);
+    const Result r = limited.solve();
+    ASSERT_EQ(r, plain.solve()) << "trial " << trial;
+    if (r != Result::Sat) {
+      ++unsat;
+      continue;
+    }
+    ++sat;
+    Solver check;
+    encode(check, false);
+    ASSERT_EQ(check.num_vars(), limited.num_vars());
+    for (Var v = 0; v < check.num_vars(); ++v) {
+      check.add_unit(limited.model_value(v) ? pos(v) : neg(v));
+    }
+    EXPECT_EQ(check.solve(), Result::Sat) << "trial " << trial;
+  }
+  EXPECT_GT(sat, 0u);
+  EXPECT_GT(unsat, 0u);
 }
 
 }  // namespace
