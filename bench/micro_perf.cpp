@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark): throughput of the substrates the
 // attack tables stand on — the CDCL solver, the bit-parallel simulator,
-// key verification, fact encoding, BBO key screening, locking transforms,
-// synthesis, and technology mapping.
+// key verification, fact encoding, BBO key screening, an attack cell's
+// set-up, synthesis, and technology mapping.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "analysis/lint.hpp"
 #include "attack/bbo.hpp"
+#include "attack/oracle.hpp"
 #include "attack/verify.hpp"
 #include "bench_common.hpp"
 #include "benchgen/catalog.hpp"
@@ -219,7 +221,7 @@ netlist::Netlist expand_xors(const netlist::Netlist& nl) {
   using netlist::GateType;
   netlist::Netlist out = nl.clone(nl.name());
   for (netlist::SignalId s = 0; s < nl.size(); ++s) {
-    const netlist::Node& n = nl.node(s);
+    const netlist::Node n = nl.node(s);
     const bool is_xor = n.type == GateType::Xor;
     if ((!is_xor && n.type != GateType::Xnor) || n.fanins.size() != 2) continue;
     const netlist::SignalId a = n.fanins[0];
@@ -360,18 +362,25 @@ WarmupCase rane_warmup_case() {
                      core::cute_lock_str(circuit.netlist, options), true, 8, 16);
 }
 
+/// bench_table_mega's syn64k k = 2 lock options for `circuit`.
+core::StrOptions mega_lock_options(const benchgen::CircuitSpec& spec,
+                                   const netlist::Netlist& circuit) {
+  core::StrOptions options;
+  options.num_keys = 2;
+  options.key_bits = 4;
+  options.locked_ffs = std::min<std::size_t>(4, circuit.dffs().size());
+  options.seed = 0x3e6a + spec.gates + options.num_keys;
+  return options;
+}
+
 WarmupCase mega_warmup_case() {
   const benchgen::CircuitSpec& spec = benchgen::find_spec("syn64k");
   const auto circuit = benchgen::make_circuit(spec);
-  const std::size_t k = 2;
-  core::StrOptions options;
-  options.num_keys = k;
-  options.key_bits = 4;
-  options.locked_ffs = std::min<std::size_t>(4, circuit.netlist.dffs().size());
-  options.seed = 0x3e6a + spec.gates + k;
-  return warmup_case(circuit.netlist,
-                     core::cute_lock_str(circuit.netlist, options), false, 2,
-                     12);
+  return warmup_case(
+      circuit.netlist,
+      core::cute_lock_str(circuit.netlist,
+                          mega_lock_options(spec, circuit.netlist)),
+      false, 2, 12);
 }
 
 void BM_EncodeFactConstraint(benchmark::State& state, WarmupCase (*make)()) {
@@ -597,18 +606,35 @@ void BM_CompiledSimSharded(benchmark::State& state) {
 // would overstate throughput.
 BENCHMARK(BM_CompiledSimSharded)->UseRealTime();
 
-void BM_CuteLockStr(benchmark::State& state) {
-  const auto circuit = benchgen::make_circuit("b12");
+// ---- Set-up axis ------------------------------------------------------------
+//
+// One cell set-up of perfbench's mega-encode workload: build syn64k, lock it
+// as bench_table_mega's k = 2 row does (ki = 4, 4 locked FFs, lock seed
+// 0x3e6a + gates + k), lint the attack inputs and compile the oracle.
+// netlist_nodes and fanin_refs count the locked netlist's signals and fanin
+// references; both are deterministic and the baseline diff pins them.
+
+void BM_CellSetup(benchmark::State& state, const char* circuit) {
+  const benchgen::CircuitSpec& spec = benchgen::find_spec(circuit);
+  std::size_t nodes = 0;
+  std::size_t fanin_refs = 0;
   for (auto _ : state) {
-    core::StrOptions options;
-    options.num_keys = 8;
-    options.key_bits = 8;
-    options.locked_ffs = 4;
-    options.seed = 5;
-    benchmark::DoNotOptimize(core::cute_lock_str(circuit.netlist, options));
+    const benchgen::SyntheticCircuit made = benchgen::make_circuit(spec);
+    const lock::LockResult lr = core::cute_lock_str(
+        made.netlist, mega_lock_options(spec, made.netlist));
+    if (!analysis::lint_attack_inputs(lr.locked, made.netlist).ok()) {
+      state.SkipWithError("lint rejected the locked cell");
+      break;
+    }
+    const attack::SequentialOracle oracle(made.netlist);
+    benchmark::DoNotOptimize(&oracle);
+    nodes = lr.locked.size();
+    fanin_refs = lr.locked.fanin_refs();
   }
+  state.counters["netlist_nodes"] = static_cast<double>(nodes);
+  state.counters["fanin_refs"] = static_cast<double>(fanin_refs);
 }
-BENCHMARK(BM_CuteLockStr);
+BENCHMARK_CAPTURE(BM_CellSetup, mega, "syn64k");
 
 void BM_CuteLockBehSynth(benchmark::State& state) {
   const fsm::Stg stg = benchgen::make_fsm(benchgen::find_fsm_spec("cpu"));

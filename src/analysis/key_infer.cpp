@@ -17,17 +17,25 @@ using netlist::SignalId;
 
 namespace {
 
+/// The one node reading `s` (through any number of its pins), or
+/// k_no_signal when `s` has no reader or several. Fanout lists ascend, so
+/// one reader means equal ends.
+SignalId sole_reader(const netlist::Fanouts& fanout, SignalId s) {
+  const std::span<const SignalId> readers = fanout[s];
+  return !readers.empty() && readers.front() == readers.back()
+             ? readers.front()
+             : netlist::k_no_signal;
+}
+
 /// Reader-shape classification. Only the two shapes with a provable
 /// synthesis differential get a decidable role; everything else — multiple
 /// readers (Cute-Lock-Str's per-slot comparators), key-vs-key comparators,
 /// dead bits — is Complex and will stay Unknown.
 KeyRole classify(const Netlist& nl, SignalId key,
-                 const std::vector<std::vector<SignalId>>& fanout) {
-  std::vector<SignalId> readers = fanout[key];
-  std::sort(readers.begin(), readers.end());
-  readers.erase(std::unique(readers.begin(), readers.end()), readers.end());
-  if (readers.size() != 1) return KeyRole::Complex;
-  const netlist::Node& n = nl.node(readers[0]);
+                 const netlist::Fanouts& fanout) {
+  const SignalId reader = sole_reader(fanout, key);
+  if (reader == netlist::k_no_signal) return KeyRole::Complex;
+  const netlist::Node n = nl.node(reader);
   if ((n.type == GateType::Xor || n.type == GateType::Xnor) &&
       n.fanins.size() == 2) {
     if (std::count(n.fanins.begin(), n.fanins.end(), key) != 1) {
@@ -52,18 +60,15 @@ KeyRole classify(const Netlist& nl, SignalId key,
 /// against the correct side's one. Detect that shape so the vote direction
 /// can be flipped instead of trusting the raw differential.
 bool xor_vote_flipped(const Netlist& nl, SignalId key,
-                      const std::vector<std::vector<SignalId>>& fanout) {
+                      const netlist::Fanouts& fanout) {
   const SignalId reader = fanout[key].front();
-  const netlist::Node& gate = nl.node(reader);
+  const netlist::Node gate = nl.node(reader);
   const SignalId other = gate.fanins[0] == key ? gate.fanins[1]
                                                : gate.fanins[0];
   if (nl.type(other) != GateType::Not) return false;
   const auto& outs = nl.outputs();
   if (std::find(outs.begin(), outs.end(), other) != outs.end()) return false;
-  std::vector<SignalId> readers = fanout[other];
-  std::sort(readers.begin(), readers.end());
-  readers.erase(std::unique(readers.begin(), readers.end()), readers.end());
-  return readers.size() == 1 && readers[0] == reader;
+  return sole_reader(fanout, other) == reader;
 }
 
 /// The SCOPE vote: optimize both pinned variants and compare how degenerate

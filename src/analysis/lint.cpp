@@ -58,7 +58,8 @@ LintReport lint(const Netlist& nl) {
   }
   if (floating) return rep;
 
-  const auto fanout = netlist::fanouts(nl);
+  const netlist::Fanouts fanout = netlist::fanouts(nl);
+  const std::span<const GateType> types = nl.types();
   try {
     (void)netlist::levelize(nl, fanout);
   } catch (const std::exception& e) {
@@ -94,7 +95,7 @@ LintReport lint(const Netlist& nl) {
       stack.pop_back();
       if (live[s]) continue;
       live[s] = true;
-      for (SignalId f : nl.node(s).fanins) {
+      for (SignalId f : nl.fanins(s)) {
         if (!live[f]) stack.push_back(f);
       }
     }
@@ -123,7 +124,7 @@ LintReport lint(const Netlist& nl) {
           break;
         }
         cone.push_back(s);
-        if (nl.type(s) == GateType::Dff) has_dff = true;
+        if (types[s] == GateType::Dff) has_dff = true;
         for (SignalId reader : fanout[s]) {
           if (walked_by[reader] != stamp) {
             walked_by[reader] = stamp;
@@ -141,7 +142,7 @@ LintReport lint(const Netlist& nl) {
     }
     std::size_t dead = 0;
     for (SignalId s = 0; s < nl.size(); ++s) {
-      const GateType t = nl.type(s);
+      const GateType t = types[s];
       if ((netlist::is_comb_gate(t) || t == GateType::Dff) && !live[s] &&
           !decoy_cone[s]) {
         ++dead;
@@ -172,15 +173,16 @@ LintReport lint(const Netlist& nl) {
     };
     std::vector<Key> distinct;
     std::vector<SignalId> pool;
+    pool.reserve(nl.fanin_refs());
     std::size_t bits = 1;
     while ((std::size_t{1} << bits) < 2 * nl.size()) ++bits;
     std::vector<std::uint32_t> table(std::size_t{1} << bits, 0);  // 1 + index
     const std::size_t mask = table.size() - 1;
     std::size_t duplicates = 0;
     for (SignalId s = 0; s < nl.size(); ++s) {
-      const GateType t = nl.type(s);
+      const GateType t = types[s];
       if (!netlist::is_comb_gate(t) || t == GateType::Buf) continue;
-      const std::vector<SignalId>& fanins = nl.node(s).fanins;
+      const std::span<const SignalId> fanins = nl.fanins(s);
       const auto offset = static_cast<std::uint32_t>(pool.size());
       pool.insert(pool.end(), fanins.begin(), fanins.end());
       const auto first = pool.begin() + offset;

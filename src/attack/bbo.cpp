@@ -77,11 +77,21 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
   const sim::CompiledNetlist compiled(locked);
 
   // A survivor whose proof runs out of budget may be the key: it is counted,
-  // never taken as refuted, and turns a final CNS or FAIL into N/A.
+  // never taken as refuted, and turns a final CNS or FAIL into N/A. A
+  // survivor verification refutes passed the screen all the same, so the
+  // detail counts it too.
   std::uint64_t unproven = 0;
-  const auto unproven_note = [&] {
-    return unproven == 0 ? std::string()
-                         : "; unproven survivors: " + std::to_string(unproven);
+  std::uint64_t refuted = 0;
+  const auto survivor_notes = [&] {
+    std::string note;
+    if (refuted > 0) {
+      note += "; " + std::to_string(refuted) + " screened survivor" +
+              (refuted == 1 ? "" : "s") + " refuted by verification";
+    }
+    if (unproven > 0) {
+      note += "; unproven survivors: " + std::to_string(unproven);
+    }
+    return note;
   };
 
   // Each round draws up to `jobs` passes of 8 batches of 64 keys, serially
@@ -101,7 +111,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
       result.outcome = Outcome::Timeout;
       result.seconds = timer.seconds();
       result.detail = "screened " + std::to_string(tried) + " keys" +
-                      unproven_note();
+                      survivor_notes();
       return result;
     }
     keys.clear();
@@ -166,7 +176,11 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
           result.seconds = timer.seconds();
           return result;
         }
-        if (v.verdict == Verdict::Unknown) ++unproven;
+        if (v.verdict == Verdict::Unknown) {
+          ++unproven;
+        } else {
+          ++refuted;
+        }
       }
     }
   }
@@ -176,14 +190,17 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
     // With no survivor left unproven, every static key failed the oracle
     // screen or verification: proved unsatisfiable.
     result.outcome = unproven > 0 ? Outcome::Timeout : Outcome::Cns;
-    result.detail =
-        "exhausted 2^" + std::to_string(ki) + " static keys; " +
-        (unproven > 0 ? "none verified" : "none matches the oracle") +
-        unproven_note();
+    result.detail = "exhausted 2^" + std::to_string(ki) + " static keys";
+    if (unproven > 0) {
+      result.detail += "; none verified";
+    } else if (refuted == 0) {
+      result.detail += "; none matches the oracle";
+    }
+    result.detail += survivor_notes();
   } else {
     result.outcome = unproven > 0 ? Outcome::Timeout : Outcome::Fail;
     result.detail = "random search exhausted (" + std::to_string(tried) +
-                    " keys screened)" + unproven_note();
+                    " keys screened)" + survivor_notes();
   }
   return result;
 }

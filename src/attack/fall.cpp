@@ -32,7 +32,7 @@ std::optional<InputPattern> flatten_comparator(
   while (!stack.empty()) {
     const SignalId s = stack.back();
     stack.pop_back();
-    const netlist::Node& n = nl.node(s);
+    const netlist::Node n = nl.node(s);
     switch (n.type) {
       case GateType::And:
         for (SignalId f : n.fanins) stack.push_back(f);

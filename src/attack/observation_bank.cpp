@@ -173,7 +173,7 @@ std::uint64_t lock_instance_key(const netlist::Netlist& nl) {
   std::uint64_t h = util::k_fnv_offset;
   util::fnv1a_mix(h, nl.size());
   for (netlist::SignalId s = 0; s < nl.size(); ++s) {
-    const netlist::Node& node = nl.node(s);
+    const netlist::Node node = nl.node(s);
     util::fnv1a_mix(h, static_cast<std::uint64_t>(node.type));
     util::fnv1a_mix(h, static_cast<std::uint64_t>(node.init));
     util::fnv1a_mix_bytes(h, node.name.data(), node.name.size());

@@ -148,12 +148,13 @@ lock::LockResult cute_lock_str(const Netlist& nl, const StrOptions& options) {
   // Repurposed hardware that happens to compute the same function would
   // make a wrong key silently correct — the selection below only accepts
   // cones with a real behavioural difference.
+  const std::size_t profile_cycles = 96;
   std::vector<std::vector<std::uint64_t>> d_traces(
       original_d.size());  // [ff][cycle] 64-lane words
+  for (auto& trace : d_traces) trace.reserve(profile_cycles);
   {
     sim::WideSim profiler(nl);
     util::Rng sim_rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
-    const std::size_t profile_cycles = 96;
     for (std::size_t c = 0; c < profile_cycles; ++c) {
       for (SignalId i : nl.inputs()) {
         profiler.set_word(i, 0, sim_rng.next_u64());
@@ -203,7 +204,7 @@ lock::LockResult cute_lock_str(const Netlist& nl, const StrOptions& options) {
         if (seen[id]) continue;
         seen[id] = true;
         if (netlist::is_comb_gate(out.type(id))) {
-          for (SignalId f : out.node(id).fanins) {
+          for (SignalId f : out.fanins(id)) {
             if (!seen[f]) stack.push_back(f);
           }
         } else if (ff_index[id] != SIZE_MAX) {

@@ -169,7 +169,7 @@ Netlist read_bench(std::istream& in, const std::string& name) {
       if (fanins.size() == 1 && (t == GateType::Nand || t == GateType::Nor)) {
         t = GateType::Not;
       }
-      id = nl.add_gate(t, std::move(fanins), g.output);
+      id = nl.add_gate(t, fanins, g.output);
     }
     state[gi] = 2;
     return id;
@@ -237,7 +237,7 @@ void write_bench(std::ostream& out, const Netlist& nl) {
     out << "\n";
   }
   for (SignalId s = 0; s < nl.size(); ++s) {
-    const Node& n = nl.node(s);
+    const Node n = nl.node(s);
     if (!is_comb_gate(n.type) && n.type != GateType::Const0 &&
         n.type != GateType::Const1) {
       continue;

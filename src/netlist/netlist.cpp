@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/strings.hpp"
 
@@ -72,103 +73,165 @@ void check_arity(GateType t, std::size_t n) {
   }
 }
 
+/// The 32 bits of a name's hash that by_name_ stores and probes from.
+std::uint32_t name_hash(std::string_view name) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name) >> 32);
+}
+
 }  // namespace
 
-SignalId Netlist::add_node(Node n) {
-  if (n.name.empty()) {
-    n.name = fresh_name("n");
-  }
-  if (by_name_.count(n.name) != 0) {
-    throw std::invalid_argument("duplicate signal name: " + n.name);
-  }
-  check_arity(n.type, n.fanins.size());
-  const SignalId id = static_cast<SignalId>(nodes_.size());
-  for (SignalId f : n.fanins) {
-    // A DFF may reference itself (self-loop through the register is legal
-    // and is how floating DFFs are created).
-    if (f >= nodes_.size() && !(n.type == GateType::Dff && f == id)) {
-      throw std::invalid_argument("fanin id out of range for " + n.name);
+std::size_t Netlist::probe(std::string_view name, std::uint32_t hash) const {
+  const std::size_t mask = by_name_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint64_t slot = by_name_[i];
+    if (slot == 0) return i;
+    if (static_cast<std::uint32_t>(slot >> 32) == hash &&
+        names_[static_cast<std::uint32_t>(slot) - 1] == name) {
+      return i;
     }
   }
-  by_name_.emplace(n.name, id);
-  nodes_.push_back(std::move(n));
+}
+
+void Netlist::grow_index() {
+  std::vector<std::uint64_t> old(
+      std::max<std::size_t>(16, 2 * by_name_.size()), 0);
+  old.swap(by_name_);
+  const std::size_t mask = by_name_.size() - 1;
+  for (const std::uint64_t slot : old) {
+    if (slot == 0) continue;
+    std::size_t i = static_cast<std::uint32_t>(slot >> 32) & mask;
+    while (by_name_[i] != 0) i = (i + 1) & mask;
+    by_name_[i] = slot;
+  }
+}
+
+SignalId Netlist::add_node(GateType type, std::span<const SignalId> fanins,
+                           std::string name, DffInit init) {
+  if (name.empty()) {
+    name = fresh_name("n");
+  }
+  if (2 * (size() + 1) > by_name_.size()) grow_index();
+  const std::uint32_t hash = name_hash(name);
+  const std::size_t slot = probe(name, hash);
+  if (by_name_[slot] != 0) {
+    throw std::invalid_argument("duplicate signal name: " + name);
+  }
+  check_arity(type, fanins.size());
+  const SignalId id = static_cast<SignalId>(size());
+  for (SignalId f : fanins) {
+    // A DFF may reference itself (self-loop through the register is legal
+    // and is how floating DFFs are created).
+    if (f >= id && !(type == GateType::Dff && f == id)) {
+      throw std::invalid_argument("fanin id out of range for " + name);
+    }
+  }
+  // `fanins` may view this netlist's own pool, which growing the pool
+  // moves: such a view is copied by offset, after the growth.
+  const std::size_t begin = fanin_pool_.size();
+  const std::less<const SignalId*> before;
+  if (!before(fanins.data(), fanin_pool_.data()) &&
+      before(fanins.data(), fanin_pool_.data() + begin)) {
+    const std::ptrdiff_t from = fanins.data() - fanin_pool_.data();
+    fanin_pool_.resize(begin + fanins.size());
+    std::copy_n(fanin_pool_.data() + from, fanins.size(),
+                fanin_pool_.data() + begin);
+  } else {
+    fanin_pool_.insert(fanin_pool_.end(), fanins.begin(), fanins.end());
+  }
+  if (fanin_begin_.empty()) fanin_begin_.push_back(0);  // moved-from
+  fanin_begin_.push_back(static_cast<std::uint32_t>(fanin_pool_.size()));
+  types_.push_back(type);
+  inits_.push_back(init);
+  names_.push_back(std::move(name));
+  by_name_[slot] = (std::uint64_t{hash} << 32) | (std::uint64_t{id} + 1);
   return id;
 }
 
-SignalId Netlist::add_input(const std::string& name) {
-  const SignalId id = add_node({name, GateType::Input, {}, DffInit::Zero});
+std::span<SignalId> Netlist::fanins_mut(SignalId s) {
+  const std::uint32_t end = fanin_begin_.at(std::size_t{s} + 1);
+  return {fanin_pool_.data() + fanin_begin_[s], fanin_pool_.data() + end};
+}
+
+SignalId Netlist::add_input(std::string name) {
+  const SignalId id =
+      add_node(GateType::Input, {}, std::move(name), DffInit::Zero);
   inputs_.push_back(id);
   return id;
 }
 
-SignalId Netlist::add_key_input(const std::string& name) {
-  const SignalId id = add_node({name, GateType::KeyInput, {}, DffInit::Zero});
+SignalId Netlist::add_key_input(std::string name) {
+  const SignalId id =
+      add_node(GateType::KeyInput, {}, std::move(name), DffInit::Zero);
   key_inputs_.push_back(id);
   return id;
 }
 
-SignalId Netlist::add_const(bool value, const std::string& name) {
-  return add_node({name, value ? GateType::Const1 : GateType::Const0, {},
-                   DffInit::Zero});
+SignalId Netlist::add_const(bool value, std::string name) {
+  return add_node(value ? GateType::Const1 : GateType::Const0, {},
+                  std::move(name), DffInit::Zero);
 }
 
-SignalId Netlist::add_gate(GateType type, std::vector<SignalId> fanins,
-                           const std::string& name) {
+SignalId Netlist::add_gate(GateType type, std::span<const SignalId> fanins,
+                           std::string name) {
   if (!is_comb_gate(type)) {
     throw std::invalid_argument("add_gate: not a combinational gate type");
   }
-  return add_node({name, type, std::move(fanins), DffInit::Zero});
+  return add_node(type, fanins, std::move(name), DffInit::Zero);
 }
 
-SignalId Netlist::add_dff(SignalId d, DffInit init, const std::string& name) {
+SignalId Netlist::add_dff(SignalId d, DffInit init, std::string name) {
   if (d == k_no_signal) {
-    d = static_cast<SignalId>(nodes_.size());  // self-loop: D = own Q
+    d = static_cast<SignalId>(size());  // self-loop: D = own Q
   }
-  const SignalId id = add_node({name, GateType::Dff, {d}, init});
+  const SignalId id = add_node(GateType::Dff, std::span<const SignalId>(&d, 1),
+                               std::move(name), init);
   dffs_.push_back(id);
   return id;
 }
 
 void Netlist::add_output(SignalId s) {
-  if (s >= nodes_.size()) throw std::invalid_argument("add_output: bad id");
+  if (s >= size()) throw std::invalid_argument("add_output: bad id");
   outputs_.push_back(s);
 }
 
-SignalId Netlist::add_not(SignalId a, const std::string& name) {
-  return add_gate(GateType::Not, {a}, name);
+SignalId Netlist::add_not(SignalId a, std::string name) {
+  return add_gate(GateType::Not, {a}, std::move(name));
 }
-SignalId Netlist::add_and(SignalId a, SignalId b, const std::string& name) {
-  return add_gate(GateType::And, {a, b}, name);
+SignalId Netlist::add_and(SignalId a, SignalId b, std::string name) {
+  return add_gate(GateType::And, {a, b}, std::move(name));
 }
-SignalId Netlist::add_or(SignalId a, SignalId b, const std::string& name) {
-  return add_gate(GateType::Or, {a, b}, name);
+SignalId Netlist::add_or(SignalId a, SignalId b, std::string name) {
+  return add_gate(GateType::Or, {a, b}, std::move(name));
 }
-SignalId Netlist::add_xor(SignalId a, SignalId b, const std::string& name) {
-  return add_gate(GateType::Xor, {a, b}, name);
+SignalId Netlist::add_xor(SignalId a, SignalId b, std::string name) {
+  return add_gate(GateType::Xor, {a, b}, std::move(name));
 }
-SignalId Netlist::add_xnor(SignalId a, SignalId b, const std::string& name) {
-  return add_gate(GateType::Xnor, {a, b}, name);
+SignalId Netlist::add_xnor(SignalId a, SignalId b, std::string name) {
+  return add_gate(GateType::Xnor, {a, b}, std::move(name));
 }
 SignalId Netlist::add_mux(SignalId sel, SignalId a, SignalId b,
-                          const std::string& name) {
-  return add_gate(GateType::Mux, {sel, a, b}, name);
+                          std::string name) {
+  return add_gate(GateType::Mux, {sel, a, b}, std::move(name));
 }
 
-SignalId Netlist::find(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? k_no_signal : it->second;
+SignalId Netlist::find(std::string_view name) const {
+  if (by_name_.empty()) return k_no_signal;
+  const std::uint64_t slot = by_name_[probe(name, name_hash(name))];
+  return slot == 0 ? k_no_signal : static_cast<SignalId>(slot) - 1;
 }
 
 SignalId Netlist::dff_input(SignalId dff) const {
-  const Node& n = nodes_.at(dff);
-  if (n.type != GateType::Dff) throw std::invalid_argument("dff_input: not a DFF");
-  return n.fanins[0];
+  if (type(dff) != GateType::Dff) {
+    throw std::invalid_argument("dff_input: not a DFF");
+  }
+  return fanin_pool_[fanin_begin_[dff]];
 }
 
 void Netlist::set_dff_init(SignalId dff, DffInit init) {
-  Node& n = nodes_.at(dff);
-  if (n.type != GateType::Dff) throw std::invalid_argument("set_dff_init: not a DFF");
-  n.init = init;
+  if (type(dff) != GateType::Dff) {
+    throw std::invalid_argument("set_dff_init: not a DFF");
+  }
+  inits_[dff] = init;
 }
 
 NetlistStats Netlist::stats() const {
@@ -177,8 +240,8 @@ NetlistStats Netlist::stats() const {
   s.key_inputs = key_inputs_.size();
   s.outputs = outputs_.size();
   s.dffs = dffs_.size();
-  for (const Node& n : nodes_) {
-    if (is_comb_gate(n.type)) ++s.gates;
+  for (const GateType t : types_) {
+    if (is_comb_gate(t)) ++s.gates;
   }
   return s;
 }
@@ -190,17 +253,16 @@ std::vector<SignalId> Netlist::all_inputs() const {
 }
 
 void Netlist::replace_fanin(SignalId gate, SignalId from, SignalId to) {
-  Node& n = nodes_.at(gate);
   bool found = false;
-  for (SignalId& f : n.fanins) {
+  for (SignalId& f : fanins_mut(gate)) {
     if (f == from) {
       f = to;
       found = true;
     }
   }
   if (!found) {
-    throw std::invalid_argument("replace_fanin: " + nodes_.at(from).name +
-                                " is not a fanin of " + n.name);
+    throw std::invalid_argument("replace_fanin: " + names_.at(from) +
+                                " is not a fanin of " + names_[gate]);
   }
 }
 
@@ -209,9 +271,9 @@ void Netlist::replace_all_readers(SignalId old_sig, SignalId new_sig,
   const auto excluded = [&](SignalId id) {
     return std::find(except.begin(), except.end(), id) != except.end();
   };
-  for (SignalId id = 0; id < nodes_.size(); ++id) {
+  for (SignalId id = 0; id < size(); ++id) {
     if (excluded(id)) continue;
-    for (SignalId& f : nodes_[id].fanins) {
+    for (SignalId& f : fanins_mut(id)) {
       if (f == old_sig) f = new_sig;
     }
   }
@@ -221,49 +283,50 @@ void Netlist::replace_all_readers(SignalId old_sig, SignalId new_sig,
 }
 
 void Netlist::set_dff_input(SignalId dff, SignalId d) {
-  Node& n = nodes_.at(dff);
-  if (n.type != GateType::Dff) throw std::invalid_argument("set_dff_input: not a DFF");
-  n.fanins[0] = d;
+  if (type(dff) != GateType::Dff) {
+    throw std::invalid_argument("set_dff_input: not a DFF");
+  }
+  fanin_pool_[fanin_begin_[dff]] = d;
 }
 
 std::string Netlist::fresh_name(const std::string& prefix) {
   for (;;) {
     std::string candidate = prefix + std::to_string(fresh_counter_++);
-    if (by_name_.count(candidate) == 0) return candidate;
+    if (find(candidate) == k_no_signal) return candidate;
   }
 }
 
 void Netlist::check() const {
-  for (SignalId id = 0; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
-    check_arity(n.type, n.fanins.size());
-    for (SignalId f : n.fanins) {
-      if (f >= nodes_.size()) {
-        throw std::logic_error("dangling fanin in " + n.name);
+  const SignalId n = static_cast<SignalId>(size());
+  for (SignalId id = 0; id < n; ++id) {
+    const std::span<const SignalId> fi = fanins(id);
+    check_arity(types_[id], fi.size());
+    for (SignalId f : fi) {
+      if (f >= n) {
+        throw std::logic_error("dangling fanin in " + names_[id]);
       }
     }
-    const auto it = by_name_.find(n.name);
-    if (it == by_name_.end() || it->second != id) {
-      throw std::logic_error("name table inconsistent for " + n.name);
+    if (find(names_[id]) != id) {
+      throw std::logic_error("name table inconsistent for " + names_[id]);
     }
   }
   // Combinational acyclicity: DFS over comb gates; DFF outputs are sources.
   enum class Mark : std::uint8_t { White, Grey, Black };
-  std::vector<Mark> mark(nodes_.size(), Mark::White);
+  std::vector<Mark> mark(n, Mark::White);
   std::vector<SignalId> stack;
-  for (SignalId root = 0; root < nodes_.size(); ++root) {
+  for (SignalId root = 0; root < n; ++root) {
     if (mark[root] != Mark::White) continue;
     stack.push_back(root);
     while (!stack.empty()) {
       const SignalId id = stack.back();
       if (mark[id] == Mark::White) {
         mark[id] = Mark::Grey;
-        if (is_comb_gate(nodes_[id].type)) {
-          for (SignalId f : nodes_[id].fanins) {
-            if (!is_comb_gate(nodes_[f].type)) continue;
+        if (is_comb_gate(types_[id])) {
+          for (SignalId f : fanins(id)) {
+            if (!is_comb_gate(types_[f])) continue;
             if (mark[f] == Mark::Grey) {
               throw std::logic_error("combinational cycle through " +
-                                     nodes_[f].name);
+                                     names_[f]);
             }
             if (mark[f] == Mark::White) stack.push_back(f);
           }

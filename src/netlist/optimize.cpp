@@ -34,7 +34,7 @@ Netlist sweep(const Netlist& nl, bool& changed, std::size_t& consts_propagated) 
   std::map<SignalId, SignalId> not_of;  // dst signal -> dst NOT(signal)
 
   for (SignalId id = 0; id < nl.size(); ++id) {
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
     // Merging a constant into the shared one is no change: merging two
@@ -64,13 +64,15 @@ Netlist sweep(const Netlist& nl, bool& changed, std::size_t& consts_propagated) 
     return inv;
   };
 
+  std::vector<SignalId> ins;
+  std::vector<CVal> vals;
   for (SignalId id : topo_order(nl)) {
     if (!is_comb_gate(nl.type(id))) continue;
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
 
     // Gather fanins with constants resolved.
-    std::vector<SignalId> ins;
-    std::vector<CVal> vals;
+    ins.clear();
+    vals.clear();
     for (SignalId f : n.fanins) {
       ins.push_back(remap[f]);
       vals.push_back(cval[f]);

@@ -7,48 +7,44 @@ namespace cl::netlist {
 
 Levelization levelize(const Netlist& nl) { return levelize(nl, fanouts(nl)); }
 
-Levelization levelize(const Netlist& nl,
-                      const std::vector<std::vector<SignalId>>& fo) {
+Levelization levelize(const Netlist& nl, const Fanouts& fo) {
   const std::size_t n = nl.size();
+  const std::span<const GateType> types = nl.types();
   Levelization out;
   out.level.assign(n, 0);
   // Kahn's algorithm over combinational edges only; levels fall out of the
   // retirement order (a gate is 1 + max fanin level).
   std::vector<std::uint32_t> pending(n, 0);
+  std::vector<SignalId> ready;
   std::size_t num_gates = 0;
   for (SignalId id = 0; id < n; ++id) {
-    if (!is_comb_gate(nl.type(id))) continue;
+    if (!is_comb_gate(types[id])) continue;
     ++num_gates;
     std::uint32_t deg = 0;
-    for (SignalId f : nl.node(id).fanins) {
-      if (is_comb_gate(nl.type(f))) ++deg;
+    for (SignalId f : nl.fanins(id)) {
+      if (is_comb_gate(types[f])) ++deg;
     }
     pending[id] = deg;
-  }
-  std::vector<SignalId> ready;
-  for (SignalId id = 0; id < n; ++id) {
-    if (is_comb_gate(nl.type(id)) && pending[id] == 0) ready.push_back(id);
+    if (deg == 0) ready.push_back(id);
   }
   // Gates whose fanins are all sources/DFFs are immediately ready; release
   // the rest as their combinational fanins retire.
   std::size_t head = 0;
-  std::size_t retired = 0;
   int max_level = 0;
   while (head < ready.size()) {
     const SignalId id = ready[head++];
-    ++retired;
     int best = 0;
-    for (SignalId f : nl.node(id).fanins) {
+    for (SignalId f : nl.fanins(id)) {
       best = std::max(best, out.level[f]);
     }
     out.level[id] = best + 1;
     max_level = std::max(max_level, best + 1);
     for (SignalId reader : fo[id]) {
-      if (!is_comb_gate(nl.type(reader))) continue;
+      if (!is_comb_gate(types[reader])) continue;
       if (--pending[reader] == 0) ready.push_back(reader);
     }
   }
-  if (retired != num_gates) {
+  if (ready.size() != num_gates) {
     throw std::logic_error("levelize: combinational cycle detected");
   }
   // Counting sort into level groups: sources (level 0) first, then gates by
@@ -57,11 +53,7 @@ Levelization levelize(const Netlist& nl,
   const std::size_t num_levels = static_cast<std::size_t>(max_level) + 1;
   std::vector<std::size_t> count(num_levels, 0);
   for (SignalId id = 0; id < n; ++id) {
-    if (is_comb_gate(nl.type(id))) {
-      ++count[static_cast<std::size_t>(out.level[id])];
-    } else {
-      ++count[0];
-    }
+    ++count[static_cast<std::size_t>(out.level[id])];
   }
   out.level_begin.assign(num_levels + 1, 0);
   for (std::size_t l = 0; l < num_levels; ++l) {
@@ -71,9 +63,7 @@ Levelization levelize(const Netlist& nl,
   std::vector<std::size_t> cursor(out.level_begin.begin(),
                                   out.level_begin.end() - 1);
   for (SignalId id = 0; id < n; ++id) {
-    const std::size_t l =
-        is_comb_gate(nl.type(id)) ? static_cast<std::size_t>(out.level[id]) : 0;
-    out.order[cursor[l]++] = id;
+    out.order[cursor[static_cast<std::size_t>(out.level[id])]++] = id;
   }
   return out;
 }
@@ -82,10 +72,19 @@ std::vector<SignalId> topo_order(const Netlist& nl) {
   return levelize(nl).order;
 }
 
-std::vector<std::vector<SignalId>> fanouts(const Netlist& nl) {
-  std::vector<std::vector<SignalId>> fo(nl.size());
-  for (SignalId id = 0; id < nl.size(); ++id) {
-    for (SignalId f : nl.node(id).fanins) fo[f].push_back(id);
+Fanouts fanouts(const Netlist& nl) {
+  const std::size_t n = nl.size();
+  Fanouts fo;
+  fo.offsets.assign(n + 1, 0);
+  for (SignalId id = 0; id < n; ++id) {
+    for (SignalId f : nl.fanins(id)) ++fo.offsets[f + 1];
+  }
+  for (std::size_t s = 0; s < n; ++s) fo.offsets[s + 1] += fo.offsets[s];
+  // Readers are placed in ascending id order, so each list ascends.
+  fo.readers.resize(nl.fanin_refs());
+  std::vector<std::uint32_t> cursor(fo.offsets.begin(), fo.offsets.end() - 1);
+  for (SignalId id = 0; id < n; ++id) {
+    for (SignalId f : nl.fanins(id)) fo.readers[cursor[f]++] = id;
   }
   return fo;
 }
@@ -100,7 +99,7 @@ std::vector<bool> comb_fanin_cone(const Netlist& nl,
     if (in_cone[id]) continue;
     in_cone[id] = true;
     if (is_comb_gate(nl.type(id))) {
-      for (SignalId f : nl.node(id).fanins) {
+      for (SignalId f : nl.fanins(id)) {
         if (!in_cone[f]) stack.push_back(f);
       }
     }

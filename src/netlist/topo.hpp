@@ -2,11 +2,27 @@
 // the combinational core, fanout lists, and transitive fanin cones.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace cl::netlist {
+
+/// Fanout adjacency in CSR form: for each signal, the nodes reading it (gate
+/// fanins and DFF D-pins), in ascending reader id with one entry per fanin
+/// occurrence (a gate reading s twice is listed twice). Primary-output
+/// designations are not included. `fo[s]` views the readers of s.
+struct Fanouts {
+  // The readers of s are readers[offsets[s] .. offsets[s + 1]).
+  std::vector<std::uint32_t> offsets;  // one per signal, plus one
+  std::vector<SignalId> readers;
+
+  std::span<const SignalId> operator[](SignalId s) const {
+    return {readers.data() + offsets[s], readers.data() + offsets[s + 1]};
+  }
+};
 
 /// Level-sorted topological view of the combinational core — the single
 /// levelization point every evaluator (compiled simulator, CNF encoder,
@@ -25,17 +41,15 @@ struct Levelization {
 Levelization levelize(const Netlist& nl);
 /// Same, over the netlist's fanouts(nl), for callers that already built
 /// them.
-Levelization levelize(const Netlist& nl,
-                      const std::vector<std::vector<SignalId>>& fanouts);
+Levelization levelize(const Netlist& nl, const Fanouts& fanouts);
 
 /// Topological order of all nodes such that every combinational gate appears
 /// after its fanins. Sources and DFFs (whose Q is a sequential source) come
 /// first. Throws on combinational cycles. (Convenience view of levelize().)
 std::vector<SignalId> topo_order(const Netlist& nl);
 
-/// Fanout adjacency: for each signal, the list of nodes reading it (gate
-/// fanins and DFF D-pins). Primary-output designations are not included.
-std::vector<std::vector<SignalId>> fanouts(const Netlist& nl);
+/// The netlist's fanout table (see Fanouts).
+Fanouts fanouts(const Netlist& nl);
 
 /// Transitive fanin cone of `roots`, stopping at (and including) sources and
 /// DFF outputs. Returned as a membership flag vector indexed by SignalId.

@@ -21,7 +21,7 @@ Netlist remove_dangling(const Netlist& nl) {
     stack.pop_back();
     if (live[id]) continue;
     live[id] = true;
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     for (SignalId f : n.fanins) {
       if (!live[f]) stack.push_back(f);
     }
@@ -36,7 +36,7 @@ Netlist remove_dangling(const Netlist& nl) {
   // Pass 1: sources and live DFFs (Q pins are sequential sources).
   for (SignalId id = 0; id < nl.size(); ++id) {
     if (!live[id]) continue;
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
     else if (n.type == GateType::Const0 || n.type == GateType::Const1)
@@ -48,13 +48,13 @@ Netlist remove_dangling(const Netlist& nl) {
     live_dffs.push_back(id);
   }
   // Pass 2: combinational gates in topological order.
+  std::vector<SignalId> fanins;
   for (SignalId id : topo_order(nl)) {
     if (!live[id] || !is_comb_gate(nl.type(id))) continue;
-    const Node& n = nl.node(id);
-    std::vector<SignalId> fanins;
-    fanins.reserve(n.fanins.size());
+    const Node n = nl.node(id);
+    fanins.clear();
     for (SignalId f : n.fanins) fanins.push_back(remap[f]);
-    remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+    remap[id] = dst.add_gate(n.type, fanins, n.name);
   }
   // Pass 3: wire D-pins and outputs.
   for (SignalId id : live_dffs) {
@@ -70,7 +70,7 @@ Netlist decompose_muxes(const Netlist& nl) {
   std::vector<SignalId> remap(nl.size(), k_no_signal);
   std::vector<SignalId> dffs_src;
   for (SignalId id = 0; id < nl.size(); ++id) {
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
     else if (n.type == GateType::Const0 || n.type == GateType::Const1)
@@ -80,9 +80,10 @@ Netlist decompose_muxes(const Netlist& nl) {
     remap[id] = dst.add_dff(k_no_signal, nl.dff_init(id), nl.signal_name(id));
     dffs_src.push_back(id);
   }
+  std::vector<SignalId> fanins;
   for (SignalId id : topo_order(nl)) {
     if (!is_comb_gate(nl.type(id))) continue;
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     if (n.type == GateType::Mux) {
       const SignalId sel = remap[n.fanins[0]];
       const SignalId a = remap[n.fanins[1]];
@@ -92,10 +93,9 @@ Netlist decompose_muxes(const Netlist& nl) {
       const SignalId tb = dst.add_and(sel, b, dst.fresh_name(n.name + "_b"));
       remap[id] = dst.add_or(ta, tb, n.name);
     } else {
-      std::vector<SignalId> fanins;
-      fanins.reserve(n.fanins.size());
+      fanins.clear();
       for (SignalId f : n.fanins) fanins.push_back(remap[f]);
-      remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+      remap[id] = dst.add_gate(n.type, fanins, n.name);
     }
   }
   for (SignalId id : dffs_src) dst.set_dff_input(remap[id], remap[nl.dff_input(id)]);
@@ -108,7 +108,7 @@ Netlist strash(const Netlist& nl) {
   std::vector<SignalId> remap(nl.size(), k_no_signal);
   std::vector<SignalId> dffs_src;
   for (SignalId id = 0; id < nl.size(); ++id) {
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
     else if (n.type == GateType::Const0 || n.type == GateType::Const1)
@@ -124,11 +124,11 @@ Netlist strash(const Netlist& nl) {
            t == GateType::Nor || t == GateType::Xor || t == GateType::Xnor;
   };
   std::map<std::pair<GateType, std::vector<SignalId>>, SignalId> seen;
+  std::vector<SignalId> fanins;
   for (SignalId id : topo_order(nl)) {
     if (!is_comb_gate(nl.type(id))) continue;
-    const Node& n = nl.node(id);
-    std::vector<SignalId> fanins;
-    fanins.reserve(n.fanins.size());
+    const Node n = nl.node(id);
+    fanins.clear();
     for (SignalId f : n.fanins) fanins.push_back(remap[f]);
     if (n.type == GateType::Buf) {
       remap[id] = fanins[0];  // collapse; name is lost unless it is a port-like use
@@ -141,7 +141,7 @@ Netlist strash(const Netlist& nl) {
     if (it != seen.end()) {
       remap[id] = it->second;
     } else {
-      remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+      remap[id] = dst.add_gate(n.type, fanins, n.name);
       seen.emplace(key, remap[id]);
     }
   }
@@ -154,7 +154,7 @@ Netlist scan_expose(const Netlist& nl) {
   Netlist dst(nl.name() + "_scan");
   std::vector<SignalId> remap(nl.size(), k_no_signal);
   for (SignalId id = 0; id < nl.size(); ++id) {
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
     else if (n.type == GateType::Const0 || n.type == GateType::Const1)
@@ -165,13 +165,13 @@ Netlist scan_expose(const Netlist& nl) {
   for (SignalId id : nl.dffs()) {
     remap[id] = dst.add_input(nl.signal_name(id));
   }
+  std::vector<SignalId> fanins;
   for (SignalId id : topo_order(nl)) {
     if (!is_comb_gate(nl.type(id))) continue;
-    const Node& n = nl.node(id);
-    std::vector<SignalId> fanins;
-    fanins.reserve(n.fanins.size());
+    const Node n = nl.node(id);
+    fanins.clear();
     for (SignalId f : n.fanins) fanins.push_back(remap[f]);
-    remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+    remap[id] = dst.add_gate(n.type, fanins, n.name);
   }
   for (SignalId o : nl.outputs()) dst.add_output(remap[o]);
   // D pins become observable primary outputs.
@@ -190,7 +190,7 @@ Netlist pin_signal(const Netlist& nl, SignalId source, bool value) {
   std::vector<SignalId> remap(nl.size(), k_no_signal);
   std::vector<SignalId> dffs_src;
   for (SignalId id = 0; id < nl.size(); ++id) {
-    const Node& n = nl.node(id);
+    const Node n = nl.node(id);
     if (id == source) remap[id] = dst.add_const(value, n.name);
     else if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
@@ -201,24 +201,18 @@ Netlist pin_signal(const Netlist& nl, SignalId source, bool value) {
     remap[id] = dst.add_dff(k_no_signal, nl.dff_init(id), nl.signal_name(id));
     dffs_src.push_back(id);
   }
+  std::vector<SignalId> fanins;
   for (SignalId id : topo_order(nl)) {
     if (!is_comb_gate(nl.type(id))) continue;
-    const Node& n = nl.node(id);
-    std::vector<SignalId> fanins;
-    fanins.reserve(n.fanins.size());
+    const Node n = nl.node(id);
+    fanins.clear();
     for (SignalId f : n.fanins) fanins.push_back(remap[f]);
-    remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+    remap[id] = dst.add_gate(n.type, fanins, n.name);
   }
   for (SignalId id : dffs_src) dst.set_dff_input(remap[id], remap[nl.dff_input(id)]);
   for (SignalId o : nl.outputs()) dst.add_output(remap[o]);
   dst.check();
   return dst;
-}
-
-std::unordered_map<std::string, SignalId> name_map(const Netlist& nl) {
-  std::unordered_map<std::string, SignalId> m;
-  for (SignalId id = 0; id < nl.size(); ++id) m.emplace(nl.signal_name(id), id);
-  return m;
 }
 
 }  // namespace cl::netlist

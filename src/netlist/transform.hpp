@@ -1,8 +1,6 @@
 // Structural transforms that return rewritten copies of a netlist.
 #pragma once
 
-#include <unordered_map>
-
 #include "netlist/netlist.hpp"
 
 namespace cl::netlist {
@@ -27,10 +25,6 @@ Netlist strash(const Netlist& nl);
 /// and compares what optimize() does to the two variants. Throws
 /// std::invalid_argument if `source` is not an Input/KeyInput node.
 Netlist pin_signal(const Netlist& nl, SignalId source, bool value);
-
-/// Map from signal name to SignalId for every named signal (convenience for
-/// tests comparing rewritten netlists).
-std::unordered_map<std::string, SignalId> name_map(const Netlist& nl);
 
 /// Full-scan model: every DFF Q becomes a primary input ("scan_in_<name>")
 /// and every DFF D-pin becomes a primary output. The result is purely

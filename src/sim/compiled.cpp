@@ -51,7 +51,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
   std::size_t current_level = 1;
   for (std::size_t i = lv.level_begin[1]; i < lv.order.size(); ++i) {
     const SignalId id = lv.order[i];
-    const netlist::Node& n = nl.node(id);
+    const std::span<const SignalId> fanins = nl.fanins(id);
     const std::size_t level = static_cast<std::size_t>(lv.level[id]);
     while (current_level < level) {
       level_begin_.push_back(instrs_.size());
@@ -59,16 +59,16 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
     }
     Instr in;
     in.out = id;
-    in.op = op_for(n.type, n.fanins.size());
+    in.op = op_for(nl.type(id), fanins.size());
     switch (in.op) {
       case Op::Buf:
       case Op::Not:
-        in.a = n.fanins[0];
+        in.a = fanins[0];
         break;
       case Op::Mux:
-        in.a = n.fanins[0];
-        in.b = n.fanins[1];
-        in.c = n.fanins[2];
+        in.a = fanins[0];
+        in.b = fanins[1];
+        in.c = fanins[2];
         break;
       case Op::And2:
       case Op::Nand2:
@@ -76,13 +76,13 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
       case Op::Nor2:
       case Op::Xor2:
       case Op::Xnor2:
-        in.a = n.fanins[0];
-        in.b = n.fanins[1];
+        in.a = fanins[0];
+        in.b = fanins[1];
         break;
       default:  // N-ary: spill to the pool
         in.a = static_cast<std::uint32_t>(pool_.size());
-        in.b = static_cast<std::uint32_t>(n.fanins.size());
-        pool_.insert(pool_.end(), n.fanins.begin(), n.fanins.end());
+        in.b = static_cast<std::uint32_t>(fanins.size());
+        pool_.insert(pool_.end(), fanins.begin(), fanins.end());
         break;
     }
     instrs_.push_back(in);

@@ -33,7 +33,7 @@ void ReferenceSim::set(SignalId s, std::uint64_t word) {
 
 void ReferenceSim::eval() {
   for (SignalId s : order_) {
-    const netlist::Node& n = nl_.node(s);
+    const netlist::Node n = nl_.node(s);
     switch (n.type) {
       case GateType::Input:
       case GateType::KeyInput:

@@ -54,7 +54,7 @@ MappedDesign map_to_cells(const Netlist& nl) {
   std::vector<SignalId> remap(nl.size(), netlist::k_no_signal);
 
   for (SignalId id = 0; id < nl.size(); ++id) {
-    const netlist::Node& n = nl.node(id);
+    const netlist::Node n = nl.node(id);
     if (n.type == GateType::Input) remap[id] = dst.add_input(n.name);
     else if (n.type == GateType::KeyInput) remap[id] = dst.add_key_input(n.name);
     else if (n.type == GateType::Const0 || n.type == GateType::Const1)
@@ -67,24 +67,24 @@ MappedDesign map_to_cells(const Netlist& nl) {
     src_dffs.push_back(id);
   }
 
+  std::vector<SignalId> fanins;
   for (SignalId id : netlist::topo_order(nl)) {
     if (!netlist::is_comb_gate(nl.type(id))) continue;
-    const netlist::Node& n = nl.node(id);
-    std::vector<SignalId> fanins;
-    fanins.reserve(n.fanins.size());
+    const netlist::Node n = nl.node(id);
+    fanins.clear();
     for (SignalId f : n.fanins) fanins.push_back(remap[f]);
 
     switch (n.type) {
       case GateType::Buf:
       case GateType::Not:
       case GateType::Mux:
-        remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+        remap[id] = dst.add_gate(n.type, fanins, n.name);
         break;
       case GateType::And:
       case GateType::Or:
       case GateType::Xor:
         if (fanins.size() == 2) {
-          remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+          remap[id] = dst.add_gate(n.type, fanins, n.name);
         } else {
           const SignalId tree =
               build_tree(dst, n.type, fanins, n.name + "_t");
@@ -95,7 +95,7 @@ MappedDesign map_to_cells(const Netlist& nl) {
       case GateType::Nor:
       case GateType::Xnor: {
         if (fanins.size() == 2) {
-          remap[id] = dst.add_gate(n.type, std::move(fanins), n.name);
+          remap[id] = dst.add_gate(n.type, fanins, n.name);
         } else {
           const GateType base = (n.type == GateType::Nand)  ? GateType::And
                                 : (n.type == GateType::Nor) ? GateType::Or

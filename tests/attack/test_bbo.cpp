@@ -5,6 +5,7 @@
 #include "core/cute_lock_str.hpp"
 #include "lock/cac_lock.hpp"
 #include "lock/comb_locks.hpp"
+#include "lock/lock_registry.hpp"
 #include "netlist/bench_io.hpp"
 
 namespace cl::attack {
@@ -242,6 +243,22 @@ TEST(Bbo, RandomSearchOfThirteenBatchesAccounting) {
   expect_pinned(lr.locked, nl, opts,
                 {Outcome::Fail, 13,
                  "random search exhausted (832 keys screened)"});
+}
+
+TEST(Bbo, RefutedSurvivorNamedInExhaustedDetail) {
+  // On the cl-str registry lock built from Rng(115), key 1010 passes the
+  // oracle screen and verification then refutes it: the space is exhausted
+  // with no key verified, but not because none matched the oracle.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  util::Rng rng(115);
+  const auto lr = lock::find_lock("cl-str")->build(nl, rng);
+  expect_pinned(lr.locked, nl, BboOptions{},
+                {Outcome::Cns, 1,
+                 "exhausted 2^4 static keys; 1 screened survivor refuted by "
+                 "verification"});
+  SequentialOracle oracle(nl);
+  const AttackResult r = bbo_attack(lr.locked, oracle);
+  EXPECT_EQ(sim::bits_to_string(r.key), "1010");
 }
 
 TEST(Bbo, KeyBeyondFirstPassAccounting) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace cl::netlist {
 namespace {
 
@@ -38,8 +42,83 @@ TEST(Netlist, FindByName) {
 
 TEST(Netlist, DuplicateNamesRejected) {
   Netlist nl;
-  nl.add_input("x");
+  const SignalId x = nl.add_input("x");
   EXPECT_THROW(nl.add_input("x"), std::invalid_argument);
+  nl.add_gate(GateType::Not, {x}, "g");
+  const std::size_t before = nl.size();
+  EXPECT_THROW(nl.add_gate(GateType::Buf, {x}, "g"), std::invalid_argument);
+  EXPECT_THROW(nl.add_dff(x, DffInit::Zero, "x"), std::invalid_argument);
+  EXPECT_THROW(nl.add_key_input("g"), std::invalid_argument);
+  EXPECT_THROW(nl.add_const(true, "x"), std::invalid_argument);
+  EXPECT_EQ(nl.size(), before);  // a rejected node leaves no trace
+  EXPECT_EQ(nl.find("g"), x + 1);
+  nl.check();
+}
+
+TEST(Netlist, BracedAndSpanAddGateBuildTheSameNode) {
+  Netlist braced("braced");
+  Netlist spanned("spanned");
+  for (Netlist* nl : {&braced, &spanned}) {
+    nl->add_input("a");
+    nl->add_input("b");
+    nl->add_input("c");
+  }
+  const SignalId x = braced.add_gate(GateType::Mux, {2, 0, 1}, "x");
+  const std::vector<SignalId> fanins = {2, 0, 1};
+  const SignalId y = spanned.add_gate(GateType::Mux, fanins, "x");
+  ASSERT_EQ(x, y);
+  const Node bx = braced.node(x);
+  const Node sy = spanned.node(y);
+  EXPECT_EQ(bx.name, sy.name);
+  EXPECT_EQ(bx.type, sy.type);
+  EXPECT_EQ(bx.init, sy.init);
+  EXPECT_TRUE(std::equal(bx.fanins.begin(), bx.fanins.end(),
+                         sy.fanins.begin(), sy.fanins.end()));
+  EXPECT_EQ(braced.fanin_refs(), 3u);
+  // A span viewing the netlist's own pool survives the pool growing under
+  // the append.
+  for (int i = 0; i < 100; ++i) {
+    spanned.add_gate(GateType::Mux, spanned.fanins(y),
+                     "copy" + std::to_string(i));
+  }
+  const SignalId last = spanned.find("copy99");
+  const auto copied = spanned.fanins(last);
+  EXPECT_TRUE(std::equal(copied.begin(), copied.end(), fanins.begin(),
+                         fanins.end()));
+  spanned.check();
+}
+
+TEST(Netlist, AccessorsRejectIdsPastTheEnd) {
+  const Netlist nl = tiny();
+  const SignalId past = static_cast<SignalId>(nl.size());
+  EXPECT_THROW(nl.fanins(past), std::out_of_range);
+  EXPECT_THROW(nl.fanins(k_no_signal), std::out_of_range);
+  EXPECT_THROW(nl.node(past), std::out_of_range);
+  EXPECT_THROW(nl.type(past), std::out_of_range);
+  Netlist copy = nl.clone("copy");
+  EXPECT_THROW(copy.replace_fanin(past, 0, 1), std::out_of_range);
+}
+
+TEST(Netlist, FreshNameSkipsNamesTakenAheadOfItsCounter) {
+  // Take every even t<n> up to 198 first, so fresh_name must step over
+  // them while the name index grows from 16 slots to 512.
+  Netlist nl;
+  for (int i = 0; i < 200; i += 2) nl.add_input("t" + std::to_string(i));
+  for (int i = 1; i < 200; i += 2) {
+    const std::string name = nl.fresh_name("t");
+    EXPECT_EQ(name, "t" + std::to_string(i));
+    nl.add_input(name);
+  }
+  EXPECT_EQ(nl.fresh_name("t"), "t200");
+  // Auto-named nodes draw on the same counter and skip taken names.
+  nl.add_input("n202");
+  const SignalId g = nl.add_gate(GateType::Not, {0});
+  EXPECT_EQ(nl.signal_name(g), "n201");
+  EXPECT_EQ(nl.signal_name(nl.add_gate(GateType::Not, {0})), "n203");
+  for (SignalId s = 0; s < nl.size(); ++s) {
+    EXPECT_EQ(nl.find(nl.signal_name(s)), s);
+  }
+  nl.check();
 }
 
 TEST(Netlist, ArityValidation) {

@@ -62,6 +62,39 @@ TEST(Topo, FanoutsListReaders) {
   EXPECT_EQ(fo[g3][0], nl.find("q"));
 }
 
+TEST(Topo, FanoutsKeepReaderOrderAndRepeats) {
+  // x = AND(a, a) reads a twice; q is a self-looped DFF; y reads x, a, q.
+  Netlist nl("repeats");
+  const SignalId a = nl.add_input("a");
+  const SignalId q = nl.add_dff(k_no_signal, DffInit::Zero, "q");
+  const SignalId x = nl.add_gate(GateType::And, {a, a}, "x");
+  const SignalId y = nl.add_gate(GateType::Or, {x, a, q}, "y");
+  const SignalId z = nl.add_gate(GateType::Xor, {q, a}, "z");
+  nl.add_output(y);
+  nl.add_output(z);
+  const Fanouts fo = fanouts(nl);
+  ASSERT_EQ(fo.offsets.size(), nl.size() + 1);
+  const auto list = [&](SignalId s) {
+    return std::vector<SignalId>(fo[s].begin(), fo[s].end());
+  };
+  EXPECT_EQ(list(a), (std::vector<SignalId>{x, x, y, z}));
+  EXPECT_EQ(list(q), (std::vector<SignalId>{q, y, z}));  // q reads itself
+  EXPECT_EQ(list(x), (std::vector<SignalId>{y}));
+  EXPECT_TRUE(fo[y].empty());  // outputs are not readers
+  EXPECT_EQ(fo.readers.size(), nl.fanin_refs());
+  // Every list ascends, one entry per fanin occurrence.
+  for (SignalId s = 0; s < nl.size(); ++s) {
+    EXPECT_TRUE(std::is_sorted(fo[s].begin(), fo[s].end()));
+    for (SignalId r : fo[s]) {
+      const auto fanins = nl.fanins(r);
+      EXPECT_EQ(static_cast<std::size_t>(
+                    std::count(fo[s].begin(), fo[s].end(), r)),
+                static_cast<std::size_t>(
+                    std::count(fanins.begin(), fanins.end(), s)));
+    }
+  }
+}
+
 TEST(Topo, ConeStopsAtDffOutputs) {
   const Netlist nl = chain3();
   const auto cone = comb_fanin_cone(nl, {nl.find("g2")});

@@ -120,9 +120,12 @@ OUTPUT(y)
 y = NOT(a)
 )";
   const Netlist nl = read_bench_string(text);
-  const auto m = name_map(nl);
-  EXPECT_EQ(m.size(), nl.size());
-  EXPECT_EQ(m.at("y"), nl.find("y"));
+  EXPECT_EQ(nl.size(), 2u);
+  for (SignalId id = 0; id < nl.size(); ++id) {
+    EXPECT_EQ(nl.find(nl.signal_name(id)), id);
+  }
+  EXPECT_EQ(nl.find("a"), nl.inputs()[0]);
+  EXPECT_EQ(nl.find("y"), nl.outputs()[0]);
 }
 
 TEST(Transform, PinSignalReplacesKeyInputWithConstant) {

@@ -11,8 +11,9 @@ bench_micro_perf — hard failures (exit 1):
   - a baseline benchmark missing from the fresh run
   - any drift in the deterministic trajectory counters (conflicts, restarts,
     learnts_deleted, minimized_lits, sim_gates, sim_lane_words, cnf_vars,
-    cnf_clauses, bbo_batches) — the solver is single-threaded in these
-    benchmarks, so these must match bit-for-bit across machines
+    cnf_clauses, bbo_batches, netlist_nodes, fanin_refs) — the solver is
+    single-threaded in these benchmarks, so these must match bit-for-bit
+    across machines
   Warnings only (exit 0):
   - real_time regression beyond 15% (throughput depends on the machine)
 
@@ -49,6 +50,10 @@ TRAJECTORY_COUNTERS = [
     # Search length: the BM_BboScreen row's candidate batches until its
     # exhaustive screen proves CNS.
     "bbo_batches",
+    # Set-up shape: the BM_CellSetup row's locked netlist size (signals and
+    # fanin references), fixed by the circuit, the lock options and seed.
+    "netlist_nodes",
+    "fanin_refs",
 ]
 TIME_REGRESSION_FACTOR = 1.15
 REL_TOL = 1e-9
