@@ -511,9 +511,12 @@ BENCHMARK(BM_CompiledSimWide)->Arg(1)->Arg(4)->Arg(16);
 // ---- sim-ISA axis ----------------------------------------------------------
 //
 // One row per (kernel tier, lane width) available on this host, registered
-// dynamically in main(): BM_CompiledSimIsa/<isa>/<lane_words>. The circuit is
-// b14 (cache-resident buffers even at 16 lane words), so the rows compare
-// kernel throughput rather than memory bandwidth. Only the generic rows live
+// dynamically in main(): BM_CompiledSimIsa/<isa>/<lane_words>, plus the
+// one-word row BM_CompiledSimIsa/generic/1 (every tier runs one lane word on
+// the generic kernels), the width of every oracle query, key-verification
+// scan and Cute-Lock-Str profile. The circuit is b14 (cache-resident
+// buffers even at 16 lane words), so the rows compare kernel throughput
+// rather than memory bandwidth. Only the generic rows live
 // in the checked-in baseline — AVX rows exist only on hosts that report the
 // extension, and tools/check_bench_baseline.py hard-fails on baseline rows
 // missing from a fresh run. sim_gates / sim_lane_words are deterministic
@@ -553,16 +556,20 @@ void BM_CompiledSimIsa(benchmark::State& state, util::SimIsa isa,
 
 void register_sim_isa_benchmarks() {
   using util::SimIsa;
+  const auto add = [](SimIsa isa, std::size_t lane_words) {
+    const std::string name = std::string("BM_CompiledSimIsa/") +
+                             util::sim_isa_name(isa) + "/" +
+                             std::to_string(lane_words);
+    benchmark::RegisterBenchmark(
+        name.c_str(), [isa, lane_words](benchmark::State& s) {
+          BM_CompiledSimIsa(s, isa, lane_words);
+        });
+  };
+  add(SimIsa::Generic, 1);
   for (SimIsa isa : {SimIsa::Generic, SimIsa::Avx2, SimIsa::Avx512}) {
     if (!sim::kernels::available(isa)) continue;
     for (std::size_t lane_words : {std::size_t{4}, std::size_t{16}}) {
-      const std::string name = std::string("BM_CompiledSimIsa/") +
-                               util::sim_isa_name(isa) + "/" +
-                               std::to_string(lane_words);
-      benchmark::RegisterBenchmark(
-          name.c_str(), [isa, lane_words](benchmark::State& s) {
-            BM_CompiledSimIsa(s, isa, lane_words);
-          });
+      add(isa, lane_words);
     }
   }
 }

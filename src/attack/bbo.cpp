@@ -73,7 +73,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
   const std::uint64_t key_mask = ki == 64 ? ~0ULL : (1ULL << ki) - 1;
 
   // The locked netlist compiles once; every screening task shares the
-  // instruction stream and owns only its value buffer.
+  // program and owns only its value buffer.
   const sim::CompiledNetlist compiled(locked);
 
   // A survivor whose proof runs out of budget may be the key: it is counted,

@@ -6,7 +6,6 @@
 
 namespace cl::cnf {
 
-using netlist::SignalId;
 using sat::Lit;
 using sim::Op;
 
@@ -134,12 +133,12 @@ std::vector<Lit> HashedEncoder::encode_frame(const sim::CompiledNetlist& prog,
   for (std::size_t i = 0; i < inputs.size(); ++i) lit[prog.inputs()[i]] = inputs[i];
   for (std::size_t i = 0; i < keys.size(); ++i) lit[prog.key_inputs()[i]] = keys[i];
   for (std::size_t i = 0; i < states.size(); ++i) lit[prog.dff_qs()[i]] = states[i];
-  for (const SignalId s : prog.const_zeros()) lit[s] = constant(false);
-  for (const SignalId s : prog.const_ones()) lit[s] = constant(true);
+  for (const std::uint32_t s : prog.const_zeros()) lit[s] = constant(false);
+  for (const std::uint32_t s : prog.const_ones()) lit[s] = constant(true);
 
-  // N-ary gates fold left to right over their fanins, as the netlist lists
-  // them.
-  const SignalId* pool = prog.fanin_pool().data();
+  // Gates in levelize order, whatever the simulator's evaluation order; N-ary
+  // gates fold left to right over their fanins, as the netlist lists them.
+  const std::uint32_t* pool = prog.fanin_pool().data();
   const auto fold = [&](const sim::Instr& in, auto&& op) {
     Lit y = lit[pool[in.a]];
     for (std::uint32_t k = 1; k < in.b; ++k) y = op(y, lit[pool[in.a + k]]);
@@ -148,7 +147,8 @@ std::vector<Lit> HashedEncoder::encode_frame(const sim::CompiledNetlist& prog,
   const auto and_op = [this](Lit a, Lit b) { return and2(a, b); };
   const auto or_op = [this](Lit a, Lit b) { return or2(a, b); };
   const auto xor_op = [this](Lit a, Lit b) { return xor2(a, b); };
-  for (const sim::Instr& in : prog.instructions()) {
+  for (const std::uint32_t g : prog.levelized()) {
+    const sim::Instr in = prog.instr(g);
     Lit y;
     switch (in.op) {
       case Op::Buf: y = lit[in.a]; break;

@@ -14,8 +14,8 @@
 //
 // The structural hash is one flat open-addressing table (power-of-two slots,
 // linear probing) keyed by the canonical operand pair, with AND and XOR keys
-// tagged apart; frames walk a sim::CompiledNetlist's levelized instruction
-// stream. Encoding a node therefore allocates nothing beyond the occasional
+// tagged apart; frames walk a sim::CompiledNetlist's gates in levelize
+// order. Encoding a node therefore allocates nothing beyond the occasional
 // table doubling and the solver's own clause storage.
 //
 // This is the library's one netlist-to-CNF path: the DIP miter, the oracle
@@ -47,9 +47,9 @@ class HashedEncoder {
   sat::Lit mux(sat::Lit sel, sat::Lit a, sat::Lit b);
 
   /// One combinational frame of `prog`'s netlist, gates in the program's
-  /// levelized order: returns a literal per signal. `inputs`, `keys` and
-  /// `states` give the source literals, parallel to prog.inputs(),
-  /// prog.key_inputs() and prog.dff_qs().
+  /// levelize order: returns a literal per slot (signal s's literal is at
+  /// prog.slot(s)). `inputs`, `keys` and `states` give the source literals,
+  /// parallel to prog.inputs(), prog.key_inputs() and prog.dff_qs().
   std::vector<sat::Lit> encode_frame(const sim::CompiledNetlist& prog,
                                      const std::vector<sat::Lit>& inputs,
                                      const std::vector<sat::Lit>& keys,

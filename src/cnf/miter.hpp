@@ -29,7 +29,7 @@ namespace cl::cnf {
 /// Logic the copies compute alike lands on the same literals, so an output
 /// both copies compute alike folds out of the diff. Each circuit is compiled
 /// once, in the constructor (one program when both copies are the same
-/// netlist), and every frame walks that program's instruction stream.
+/// netlist), and every frame walks that program's gates in levelize order.
 class MiterBase {
  public:
   /// Unroll both copies to `depth` frames.

@@ -423,11 +423,18 @@ void Server::handle_connection(int fd) {
   // `buffer` holds the input not yet consumed, and holds no newline before
   // `scanned`: each search resumes there, and consumed lines are dropped
   // once per recv, so a line costs time linear in its length however many
-  // recv calls deliver it.
+  // recv calls deliver it. No line grows past k_max_request_line.
   std::string buffer;
   std::size_t scanned = 0;
   char chunk[4096];
   bool open = true;
+  const auto reject_long_line = [fd] {
+    send_all(fd, error_reply("bad request: request line longer than " +
+                             std::to_string(k_max_request_line) +
+                             " bytes (64 MiB); closing the connection")
+                         .dump() +
+                     "\n");
+  };
   while (open) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
@@ -436,6 +443,11 @@ void Server::handle_connection(int fd) {
     std::size_t start = 0;
     std::size_t eol;
     while (open && (eol = buffer.find('\n', scanned)) != std::string::npos) {
+      if (eol - start > k_max_request_line) {
+        reject_long_line();
+        open = false;
+        break;
+      }
       const std::string line = buffer.substr(start, eol - start);
       start = scanned = eol + 1;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
@@ -454,6 +466,10 @@ void Server::handle_connection(int fd) {
       // Only signal once the client has its acknowledgement: stop() tears
       // down this very connection.
       if (defer_shutdown) request_shutdown();
+    }
+    if (open && buffer.size() - start > k_max_request_line) {
+      reject_long_line();
+      open = false;
     }
     buffer.erase(0, start);
     scanned = buffer.size();

@@ -84,6 +84,12 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
                           const std::atomic<bool>* cancel,
                           std::size_t bbo_jobs);
 
+/// The longest request line a connection may send, newline excluded: 64 MiB,
+/// above the largest inline circuit the benches send (syn1m's .bench text).
+/// A longer line is answered with an error naming the cap, and the
+/// connection is closed without reading the rest of the line.
+inline constexpr std::size_t k_max_request_line = std::size_t{64} << 20;
+
 class Server {
  public:
   explicit Server(ServerOptions options) : options_(std::move(options)) {}

@@ -38,103 +38,123 @@ Op op_for(GateType t, std::size_t arity) {
   }
 }
 
+constexpr std::size_t k_num_ops = static_cast<std::size_t>(Op::XnorN) + 1;
+
+bool is_nary(Op op) { return op >= Op::AndN; }
+
 }  // namespace
 
-CompiledNetlist::CompiledNetlist(const Netlist& nl)
-    : nl_(&nl), num_signals_(nl.size()) {
+CompiledNetlist::CompiledNetlist(const Netlist& nl) : nl_(&nl) {
   const netlist::Levelization lv = netlist::levelize(nl);
-  instrs_.reserve(nl.stats().gates);
-  // Emit instructions in levelized order (gate levels start at 1; sources
-  // occupy level 0 of the levelization). level_begin_[l] delimits the
-  // instructions of gate-level l+1.
+  const std::span<const GateType> types = nl.types();
+  num_sources_ = lv.level_begin[1];
+  const std::size_t gates = lv.order.size() - num_sources_;
+  slot_.resize(nl.size());
+  for (std::size_t i = 0; i < num_sources_; ++i) {
+    const SignalId s = lv.order[i];
+    slot_[s] = static_cast<std::uint32_t>(i);
+    if (types[s] == GateType::Const0) const_0_.push_back(slot_[s]);
+    if (types[s] == GateType::Const1) const_1_.push_back(slot_[s]);
+  }
+  // Each gate's opcode, in levelize order.
+  std::vector<Op> ops(gates);
+  for (std::size_t i = 0; i < gates; ++i) {
+    const SignalId id = lv.order[num_sources_ + i];
+    ops[i] = op_for(types[id], nl.fanins(id).size());
+  }
+  op_.resize(gates);
+  operands_.resize(3 * gates);
+  levelized_.resize(gates);
+  std::uint32_t* a = operands_.data();
+  std::uint32_t* b = a + gates;
+  std::uint32_t* c = b + gates;
+  runs_.reserve(std::min(gates, (lv.num_levels() - 1) * k_num_ops));
+  level_begin_.reserve(lv.num_levels());
   level_begin_.push_back(0);
-  std::size_t current_level = 1;
-  for (std::size_t i = lv.level_begin[1]; i < lv.order.size(); ++i) {
-    const SignalId id = lv.order[i];
-    const std::span<const SignalId> fanins = nl.fanins(id);
-    const std::size_t level = static_cast<std::size_t>(lv.level[id]);
-    while (current_level < level) {
-      level_begin_.push_back(instrs_.size());
-      ++current_level;
-    }
-    Instr in;
-    in.out = id;
-    in.op = op_for(nl.type(id), fanins.size());
-    switch (in.op) {
-      case Op::Buf:
-      case Op::Not:
-        in.a = fanins[0];
-        break;
-      case Op::Mux:
-        in.a = fanins[0];
-        in.b = fanins[1];
-        in.c = fanins[2];
-        break;
-      case Op::And2:
-      case Op::Nand2:
-      case Op::Or2:
-      case Op::Nor2:
-      case Op::Xor2:
-      case Op::Xnor2:
-        in.a = fanins[0];
-        in.b = fanins[1];
-        break;
-      default:  // N-ary: spill to the pool
-        in.a = static_cast<std::uint32_t>(pool_.size());
-        in.b = static_cast<std::uint32_t>(fanins.size());
-        pool_.insert(pool_.end(), fanins.begin(), fanins.end());
-        break;
-    }
-    instrs_.push_back(in);
-  }
-  level_begin_.push_back(instrs_.size());
 
-  // Evaluation order: a stable counting sort of each level by opcode, so
-  // gates keep ascending SignalId within an opcode group.
-  constexpr std::size_t k_num_ops = static_cast<std::size_t>(Op::XnorN) + 1;
-  order_.resize(instrs_.size());
-  for (std::size_t l = 0; l + 1 < level_begin_.size(); ++l) {
+  // Slots follow the evaluation order: a stable counting sort of each level
+  // by opcode, so gates keep ascending SignalId within an opcode group, and
+  // each group is one Run. N-ary operands go to the pool in the same order.
+  // Every fanin sits at a lower level, so its slot is known when its
+  // readers are placed.
+  for (std::size_t l = 1; l < lv.num_levels(); ++l) {
+    const std::size_t first = lv.level_begin[l];
+    const std::size_t last = lv.level_begin[l + 1];
     std::array<std::size_t, k_num_ops> cursor{};
-    for (std::size_t i = level_begin_[l]; i < level_begin_[l + 1]; ++i) {
-      ++cursor[static_cast<std::size_t>(instrs_[i].op)];
+    std::array<std::size_t, k_num_ops> pool_cursor{};
+    for (std::size_t i = first; i < last; ++i) {
+      const Op op = ops[i - num_sources_];
+      ++cursor[static_cast<std::size_t>(op)];
+      if (is_nary(op)) {
+        pool_cursor[static_cast<std::size_t>(op)] +=
+            nl.fanins(lv.order[i]).size();
+      }
     }
-    std::size_t at = level_begin_[l];
-    for (std::size_t& c : cursor) at += std::exchange(c, at);
-    for (std::size_t i = level_begin_[l]; i < level_begin_[l + 1]; ++i) {
-      order_[cursor[static_cast<std::size_t>(instrs_[i].op)]++] =
-          static_cast<std::uint32_t>(i);
+    std::size_t at = first - num_sources_;
+    std::size_t pool_at = pool_.size();
+    for (std::size_t op = 0; op < k_num_ops; ++op) {
+      if (cursor[op] != 0) {
+        runs_.push_back({static_cast<std::uint32_t>(at),
+                         static_cast<std::uint32_t>(at + cursor[op]),
+                         static_cast<Op>(op)});
+      }
+      at += std::exchange(cursor[op], at);
+      pool_at += std::exchange(pool_cursor[op], pool_at);
     }
+    pool_.resize(pool_at);
+    for (std::size_t i = first; i < last; ++i) {
+      const SignalId id = lv.order[i];
+      const Op op = ops[i - num_sources_];
+      const std::size_t g = cursor[static_cast<std::size_t>(op)]++;
+      const std::span<const SignalId> fanins = nl.fanins(id);
+      slot_[id] = static_cast<std::uint32_t>(num_sources_ + g);
+      op_[g] = op;
+      levelized_[i - num_sources_] = static_cast<std::uint32_t>(g);
+      if (is_nary(op)) {
+        std::size_t& p = pool_cursor[static_cast<std::size_t>(op)];
+        a[g] = static_cast<std::uint32_t>(p);
+        b[g] = static_cast<std::uint32_t>(fanins.size());
+        for (const SignalId f : fanins) pool_[p++] = slot_[f];
+        continue;
+      }
+      a[g] = slot_[fanins[0]];
+      if (fanins.size() > 1) b[g] = slot_[fanins[1]];
+      if (fanins.size() > 2) c[g] = slot_[fanins[2]];
+    }
+    level_begin_.push_back(last - num_sources_);
   }
 
-  inputs_ = nl.inputs();
-  keys_ = nl.key_inputs();
-  outputs_ = nl.outputs();
-  dff_q_ = nl.dffs();
+  const auto slots_of = [this](const std::vector<SignalId>& ids) {
+    std::vector<std::uint32_t> out;
+    out.reserve(ids.size());
+    for (const SignalId s : ids) out.push_back(slot_[s]);
+    return out;
+  };
+  inputs_ = slots_of(nl.inputs());
+  keys_ = slots_of(nl.key_inputs());
+  outputs_ = slots_of(nl.outputs());
+  dff_q_ = slots_of(nl.dffs());
   dff_d_.reserve(dff_q_.size());
   dff_init_.reserve(dff_q_.size());
-  for (SignalId d : dff_q_) {
-    dff_d_.push_back(nl.dff_input(d));
+  for (SignalId d : nl.dffs()) {
+    dff_d_.push_back(slot_[nl.dff_input(d)]);
     dff_init_.push_back(nl.dff_init(d));
   }
-  for (SignalId s = 0; s < num_signals_; ++s) {
-    if (nl.type(s) == GateType::Const0) const_0_.push_back(s);
-    if (nl.type(s) == GateType::Const1) const_1_.push_back(s);
-  }
-  settable_.assign(num_signals_, 0);
-  for (SignalId s : inputs_) settable_[s] = 1;
-  for (SignalId s : keys_) settable_[s] = 1;
+  settable_.assign(nl.size(), 0);
+  for (SignalId s : nl.inputs()) settable_[s] = 1;
+  for (SignalId s : nl.key_inputs()) settable_[s] = 1;
 }
 
 void CompiledNetlist::reset_words(std::uint64_t* values,
                                   std::size_t lanes) const {
-  std::fill(values, values + num_signals_ * lanes, 0ULL);
+  std::fill(values, values + buffer_words(lanes), 0ULL);
   for (std::size_t i = 0; i < dff_q_.size(); ++i) {
     if (dff_init_[i] == netlist::DffInit::One) {
       std::uint64_t* q = values + std::size_t{dff_q_[i]} * lanes;
       std::fill(q, q + lanes, ~0ULL);
     }
   }
-  for (SignalId s : const_1_) {
+  for (const std::uint32_t s : const_1_) {
     std::uint64_t* w = values + std::size_t{s} * lanes;
     std::fill(w, w + lanes, ~0ULL);
   }
@@ -143,16 +163,22 @@ void CompiledNetlist::reset_words(std::uint64_t* values,
 void CompiledNetlist::eval_range(std::size_t first, std::size_t last,
                                  std::uint64_t* values,
                                  std::size_t lanes) const {
-  // The Op kernels live in sim/kernels_*.cpp, one translation unit per ISA
+  // The kernels live in sim/kernels_*.cpp, one translation unit per ISA
   // tier; eval_span_for resolves the strongest tier for this host and lane
   // count (overridable via CUTELOCK_SIM_ISA).
-  kernels::eval_span_for(lanes)(instrs_.data(), order_.data() + first,
-                                order_.data() + last, pool_.data(), values,
-                                lanes);
+  kernels::Stream stream;
+  stream.runs = runs_.data();
+  stream.runs_end = runs_.data() + runs_.size();
+  stream.a = operands_.data();
+  stream.b = stream.a + num_gates();
+  stream.c = stream.b + num_gates();
+  stream.pool = pool_.data();
+  stream.base = num_sources_;
+  kernels::eval_span_for(lanes)(stream, first, last, values, lanes);
 }
 
 void CompiledNetlist::eval(std::uint64_t* values, std::size_t lanes) const {
-  eval_range(0, instrs_.size(), values, lanes);
+  eval_range(0, num_gates(), values, lanes);
 }
 
 void CompiledNetlist::eval_sharded(std::uint64_t* values, std::size_t lanes,
@@ -232,10 +258,10 @@ void WideSim::set_word(SignalId s, std::size_t w, std::uint64_t word) {
                                 compiled_->source().signal_name(s));
   }
   if (w >= lanes_) {
-    // Signal-major layout: an unchecked w would land in the next signal.
+    // Slot-major layout: an unchecked w would land in the next slot.
     throw std::out_of_range("WideSim::set_word: word index out of range");
   }
-  values_[s * lanes_ + w] = word;
+  values_[std::size_t{compiled_->slot(s)} * lanes_ + w] = word;
 }
 
 void WideSim::eval() { compiled_->eval_auto(values_.data(), lanes_); }

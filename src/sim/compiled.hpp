@@ -1,23 +1,30 @@
 // Compiled simulation core: a one-time translation of a Netlist into a
-// levelized, cache-friendly flat instruction stream.
+// levelized, cache-friendly program with its own value numbering.
 //
 // Compilation replaces the pointer-heavy node-graph walk (hash lookups,
-// vector-of-vector fanin chasing, one switch per gate per eval) with:
-//   - contiguous Instr records sorted by logic level, operands inlined for
-//     arities <= 3 and spilled to one flat fanin pool otherwise;
-//   - arity-specialized opcodes (And2 vs AndN, ...) so the hot kernels are
-//     branch-light and vectorizable;
-//   - an evaluation order, one 4-byte index per gate, that groups each
-//     level's instructions by opcode: the kernels walk it, so their opcode
-//     switch takes one target for a whole run of gates instead of a new,
-//     mispredicted one per gate on circuits too large for the branch
-//     predictor to learn. The instruction stream itself stays in levelized
-//     order, which the CNF encoder and XSim walk;
-//   - wide lanes: every signal carries W consecutive 64-bit words, so one
+// fanin chasing, one switch per gate per eval) with:
+//   - slots: every signal gets a slot, sources first (in levelize order),
+//     then gates in evaluation order. The evaluation order is level by
+//     level, each level grouped by ascending Op, ascending SignalId within
+//     a group. Gate g's output is slot num_sources() + g, so a gate's
+//     position is its output and the operands of a level sit next to each
+//     other in memory. Value buffers, the port lists and the CNF encoder's
+//     frames are indexed by slot; slot() maps a netlist SignalId to it;
+//   - structure-of-arrays operands (a/b/c operand slots per gate, N-ary
+//     fanins spilled to one flat pool in evaluation order) and
+//     arity-specialized opcodes (And2 vs AndN, ...);
+//   - runs: each level's gates of one opcode form a Run, and the kernels
+//     walk the program run by run, one opcode switch per run and a tight
+//     loop over its gates, with no per-gate index indirection;
+//   - the levelize order (levelized()): the CNF encoder and XSim visit the
+//     gates in netlist::levelize order, level by level and ascending
+//     SignalId within a level, so CNF variable numbering does not depend on
+//     the evaluation order;
+//   - wide lanes: every slot carries W consecutive 64-bit words, so one
 //     eval() pass simulates 64*W independent patterns (W chosen by the
 //     WideSim owner, or sized from the batch by the batch APIs);
-//   - sharded execution: instructions within one level are independent, so
-//     each level can be chunked across a util::ThreadPool with a barrier per
+//   - sharded execution: gates within one level are independent, so each
+//     level can be chunked across a util::ThreadPool with a barrier per
 //     level — engaged automatically for netlists of at least
 //     k_shard_threshold gates.
 //
@@ -28,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -47,13 +55,23 @@ enum class Op : std::uint8_t {
   AndN, NandN, OrN, NorN, XorN, XnorN,
 };
 
-/// One compiled gate. For arity <= 3 the operand SignalIds live in a/b/c;
-/// for N-ary ops `a` is the offset into fanin_pool() and `b` the count.
+/// One compiled gate, as the CNF encoder and XSim read it: its output slot,
+/// its opcode and its operand slots. For arity <= 3 the operand slots are
+/// a/b/c; for N-ary ops `a` is the offset into fanin_pool() and `b` the
+/// count.
 struct Instr {
-  netlist::SignalId out = 0;
+  std::uint32_t out = 0;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
   std::uint32_t c = 0;
+  Op op = Op::Buf;
+};
+
+/// A run of gates of one opcode within one level: evaluation positions
+/// [begin, end).
+struct Run {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
   Op op = Op::Buf;
 };
 
@@ -69,47 +87,59 @@ util::ThreadPool& shard_pool();
 class CompiledNetlist {
  public:
   /// Compile `nl`. The netlist must outlive this object and must not be
-  /// mutated afterwards (SignalIds are baked into the instruction stream).
+  /// mutated afterwards (its signals are baked into the program).
   explicit CompiledNetlist(const netlist::Netlist& nl);
 
   const netlist::Netlist& source() const { return *nl_; }
-  std::size_t num_signals() const { return num_signals_; }
-  std::size_t num_gates() const { return instrs_.size(); }
+  std::size_t num_signals() const { return slot_.size(); }
+  /// Slots [0, num_sources()) hold the sources: inputs, key inputs, DFF Qs
+  /// and constants.
+  std::size_t num_sources() const { return num_sources_; }
+  std::size_t num_gates() const { return op_.size(); }
   std::size_t num_levels() const { return level_begin_.size() - 1; }
 
-  // ---- instruction stream (walked by the trit adapter XSim and the CNF
-  // encoder) ---------------------------------------------------------------
-  /// Every gate in netlist::levelize order: level by level, ascending
-  /// SignalId within a level.
-  const std::vector<Instr>& instructions() const { return instrs_; }
-  const std::vector<netlist::SignalId>& fanin_pool() const { return pool_; }
-  /// Indices into instructions() in the order the kernels evaluate them:
-  /// level by level like instructions(), but within each level grouped by
-  /// ascending Op, ascending SignalId within a group.
-  const std::vector<std::uint32_t>& eval_order() const { return order_; }
+  /// The slot of netlist signal `s`: its words in a value buffer and its
+  /// literal in a CNF frame.
+  std::uint32_t slot(netlist::SignalId s) const { return slot_[s]; }
 
-  // Source/DFF bookkeeping mirrored from the netlist (flat copies, so the
-  // hot loops never touch the Netlist).
-  const std::vector<netlist::SignalId>& inputs() const { return inputs_; }
-  const std::vector<netlist::SignalId>& key_inputs() const { return keys_; }
-  const std::vector<netlist::SignalId>& outputs() const { return outputs_; }
-  const std::vector<netlist::SignalId>& dff_qs() const { return dff_q_; }
-  const std::vector<netlist::SignalId>& dff_ds() const { return dff_d_; }
+  // ---- the program -------------------------------------------------------
+  /// Gate g of the evaluation order; its output is slot num_sources() + g.
+  Instr instr(std::size_t g) const {
+    const std::size_t n = num_gates();
+    return {static_cast<std::uint32_t>(num_sources_ + g), operands_[g],
+            operands_[n + g], operands_[2 * n + g], op_[g]};
+  }
+  /// Evaluation positions of the gates in netlist::levelize order (level by
+  /// level, ascending SignalId within a level): the order in which the CNF
+  /// encoder and XSim visit them.
+  const std::vector<std::uint32_t>& levelized() const { return levelized_; }
+  /// The evaluation order as runs of one opcode, in order.
+  const std::vector<Run>& runs() const { return runs_; }
+  /// N-ary operand slots, contiguous per gate, in evaluation order.
+  const std::vector<std::uint32_t>& fanin_pool() const { return pool_; }
+
+  // Port lists, as slots (flat copies, so the hot loops never touch the
+  // Netlist), each in the netlist's order.
+  const std::vector<std::uint32_t>& inputs() const { return inputs_; }
+  const std::vector<std::uint32_t>& key_inputs() const { return keys_; }
+  const std::vector<std::uint32_t>& outputs() const { return outputs_; }
+  const std::vector<std::uint32_t>& dff_qs() const { return dff_q_; }
+  const std::vector<std::uint32_t>& dff_ds() const { return dff_d_; }
   const std::vector<netlist::DffInit>& dff_inits() const { return dff_init_; }
-  /// Constant-source signals (Const0/Const1 are fanin-less sources in the
+  /// Constant-source slots (Const0/Const1 are fanin-less sources in the
   /// netlist model; their values are loaded by reset_words, not eval).
-  const std::vector<netlist::SignalId>& const_ones() const { return const_1_; }
-  const std::vector<netlist::SignalId>& const_zeros() const { return const_0_; }
+  const std::vector<std::uint32_t>& const_ones() const { return const_1_; }
+  const std::vector<std::uint32_t>& const_zeros() const { return const_0_; }
 
   /// True for signals accepted by the set() of the adapters (Input or
   /// KeyInput), indexed by SignalId.
   bool settable(netlist::SignalId s) const { return settable_[s]; }
 
   // ---- word-buffer evaluation -------------------------------------------
-  // Buffers are signal-major: signal s owns words [s*lanes, (s+1)*lanes).
+  // Buffers are slot-major: slot s owns words [s*lanes, (s+1)*lanes).
 
   std::size_t buffer_words(std::size_t lanes) const {
-    return num_signals_ * lanes;
+    return num_signals() * lanes;
   }
 
   /// Zero every word, then load DFF power-up values (X treated as 0) and
@@ -119,10 +149,10 @@ class CompiledNetlist {
   /// Propagate through the combinational core, single-threaded.
   void eval(std::uint64_t* values, std::size_t lanes) const;
 
-  /// Level-parallel propagation: each level's instruction range is chunked
-  /// across `pool` with a barrier between levels. Bit-identical to eval()
-  /// for any pool size. Never pass the pool whose worker is running this
-  /// call. Small levels are evaluated inline.
+  /// Level-parallel propagation: each level's gates are chunked across
+  /// `pool` with a barrier between levels. Bit-identical to eval() for any
+  /// pool size. Never pass the pool whose worker is running this call.
+  /// Small levels are evaluated inline.
   void eval_sharded(std::uint64_t* values, std::size_t lanes,
                     util::ThreadPool& pool) const;
 
@@ -145,24 +175,29 @@ class CompiledNetlist {
   }
 
  private:
-  /// Evaluate the gates at positions [first, last) of eval_order().
+  /// Evaluate the gates at evaluation positions [first, last).
   void eval_range(std::size_t first, std::size_t last, std::uint64_t* values,
                   std::size_t lanes) const;
 
   const netlist::Netlist* nl_;
-  std::size_t num_signals_ = 0;
-  std::vector<Instr> instrs_;               // level-sorted
-  std::vector<std::uint32_t> order_;        // op-grouped within each level
-  std::vector<std::size_t> level_begin_;    // instr offsets per gate level
-  std::vector<netlist::SignalId> pool_;     // N-ary fanins, contiguous
-  std::vector<netlist::SignalId> inputs_;
-  std::vector<netlist::SignalId> keys_;
-  std::vector<netlist::SignalId> outputs_;
-  std::vector<netlist::SignalId> dff_q_;
-  std::vector<netlist::SignalId> dff_d_;
+  std::size_t num_sources_ = 0;
+  std::vector<std::uint32_t> slot_;         // SignalId -> slot
+  // Per gate, in evaluation order: the opcode, and the a, b and c operand
+  // slots as three planes of num_gates() entries each.
+  std::vector<Op> op_;
+  std::vector<std::uint32_t> operands_;
+  std::vector<std::uint32_t> levelized_;    // levelize order -> position
+  std::vector<Run> runs_;
+  std::vector<std::size_t> level_begin_;    // positions per gate level
+  std::vector<std::uint32_t> pool_;         // N-ary operand slots
+  std::vector<std::uint32_t> inputs_;
+  std::vector<std::uint32_t> keys_;
+  std::vector<std::uint32_t> outputs_;
+  std::vector<std::uint32_t> dff_q_;
+  std::vector<std::uint32_t> dff_d_;
   std::vector<netlist::DffInit> dff_init_;
-  std::vector<netlist::SignalId> const_0_;
-  std::vector<netlist::SignalId> const_1_;
+  std::vector<std::uint32_t> const_0_;
+  std::vector<std::uint32_t> const_1_;
   std::vector<std::uint8_t> settable_;
 };
 
@@ -191,8 +226,10 @@ class WideSim {
   void set_word(netlist::SignalId s, std::size_t w, std::uint64_t word);
   /// Word `w` of any signal (valid after eval()).
   std::uint64_t get_word(netlist::SignalId s, std::size_t w) const {
-    return values_[s * lanes_ + w];
+    return values_[std::size_t{compiled_->slot(s)} * lanes_ + w];
   }
+  /// The whole value buffer, slot-major (see CompiledNetlist).
+  std::span<const std::uint64_t> words() const { return values_; }
 
   /// Propagate through the combinational core (inputs and DFF Qs are
   /// sources).

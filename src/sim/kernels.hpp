@@ -1,9 +1,11 @@
 // SIMD execution backend of sim::CompiledNetlist.
 //
-// Every Op kernel exists in three implementations, one per translation unit,
-// each compiled with its own instruction-set flags:
-//   kernels_generic.cpp  portable scalar 64-bit words (the PR 3 kernels,
-//                        with the same fixed-width specializations)
+// The kernels walk a compiled program run by run: one opcode switch per
+// Run, then a tight loop over its gates' structure-of-arrays operand slots
+// (see sim/compiled.hpp). Every kernel exists in three implementations, one
+// per translation unit, each compiled with its own instruction-set flags:
+//   kernels_generic.cpp  portable scalar 64-bit words, with fixed-width
+//                        specializations for the common lane counts
 //   kernels_avx2.cpp     256-bit vectors, 4 lane words per op (-mavx2)
 //   kernels_avx512.cpp   512-bit vectors, 8 lane words per op (-mavx512f)
 // All three compute identical bits — the ops are pure bitwise logic — so the
@@ -20,38 +22,43 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "netlist/netlist.hpp"
+#include "sim/compiled.hpp"
 #include "util/cpu.hpp"
 
-namespace cl::sim {
+namespace cl::sim::kernels {
 
-struct Instr;
+/// A compiled program as the kernels read it: its runs in evaluation order
+/// and its per-gate operand slots, indexed by evaluation position. Gate g
+/// writes slot `base + g`. N-ary gates read their `b[g]` operand slots from
+/// pool[a[g]...].
+struct Stream {
+  const Run* runs = nullptr;
+  const Run* runs_end = nullptr;
+  const std::uint32_t* a = nullptr;
+  const std::uint32_t* b = nullptr;
+  const std::uint32_t* c = nullptr;
+  const std::uint32_t* pool = nullptr;
+  std::size_t base = 0;
+};
 
-namespace kernels {
-
-/// Evaluate instrs[*i] for every index i in the span [first, last), in span
-/// order, over `values` (signal-major, `lanes` words per signal). N-ary
-/// instructions read their fanins from `pool`. CompiledNetlist passes its
-/// evaluation order, which groups each level's instructions by opcode so
-/// the per-instruction opcode switch repeats one target for long runs.
-using EvalSpanFn = void (*)(const Instr* instrs, const std::uint32_t* first,
-                            const std::uint32_t* last,
-                            const netlist::SignalId* pool,
-                            std::uint64_t* values, std::size_t lanes);
+/// Evaluate the gates at evaluation positions [first, last) of `stream`,
+/// run by run, over `values` (slot-major, `lanes` words per slot). Runs
+/// that straddle the range are clipped to it, so a level can be split
+/// anywhere (sharded evaluation does).
+using EvalSpanFn = void (*)(const Stream& stream, std::size_t first,
+                            std::size_t last, std::uint64_t* values,
+                            std::size_t lanes);
 
 // Per-ISA entry points. The AVX functions must only be called on hosts whose
 // CPU reports the extension (active dispatch guarantees this); on toolchains
 // that cannot build the intrinsics they forward to the generic kernels.
-void eval_span_generic(const Instr* instrs, const std::uint32_t* first,
-                       const std::uint32_t* last,
-                       const netlist::SignalId* pool, std::uint64_t* values,
+void eval_span_generic(const Stream& stream, std::size_t first,
+                       std::size_t last, std::uint64_t* values,
                        std::size_t lanes);
-void eval_span_avx2(const Instr* instrs, const std::uint32_t* first,
-                    const std::uint32_t* last, const netlist::SignalId* pool,
+void eval_span_avx2(const Stream& stream, std::size_t first, std::size_t last,
                     std::uint64_t* values, std::size_t lanes);
-void eval_span_avx512(const Instr* instrs, const std::uint32_t* first,
-                      const std::uint32_t* last,
-                      const netlist::SignalId* pool, std::uint64_t* values,
+void eval_span_avx512(const Stream& stream, std::size_t first,
+                      std::size_t last, std::uint64_t* values,
                       std::size_t lanes);
 
 /// True when the tier's translation unit was built with real intrinsics
@@ -78,5 +85,4 @@ bool set_active_isa(util::SimIsa isa);
 EvalSpanFn eval_span_for(std::size_t lanes);
 EvalSpanFn eval_span_for(std::size_t lanes, util::SimIsa isa);
 
-}  // namespace kernels
-}  // namespace cl::sim
+}  // namespace cl::sim::kernels

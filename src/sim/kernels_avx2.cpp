@@ -46,22 +46,21 @@ struct V256 {
 
 bool detail_avx2_compiled_in() { return true; }
 
-void eval_span_avx2(const Instr* instrs, const std::uint32_t* first,
-                    const std::uint32_t* last,
-                    const netlist::SignalId* pool, std::uint64_t* values,
+void eval_span_avx2(const Stream& stream, std::size_t first,
+                    std::size_t last, std::uint64_t* values,
                     std::size_t lanes) {
   switch (lanes) {
     case 4:
-      impl::eval_span_impl<V256, 4>(instrs, first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 4>(stream, first, last, values, lanes);
       break;
     case 8:
-      impl::eval_span_impl<V256, 8>(instrs, first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 8>(stream, first, last, values, lanes);
       break;
     case 16:
-      impl::eval_span_impl<V256, 16>(instrs, first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 16>(stream, first, last, values, lanes);
       break;
     default:
-      impl::eval_span_impl<V256, 0>(instrs, first, last, pool, values, lanes);
+      impl::eval_span_impl<V256, 0>(stream, first, last, values, lanes);
       break;
   }
 }
@@ -70,11 +69,10 @@ void eval_span_avx2(const Instr* instrs, const std::uint32_t* first,
 
 bool detail_avx2_compiled_in() { return false; }
 
-void eval_span_avx2(const Instr* instrs, const std::uint32_t* first,
-                    const std::uint32_t* last,
-                    const netlist::SignalId* pool, std::uint64_t* values,
+void eval_span_avx2(const Stream& stream, std::size_t first,
+                    std::size_t last, std::uint64_t* values,
                     std::size_t lanes) {
-  eval_span_generic(instrs, first, last, pool, values, lanes);
+  eval_span_generic(stream, first, last, values, lanes);
 }
 
 #endif

@@ -39,19 +39,18 @@ struct V512 {
 
 bool detail_avx512_compiled_in() { return true; }
 
-void eval_span_avx512(const Instr* instrs, const std::uint32_t* first,
-                      const std::uint32_t* last,
-                      const netlist::SignalId* pool, std::uint64_t* values,
+void eval_span_avx512(const Stream& stream, std::size_t first,
+                      std::size_t last, std::uint64_t* values,
                       std::size_t lanes) {
   switch (lanes) {
     case 8:
-      impl::eval_span_impl<V512, 8>(instrs, first, last, pool, values, lanes);
+      impl::eval_span_impl<V512, 8>(stream, first, last, values, lanes);
       break;
     case 16:
-      impl::eval_span_impl<V512, 16>(instrs, first, last, pool, values, lanes);
+      impl::eval_span_impl<V512, 16>(stream, first, last, values, lanes);
       break;
     default:
-      impl::eval_span_impl<V512, 0>(instrs, first, last, pool, values, lanes);
+      impl::eval_span_impl<V512, 0>(stream, first, last, values, lanes);
       break;
   }
 }
@@ -60,11 +59,10 @@ void eval_span_avx512(const Instr* instrs, const std::uint32_t* first,
 
 bool detail_avx512_compiled_in() { return false; }
 
-void eval_span_avx512(const Instr* instrs, const std::uint32_t* first,
-                      const std::uint32_t* last,
-                      const netlist::SignalId* pool, std::uint64_t* values,
+void eval_span_avx512(const Stream& stream, std::size_t first,
+                      std::size_t last, std::uint64_t* values,
                       std::size_t lanes) {
-  eval_span_avx2(instrs, first, last, pool, values, lanes);
+  eval_span_avx2(stream, first, last, values, lanes);
 }
 
 #endif

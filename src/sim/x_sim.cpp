@@ -66,8 +66,10 @@ void XSim::reset() {
       case netlist::DffInit::X: values_[qs[i]] = Trit::X; break;
     }
   }
-  for (SignalId s : compiled_->const_zeros()) values_[s] = Trit::Zero;
-  for (SignalId s : compiled_->const_ones()) values_[s] = Trit::One;
+  for (const std::uint32_t s : compiled_->const_zeros()) {
+    values_[s] = Trit::Zero;
+  }
+  for (const std::uint32_t s : compiled_->const_ones()) values_[s] = Trit::One;
 }
 
 void XSim::set(SignalId s, Trit value) {
@@ -75,12 +77,13 @@ void XSim::set(SignalId s, Trit value) {
     throw std::invalid_argument("XSim::set: not an input: " +
                                 compiled_->source().signal_name(s));
   }
-  values_[s] = value;
+  values_[compiled_->slot(s)] = value;
 }
 
 void XSim::eval() {
-  const SignalId* pool = compiled_->fanin_pool().data();
-  for (const Instr& in : compiled_->instructions()) {
+  const std::uint32_t* pool = compiled_->fanin_pool().data();
+  for (const std::uint32_t g : compiled_->levelized()) {
+    const Instr in = compiled_->instr(g);
     Trit v = Trit::X;
     switch (in.op) {
       case Op::Buf: v = values_[in.a]; break;
@@ -137,14 +140,14 @@ void XSim::step() {
   const auto& ds = compiled_->dff_ds();
   std::vector<Trit> next;
   next.reserve(qs.size());
-  for (SignalId d : ds) next.push_back(values_[d]);
+  for (const std::uint32_t d : ds) next.push_back(values_[d]);
   for (std::size_t i = 0; i < qs.size(); ++i) values_[qs[i]] = next[i];
 }
 
 std::vector<Trit> XSim::outputs() const {
   std::vector<Trit> out;
   out.reserve(compiled_->outputs().size());
-  for (SignalId o : compiled_->outputs()) out.push_back(values_[o]);
+  for (const std::uint32_t o : compiled_->outputs()) out.push_back(values_[o]);
   return out;
 }
 

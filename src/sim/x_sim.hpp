@@ -1,9 +1,9 @@
 // Three-valued (0/1/X) scalar simulator with pessimistic X propagation.
 // Faithful to power-up-unknown flip-flops; used by the validation tables
 // (Table II prints 'x' before the first clock edge) and by FALL's controlled
-// X-analysis. Evaluation walks the CompiledNetlist instruction stream
-// (levelized, contiguous fanins) with Kleene-logic kernels instead of the
-// node graph.
+// X-analysis. Evaluation walks the CompiledNetlist's gates in levelize order
+// with Kleene-logic kernels instead of the node graph; values are held per
+// slot, and set()/get() map a SignalId through CompiledNetlist::slot().
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,7 @@ class XSim {
   void reset();
 
   void set(netlist::SignalId s, Trit value);
-  Trit get(netlist::SignalId s) const { return values_[s]; }
+  Trit get(netlist::SignalId s) const { return values_[compiled_->slot(s)]; }
 
   void eval();
   void step();
@@ -49,7 +49,7 @@ class XSim {
 
  private:
   std::shared_ptr<const CompiledNetlist> compiled_;
-  std::vector<Trit> values_;
+  std::vector<Trit> values_;  // per slot
 };
 
 }  // namespace cl::sim

@@ -1,6 +1,8 @@
 #include "tech/overhead.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <span>
 
 #include "netlist/optimize.hpp"
 #include "sim/compiled.hpp"
@@ -47,7 +49,8 @@ OverheadReport analyze_overhead(const Netlist& nl,
   // Switching activity: random inputs & keys, 64 lanes, toggles counted on
   // the mapped design so tree-decomposition internal nodes are included.
   // From the second cycle on, a signal toggles once per lane whose word
-  // differs from its word at the previous cycle's evaluation.
+  // differs from its word at the previous cycle's evaluation. Toggles are
+  // counted per slot, in buffer order.
   const Netlist& m = mapped.netlist;
   sim::WideSim simulator(m);
   std::vector<std::uint64_t> previous(m.size(), 0);
@@ -57,14 +60,14 @@ OverheadReport analyze_overhead(const Netlist& nl,
     for (SignalId i : m.inputs()) simulator.set_word(i, 0, rng.next_u64());
     for (SignalId k : m.key_inputs()) simulator.set_word(k, 0, rng.next_u64());
     simulator.eval();
-    for (SignalId s = 0; s < m.size(); ++s) {
-      const std::uint64_t word = simulator.get_word(s, 0);
-      if (c > 0) {
+    const std::span<const std::uint64_t> words = simulator.words();
+    if (c > 0) {
+      for (std::size_t s = 0; s < words.size(); ++s) {
         toggles[s] +=
-            static_cast<std::uint64_t>(std::popcount(word ^ previous[s]));
+            static_cast<std::uint64_t>(std::popcount(words[s] ^ previous[s]));
       }
-      previous[s] = word;
     }
+    std::copy(words.begin(), words.end(), previous.begin());
     simulator.step();
   }
 
@@ -75,7 +78,8 @@ OverheadReport analyze_overhead(const Netlist& nl,
     if (t == netlist::GateType::Input || t == netlist::GateType::KeyInput) {
       continue;
     }
-    const double toggles_per_cycle = static_cast<double>(toggles[s]) / lanes;
+    const double toggles_per_cycle =
+        static_cast<double>(toggles[simulator.compiled().slot(s)]) / lanes;
     const Cell& cell = lib.cell(cell_for_gate(t));
     // E[J/toggle] * toggles/cycle * cycles/s.
     dynamic_w += cell.switch_energy_fj * 1e-15 * toggles_per_cycle *

@@ -52,7 +52,7 @@ void check_encoding_matches_sim(const Netlist& nl, std::uint64_t seed) {
     ASSERT_EQ(solver.solve(assumptions), Result::Sat);
     for (SignalId s = 0; s < nl.size(); ++s) {
       const bool sim_val = sim.get_word(s, 0) & 1ULL;
-      EXPECT_EQ(solver.model_value(frame[s]), sim_val)
+      EXPECT_EQ(solver.model_value(frame[prog.slot(s)]), sim_val)
           << nl.signal_name(s) << " trial " << trial;
     }
   }
@@ -100,13 +100,13 @@ TEST(Encoder, ConstantsForced) {
   const sim::CompiledNetlist prog(nl);
   const std::vector<Lit> frame = enc.encode_frame(prog, {}, {}, {});
   // Constants fold: the frame's signals are the encoder's constant literals.
-  EXPECT_EQ(frame[one], enc.constant(true));
-  EXPECT_EQ(frame[zero], enc.constant(false));
-  EXPECT_EQ(frame[y], enc.constant(false));
+  EXPECT_EQ(frame[prog.slot(one)], enc.constant(true));
+  EXPECT_EQ(frame[prog.slot(zero)], enc.constant(false));
+  EXPECT_EQ(frame[prog.slot(y)], enc.constant(false));
   ASSERT_EQ(solver.solve(), Result::Sat);
-  EXPECT_TRUE(solver.model_value(frame[one]));
-  EXPECT_FALSE(solver.model_value(frame[zero]));
-  EXPECT_FALSE(solver.model_value(frame[y]));
+  EXPECT_TRUE(solver.model_value(frame[prog.slot(one)]));
+  EXPECT_FALSE(solver.model_value(frame[prog.slot(zero)]));
+  EXPECT_FALSE(solver.model_value(frame[prog.slot(y)]));
 }
 
 TEST(Encoder, SharedSourceVarsTieFramesTogether) {
@@ -127,7 +127,7 @@ y = XOR(a, keyinput0)
   const Lit a_b = enc.fresh();
   const std::vector<Lit> fa = enc.encode_frame(prog, {a_a}, {key}, {});
   const std::vector<Lit> fb = enc.encode_frame(prog, {a_b}, {key}, {});
-  const SignalId y = nl.find("y");
+  const std::uint32_t y = prog.slot(nl.find("y"));
   // a_A=0, y_A=1 => key=1 ; then a_B=1 must give y_B=0.
   ASSERT_EQ(solver.solve({~a_a, fa[y], a_b}), Result::Sat);
   EXPECT_TRUE(solver.model_value(key));

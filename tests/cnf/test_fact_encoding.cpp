@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "benchgen/catalog.hpp"
+#include "cnf/hashed_encoder.hpp"
 #include "cnf/miter.hpp"
 #include "core/cute_lock_str.hpp"
 #include "lock/lock_registry.hpp"
@@ -418,20 +419,29 @@ struct StreamPin {
   std::uint64_t propagations = 0;
 };
 
-/// table4-cns's s298 lock (the paper's (k, ki), min(4, DFFs) locked FFs,
-/// seed 0x57a + gates) under a depth-2 DIP miter plus `facts` seeded
-/// `cycles`-cycle warmup facts on both key copies, answered by the
-/// reference. `rane` starts the miter and every fact from the shared
-/// symbolic reset state, as RANE does; otherwise from power-up, as INT does.
-StreamPin s298_warmup_stream(bool rane, std::size_t facts, std::size_t cycles) {
-  const benchgen::CircuitSpec& spec = benchgen::find_spec("s298");
-  const Netlist ref = benchgen::make_circuit(spec).netlist;
+/// Cute-Lock-Str on `ref` at `keys` keys of `bits` bits, min(4, DFFs)
+/// locked FFs and lock seed `seed`.
+lock::LockResult str_lock(const Netlist& ref, std::size_t keys,
+                          std::size_t bits, std::uint64_t seed) {
   core::StrOptions options;
-  options.num_keys = spec.lock_keys;
-  options.key_bits = spec.lock_bits;
+  options.num_keys = keys;
+  options.key_bits = bits;
   options.locked_ffs = std::min<std::size_t>(4, ref.dffs().size());
-  options.seed = 0x57a + spec.gates;
-  const lock::LockResult lr = core::cute_lock_str(ref, options);
+  options.seed = seed;
+  return core::cute_lock_str(ref, options);
+}
+
+/// A Cute-Lock-Str lock of catalog circuit `circuit` at `keys` keys of `bits`
+/// bits, min(4, DFFs) locked FFs and lock seed `seed`, under a depth-2 DIP
+/// miter plus `facts` seeded `cycles`-cycle warmup facts on both key copies,
+/// answered by the reference. `rane` starts the miter and every fact from
+/// the shared symbolic reset state, as RANE does; otherwise from power-up,
+/// as INT does.
+StreamPin warmup_stream(const char* circuit, std::size_t keys,
+                        std::size_t bits, std::uint64_t seed, bool rane,
+                        std::size_t facts, std::size_t cycles) {
+  const Netlist ref = benchgen::make_circuit(circuit).netlist;
+  const lock::LockResult lr = str_lock(ref, keys, bits, seed);
 
   Solver solver;
   SequentialMiter miter(solver, lr.locked, rane);
@@ -456,9 +466,24 @@ StreamPin s298_warmup_stream(bool rane, std::size_t facts, std::size_t cycles) {
   return pin;
 }
 
-// The two pins below hold the clause stream the attacks build: a variable
-// or clause added or dropped changes the counts, and a stream in another
-// order usually changes the search trajectory.
+/// warmup_stream on a Table IV lock: the paper's (k, ki) and lock seed
+/// 0x57a + gates, as table4-cns builds it.
+StreamPin table4_warmup_stream(const char* circuit, bool rane,
+                               std::size_t facts, std::size_t cycles) {
+  const benchgen::CircuitSpec& spec = benchgen::find_spec(circuit);
+  return warmup_stream(circuit, spec.lock_keys, spec.lock_bits,
+                       0x57a + spec.gates, rane, facts, cycles);
+}
+
+/// table4-cns's s298 lock under table4_warmup_stream.
+StreamPin s298_warmup_stream(bool rane, std::size_t facts, std::size_t cycles) {
+  return table4_warmup_stream("s298", rane, facts, cycles);
+}
+
+// The pins below hold the clause stream the attacks build: a variable or
+// clause added or dropped changes the counts, and a stream in another order
+// (the encoder walking gates in another order, say) usually changes the
+// search trajectory.
 
 TEST(FactEncoding, RaneWarmupClauseStreamIsPinned) {
   const StreamPin pin = s298_warmup_stream(true, 8, 16);
@@ -478,6 +503,89 @@ TEST(FactEncoding, IntWarmupClauseStreamIsPinned) {
   EXPECT_EQ(pin.conflicts, 0u);
   EXPECT_EQ(pin.decisions, 0u);
   EXPECT_EQ(pin.propagations, 245u);
+}
+
+TEST(FactEncoding, B14RaneWarmupClauseStreamIsPinned) {
+  const StreamPin pin = table4_warmup_stream("b14", true, 8, 16);
+  EXPECT_EQ(pin.vars, 128570);
+  EXPECT_EQ(pin.clauses, 413757u);
+  EXPECT_EQ(pin.result, Result::Unsat);
+  EXPECT_EQ(pin.conflicts, 18u);
+  EXPECT_EQ(pin.decisions, 26u);
+  EXPECT_EQ(pin.propagations, 108968u);
+}
+
+TEST(FactEncoding, B14IntWarmupClauseStreamIsPinned) {
+  const StreamPin pin = table4_warmup_stream("b14", false, 2, 12);
+  EXPECT_EQ(pin.vars, 7121);
+  EXPECT_EQ(pin.clauses, 18543u);
+  EXPECT_EQ(pin.result, Result::Unsat);
+  EXPECT_EQ(pin.conflicts, 0u);
+  EXPECT_EQ(pin.decisions, 0u);
+  EXPECT_EQ(pin.propagations, 617u);
+}
+
+TEST(FactEncoding, MegaIntWarmupClauseStreamIsPinned) {
+  // perfbench mega-encode's syn64k lock: k = 2, ki = 4, 4 locked FFs, lock
+  // seed 0x3e6a + gates + k.
+  const StreamPin pin =
+      warmup_stream("syn64k", 2, 4, 0x3e6a + 65536 + 2, false, 2, 12);
+  EXPECT_EQ(pin.vars, 31289);
+  EXPECT_EQ(pin.clauses, 99569u);
+  EXPECT_EQ(pin.result, Result::Unsat);
+  EXPECT_EQ(pin.conflicts, 0u);
+  EXPECT_EQ(pin.decisions, 0u);
+  EXPECT_EQ(pin.propagations, 29u);
+}
+
+TEST(FactEncoding, FrameVariableNumberingIsPinned) {
+  // One frame over fresh source literals: the FNV-1a of every signal's
+  // literal, in SignalId order, pins the variable each gate gets, which
+  // follows the encoder's walk order. The clause-stream pins above can
+  // hold when only that order moves.
+  const benchgen::CircuitSpec& s298 = benchgen::find_spec("s298");
+  const benchgen::CircuitSpec& b14 = benchgen::find_spec("b14");
+  const struct {
+    const char* circuit;
+    std::size_t keys;
+    std::size_t bits;
+    std::uint64_t seed;
+    int vars;
+    std::size_t clauses;
+    std::uint64_t hash;
+  } cases[] = {
+      {"s298", s298.lock_keys, s298.lock_bits, 0x57a + s298.gates, 196, 555,
+       0x730172beb6aac2b6ULL},
+      {"b14", b14.lock_keys, b14.lock_bits, 0x57a + b14.gates, 10530, 33924,
+       0x202e71d2a06358a5ULL},
+      {"syn64k", 2, 4, 0x3e6a + 65536 + 2, 66580, 218469,
+       0xa6e46c3cc9b4a025ULL},
+  };
+  for (const auto& c : cases) {
+    const Netlist ref = benchgen::make_circuit(c.circuit).netlist;
+    const lock::LockResult lr = str_lock(ref, c.keys, c.bits, c.seed);
+    const sim::CompiledNetlist prog(lr.locked);
+    Solver solver;
+    HashedEncoder enc(solver);
+    const auto fresh = [&enc](std::size_t n) {
+      std::vector<sat::Lit> lits;
+      for (std::size_t i = 0; i < n; ++i) lits.push_back(enc.fresh());
+      return lits;
+    };
+    const std::vector<sat::Lit> inputs = fresh(prog.inputs().size());
+    const std::vector<sat::Lit> keys = fresh(prog.key_inputs().size());
+    const std::vector<sat::Lit> states = fresh(prog.dff_qs().size());
+    const std::vector<sat::Lit> frame =
+        enc.encode_frame(prog, inputs, keys, states);
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (SignalId s = 0; s < lr.locked.size(); ++s) {
+      hash ^= static_cast<std::uint32_t>(frame[prog.slot(s)].code());
+      hash *= 1099511628211ULL;
+    }
+    EXPECT_EQ(solver.num_vars(), c.vars) << c.circuit;
+    EXPECT_EQ(solver.num_clauses(), c.clauses) << c.circuit;
+    EXPECT_EQ(hash, c.hash) << c.circuit;
+  }
 }
 
 }  // namespace

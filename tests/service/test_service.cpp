@@ -232,6 +232,62 @@ TEST_F(ServiceTest, LongLinesAndPipelinedRequestsAreAnsweredInOrder) {
   ::close(fd);
 }
 
+TEST_F(ServiceTest, RequestLineOverTheCapIsRejectedAndTheConnectionClosed) {
+  ServerOptions options;
+  options.unix_socket = socket_path();
+  options.workers = 1;
+  Server server(options);
+  start(server);
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path().c_str(), sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  // A ping padded to one byte over the cap, newline excluded. The daemon
+  // may close before the last bytes are sent, so a failed send is fine.
+  const std::string head = "{\"op\":\"ping\",\"pad\":\"";
+  std::string line = head;
+  line.append(k_max_request_line + 1 - head.size() - 2, 'x');
+  line += "\"}";
+  ASSERT_EQ(line.size(), k_max_request_line + 1);
+  line += '\n';
+  for (std::size_t sent = 0; sent < line.size();) {
+    const ssize_t n =
+        ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  // One error reply naming the cap, then end of stream.
+  std::string received;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(received.empty());
+  ASSERT_EQ(received.find('\n'), received.size() - 1) << received;
+  util::Json reply;
+  std::string error;
+  ASSERT_TRUE(util::Json::parse(received.substr(0, received.size() - 1),
+                                &reply, &error))
+      << error;
+  EXPECT_FALSE(reply.bool_or("ok", true)) << received;
+  EXPECT_NE(reply.str_or("error", "").find(std::to_string(k_max_request_line)),
+            std::string::npos)
+      << received;
+
+  // The daemon still serves other connections.
+  Client client;
+  ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
+  util::Json ping = util::Json::object();
+  ping.set("op", util::Json::string("ping"));
+  EXPECT_TRUE(rpc(client, ping).bool_or("ok", false));
+}
+
 TEST_F(ServiceTest, AttackJobMatchesInProcessRunAndResubmissionReplays) {
   const LockedPair pair = s27_pair(0xc01d);
 

@@ -1,7 +1,8 @@
 // Randomized cross-checks of the compiled simulation engine against
 // sim::ReferenceSim (the frozen pre-compilation evaluator): every GateType,
-// DFF X-init, wide-lane widths W in {1, 4, 16}, sharded evaluation, and
-// the op-grouped evaluation order on a 10k-gate catalog circuit.
+// DFF X-init, wide-lane widths W in {1, 4, 16}, sharded evaluation, the
+// slot numbering, and the op-grouped evaluation order on a 10k-gate catalog
+// circuit.
 #include "sim/compiled.hpp"
 
 #include <gtest/gtest.h>
@@ -133,42 +134,79 @@ TEST(CompiledNetlist, WideLanesMatchPerWordReferenceRuns) {
 }
 
 TEST(CompiledNetlist, OpGroupedEvalOrderMatchesReferenceOnS35932) {
-  // The kernels walk eval_order(), which regroups each level by opcode;
-  // instructions() must keep netlist::levelize order, because the CNF
-  // encoder's variable order (and so every SAT trajectory) follows it.
+  // The kernels walk the evaluation order, which regroups each level by
+  // opcode into runs; levelized() must keep netlist::levelize order, because
+  // the CNF encoder's variable order (and so every SAT trajectory) follows
+  // it.
   const auto circuit = benchgen::make_circuit("s35932");
   const Netlist& nl = circuit.netlist;
   ASSERT_GE(nl.stats().gates, 10000u);
   const auto compiled = std::make_shared<const CompiledNetlist>(nl);
-  const std::vector<Instr>& instrs = compiled->instructions();
   const netlist::Levelization lv = netlist::levelize(nl);
-  ASSERT_EQ(instrs.size(), lv.order.size() - lv.level_begin[1]);
-  for (std::size_t i = 0; i < instrs.size(); ++i) {
-    ASSERT_EQ(instrs[i].out, lv.order[lv.level_begin[1] + i]) << i;
+  const std::size_t sources = lv.level_begin[1];
+  ASSERT_EQ(compiled->num_sources(), sources);
+  const std::vector<std::uint32_t>& levelized = compiled->levelized();
+  ASSERT_EQ(compiled->num_gates(), lv.order.size() - sources);
+  ASSERT_EQ(levelized.size(), compiled->num_gates());
+  for (std::size_t i = 0; i < levelized.size(); ++i) {
+    ASSERT_EQ(compiled->instr(levelized[i]).out,
+              compiled->slot(lv.order[sources + i]))
+        << i;
   }
 
-  // Gate level l spans the same positions of eval_order() as of
-  // instructions(): the levelization's, less the sources of level 0.
-  const std::vector<std::uint32_t>& order = compiled->eval_order();
-  ASSERT_EQ(order.size(), instrs.size());
+  // The signal behind each slot.
+  std::vector<SignalId> signal_of(nl.size());
+  for (SignalId s = 0; s < nl.size(); ++s) signal_of[compiled->slot(s)] = s;
+
+  // Gate level l spans the same evaluation positions as levelize order
+  // positions (the levelization's, less the sources of level 0), and holds
+  // the same gates, grouped by ascending Op, ascending SignalId in a group.
   ASSERT_GT(lv.num_levels(), 2u);
   for (std::size_t l = 1; l < lv.num_levels(); ++l) {
-    const std::size_t first = lv.level_begin[l] - lv.level_begin[1];
-    const std::size_t last = lv.level_begin[l + 1] - lv.level_begin[1];
-    std::vector<std::uint32_t> level(order.begin() + first,
-                                     order.begin() + last);
-    for (std::size_t i = 1; i < level.size(); ++i) {
-      const Instr& prev = instrs[level[i - 1]];
-      const Instr& cur = instrs[level[i]];
+    const std::size_t first = lv.level_begin[l] - sources;
+    const std::size_t last = lv.level_begin[l + 1] - sources;
+    for (std::size_t g = first + 1; g < last; ++g) {
+      const Instr prev = compiled->instr(g - 1);
+      const Instr cur = compiled->instr(g);
       ASSERT_TRUE(prev.op < cur.op ||
-                  (prev.op == cur.op && prev.out < cur.out))
-          << "level " << l << " position " << i;
+                  (prev.op == cur.op &&
+                   signal_of[prev.out] < signal_of[cur.out]))
+          << "level " << l << " position " << g;
     }
+    std::vector<std::uint32_t> level(levelized.begin() + first,
+                                     levelized.begin() + last);
     std::sort(level.begin(), level.end());
     for (std::size_t i = 0; i < level.size(); ++i) {
       ASSERT_EQ(level[i], first + i) << "level " << l;
     }
   }
+
+  // The runs cover the evaluation order in order, one opcode each, and a
+  // run ends where its opcode or its level does.
+  std::vector<std::size_t> level_of_position(compiled->num_gates());
+  for (std::size_t i = 0; i < levelized.size(); ++i) {
+    level_of_position[levelized[i]] =
+        static_cast<std::size_t>(lv.level[lv.order[sources + i]]);
+  }
+  const std::vector<sim::Run>& runs = compiled->runs();
+  std::size_t next = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].begin, next) << "run " << r;
+    ASSERT_LT(runs[r].begin, runs[r].end) << "run " << r;
+    for (std::size_t g = runs[r].begin; g < runs[r].end; ++g) {
+      ASSERT_EQ(compiled->instr(g).op, runs[r].op) << "position " << g;
+      ASSERT_EQ(level_of_position[g], level_of_position[runs[r].begin])
+          << "position " << g;
+    }
+    if (r > 0) {
+      ASSERT_TRUE(runs[r - 1].op != runs[r].op ||
+                  level_of_position[runs[r - 1].begin] !=
+                      level_of_position[runs[r].begin])
+          << "run " << r;
+    }
+    next = runs[r].end;
+  }
+  ASSERT_EQ(next, compiled->num_gates());
 
   // W words per signal == W ReferenceSim runs, over several cycles.
   util::Rng rng(0x35932);
@@ -213,8 +251,8 @@ TEST(CompiledNetlist, ShardedEvalIsBitIdenticalToSerial) {
     for (SignalId s : nl.all_inputs()) {
       for (std::size_t w = 0; w < lanes; ++w) {
         const std::uint64_t word = rand_word(rng);
-        serial[s * lanes + w] = word;
-        sharded[s * lanes + w] = word;
+        serial[compiled.slot(s) * lanes + w] = word;
+        sharded[compiled.slot(s) * lanes + w] = word;
       }
     }
     compiled.eval(serial.data(), lanes);
@@ -223,9 +261,69 @@ TEST(CompiledNetlist, ShardedEvalIsBitIdenticalToSerial) {
   }
 }
 
+TEST(CompiledNetlist, SlotIsABijectionWithSourcesFirst) {
+  // Every signal gets one slot; the sources (inputs, key inputs, DFF Qs
+  // and constants) take [0, num_sources()), and gate g's output is slot
+  // num_sources() + g. The port lists hold the ports' slots, and WideSim
+  // and XSim set and get by SignalId through slot().
+  util::Rng rng(0x5107);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Netlist nl = random_netlist(rng, 60 + 30 * trial);
+    const auto compiled = std::make_shared<const CompiledNetlist>(nl);
+    ASSERT_EQ(compiled->num_signals(), nl.size());
+    std::vector<std::uint8_t> taken(nl.size(), 0);
+    std::size_t sources = 0;
+    for (SignalId s = 0; s < nl.size(); ++s) {
+      const std::uint32_t slot = compiled->slot(s);
+      ASSERT_LT(slot, nl.size());
+      ASSERT_FALSE(taken[slot]) << "slot " << slot << " taken twice";
+      taken[slot] = 1;
+      const bool source = !netlist::is_comb_gate(nl.type(s));
+      sources += source ? 1 : 0;
+      EXPECT_EQ(source, slot < compiled->num_sources()) << nl.signal_name(s);
+    }
+    EXPECT_EQ(compiled->num_sources(), sources);
+    for (std::size_t g = 0; g < compiled->num_gates(); ++g) {
+      EXPECT_EQ(compiled->instr(g).out, compiled->num_sources() + g);
+    }
+    const auto slots = [&](const std::vector<SignalId>& ids) {
+      std::vector<std::uint32_t> out;
+      for (const SignalId s : ids) out.push_back(compiled->slot(s));
+      return out;
+    };
+    EXPECT_EQ(compiled->inputs(), slots(nl.inputs()));
+    EXPECT_EQ(compiled->key_inputs(), slots(nl.key_inputs()));
+    EXPECT_EQ(compiled->outputs(), slots(nl.outputs()));
+    EXPECT_EQ(compiled->dff_qs(), slots(nl.dffs()));
+
+    // set/get by SignalId round-trip, and land in the slot's words.
+    constexpr std::size_t kLanes = 3;
+    WideSim wide(compiled, kLanes);
+    XSim xs(compiled);
+    for (const SignalId s : nl.all_inputs()) {
+      for (std::size_t w = 0; w < kLanes; ++w) {
+        const std::uint64_t word = rand_word(rng);
+        wide.set_word(s, w, word);
+        EXPECT_EQ(wide.get_word(s, w), word);
+        EXPECT_EQ(wide.words()[compiled->slot(s) * kLanes + w], word);
+      }
+      const Trit t = rng.chance(1, 2) ? Trit::One : Trit::Zero;
+      xs.set(s, t);
+      EXPECT_EQ(xs.get(s), t);
+    }
+    wide.eval();
+    for (SignalId s = 0; s < nl.size(); ++s) {
+      for (std::size_t w = 0; w < kLanes; ++w) {
+        EXPECT_EQ(wide.get_word(s, w),
+                  wide.words()[compiled->slot(s) * kLanes + w]);
+      }
+    }
+  }
+}
+
 TEST(CompiledNetlist, DffXInitIsZeroInWordSimAndXInXSim) {
   // The two-valued engines (Reference and compiled) treat X power-up as 0;
-  // XSim preserves the X through the compiled instruction stream.
+  // XSim preserves the X through the compiled program.
   Netlist nl("xinit");
   const SignalId a = nl.add_input("a");
   const SignalId qx = nl.add_dff(a, DffInit::X, "qx");

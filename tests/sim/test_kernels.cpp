@@ -1,11 +1,13 @@
 // Randomized cross-check of the per-ISA simulation kernels: every Op code
 // (including N-ary arities that exercise the fanin pool), every kernel tier
 // available on the host, lane counts that hit full registers, scalar tails
-// and sub-register widths, and deliberately misaligned buffers. The SIMD
-// tiers are pure bitwise logic, so the contract is exact bit equality with
-// the generic tier — any mismatch is a kernel bug, never tolerance.
+// and sub-register widths, deliberately misaligned buffers, and spans that
+// split runs. The SIMD tiers are pure bitwise logic, so the contract is
+// exact bit equality with the generic tier — any mismatch is a kernel bug,
+// never tolerance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,89 +25,116 @@ using kernels::EvalSpanFn;
 using netlist::SignalId;
 using util::SimIsa;
 
-/// A hand-built instruction stream covering every opcode. Signals
-/// [0, num_inputs) are free inputs; every instruction defines the next
-/// signal, and the second half reads earlier instruction outputs so values
-/// chain through the stream like a real levelized netlist.
+/// A hand-built program covering every opcode, in the compiled layout:
+/// slots [0, num_inputs) are free inputs, gate g writes slot num_inputs + g,
+/// and consecutive gates of one opcode within a layer form one Run. Layer 1
+/// reads inputs only and holds runs of two gates per opcode; layer 2 reads
+/// layer-1 outputs, so lane words chain through dependent gates like a
+/// real levelized netlist.
 struct Playground {
   static constexpr std::size_t num_inputs = 12;
-  std::vector<Instr> instrs;
-  std::vector<SignalId> pool;
-  SignalId next = num_inputs;
-  std::uint32_t layer1_end = 0;  // instrs[0, layer1_end) read inputs only
+  std::vector<Run> runs;
+  std::vector<std::uint32_t> a, b, c;
+  std::vector<std::uint32_t> pool;
+  std::uint32_t layer1_end = 0;  // gates [0, layer1_end) read inputs only
 
-  SignalId op1(Op op, std::uint32_t a) {
-    instrs.push_back(Instr{next, a, 0, 0, op});
-    return next++;
+  std::uint32_t gate(Op op, std::uint32_t x, std::uint32_t y = 0,
+                     std::uint32_t z = 0) {
+    const auto g = static_cast<std::uint32_t>(a.size());
+    if (runs.empty() || runs.back().op != op || runs.back().end == layer1_end) {
+      runs.push_back(Run{g, g, op});
+    }
+    ++runs.back().end;
+    a.push_back(x);
+    b.push_back(y);
+    c.push_back(z);
+    return static_cast<std::uint32_t>(num_inputs) + g;
   }
-  SignalId op2(Op op, std::uint32_t a, std::uint32_t b) {
-    instrs.push_back(Instr{next, a, b, 0, op});
-    return next++;
-  }
-  SignalId mux(std::uint32_t sel, std::uint32_t d0, std::uint32_t d1) {
-    instrs.push_back(Instr{next, sel, d0, d1, Op::Mux});
-    return next++;
-  }
-  SignalId opn(Op op, const std::vector<SignalId>& fanins) {
+  std::uint32_t opn(Op op, const std::vector<std::uint32_t>& fanins) {
     const auto offset = static_cast<std::uint32_t>(pool.size());
     pool.insert(pool.end(), fanins.begin(), fanins.end());
-    instrs.push_back(
-        Instr{next, offset, static_cast<std::uint32_t>(fanins.size()), 0, op});
-    return next++;
+    return gate(op, offset, static_cast<std::uint32_t>(fanins.size()));
   }
 
   Playground() {
-    // Layer 1: every opcode over raw inputs.
-    const SignalId b = op1(Op::Buf, 0);
-    const SignalId n = op1(Op::Not, 1);
-    op2(Op::And2, 2, 3);
-    op2(Op::Nand2, 4, 5);
-    op2(Op::Or2, 6, 7);
-    op2(Op::Nor2, 8, 9);
-    op2(Op::Xor2, 10, 11);
-    op2(Op::Xnor2, 0, 6);
-    mux(1, 2, 3);
-    const SignalId a2 = opn(Op::AndN, {0, 7});
-    const SignalId x3 = opn(Op::XorN, {1, 4, 9});
+    // Layer 1: every opcode over raw inputs, two gates each.
+    const std::uint32_t buf = gate(Op::Buf, 0);
+    gate(Op::Buf, 11);
+    const std::uint32_t inv = gate(Op::Not, 1);
+    gate(Op::Not, 10);
+    for (const Op op : {Op::And2, Op::Nand2, Op::Or2, Op::Nor2, Op::Xor2,
+                        Op::Xnor2}) {
+      const auto k = static_cast<std::uint32_t>(op);
+      gate(op, k % 12, (k + 5) % 12);
+      gate(op, (k + 3) % 12, (k + 7) % 12);
+    }
+    gate(Op::Mux, 1, 2, 3);
+    gate(Op::Mux, 4, 5, 6);
+    const std::uint32_t and2 = opn(Op::AndN, {0, 7});
+    opn(Op::AndN, {3, 8, 11});
+    const std::uint32_t xor3 = opn(Op::XorN, {1, 4, 9});
+    opn(Op::XorN, {1, 2, 3, 4, 5, 6, 7, 8});
     opn(Op::NandN, {2, 5, 8});
+    opn(Op::NandN, {9, 10});
     opn(Op::OrN, {3, 6, 9, 0, 1});
+    opn(Op::OrN, {11, 10, 9});
     opn(Op::NorN, {0, 1, 2, 3, 4, 5, 6, 7, 8});
+    opn(Op::NorN, {6, 5});
     opn(Op::XnorN, {10, 11, 0, 5, 7, 9, 2});
-    layer1_end = static_cast<std::uint32_t>(instrs.size());
-    // Layer 2: the same opcodes over layer-1 outputs, so lane words flow
-    // through dependent instructions.
-    op2(Op::Xor2, b, n);
-    mux(a2, x3, b);
-    opn(Op::XorN, {b, n, a2, x3});
-    opn(Op::AndN, {n, a2, x3});
+    opn(Op::XnorN, {4, 8, 0});
+    layer1_end = static_cast<std::uint32_t>(a.size());
+    // Layer 2: opcodes over layer-1 outputs.
+    gate(Op::Xor2, buf, inv);
+    gate(Op::Xor2, and2, xor3);
+    gate(Op::Mux, and2, xor3, buf);
+    opn(Op::XorN, {buf, inv, and2, xor3});
+    opn(Op::AndN, {inv, and2, xor3});
   }
 
-  std::size_t num_signals() const { return next; }
+  std::size_t num_gates() const { return a.size(); }
+  std::size_t num_signals() const { return num_inputs + num_gates(); }
+  kernels::Stream stream() const {
+    kernels::Stream s;
+    s.runs = runs.data();
+    s.runs_end = runs.data() + runs.size();
+    s.a = a.data();
+    s.b = b.data();
+    s.c = c.data();
+    s.pool = pool.data();
+    s.base = num_inputs;
+    return s;
+  }
 };
 
-/// Evaluate the playground with `fn` at `lanes` words per signal, the value
+/// Evaluate the playground with `fn` at `lanes` words per slot, the value
 /// block starting `offset` words into a 64-byte-aligned allocation (offset 1
 /// = deliberately misaligned base, legal because all kernel loads/stores are
-/// unaligned ops). The index span walks the stream in reverse within each
-/// layer, as a real evaluation order may reorder a level. Returns the full
-/// value buffer.
+/// unaligned ops). With `chunked`, each layer is evaluated in spans of three
+/// gates, last span first, as sharded evaluation may split and reorder a
+/// level: the spans cut runs in the middle and at their ends. Returns the
+/// full value buffer.
 std::vector<std::uint64_t> run_playground(const Playground& pg, EvalSpanFn fn,
-                                          std::size_t lanes,
-                                          std::size_t offset) {
+                                          std::size_t lanes, std::size_t offset,
+                                          bool chunked) {
   util::AlignedVec<std::uint64_t> buf(pg.num_signals() * lanes + offset, 0);
   std::uint64_t* v = buf.data() + offset;
   util::Rng rng(0xc0ffee);  // same stimulus for every tier
   for (std::size_t s = 0; s < Playground::num_inputs; ++s) {
     for (std::size_t w = 0; w < lanes; ++w) v[s * lanes + w] = rng.next_u64();
   }
-  std::vector<std::uint32_t> order;
-  for (std::uint32_t i = pg.layer1_end; i-- > 0;) order.push_back(i);
-  for (auto i = static_cast<std::uint32_t>(pg.instrs.size());
-       i-- > pg.layer1_end;) {
-    order.push_back(i);
+  const kernels::Stream stream = pg.stream();
+  if (!chunked) {
+    fn(stream, 0, pg.num_gates(), v, lanes);
+    return {buf.begin(), buf.end()};
   }
-  fn(pg.instrs.data(), order.data(), order.data() + order.size(),
-     pg.pool.data(), v, lanes);
+  const std::size_t layers[] = {0, pg.layer1_end, pg.num_gates()};
+  for (std::size_t l = 0; l < 2; ++l) {
+    for (std::size_t end = layers[l + 1]; end > layers[l];) {
+      const std::size_t begin = end - std::min<std::size_t>(3, end - layers[l]);
+      fn(stream, begin, end, v, lanes);
+      end = begin;
+    }
+  }
   return {buf.begin(), buf.end()};
 }
 
@@ -118,10 +147,13 @@ TEST(Kernels, GenericTierAlwaysPresent) {
 
 TEST(Kernels, SimdTiersMatchGenericBitForBit) {
   const Playground pg;
+  // Layer 1 holds one run per opcode, layer 2 four runs.
+  ASSERT_EQ(pg.runs.size(), static_cast<std::size_t>(Op::XnorN) + 1 + 4);
   const struct {
     SimIsa isa;
     EvalSpanFn fn;
   } tiers[] = {
+      {SimIsa::Generic, &kernels::eval_span_generic},
       {SimIsa::Avx2, &kernels::eval_span_avx2},
       {SimIsa::Avx512, &kernels::eval_span_avx512},
   };
@@ -134,12 +166,14 @@ TEST(Kernels, SimdTiersMatchGenericBitForBit) {
     // Widths below, at, above and straddling both register sizes.
     for (const std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 12u, 16u}) {
       for (const std::size_t offset : {0u, 1u}) {
-        const auto want =
-            run_playground(pg, &kernels::eval_span_generic, lanes, offset);
-        const auto got = run_playground(pg, tier.fn, lanes, offset);
-        EXPECT_EQ(want, got)
-            << util::sim_isa_name(tier.isa) << " lanes=" << lanes
-            << " offset=" << offset;
+        const auto want = run_playground(pg, &kernels::eval_span_generic,
+                                         lanes, offset, false);
+        for (const bool chunked : {false, true}) {
+          const auto got = run_playground(pg, tier.fn, lanes, offset, chunked);
+          EXPECT_EQ(want, got)
+              << util::sim_isa_name(tier.isa) << " lanes=" << lanes
+              << " offset=" << offset << " chunked=" << chunked;
+        }
       }
     }
   }
