@@ -58,14 +58,14 @@ LintReport lint(const Netlist& nl) {
   }
   if (floating) return rep;
 
-  const netlist::Fanouts fanout = netlist::fanouts(nl);
-  const std::span<const GateType> types = nl.types();
   try {
-    (void)netlist::levelize(nl, fanout);
+    (void)netlist::levelize(nl);
   } catch (const std::exception& e) {
     add(rep, Severity::Error, "comb-loop", "", e.what());
     return rep;
   }
+  const netlist::Fanouts fanout = netlist::fanouts(nl);
+  const std::span<const GateType> types = nl.types();
 
   for (SignalId i : nl.inputs()) {
     if (fanout[i].empty() && !is_output(nl, i)) {

@@ -1,6 +1,7 @@
 #include "cnf/hashed_encoder.hpp"
 
 #include <bit>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +20,28 @@ constexpr std::uint64_t k_hash_mul = 0x9E3779B97F4A7C15ULL;
 // Bit 63 of an operand pair key is free (literal codes are below 2^31); XOR
 // keys set it, so an AND and an XOR over the same operands never collide.
 constexpr std::uint64_t k_xor_tag = std::uint64_t{1} << 63;
+
+// What an opcode of at most three operands computes on constants: `table`
+// holds its output on operand values a, b, c at bit a + 2b + 4c (the bits of
+// operands past its arity are ignored), and `arity` is its operand count.
+// The N-ary opcodes, whose fanins sit in a pool, have arity 0.
+struct ConstRule {
+  std::uint8_t table;
+  std::uint8_t arity;
+};
+constexpr ConstRule k_const_rule[] = {
+    {0xAA, 1},  // Buf: a
+    {0x55, 1},  // Not: ~a
+    {0x88, 2},  // And2
+    {0x77, 2},  // Nand2
+    {0xEE, 2},  // Or2
+    {0x11, 2},  // Nor2
+    {0x66, 2},  // Xor2
+    {0x99, 2},  // Xnor2
+    {0xE4, 3},  // Mux: a ? c : b
+    {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0},  // AndN .. XnorN
+};
+static_assert(std::size(k_const_rule) == static_cast<std::size_t>(Op::XnorN) + 1);
 
 std::uint64_t pair_key(Lit a, Lit b) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.code()))
@@ -147,8 +170,24 @@ std::vector<Lit> HashedEncoder::encode_frame(const sim::CompiledNetlist& prog,
   const auto and_op = [this](Lit a, Lit b) { return and2(a, b); };
   const auto or_op = [this](Lit a, Lit b) { return or2(a, b); };
   const auto xor_op = [this](Lit a, Lit b) { return xor2(a, b); };
+  const Lit t = true_;
   for (const std::uint32_t g : prog.levelized()) {
     const sim::Instr in = prog.instr(g);
+    // A gate whose operands are all constants takes its constant from the
+    // truth table: what and2/xor2/mux return for it, with no variable,
+    // clause or hash probe. Operands past the opcode's arity re-read a.
+    if (const ConstRule rule = k_const_rule[static_cast<std::size_t>(in.op)];
+        rule.arity != 0) {
+      const Lit a = lit[in.a];
+      const Lit b = lit[rule.arity >= 2 ? in.b : in.a];
+      const Lit c = lit[rule.arity == 3 ? in.c : in.a];
+      if (((a.var() ^ t.var()) | (b.var() ^ t.var()) | (c.var() ^ t.var())) == 0) {
+        const unsigned row =
+            unsigned{a == t} | unsigned{b == t} << 1 | unsigned{c == t} << 2;
+        lit[in.out] = (rule.table >> row) & 1 ? t : ~t;
+        continue;
+      }
+    }
     Lit y;
     switch (in.op) {
       case Op::Buf: y = lit[in.a]; break;

@@ -18,6 +18,14 @@
 // order. Encoding a node therefore allocates nothing beyond the occasional
 // table doubling and the solver's own clause storage.
 //
+// An oracle fact's frames have constant inputs, so most of their gates read
+// constants only. A Buf, Not, two-input or Mux gate whose operands are all
+// constants takes its output from its opcode's truth table: the constant
+// the primitives below would return, with no variable, clause, opcode
+// switch or hash probe. Other gates, N-ary ones included, go through the
+// primitives. The walk order, and with it the variable numbering and the
+// clause stream, is the same either way.
+//
 // This is the library's one netlist-to-CNF path: the DIP miter, the oracle
 // facts and the key-verification miter (cnf/miter.hpp) all build on it.
 #pragma once
@@ -47,7 +55,8 @@ class HashedEncoder {
   sat::Lit mux(sat::Lit sel, sat::Lit a, sat::Lit b);
 
   /// One combinational frame of `prog`'s netlist, gates in the program's
-  /// levelize order: returns a literal per slot (signal s's literal is at
+  /// levelize order (all-constant gates through the truth tables, see the
+  /// file comment): returns a literal per slot (signal s's literal is at
   /// prog.slot(s)). `inputs`, `keys` and `states` give the source literals,
   /// parallel to prog.inputs(), prog.key_inputs() and prog.dff_qs().
   std::vector<sat::Lit> encode_frame(const sim::CompiledNetlist& prog,

@@ -5,47 +5,54 @@
 
 namespace cl::netlist {
 
-Levelization levelize(const Netlist& nl) { return levelize(nl, fanouts(nl)); }
-
-Levelization levelize(const Netlist& nl, const Fanouts& fo) {
+Levelization levelize(const Netlist& nl) {
   const std::size_t n = nl.size();
   const std::span<const GateType> types = nl.types();
   Levelization out;
-  out.level.assign(n, 0);
-  // Kahn's algorithm over combinational edges only; levels fall out of the
-  // retirement order (a gate is 1 + max fanin level).
-  std::vector<std::uint32_t> pending(n, 0);
-  std::vector<SignalId> ready;
-  std::size_t num_gates = 0;
+  // A gate's level is 1 + its highest fanin level; sources and DFF Qs are
+  // level 0. Gates start unvisited, are on the stack while their fanins are
+  // levelled, and reaching a gate on the stack again closes a cycle.
+  constexpr int k_unvisited = -1;
+  constexpr int k_on_stack = -2;
+  out.level.resize(n);
   for (SignalId id = 0; id < n; ++id) {
-    if (!is_comb_gate(types[id])) continue;
-    ++num_gates;
-    std::uint32_t deg = 0;
-    for (SignalId f : nl.fanins(id)) {
-      if (is_comb_gate(types[f])) ++deg;
-    }
-    pending[id] = deg;
-    if (deg == 0) ready.push_back(id);
+    out.level[id] = is_comb_gate(types[id]) ? k_unvisited : 0;
   }
-  // Gates whose fanins are all sources/DFFs are immediately ready; release
-  // the rest as their combinational fanins retire.
-  std::size_t head = 0;
+  // Iterative depth-first search over fanins from every unvisited gate in
+  // ascending id: a frame resumes at its next fanin after a child finishes.
+  struct Frame {
+    SignalId id;
+    std::uint32_t next;  // fanins [0, next) are levelled
+    int best;            // their highest level
+  };
+  std::vector<Frame> stack;
   int max_level = 0;
-  while (head < ready.size()) {
-    const SignalId id = ready[head++];
-    int best = 0;
-    for (SignalId f : nl.fanins(id)) {
-      best = std::max(best, out.level[f]);
+  for (SignalId root = 0; root < n; ++root) {
+    if (out.level[root] != k_unvisited) continue;
+    out.level[root] = k_on_stack;
+    stack.push_back({root, 0, 0});
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      const std::span<const SignalId> fanins = nl.fanins(top.id);
+      while (top.next < fanins.size()) {
+        const int lf = out.level[fanins[top.next]];
+        if (lf < 0) break;
+        top.best = std::max(top.best, lf);
+        ++top.next;
+      }
+      if (top.next == fanins.size()) {
+        out.level[top.id] = top.best + 1;
+        max_level = std::max(max_level, top.best + 1);
+        stack.pop_back();
+        continue;
+      }
+      const SignalId f = fanins[top.next];
+      if (out.level[f] == k_on_stack) {
+        throw std::logic_error("levelize: combinational cycle detected");
+      }
+      out.level[f] = k_on_stack;
+      stack.push_back({f, 0, 0});
     }
-    out.level[id] = best + 1;
-    max_level = std::max(max_level, best + 1);
-    for (SignalId reader : fo[id]) {
-      if (!is_comb_gate(types[reader])) continue;
-      if (--pending[reader] == 0) ready.push_back(reader);
-    }
-  }
-  if (ready.size() != num_gates) {
-    throw std::logic_error("levelize: combinational cycle detected");
   }
   // Counting sort into level groups: sources (level 0) first, then gates by
   // level, ascending SignalId within each level — a deterministic order the

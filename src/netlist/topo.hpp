@@ -37,11 +37,10 @@ struct Levelization {
   std::size_t num_levels() const { return level_begin.size() - 1; }
 };
 
-/// Compute the levelization. Throws on combinational cycles.
+/// Compute the levelization: an iterative depth-first search over fanins
+/// levels every gate (no fanout table is built), and a counting sort by
+/// level gives `order`. Throws std::logic_error on a combinational cycle.
 Levelization levelize(const Netlist& nl);
-/// Same, over the netlist's fanouts(nl), for callers that already built
-/// them.
-Levelization levelize(const Netlist& nl, const Fanouts& fanouts);
 
 /// Topological order of all nodes such that every combinational gate appears
 /// after its fanins. Sources and DFFs (whose Q is a sequential source) come

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -133,6 +134,17 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
+/// A request's `seconds` budget, `fallback` when absent. A negative or
+/// non-finite value (JSON's 1e999 parses to +inf, which would lift the wall
+/// deadline) is a malformed request, as `--seconds` is on the command line.
+double seconds_field(const util::Json& request, double fallback) {
+  const double seconds = request.num_or("seconds", fallback);
+  if (!std::isfinite(seconds) || seconds < 0) {
+    throw std::invalid_argument("\"seconds\" must be a finite non-negative number");
+  }
+  return seconds;
+}
+
 }  // namespace
 
 void load_bank_file(const std::string& path, const char* who) {
@@ -163,7 +175,7 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
   const attack::AttackMode& mode = attack::find_attack_mode(name);
   attack::ModeOptions options;
   attack::AttackBudget& budget = options.budget;
-  budget.time_limit_s = request.num_or("seconds", 10.0);
+  budget.time_limit_s = seconds_field(request, 10.0);
   budget.max_iterations = request.u64_or("max_iterations", budget.max_iterations);
   budget.max_depth =
       static_cast<std::size_t>(request.u64_or("max_depth", budget.max_depth));
@@ -687,6 +699,8 @@ void Server::run_job(Job& job) {
 }
 
 void Server::run_verify_job(Job& job, util::Json* result) {
+  attack::VerifyOptions options;
+  options.time_limit_s = seconds_field(job.request, options.time_limit_s);
   std::size_t cache_hits = 0;
   const auto locked = circuit_from(job.request, "locked", cache_, &cache_hits);
   const auto reference = circuit_from(job.request, "oracle", cache_, &cache_hits);
@@ -701,8 +715,6 @@ void Server::run_verify_job(Job& job, util::Json* result) {
         "locked circuit has " +
         std::to_string(locked->netlist().key_inputs().size()) + " key inputs");
   }
-  attack::VerifyOptions options;
-  options.time_limit_s = job.request.num_or("seconds", options.time_limit_s);
   util::Timer timer;
   const attack::VerifyResult vr = attack::verify_static_key(
       locked->netlist(), key, reference->netlist(), options);
@@ -733,6 +745,7 @@ void Server::run_lock_job(Job& job, util::Json* result) {
 }
 
 void Server::run_analyze_job(Job& job, util::Json* result) {
+  const double seconds = seconds_field(job.request, 10.0);
   std::size_t cache_hits = 0;
   const auto circuit = circuit_from(job.request, "circuit", cache_, &cache_hits);
   const netlist::Netlist& nl = circuit->netlist();
@@ -760,7 +773,7 @@ void Server::run_analyze_job(Job& job, util::Json* result) {
 
   if (!nl.key_inputs().empty()) {
     analysis::InferOptions opt;
-    opt.time_limit_s = job.request.num_or("seconds", 10.0);
+    opt.time_limit_s = seconds;
     opt.profile_unateness = job.request.bool_or("unateness", true);
     const analysis::KeyHintReport report = analysis::infer_key_hints(nl, opt);
     out.set("verdicts", util::Json::string(report.verdict_string()));

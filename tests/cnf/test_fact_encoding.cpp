@@ -10,6 +10,7 @@
 #include "cnf/miter.hpp"
 #include "core/cute_lock_str.hpp"
 #include "lock/lock_registry.hpp"
+#include "util/fnv.hpp"
 
 namespace cl::cnf {
 namespace {
@@ -585,6 +586,72 @@ TEST(FactEncoding, FrameVariableNumberingIsPinned) {
     EXPECT_EQ(solver.num_vars(), c.vars) << c.circuit;
     EXPECT_EQ(solver.num_clauses(), c.clauses) << c.circuit;
     EXPECT_EQ(hash, c.hash) << c.circuit;
+  }
+}
+
+TEST(FactEncoding, ConstantFrameLiteralsArePinned) {
+  // Fact-shaped unrollings, one encoder per fact as constrain_key_on_sequence
+  // builds them: constant inputs from seeded stimuli, fresh keys, and each
+  // fact from power-up (INT) or from one shared vector of fresh reset
+  // literals (RANE). Most gates then read constants only. The FNV-1a of
+  // every slot's literal in every frame pins what those gates fold to and
+  // the variable every other gate gets; the pin above never reaches a
+  // constant operand.
+  const benchgen::CircuitSpec& s298 = benchgen::find_spec("s298");
+  const benchgen::CircuitSpec& b14 = benchgen::find_spec("b14");
+  const struct {
+    const char* circuit;
+    std::size_t keys;
+    std::size_t bits;
+    std::uint64_t seed;
+    bool rane;
+    std::size_t facts;
+    std::size_t cycles;
+    int vars;
+    std::size_t clauses;
+    std::uint64_t hash;
+  } cases[] = {
+      {"syn64k", 2, 4, 0x3e6a + 65536 + 2, false, 2, 12, 1038, 3266,
+       0x4f1321cbf261c4bdULL},
+      {"s298", s298.lock_keys, s298.lock_bits, 0x57a + s298.gates, false, 2,
+       12, 1072, 3290, 0x94de80bf58062f28ULL},
+      {"s298", s298.lock_keys, s298.lock_bits, 0x57a + s298.gates, true, 8,
+       16, 14520, 45598, 0x0a68ec78b09585bbULL},
+      {"b14", b14.lock_keys, b14.lock_bits, 0x57a + b14.gates, false, 2, 12,
+       1221, 3664, 0x36445fd0afb9c2a4ULL},
+      {"b14", b14.lock_keys, b14.lock_bits, 0x57a + b14.gates, true, 8, 16,
+       593708, 1966782, 0xca094c8ca3e7ed2dULL},
+  };
+  for (const auto& c : cases) {
+    const Netlist ref = benchgen::make_circuit(c.circuit).netlist;
+    const lock::LockResult lr = str_lock(ref, c.keys, c.bits, c.seed);
+    const sim::CompiledNetlist prog(lr.locked);
+    Solver solver;
+    const auto fresh_lits = [&solver](std::size_t n) {
+      std::vector<sat::Lit> lits;
+      for (std::size_t i = 0; i < n; ++i) lits.push_back(sat::pos(solver.new_var()));
+      return lits;
+    };
+    const std::vector<sat::Lit> keys = fresh_lits(prog.key_inputs().size());
+    const std::vector<sat::Lit> reset = fresh_lits(c.rane ? prog.dff_qs().size() : 0);
+    util::Rng rng(0x5eed);
+    std::uint64_t hash = util::k_fnv_offset;
+    for (std::size_t f = 0; f < c.facts; ++f) {
+      HashedEncoder enc(solver);
+      std::vector<sat::Lit> state = c.rane ? reset : enc.power_up_state(prog);
+      for (const sim::BitVec& bits :
+           sim::random_stimulus(rng, c.cycles, prog.inputs().size())) {
+        std::vector<sat::Lit> inputs;
+        for (const auto bit : bits) inputs.push_back(enc.constant(bit != 0));
+        for (const sat::Lit l : enc.unroll_frame(prog, inputs, keys, state)) {
+          util::fnv1a_mix(hash, static_cast<std::uint32_t>(l.code()));
+        }
+      }
+    }
+    const std::string label = std::string(c.circuit) + (c.rane ? " rane" : " int");
+    EXPECT_EQ(solver.num_vars(), c.vars) << label;
+    EXPECT_EQ(solver.num_clauses(), c.clauses) << label;
+    EXPECT_EQ(hash, c.hash) << label;
   }
 }
 

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+
+#include "util/rng.hpp"
 
 namespace cl::netlist {
 namespace {
@@ -43,11 +48,139 @@ TEST(Topo, LevelsIncreaseAlongChain) {
   EXPECT_EQ(level[nl.find("g1")], 1);
   EXPECT_EQ(level[nl.find("g2")], 2);
   EXPECT_EQ(level[nl.find("g3")], 3);
-  // Prebuilt fanout lists give the same levelization.
-  const Levelization again = levelize(nl, fanouts(nl));
-  EXPECT_EQ(again.level, lv.level);
-  EXPECT_EQ(again.order, lv.order);
-  EXPECT_EQ(again.level_begin, lv.level_begin);
+}
+
+/// Levels by brute force: every gate starts at 1 and is raised to one past
+/// its highest fanin until nothing changes; sources and DFF Qs stay at 0.
+std::vector<int> fixpoint_levels(const Netlist& nl) {
+  std::vector<int> level(nl.size(), 0);
+  for (SignalId id = 0; id < nl.size(); ++id) {
+    if (is_comb_gate(nl.type(id))) level[id] = 1;
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (SignalId id = 0; id < nl.size(); ++id) {
+      if (!is_comb_gate(nl.type(id))) continue;
+      for (const SignalId f : nl.fanins(id)) {
+        if (level[f] + 1 > level[id]) {
+          level[id] = level[f] + 1;
+          changed = true;
+        }
+      }
+    }
+  }
+  return level;
+}
+
+/// A random netlist whose gates read gates of higher ids: every gate is
+/// added over sources, then rewired to read gates of lower rank, ranks being
+/// a random permutation of the gates (so the result stays acyclic).
+Netlist out_of_order_netlist(util::Rng& rng) {
+  Netlist nl("shuffled");
+  const std::vector<SignalId> sources = {
+      nl.add_input("a"), nl.add_input("b"), nl.add_key_input("k"),
+      nl.add_const(true, "one"), nl.add_dff(k_no_signal, DffInit::Zero, "q")};
+  const auto source = [&] { return sources[rng.next_below(sources.size())]; };
+  constexpr GateType k_types[] = {GateType::Buf, GateType::Not, GateType::And,
+                                  GateType::Or,  GateType::Xor, GateType::Mux};
+  const std::size_t num_gates = 8 + rng.next_below(40);
+  std::vector<SignalId> gates;
+  for (std::size_t i = 0; i < num_gates; ++i) {
+    const GateType type = k_types[rng.next_below(std::size(k_types))];
+    const std::size_t arity = type == GateType::Buf || type == GateType::Not ? 1
+                              : type == GateType::Mux ? 3
+                                                      : 2 + rng.next_below(3);
+    std::vector<SignalId> fanins;
+    for (std::size_t p = 0; p < arity; ++p) fanins.push_back(source());
+    gates.push_back(nl.add_gate(type, fanins, "g" + std::to_string(i)));
+  }
+  std::vector<std::size_t> rank(num_gates);
+  for (std::size_t i = 0; i < num_gates; ++i) rank[i] = i;
+  rng.shuffle(rank);
+  for (std::size_t i = 0; i < num_gates; ++i) {
+    // Each distinct source once: replace_fanin rewires every pin reading it.
+    std::vector<SignalId> fanins(nl.fanins(gates[i]).begin(),
+                                 nl.fanins(gates[i]).end());
+    std::sort(fanins.begin(), fanins.end());
+    fanins.erase(std::unique(fanins.begin(), fanins.end()), fanins.end());
+    for (const SignalId f : fanins) {
+      const std::size_t j = rng.next_below(num_gates);
+      if (rank[j] < rank[i] && rng.chance(3, 4)) {
+        nl.replace_fanin(gates[i], f, gates[j]);
+      }
+    }
+  }
+  nl.set_dff_input(sources[4], gates[rng.next_below(num_gates)]);
+  nl.add_output(gates[rng.next_below(num_gates)]);
+  return nl;
+}
+
+void expect_cycle_error(const Netlist& nl) {
+  try {
+    (void)levelize(nl);
+    ADD_FAILURE() << "no cycle reported";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "levelize: combinational cycle detected");
+  }
+}
+
+TEST(Topo, LevelizeMatchesFixpointOnOutOfOrderIds) {
+  util::Rng rng(0x1e7e1);
+  std::size_t forward_reads = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    const Netlist nl = out_of_order_netlist(rng);
+    for (SignalId id = 0; id < nl.size(); ++id) {
+      if (!is_comb_gate(nl.type(id))) continue;
+      for (const SignalId f : nl.fanins(id)) forward_reads += f > id ? 1 : 0;
+    }
+    const std::vector<int> want = fixpoint_levels(nl);
+    std::vector<SignalId> order(nl.size());
+    for (SignalId id = 0; id < nl.size(); ++id) order[id] = id;
+    std::stable_sort(order.begin(), order.end(), [&](SignalId x, SignalId y) {
+      return want[x] < want[y];
+    });
+    const int top = *std::max_element(want.begin(), want.end());
+    std::vector<std::size_t> level_begin(static_cast<std::size_t>(top) + 2, 0);
+    for (const int l : want) ++level_begin[static_cast<std::size_t>(l) + 1];
+    for (std::size_t l = 1; l < level_begin.size(); ++l) {
+      level_begin[l] += level_begin[l - 1];
+    }
+    const Levelization lv = levelize(nl);
+    EXPECT_EQ(lv.level, want) << "trial " << trial;
+    EXPECT_EQ(lv.order, order) << "trial " << trial;
+    EXPECT_EQ(lv.level_begin, level_begin) << "trial " << trial;
+  }
+  EXPECT_GT(forward_reads, 0u);
+
+  // A two-gate loop, a gate reading itself, and a three-gate loop reached
+  // through a gate outside it.
+  Netlist pair("pair");
+  const SignalId a = pair.add_input("a");
+  const SignalId b = pair.add_input("b");
+  const SignalId g = pair.add_and(a, b, "g");
+  const SignalId h = pair.add_or(g, a, "h");
+  pair.replace_fanin(g, b, h);
+  pair.add_output(h);
+  expect_cycle_error(pair);
+
+  Netlist self("self");
+  const SignalId x = self.add_input("x");
+  const SignalId y = self.add_input("y");
+  const SignalId s = self.add_xor(x, y, "s");
+  self.replace_fanin(s, y, s);
+  self.add_output(s);
+  expect_cycle_error(self);
+
+  Netlist ring("ring");
+  const SignalId i = ring.add_input("i");
+  const SignalId entry = ring.add_not(i, "entry");
+  const SignalId r1 = ring.add_and(i, i, "r1");
+  const SignalId r2 = ring.add_not(r1, "r2");
+  const SignalId r3 = ring.add_or(r2, i, "r3");
+  ring.replace_fanin(r1, i, r3);
+  ring.replace_fanin(entry, i, r2);
+  ring.add_output(entry);
+  expect_cycle_error(ring);
 }
 
 TEST(Topo, FanoutsListReaders) {

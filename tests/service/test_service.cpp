@@ -467,6 +467,71 @@ TEST_F(ServiceTest, MalformedAttackRequestFailsOnItsFieldBeforeAnyCircuit) {
   }
 }
 
+TEST_F(ServiceTest, NegativeOrNonFiniteSecondsFailsNamingTheField) {
+  ServerOptions options;
+  options.unix_socket = socket_path();
+  options.workers = 1;
+  Server server(options);
+  start(server);
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
+
+  // 1e999 parses to +inf, which util::Json cannot write back, so the submit
+  // line goes out raw. No circuit is sent: the field must fail first.
+  const auto submit_raw = [this](const std::string& line) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path().c_str(), sizeof addr.sun_path - 1);
+    std::string received;
+    if (fd >= 0 &&
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0 &&
+        ::send(fd, line.data(), line.size(), MSG_NOSIGNAL) ==
+            static_cast<ssize_t>(line.size())) {
+      char chunk[4096];
+      for (ssize_t n; received.find('\n') == std::string::npos &&
+                      (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+        received.append(chunk, static_cast<std::size_t>(n));
+      }
+    }
+    if (fd >= 0) ::close(fd);
+    util::Json reply;
+    std::string parse_error;
+    EXPECT_TRUE(util::Json::parse(received.substr(0, received.find('\n')),
+                                  &reply, &parse_error))
+        << parse_error;
+    return reply;
+  };
+  for (const char* job : {"attack", "verify", "analyze"}) {
+    for (const char* seconds : {"-1", "1e999"}) {
+      const std::string line = std::string("{\"op\":\"submit\",\"job\":\"") +
+                               job + "\",\"seconds\":" + seconds + "}\n";
+      const util::Json submitted = submit_raw(line);
+      ASSERT_TRUE(submitted.bool_or("ok", false)) << submitted.dump();
+      util::Json wait = util::Json::object();
+      wait.set("op", util::Json::string("wait"));
+      wait.set("id", util::Json::number(submitted.u64_or("id", 0)));
+      const util::Json done = rpc(client, wait);
+      EXPECT_EQ(done.str_or("status", "?"), "error") << job << " " << seconds;
+      EXPECT_NE(done.str_or("error", "").find("\"seconds\""), std::string::npos)
+          << job << " " << seconds << ": " << done.dump();
+      EXPECT_TRUE(done.bool_or("bad_request", false)) << done.dump();
+
+      if (std::string(job) == "attack") {
+        util::Json request;
+        ASSERT_TRUE(util::Json::parse(line.substr(0, line.size() - 1), &request,
+                                      &error))
+            << error;
+        CircuitCache cache;
+        EXPECT_THROW(run_attack_job(request, cache, nullptr, 1),
+                     std::invalid_argument)
+            << seconds;
+      }
+    }
+  }
+}
+
 TEST_F(ServiceTest, ConcurrentJobsCarryTheirOwnBudgets) {
   // Two structurally different instances in flight together, one of them
   // with an iteration budget so small it must time out while the other
