@@ -20,20 +20,6 @@ namespace {
 constexpr std::size_t k_batches_per_pass = 8;
 constexpr std::size_t k_keys_per_pass = 64 * k_batches_per_pass;
 
-/// screen_static_keys' key layout for `count` candidates: word w of key bit
-/// b holds bit b of candidates 64w .. 64w + 63.
-std::vector<std::uint64_t> key_words_for(const std::uint64_t* keys,
-                                         std::size_t count, std::size_t ki) {
-  const std::size_t lanes = (count + 63) / 64;
-  std::vector<std::uint64_t> words(ki * lanes, 0);
-  for (std::size_t j = 0; j < count; ++j) {
-    for (std::size_t b = 0; b < ki; ++b) {
-      words[b * lanes + j / 64] |= ((keys[j] >> b) & 1ULL) << (j % 64);
-    }
-  }
-  return words;
-}
-
 }  // namespace
 
 AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
@@ -42,8 +28,9 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
     throw std::invalid_argument("bbo_attack: circuit has no key inputs");
   }
   if (locked.key_inputs().size() > 64) {
-    // Candidate keys ride in 64-bit words throughout (key_words_for, the
-    // exhaustive-space mask); wider keys would shift by >= 64 (UB).
+    // Candidate keys ride in 64-bit words throughout (the key lane
+    // builders, the exhaustive-space mask); wider keys would shift by >= 64
+    // (UB).
     throw std::invalid_argument("bbo_attack: more than 64 key bits");
   }
   if (options.exhaustive_limit > 63) {
@@ -72,9 +59,18 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
   const std::uint64_t space = exhaustive ? (1ULL << ki) : 0;
   const std::uint64_t key_mask = ki == 64 ? ~0ULL : (1ULL << ki) - 1;
 
-  // The locked netlist compiles once; every screening task shares the
-  // program and owns only its value buffer.
+  // The locked netlist compiles once and the pool is checked once; every
+  // screening task shares both. Pass p of every round builds its key lane
+  // words in slot p and screens on slot p's buffers, so parallel passes
+  // share nothing.
   const sim::CompiledNetlist compiled(locked);
+  const sim::StaticKeyScreen screen(compiled, stimuli, responses);
+  struct PassSlot {
+    std::vector<std::uint64_t> key_words;
+    sim::ScreenBuffers buffers;
+    std::vector<std::uint64_t> alive;
+  };
+  std::vector<PassSlot> slots(options.jobs);
 
   // A survivor whose proof runs out of budget may be the key: it is counted,
   // never taken as refuted, and turns a final CNS or FAIL into N/A. A
@@ -104,7 +100,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
   std::uint64_t tried = 0;
   std::uint64_t next = 0;
   std::uint64_t batches_drawn = 0;
-  std::vector<std::uint64_t> keys;  // this round's candidates, draw order
+  std::vector<std::uint64_t> keys;  // a random round's keys, draw order
   while (true) {
     if (options.budget.cancelled() ||
         timer.seconds() > options.budget.time_limit_s) {
@@ -114,32 +110,51 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
                       survivor_notes();
       return result;
     }
+    // Batch b of the round holds the round's keys 64b .. 64b + 63: the
+    // consecutive keys from first + 64b in an exhaustive round, keys[64b ..]
+    // in a random one. Only the space's last batch can hold fewer than 64
+    // keys, so batch b is pass b / 8, lane word b % 8.
+    const std::uint64_t first = next;
+    std::size_t batches = 0;
     keys.clear();
-    for (std::size_t b = 0; b < options.jobs * k_batches_per_pass; ++b) {
+    for (; batches < options.jobs * k_batches_per_pass; ++batches) {
       if (exhaustive) {
         if (next == space) break;  // whole space drawn
-        const std::uint64_t end = std::min<std::uint64_t>(space, next + 64);
-        while (next < end) keys.push_back(next++);
+        next = std::min<std::uint64_t>(space, next + 64);
       } else {
         if (batches_drawn >= options.budget.max_iterations) break;
         ++batches_drawn;
         for (int j = 0; j < 64; ++j) keys.push_back(rng.next_u64() & key_mask);
       }
     }
-    if (keys.empty()) break;  // space or iteration budget exhausted
+    if (batches == 0) break;  // space or iteration budget exhausted
+    const std::uint64_t round_keys = exhaustive ? next - first : keys.size();
+    const auto batch_size = [&](std::size_t b) {
+      return static_cast<std::size_t>(
+          std::min<std::uint64_t>(64, round_keys - 64 * b));
+    };
 
-    // Only the space's last batch can hold fewer than 64 keys, so batch b
-    // of the round is pass b / 8, lane word b % 8.
-    const std::size_t passes = (keys.size() + k_keys_per_pass - 1) /
-                               k_keys_per_pass;
-    std::vector<std::vector<std::uint64_t>> alive(passes);
+    const std::size_t passes =
+        (batches + k_batches_per_pass - 1) / k_batches_per_pass;
     const auto screen_pass = [&](std::size_t p) {
-      const std::size_t first = p * k_keys_per_pass;
-      const std::size_t count =
-          std::min(k_keys_per_pass, keys.size() - first);
-      alive[p] = sim::screen_static_keys(
-          compiled, stimuli, responses,
-          key_words_for(keys.data() + first, count, ki), count);
+      PassSlot& slot = slots[p];
+      const std::size_t first_batch = p * k_batches_per_pass;
+      const std::size_t lanes =
+          std::min(k_batches_per_pass, batches - first_batch);
+      slot.key_words.resize(ki * lanes);
+      for (std::size_t w = 0; w < lanes; ++w) {
+        const std::size_t b = first_batch + w;
+        if (exhaustive) {
+          sim::pack_consecutive_key_lanes(first + 64 * b, batch_size(b), ki,
+                                          slot.key_words.data(), lanes, w);
+        } else {
+          sim::pack_key_lanes({keys.data() + 64 * b, batch_size(b)}, ki,
+                              slot.key_words.data(), lanes, w);
+        }
+      }
+      const std::uint64_t candidates = std::min<std::uint64_t>(
+          k_keys_per_pass, round_keys - 64 * first_batch);
+      slot.alive = screen.screen(slot.key_words, candidates, slot.buffers);
     };
     if (passes > 1) {
       if (pool == nullptr) {
@@ -153,15 +168,16 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
       screen_pass(0);
     }
 
-    for (std::size_t first = 0; first < keys.size(); first += 64) {
-      const std::size_t count = std::min<std::size_t>(64, keys.size() - first);
+    for (std::size_t b = 0; b < batches; ++b) {
+      const std::size_t count = batch_size(b);
       tried += count;
       ++result.iterations;
       const std::uint64_t survivors =
-          alive[first / k_keys_per_pass][first % k_keys_per_pass / 64];
+          slots[b / k_batches_per_pass].alive[b % k_batches_per_pass];
       for (std::size_t lane = 0; lane < count; ++lane) {
         if (((survivors >> lane) & 1ULL) == 0) continue;
-        const sim::BitVec key = sim::u64_to_bits(keys[first + lane], ki);
+        const sim::BitVec key = sim::u64_to_bits(
+            exhaustive ? first + 64 * b + lane : keys[64 * b + lane], ki);
         VerifyOptions verify = verify_options_for(options.budget);
         const double remaining =
             std::max(0.0, options.budget.time_limit_s - timer.seconds());

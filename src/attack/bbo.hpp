@@ -1,21 +1,28 @@
 // Black-box oracle attack (NEOS "bbo" mode): no structural insight, only
 // oracle queries and locked-netlist simulation. Candidate static keys are
 // screened 512 per simulation pass (8 batches of 64, one per lane word)
-// with sim::screen_static_keys against oracle responses on random input
-// sequences; a pass stops at the first cycle where every candidate has
-// diverged from the oracle. Survivors are verified exactly, each within the
-// attack's remaining time. Small key spaces are enumerated exhaustively — if
-// the whole space dies, the attack has *proved* no static key works (CNS).
-// A survivor whose verification runs out of budget is neither the key nor
-// refuted: if no survivor verifies, the attack ends N/A (Timeout) and
-// counts the unproven survivors in `detail`.
+// on a sim::StaticKeyScreen, built once per attack over random input
+// sequences and the oracle's responses to them; a pass stops at the first
+// cycle where every candidate has diverged from the oracle. Survivors are
+// verified exactly, each within the attack's remaining time. Small key
+// spaces are enumerated exhaustively — if the whole space dies, the attack
+// has *proved* no static key works (CNS). A survivor whose verification
+// runs out of budget is neither the key nor refuted: if no survivor
+// verifies, the attack ends N/A (Timeout) and counts the unproven
+// survivors in `detail`.
+//
+// Each batch's key lane words are built once per batch: an exhaustive
+// batch is 64 consecutive keys and takes fixed lane patterns
+// (sim::pack_consecutive_key_lanes, no key list drawn), a random batch
+// goes through one bit-matrix transpose (sim::pack_key_lanes).
 //
 // Screening parallelizes across `jobs` worker threads, one pass each (the
-// locked netlist is compiled once and shared). The default of one thread
-// suits callers that already run attacks in parallel; the CLI passes
-// CUTELOCK_JOBS. Candidate batches are drawn serially from the RNG and
-// examined in draw order, so the outcome, key, and iteration counts are
-// identical for any job count at a fixed seed.
+// locked netlist is compiled once and shared; pass p of a round builds its
+// lane words and screens in buffers of its own). The default of one
+// thread suits callers that already run attacks in parallel; the CLI
+// passes CUTELOCK_JOBS. Candidate batches are drawn serially from the RNG
+// and examined in draw order, so the outcome, key, and iteration counts
+// are identical for any job count at a fixed seed.
 #pragma once
 
 #include "attack/oracle.hpp"

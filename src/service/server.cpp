@@ -134,15 +134,38 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
-/// A request's `seconds` budget, `fallback` when absent. A negative or
-/// non-finite value (JSON's 1e999 parses to +inf, which would lift the wall
-/// deadline) is a malformed request, as `--seconds` is on the command line.
+/// A request's `seconds` budget, `fallback` when absent. A value that is
+/// not a number, or is negative or non-finite (JSON's 1e999 parses to +inf,
+/// which would lift the wall deadline), is a malformed request, as
+/// `--seconds` is on the command line.
 double seconds_field(const util::Json& request, double fallback) {
-  const double seconds = request.num_or("seconds", fallback);
+  const util::Json* field = request.find("seconds");
+  if (field == nullptr) return fallback;
+  const double seconds = field->type() == util::Json::Type::Number
+                             ? field->as_number()
+                             : -1.0;
   if (!std::isfinite(seconds) || seconds < 0) {
     throw std::invalid_argument("\"seconds\" must be a finite non-negative number");
   }
   return seconds;
+}
+
+/// A request's count field (`max_iterations`, ...), `fallback` when absent.
+/// A value that is not a non-negative integer below 2^64 (a string, -5,
+/// 2.5) is a malformed request.
+std::uint64_t count_field(const util::Json& request, const std::string& name,
+                          std::uint64_t fallback) {
+  const util::Json* field = request.find(name);
+  if (field == nullptr) return fallback;
+  const double count = field->type() == util::Json::Type::Number
+                           ? field->as_number()
+                           : -1.0;
+  if (!(count >= 0 && count < 18446744073709551616.0) ||
+      count != std::floor(count)) {
+    throw std::invalid_argument("\"" + name +
+                                "\" must be a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(count);
 }
 
 }  // namespace
@@ -176,13 +199,14 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
   attack::ModeOptions options;
   attack::AttackBudget& budget = options.budget;
   budget.time_limit_s = seconds_field(request, 10.0);
-  budget.max_iterations = request.u64_or("max_iterations", budget.max_iterations);
-  budget.max_depth =
-      static_cast<std::size_t>(request.u64_or("max_depth", budget.max_depth));
+  budget.max_iterations =
+      count_field(request, "max_iterations", budget.max_iterations);
+  budget.max_depth = static_cast<std::size_t>(
+      count_field(request, "max_depth", budget.max_depth));
   budget.cancel = cancel;
   options.bbo_jobs = bbo_jobs;
   options.max_period = static_cast<std::size_t>(
-      request.u64_or("max_period", options.max_period));
+      count_field(request, "max_period", options.max_period));
   attack::check_mode_options(mode, options);
   // Acceptance-criterion judgement (docs/locking.md): when the request names
   // a criterion, the reported key is re-judged under it and the verdict

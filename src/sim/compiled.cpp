@@ -147,7 +147,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) : nl_(&nl) {
 
 void CompiledNetlist::reset_words(std::uint64_t* values,
                                   std::size_t lanes) const {
-  std::fill(values, values + buffer_words(lanes), 0ULL);
+  std::fill(values, values + num_sources_ * lanes, 0ULL);
   for (std::size_t i = 0; i < dff_q_.size(); ++i) {
     if (dff_init_[i] == netlist::DffInit::One) {
       std::uint64_t* q = values + std::size_t{dff_q_[i]} * lanes;

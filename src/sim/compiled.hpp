@@ -142,8 +142,11 @@ class CompiledNetlist {
     return num_signals() * lanes;
   }
 
-  /// Zero every word, then load DFF power-up values (X treated as 0) and
-  /// constant-source values.
+  /// Load power-up state into the source slots, words
+  /// [0, num_sources() * lanes): inputs and key inputs 0, DFF power-up
+  /// values (X treated as 0) and constant-source values. Gate words are
+  /// left as they are: every gate slot is an output of eval(), so they are
+  /// undefined after a reset until the next eval.
   void reset_words(std::uint64_t* values, std::size_t lanes) const;
 
   /// Propagate through the combinational core, single-threaded.
@@ -219,7 +222,9 @@ class WideSim {
   /// W: 64-bit words per signal.
   std::size_t lane_words() const { return lanes_; }
 
-  /// Back to power-up: DFF init values and constants, every other word 0.
+  /// Back to power-up (CompiledNetlist::reset_words): DFF init values,
+  /// constants, every other source word 0; gate words are undefined until
+  /// the next eval().
   void reset();
   /// Word `w` of input/key signal `s`. Throws std::invalid_argument for
   /// any other signal and std::out_of_range unless w < lane_words().

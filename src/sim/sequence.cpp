@@ -1,6 +1,7 @@
 #include "sim/sequence.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -46,6 +47,16 @@ void pack_lanes(std::uint64_t* words,
   for (std::size_t j = 0; j < sequences.size(); ++j) {
     const std::uint64_t bit = std::uint64_t{sequences[j][c][i]} << (j % 64);
     words[j / 64] = j % 64 == 0 ? bit : words[j / 64] | bit;
+  }
+}
+
+/// The key lane builders' shared bounds (sequence.hpp's key layout).
+void check_batch(std::size_t count, std::size_t key_bits, std::size_t lanes,
+                 std::size_t w) {
+  if (count > 64 || key_bits > 64 || w >= lanes) {
+    throw std::invalid_argument(
+        "key lanes: a batch holds at most 64 keys of at most 64 bits, in "
+        "one of the pass's lane words");
   }
 }
 
@@ -139,68 +150,132 @@ std::vector<std::vector<Trit>> run_sequence_x(const Netlist& nl,
   return out;
 }
 
-std::vector<std::uint64_t> screen_static_keys(
+void pack_key_lanes(std::span<const std::uint64_t> keys, std::size_t key_bits,
+                    std::uint64_t* key_words, std::size_t lanes,
+                    std::size_t w) {
+  check_batch(keys.size(), key_bits, lanes, w);
+  // rows[j] starts as key j; after the transpose bit j of rows[b] is bit b
+  // of key j. Round `half` swaps the high `half` columns of row k with the
+  // low `half` columns of row k + half, for each k whose `half` bit is 0.
+  std::array<std::uint64_t, 64> rows{};
+  std::copy(keys.begin(), keys.end(), rows.begin());
+  std::uint64_t mask = 0x00000000FFFFFFFFULL;
+  for (std::size_t half = 32; half != 0; half >>= 1, mask ^= mask << half) {
+    for (std::size_t k = 0; k < 64; k = ((k | half) + 1) & ~half) {
+      const std::uint64_t t = ((rows[k] >> half) ^ rows[k | half]) & mask;
+      rows[k] ^= t << half;
+      rows[k | half] ^= t;
+    }
+  }
+  for (std::size_t b = 0; b < key_bits; ++b) key_words[b * lanes + w] = rows[b];
+}
+
+void pack_consecutive_key_lanes(std::uint64_t first, std::size_t count,
+                                std::size_t key_bits, std::uint64_t* key_words,
+                                std::size_t lanes, std::size_t w) {
+  check_batch(count, key_bits, lanes, w);
+  if (first % 64 != 0) {
+    throw std::invalid_argument(
+        "pack_consecutive_key_lanes: first must be a multiple of 64");
+  }
+  // Lane j holds first + j = first | j: bits 0-5 are j's, the rest first's.
+  static constexpr std::uint64_t k_low_bits[6] = {
+      0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+      0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+  const std::uint64_t used = count == 64 ? ~0ULL : (1ULL << count) - 1;
+  for (std::size_t b = 0; b < key_bits; ++b) {
+    const std::uint64_t word =
+        b < 6 ? k_low_bits[b] : ((first >> b) & 1ULL) ? ~0ULL : 0ULL;
+    key_words[b * lanes + w] = word & used;
+  }
+}
+
+StaticKeyScreen::StaticKeyScreen(
     const CompiledNetlist& compiled,
     const std::vector<std::vector<BitVec>>& stimuli,
-    const std::vector<std::vector<BitVec>>& responses,
-    const std::vector<std::uint64_t>& key_words, std::size_t candidates) {
+    const std::vector<std::vector<BitVec>>& responses)
+    : compiled_(&compiled) {
+  const std::size_t num_inputs = compiled.inputs().size();
+  const std::size_t num_outputs = compiled.outputs().size();
+  if (stimuli.size() != responses.size()) {
+    throw std::invalid_argument(
+        "StaticKeyScreen: one response per stimulus required");
+  }
+  ends_.reserve(stimuli.size());
+  for (std::size_t s = 0; s < stimuli.size(); ++s) {
+    if (stimuli[s].size() != responses[s].size()) {
+      throw std::invalid_argument("StaticKeyScreen: response length mismatch");
+    }
+    for (std::size_t c = 0; c < stimuli[s].size(); ++c) {
+      if (stimuli[s][c].size() != num_inputs) {
+        throw std::invalid_argument("StaticKeyScreen: input width mismatch");
+      }
+      if (responses[s][c].size() != num_outputs) {
+        throw std::invalid_argument("StaticKeyScreen: output width mismatch");
+      }
+    }
+    ends_.push_back((ends_.empty() ? 0 : ends_.back()) + stimuli[s].size());
+  }
+  const std::size_t cycles = ends_.empty() ? 0 : ends_.back();
+  inputs_.reserve(cycles * num_inputs);
+  responses_.reserve(cycles * num_outputs);
+  for (std::size_t s = 0; s < stimuli.size(); ++s) {
+    for (std::size_t c = 0; c < stimuli[s].size(); ++c) {
+      inputs_.insert(inputs_.end(), stimuli[s][c].begin(),
+                     stimuli[s][c].end());
+      responses_.insert(responses_.end(), responses[s][c].begin(),
+                        responses[s][c].end());
+    }
+  }
+}
+
+std::vector<std::uint64_t> StaticKeyScreen::screen(
+    std::span<const std::uint64_t> key_words, std::size_t candidates,
+    ScreenBuffers& buffers) const {
+  const CompiledNetlist& compiled = *compiled_;
   const std::size_t lanes = (candidates + 63) / 64;  // W words
   const std::size_t num_inputs = compiled.inputs().size();
   const std::size_t num_outputs = compiled.outputs().size();
   const std::size_t num_keys = compiled.key_inputs().size();
   if (key_words.size() != num_keys * lanes) {
     throw std::invalid_argument(
-        "screen_static_keys: key_words must hold W words per key bit");
-  }
-  if (stimuli.size() != responses.size()) {
-    throw std::invalid_argument(
-        "screen_static_keys: one response per stimulus required");
-  }
-  for (std::size_t s = 0; s < stimuli.size(); ++s) {
-    if (stimuli[s].size() != responses[s].size()) {
-      throw std::invalid_argument(
-          "screen_static_keys: response length mismatch");
-    }
-    for (std::size_t c = 0; c < stimuli[s].size(); ++c) {
-      if (stimuli[s][c].size() != num_inputs) {
-        throw std::invalid_argument("screen_static_keys: input width mismatch");
-      }
-      if (responses[s][c].size() != num_outputs) {
-        throw std::invalid_argument(
-            "screen_static_keys: output width mismatch");
-      }
-    }
+        "StaticKeyScreen::screen: key_words must hold W words per key bit");
   }
   std::vector<std::uint64_t> alive(lanes, ~0ULL);
   if (lanes == 0) return alive;
   if (candidates % 64 != 0) alive.back() = (1ULL << (candidates % 64)) - 1;
 
-  util::AlignedVec<std::uint64_t> v(compiled.buffer_words(lanes), 0);
-  util::AlignedVec<std::uint64_t> scratch;
-  for (std::size_t s = 0; s < stimuli.size(); ++s) {
-    compiled.reset_words(v.data(), lanes);
+  // reset_words loads every source and eval writes every gate, so the
+  // buffer's old content is never read.
+  buffers.values.resize(compiled.buffer_words(lanes));
+  std::uint64_t* v = buffers.values.data();
+  std::size_t begin = 0;
+  for (const std::size_t end : ends_) {
+    compiled.reset_words(v, lanes);
     for (std::size_t k = 0; k < num_keys; ++k) {
       const std::uint64_t* words = key_words.data() + k * lanes;
-      std::copy(words, words + lanes,
-                v.data() + compiled.key_inputs()[k] * lanes);
+      std::copy(words, words + lanes, v + compiled.key_inputs()[k] * lanes);
     }
-    for (std::size_t c = 0; c < stimuli[s].size(); ++c) {
+    for (std::size_t c = begin; c < end; ++c) {
+      const std::uint8_t* in = inputs_.data() + c * num_inputs;
       for (std::size_t i = 0; i < num_inputs; ++i) {
-        std::uint64_t* words = v.data() + compiled.inputs()[i] * lanes;
-        std::fill(words, words + lanes, stimuli[s][c][i] ? ~0ULL : 0ULL);
+        std::uint64_t* words = v + compiled.inputs()[i] * lanes;
+        std::fill(words, words + lanes, in[i] ? ~0ULL : 0ULL);
       }
-      compiled.eval_auto(v.data(), lanes);
+      compiled.eval_auto(v, lanes);
+      const std::uint8_t* response = responses_.data() + c * num_outputs;
       for (std::size_t o = 0; o < num_outputs; ++o) {
-        const std::uint64_t* got = v.data() + compiled.outputs()[o] * lanes;
-        const std::uint64_t want = responses[s][c][o] ? ~0ULL : 0ULL;
+        const std::uint64_t* got = v + compiled.outputs()[o] * lanes;
+        const std::uint64_t want = response[o] ? ~0ULL : 0ULL;
         for (std::size_t w = 0; w < lanes; ++w) alive[w] &= ~(got[w] ^ want);
       }
       if (std::all_of(alive.begin(), alive.end(),
                       [](std::uint64_t w) { return w == 0; })) {
         return alive;
       }
-      compiled.step_words(v.data(), lanes, scratch);
+      compiled.step_words(v, lanes, buffers.step);
     }
+    begin = end;
   }
   return alive;
 }

@@ -1,8 +1,10 @@
 // Multi-cycle sequence simulation helpers: wide-lane batched runs (a single
-// sequence is the one-lane case), static-key screening, key-flip sampling,
-// the random counterexample scan, random stimulus generation, and sequence
-// comparison. These are the building blocks for oracles, key verification,
-// validation tables, and the attacks that decide by simulation.
+// sequence is the one-lane case), static-key screening (a screen checked
+// once per stimulus pool, key lane builders, per-task buffers), key-flip
+// sampling, the random counterexample scan, random stimulus generation, and
+// sequence comparison. These are the building blocks for oracles, key
+// verification, validation tables, and the attacks that decide by
+// simulation.
 #pragma once
 
 #include <cstdint>
@@ -56,25 +58,71 @@ std::vector<std::vector<Trit>> run_sequence_x(const netlist::Netlist& nl,
                                               const std::vector<BitVec>& inputs,
                                               const std::vector<BitVec>& keys = {});
 
-/// Static-key screening against oracle responses, the black-box attack's
-/// inner loop: `candidates` key candidates ride the pattern lanes of one
-/// multi-word pass, W = ceil(candidates / 64) words per signal, candidate j
-/// in bit j % 64 of word j / 64. key_words[k * W + w] is word w of key bit
-/// k. Every lane sees the same stimulus, run from reset, one stimulus after
-/// another; after every cycle each output is compared with
-/// responses[s][c], and a lane that differs once is dead. Returns the W
-/// survivor masks (bit j % 64 of word j / 64 set iff candidate j reproduced
-/// every response), as soon as no candidate is left alive. Lanes at or
-/// beyond `candidates` never survive and never delay that exit. Throws
-/// std::invalid_argument, before simulating anything, when stimuli and
-/// responses differ in count or length, when a vector's width does not
-/// match the circuit's inputs or outputs, or when key_words does not hold
-/// W words per key bit. Thread-safe on a shared `compiled`.
-std::vector<std::uint64_t> screen_static_keys(
-    const CompiledNetlist& compiled,
-    const std::vector<std::vector<BitVec>>& stimuli,
-    const std::vector<std::vector<BitVec>>& responses,
-    const std::vector<std::uint64_t>& key_words, std::size_t candidates);
+// ---- Static-key screening, the black-box attack's inner loop ---------------
+//
+// Key layout: `candidates` static keys ride the pattern lanes of one
+// multi-word pass, W = ceil(candidates / 64) words per signal, candidate j
+// in bit j % 64 of word j / 64, and key_words[b * W + w] is word w of key
+// bit b. A batch is one lane word, up to 64 candidates; the two builders
+// below write word w of every key bit for one batch, and lanes at or past
+// the batch's `count` hold key 0. Both throw std::invalid_argument when
+// count or key_bits exceeds 64 or w >= W.
+
+/// A batch of drawn keys, keys[j] on lane j, through one 64x64 bit-matrix
+/// transpose (six rounds of masked swaps); count = keys.size().
+void pack_key_lanes(std::span<const std::uint64_t> keys, std::size_t key_bits,
+                    std::uint64_t* key_words, std::size_t lanes, std::size_t w);
+
+/// The `count` consecutive keys first, first + 1, ... on lanes 0, 1, ...
+/// (an exhaustive batch; also throws unless `first` is a multiple of 64):
+/// key bits 0-5 take fixed lane patterns (0xAAAA..., 0xCCCC..., ...,
+/// 0xFFFFFFFF00000000) and each higher bit b broadcasts bit b of `first`.
+void pack_consecutive_key_lanes(std::uint64_t first, std::size_t count,
+                                std::size_t key_bits, std::uint64_t* key_words,
+                                std::size_t lanes, std::size_t w);
+
+/// Scratch of StaticKeyScreen::screen owned by the calling task: the value
+/// buffer and the DFF step scratch, sized by the first screen and reused by
+/// every later one. Concurrent screens need one each; what a buffer holds
+/// between screens never matters.
+struct ScreenBuffers {
+  util::AlignedVec<std::uint64_t> values;
+  util::AlignedVec<std::uint64_t> step;
+};
+
+/// A stimulus pool and the oracle's responses to it, checked and copied
+/// once, against which batches of static keys are screened.
+class StaticKeyScreen {
+ public:
+  /// Throws std::invalid_argument when stimuli and responses differ in
+  /// count or length, or when a vector's width does not match the
+  /// circuit's inputs or outputs. `compiled` must outlive the screen.
+  StaticKeyScreen(const CompiledNetlist& compiled,
+                  const std::vector<std::vector<BitVec>>& stimuli,
+                  const std::vector<std::vector<BitVec>>& responses);
+
+  /// Screens `candidates` keys in the layout above. Every lane sees the
+  /// same stimulus, run from reset, one stimulus after another; after every
+  /// cycle each output is compared with the response, and a lane that
+  /// differs once is dead. Returns the W survivor masks (bit j % 64 of word
+  /// j / 64 set iff candidate j reproduced every response), as soon as no
+  /// candidate is left alive. Lanes at or beyond `candidates` never survive
+  /// and never delay that exit. Throws std::invalid_argument, before
+  /// simulating, when key_words does not hold W words per key bit.
+  /// Thread-safe on a shared screen, one `buffers` per thread.
+  std::vector<std::uint64_t> screen(std::span<const std::uint64_t> key_words,
+                                    std::size_t candidates,
+                                    ScreenBuffers& buffers) const;
+
+ private:
+  const CompiledNetlist* compiled_;
+  // The pool, cycle-major over all stimuli: cycle c of the whole pool holds
+  // inputs_[c * inputs .. ) and responses_[c * outputs .. ); stimulus s
+  // runs cycles [ends_[s - 1], ends_[s]), stimulus 0 from cycle 0.
+  std::vector<std::uint8_t> inputs_;
+  std::vector<std::uint8_t> responses_;
+  std::vector<std::size_t> ends_;
+};
 
 /// Whether some output rose (0 -> 1) or fell (1 -> 0) when one key bit went
 /// from clear to set, on some cycle of some draw of sample_key_flips.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "benchgen/catalog.hpp"
 #include "core/cute_lock_str.hpp"
 #include "lock/cac_lock.hpp"
 #include "lock/comb_locks.hpp"
@@ -270,6 +271,25 @@ TEST(Bbo, KeyBeyondFirstPassAccounting) {
   expect_pinned(lr.locked, nl, BboOptions{}, {Outcome::Equal, 10, ""});
   SequentialOracle oracle(nl);
   EXPECT_EQ(bbo_attack(lr.locked, oracle).key, lr.correct_key);
+}
+
+TEST(Bbo, TableFourS510ExhaustsItsSpace) {
+  // Table IV's s510 cell: k = 8, ki = 19, 4 locked FFs, lock seed
+  // 0x57a + gates. 2^19 consecutive keys, 1,024 passes of 8 batches.
+  const benchgen::CircuitSpec& spec = benchgen::find_spec("s510");
+  const benchgen::SyntheticCircuit circuit = benchgen::make_circuit(spec);
+  core::StrOptions opt;
+  opt.num_keys = spec.lock_keys;
+  opt.key_bits = spec.lock_bits;
+  opt.locked_ffs = 4;
+  opt.seed = 0x57a + spec.gates;
+  const auto lr = core::cute_lock_str(circuit.netlist, opt);
+  ASSERT_EQ(lr.locked.key_inputs().size(), 19u);
+  BboOptions opts;
+  opts.budget.time_limit_s = 1e9;
+  expect_pinned(lr.locked, circuit.netlist, opts,
+                {Outcome::Cns, 8192,
+                 "exhausted 2^19 static keys; none matches the oracle"});
 }
 
 }  // namespace

@@ -202,8 +202,11 @@ bool some_key_fits(const netlist::Netlist& locked,
                                               ? netlist::DffInit::One
                                               : netlist::DffInit::Zero);
       }
-      const std::vector<std::uint64_t> alive = sim::screen_static_keys(
-          sim::CompiledNetlist(start), stimuli, responses, key_words, keys);
+      const sim::CompiledNetlist compiled(start);
+      sim::ScreenBuffers buffers;
+      const std::vector<std::uint64_t> alive =
+          sim::StaticKeyScreen(compiled, stimuli, responses)
+              .screen(key_words, keys, buffers);
       for (std::size_t w = 0; w < words; ++w) any[w] |= alive[w];
     }
     return any;

@@ -119,6 +119,61 @@ class ServiceTest : public ::testing::Test {
     return rpc(client, wait);
   }
 
+  /// Submits `{"op":"submit","job":job,field:value}` as a raw line (1e999
+  /// parses to +inf, which util::Json cannot write back) and expects the
+  /// job to fail as a bad request naming `field`. No circuit is sent: the
+  /// field must fail first. An attack request must also make
+  /// run_attack_job throw std::invalid_argument.
+  void expect_bad_request(Client& client, const std::string& job,
+                          const std::string& field, const std::string& value) {
+    const std::string line = "{\"op\":\"submit\",\"job\":\"" + job +
+                             "\",\"" + field + "\":" + value + "}\n";
+    const std::string what = job + " " + field + "=" + value;
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path().c_str(), sizeof addr.sun_path - 1);
+    std::string received;
+    if (fd >= 0 &&
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0 &&
+        ::send(fd, line.data(), line.size(), MSG_NOSIGNAL) ==
+            static_cast<ssize_t>(line.size())) {
+      char chunk[4096];
+      for (ssize_t n; received.find('\n') == std::string::npos &&
+                      (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+        received.append(chunk, static_cast<std::size_t>(n));
+      }
+    }
+    if (fd >= 0) ::close(fd);
+    util::Json submitted;
+    std::string error;
+    ASSERT_TRUE(util::Json::parse(received.substr(0, received.find('\n')),
+                                  &submitted, &error))
+        << what << ": " << error;
+    ASSERT_TRUE(submitted.bool_or("ok", false)) << what << ": "
+                                                << submitted.dump();
+    util::Json wait = util::Json::object();
+    wait.set("op", util::Json::string("wait"));
+    wait.set("id", util::Json::number(submitted.u64_or("id", 0)));
+    const util::Json done = rpc(client, wait);
+    EXPECT_EQ(done.str_or("status", "?"), "error") << what;
+    EXPECT_NE(done.str_or("error", "").find("\"" + field + "\""),
+              std::string::npos)
+        << what << ": " << done.dump();
+    EXPECT_TRUE(done.bool_or("bad_request", false)) << what << ": "
+                                                    << done.dump();
+    if (job == "attack") {
+      util::Json request;
+      ASSERT_TRUE(util::Json::parse(line.substr(0, line.size() - 1), &request,
+                                    &error))
+          << what << ": " << error;
+      CircuitCache cache;
+      EXPECT_THROW(run_attack_job(request, cache, nullptr, 1),
+                   std::invalid_argument)
+          << what;
+    }
+  }
+
   fs::path dir_;
 };
 
@@ -476,58 +531,33 @@ TEST_F(ServiceTest, NegativeOrNonFiniteSecondsFailsNamingTheField) {
   Client client;
   std::string error;
   ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
-
-  // 1e999 parses to +inf, which util::Json cannot write back, so the submit
-  // line goes out raw. No circuit is sent: the field must fail first.
-  const auto submit_raw = [this](const std::string& line) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socket_path().c_str(), sizeof addr.sun_path - 1);
-    std::string received;
-    if (fd >= 0 &&
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0 &&
-        ::send(fd, line.data(), line.size(), MSG_NOSIGNAL) ==
-            static_cast<ssize_t>(line.size())) {
-      char chunk[4096];
-      for (ssize_t n; received.find('\n') == std::string::npos &&
-                      (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
-        received.append(chunk, static_cast<std::size_t>(n));
-      }
-    }
-    if (fd >= 0) ::close(fd);
-    util::Json reply;
-    std::string parse_error;
-    EXPECT_TRUE(util::Json::parse(received.substr(0, received.find('\n')),
-                                  &reply, &parse_error))
-        << parse_error;
-    return reply;
-  };
   for (const char* job : {"attack", "verify", "analyze"}) {
     for (const char* seconds : {"-1", "1e999"}) {
-      const std::string line = std::string("{\"op\":\"submit\",\"job\":\"") +
-                               job + "\",\"seconds\":" + seconds + "}\n";
-      const util::Json submitted = submit_raw(line);
-      ASSERT_TRUE(submitted.bool_or("ok", false)) << submitted.dump();
-      util::Json wait = util::Json::object();
-      wait.set("op", util::Json::string("wait"));
-      wait.set("id", util::Json::number(submitted.u64_or("id", 0)));
-      const util::Json done = rpc(client, wait);
-      EXPECT_EQ(done.str_or("status", "?"), "error") << job << " " << seconds;
-      EXPECT_NE(done.str_or("error", "").find("\"seconds\""), std::string::npos)
-          << job << " " << seconds << ": " << done.dump();
-      EXPECT_TRUE(done.bool_or("bad_request", false)) << done.dump();
+      expect_bad_request(client, job, "seconds", seconds);
+    }
+  }
+}
 
-      if (std::string(job) == "attack") {
-        util::Json request;
-        ASSERT_TRUE(util::Json::parse(line.substr(0, line.size() - 1), &request,
-                                      &error))
-            << error;
-        CircuitCache cache;
-        EXPECT_THROW(run_attack_job(request, cache, nullptr, 1),
-                     std::invalid_argument)
-            << seconds;
-      }
+TEST_F(ServiceTest, MistypedNumericFieldsFailNamingTheField) {
+  // A present numeric field must be a number, and the counts non-negative
+  // integers below 2^64: none of these may fall back to the default.
+  ServerOptions options;
+  options.unix_socket = socket_path();
+  options.workers = 1;
+  Server server(options);
+  start(server);
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(socket_path(), &error)) << error;
+  for (const char* job : {"attack", "verify", "analyze"}) {
+    for (const char* seconds : {"\"abc\"", "\"5\"", "null", "true", "[]"}) {
+      expect_bad_request(client, job, "seconds", seconds);
+    }
+  }
+  for (const char* field : {"max_iterations", "max_depth", "max_period"}) {
+    for (const char* value : {"-5", "2.5", "1e30", "\"7\"", "\"x\"", "null",
+                              "false", "{}"}) {
+      expect_bad_request(client, "attack", field, value);
     }
   }
 }

@@ -414,5 +414,88 @@ TEST(CompiledNetlist, BatchedSequencesMatchIndividualRuns) {
   }
 }
 
+TEST(CompiledNetlist, ResetLoadsTheSourcesAndEvalWritesEveryGate) {
+  // reset_words writes words [0, num_sources() * lanes) only, with
+  // ReferenceSim's power-up values; from there a buffer that held garbage
+  // runs exactly like a zeroed one, slot by slot, cycle after cycle.
+  util::Rng rng(0x5e7);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8}}) {
+    const Netlist nl = random_netlist(rng, 150);
+    const CompiledNetlist compiled(nl);
+    ReferenceSim power_up(nl);
+    power_up.eval();  // loads the constants; every other source stays put
+    const std::size_t sources = compiled.num_sources() * lanes;
+    std::vector<std::uint64_t> zeroed(compiled.buffer_words(lanes), 0);
+    std::vector<std::uint64_t> dirty(zeroed.size());
+    for (std::uint64_t& word : dirty) word = rng.next_u64();
+    const std::vector<std::uint64_t> garbage = dirty;
+    compiled.reset_words(zeroed.data(), lanes);
+    compiled.reset_words(dirty.data(), lanes);
+    for (SignalId s = 0; s < nl.size(); ++s) {
+      const std::size_t at = std::size_t{compiled.slot(s)} * lanes;
+      if (at >= sources) continue;
+      for (std::size_t w = 0; w < lanes; ++w) {
+        EXPECT_EQ(dirty[at + w], power_up.get(s)) << nl.signal_name(s);
+      }
+    }
+    EXPECT_TRUE(std::equal(dirty.begin() + sources, dirty.end(),
+                           garbage.begin() + sources))
+        << "reset_words wrote a gate word";
+    std::vector<std::uint64_t> zeroed_step;
+    std::vector<std::uint64_t> dirty_step(compiled.dff_qs().size() * lanes);
+    for (std::uint64_t& word : dirty_step) word = rng.next_u64();
+    for (int cycle = 0; cycle < 5; ++cycle) {
+      for (const auto* ports : {&compiled.inputs(), &compiled.key_inputs()}) {
+        for (const std::uint32_t slot : *ports) {
+          for (std::size_t w = 0; w < lanes; ++w) {
+            zeroed[slot * lanes + w] = dirty[slot * lanes + w] = rng.next_u64();
+          }
+        }
+      }
+      compiled.eval(zeroed.data(), lanes);
+      compiled.eval(dirty.data(), lanes);
+      ASSERT_EQ(dirty, zeroed) << "W=" << lanes << " cycle " << cycle;
+      compiled.step_words(zeroed.data(), lanes, zeroed_step);
+      compiled.step_words(dirty.data(), lanes, dirty_step);
+    }
+  }
+}
+
+TEST(CompiledNetlist, BatchedKeyedRunsMatchReferenceSim) {
+  // run_sequences_batched resets once and trusts eval to write every gate:
+  // each of 130 sequences (three lane words) under one static key, on a
+  // netlist with both constants and all three power-up inits, must match
+  // its own ReferenceSim run.
+  util::Rng rng(0xba7c);
+  const Netlist nl = random_netlist(rng, 200);
+  const CompiledNetlist compiled(nl);
+  const BitVec key = random_bits(rng, nl.key_inputs().size());
+  std::vector<std::vector<BitVec>> seqs;
+  for (int j = 0; j < 130; ++j) {
+    seqs.push_back(random_stimulus(rng, 6, nl.inputs().size()));
+  }
+  const auto batched = run_sequences_batched(compiled, seqs, {key});
+  ASSERT_EQ(batched.size(), seqs.size());
+  const auto word = [](std::uint8_t bit) { return bit ? ~0ULL : 0ULL; };
+  for (std::size_t j = 0; j < seqs.size(); ++j) {
+    ReferenceSim ref(nl);
+    for (std::size_t k = 0; k < key.size(); ++k) {
+      ref.set(nl.key_inputs()[k], word(key[k]));
+    }
+    for (std::size_t c = 0; c < seqs[j].size(); ++c) {
+      for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+        ref.set(nl.inputs()[i], word(seqs[j][c][i]));
+      }
+      ref.eval();
+      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+        EXPECT_EQ(batched[j][c][o], ref.get(nl.outputs()[o]) & 1ULL)
+            << "sequence " << j << " cycle " << c << " output " << o;
+      }
+      ref.step();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cl::sim

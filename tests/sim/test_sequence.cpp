@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "benchgen/catalog.hpp"
 #include "benchgen/s27.hpp"
@@ -71,6 +73,17 @@ y = XOR(a, keyinput0)
   EXPECT_EQ(out2[1][0], 1);
 }
 
+/// One screen of `candidates` keys on fresh buffers.
+std::vector<std::uint64_t> screen_keys(
+    const CompiledNetlist& compiled,
+    const std::vector<std::vector<BitVec>>& stimuli,
+    const std::vector<std::vector<BitVec>>& responses,
+    const std::vector<std::uint64_t>& key_words, std::size_t candidates) {
+  ScreenBuffers buffers;
+  return StaticKeyScreen(compiled, stimuli, responses)
+      .screen(key_words, candidates, buffers);
+}
+
 TEST(Sequence, KeyedLanesMatchScalarRuns) {
   const char* locked = R"(
 INPUT(a)
@@ -98,8 +111,7 @@ y = NOT(t)
   for (const BitVec& truth : keys) {
     const std::vector<std::vector<BitVec>> responses{
         run_sequence(nl, stimuli[0], {truth})};
-    const auto alive =
-        screen_static_keys(compiled, stimuli, responses, key_words, 4);
+    const auto alive = screen_keys(compiled, stimuli, responses, key_words, 4);
     ASSERT_EQ(alive.size(), 1u);
     for (std::size_t lane = 0; lane < keys.size(); ++lane) {
       const bool reproduces =
@@ -137,7 +149,7 @@ m = XNOR(b, keyinput3)
 z = AND(q2, m)
 )";
 
-/// screen_static_keys' layout: word w of key bit k at key_words[k * W + w].
+/// The screen's key layout: word w of key bit k at key_words[k * W + w].
 std::vector<std::uint64_t> pack_keys(const std::vector<BitVec>& keys,
                                      std::size_t key_bits) {
   const std::size_t lanes = (keys.size() + 63) / 64;
@@ -170,8 +182,8 @@ std::size_t expect_screen_matches_per_key(
     const std::vector<std::vector<BitVec>>& responses,
     const std::vector<BitVec>& keys) {
   const std::size_t key_bits = compiled.key_inputs().size();
-  const auto alive = screen_static_keys(compiled, stimuli, responses,
-                                        pack_keys(keys, key_bits), keys.size());
+  const auto alive = screen_keys(compiled, stimuli, responses,
+                                 pack_keys(keys, key_bits), keys.size());
   EXPECT_EQ(alive.size(), (keys.size() + 63) / 64);
   std::size_t survivors = 0;
   for (std::size_t j = 0; j < 64 * alive.size(); ++j) {
@@ -284,33 +296,157 @@ TEST(Sequence, ScreenStaticKeysRejectsMismatchedShapes) {
     responses.push_back(run_sequence(compiled, stimulus, {BitVec(5, 0)}));
   }
   const std::vector<std::uint64_t> words(5 * 2, 0);  // W = 2
-  EXPECT_NO_THROW(screen_static_keys(compiled, stimuli, responses, words, 100));
+  EXPECT_NO_THROW(screen_keys(compiled, stimuli, responses, words, 100));
   // key_words must hold W words per key bit.
-  EXPECT_THROW(screen_static_keys(compiled, stimuli, responses, words, 64),
+  EXPECT_THROW(screen_keys(compiled, stimuli, responses, words, 64),
                std::invalid_argument);
-  EXPECT_THROW(screen_static_keys(compiled, stimuli, responses, words, 129),
+  EXPECT_THROW(screen_keys(compiled, stimuli, responses, words, 129),
                std::invalid_argument);
-  // One response per stimulus.
-  EXPECT_THROW(
-      screen_static_keys(compiled, stimuli, {responses[0]}, words, 100),
-      std::invalid_argument);
+  // One response per stimulus: the pool is checked when the screen is built.
+  EXPECT_THROW(StaticKeyScreen(compiled, stimuli, {responses[0]}),
+               std::invalid_argument);
   // Equal lengths.
   auto short_response = responses;
   short_response[1].pop_back();
-  EXPECT_THROW(
-      screen_static_keys(compiled, stimuli, short_response, words, 100),
-      std::invalid_argument);
+  EXPECT_THROW(StaticKeyScreen(compiled, stimuli, short_response),
+               std::invalid_argument);
   // Input and output widths.
   auto wide_stimuli = stimuli;
   wide_stimuli[1][3].push_back(0);
-  EXPECT_THROW(
-      screen_static_keys(compiled, wide_stimuli, responses, words, 100),
-      std::invalid_argument);
+  EXPECT_THROW(StaticKeyScreen(compiled, wide_stimuli, responses),
+               std::invalid_argument);
   auto narrow_response = responses;
   narrow_response[1][2].pop_back();
-  EXPECT_THROW(
-      screen_static_keys(compiled, stimuli, narrow_response, words, 100),
-      std::invalid_argument);
+  EXPECT_THROW(StaticKeyScreen(compiled, stimuli, narrow_response),
+               std::invalid_argument);
+}
+
+/// Per-bit reference of the key lane builders: word `w` of key bit b gets
+/// bit b of keys[j] on lane j; every other word keeps its sentinel.
+void expect_lanes_match_per_bit(const std::vector<std::uint64_t>& got,
+                                const std::vector<std::uint64_t>& keys,
+                                std::size_t key_bits, std::size_t lanes,
+                                std::size_t w, std::uint64_t sentinel) {
+  ASSERT_EQ(got.size(), 64 * lanes);
+  for (std::size_t b = 0; b < 64; ++b) {
+    for (std::size_t x = 0; x < lanes; ++x) {
+      std::uint64_t want = sentinel;
+      if (b < key_bits && x == w) {
+        want = 0;
+        for (std::size_t j = 0; j < keys.size(); ++j) {
+          want |= ((keys[j] >> b) & 1ULL) << j;
+        }
+      }
+      EXPECT_EQ(got[b * lanes + x], want)
+          << "bit " << b << " word " << x << " of " << lanes << ", "
+          << keys.size() << " keys of " << key_bits << " bits";
+    }
+  }
+}
+
+TEST(Sequence, KeyLaneBuildersMatchPerBitReference) {
+  util::Rng rng(0x1a9e);
+  constexpr std::uint64_t sentinel = 0x5a5a5a5a5a5a5a5aULL;
+  for (const std::size_t key_bits : {1, 5, 6, 7, 19, 35, 64}) {
+    const std::uint64_t mask =
+        key_bits == 64 ? ~0ULL : (1ULL << key_bits) - 1;
+    // Random draws: full batches, partial ones, and the lone key.
+    for (const std::size_t count : {64, 63, 37, 1}) {
+      std::vector<std::uint64_t> keys;
+      for (std::size_t j = 0; j < count; ++j) {
+        keys.push_back(rng.next_u64() & mask);
+      }
+      for (const auto& [lanes, w] : {std::pair<std::size_t, std::size_t>{1, 0},
+                                    {8, 3}, {5, 4}}) {
+        std::vector<std::uint64_t> words(64 * lanes, sentinel);
+        pack_key_lanes(keys, key_bits, words.data(), lanes, w);
+        expect_lanes_match_per_bit(words, keys, key_bits, lanes, w, sentinel);
+      }
+    }
+    // Exhaustive runs: every batch of a small space, in pass layout (batch b
+    // in word b % 8), and sampled batches of a large one, its last included.
+    const std::uint64_t space = key_bits == 64 ? 0 : 1ULL << key_bits;
+    std::vector<std::uint64_t> firsts;
+    if (key_bits <= 7) {
+      for (std::uint64_t f = 0; f < space; f += 64) firsts.push_back(f);
+    } else {
+      firsts = {0, 64, (rng.next_u64() & mask) & ~63ULL, (space - 1) & ~63ULL};
+    }
+    for (const std::uint64_t first : firsts) {
+      const std::size_t count = key_bits < 6 ? std::size_t{1} << key_bits : 64;
+      std::vector<std::uint64_t> keys;
+      for (std::size_t j = 0; j < count; ++j) keys.push_back(first + j);
+      const std::size_t w = first / 64 % 8;
+      std::vector<std::uint64_t> words(64 * 8, sentinel);
+      pack_consecutive_key_lanes(first, count, key_bits, words.data(), 8, w);
+      expect_lanes_match_per_bit(words, keys, key_bits, 8, w, sentinel);
+      // A partial batch of the same keys: its unused lanes hold key 0.
+      keys.resize(count / 2 + 1);
+      std::vector<std::uint64_t> partial(64, sentinel);
+      pack_consecutive_key_lanes(first, keys.size(), key_bits, partial.data(),
+                                 1, 0);
+      expect_lanes_match_per_bit(partial, keys, key_bits, 1, 0, sentinel);
+    }
+  }
+}
+
+TEST(Sequence, KeyLaneBuildersRejectMalformedBatches) {
+  std::vector<std::uint64_t> words(65 * 2, 0);
+  const std::vector<std::uint64_t> keys(65, 1);
+  EXPECT_NO_THROW(pack_key_lanes({keys.data(), 64}, 64, words.data(), 2, 1));
+  EXPECT_THROW(pack_key_lanes(keys, 8, words.data(), 2, 0),
+               std::invalid_argument);
+  EXPECT_THROW(pack_key_lanes({keys.data(), 4}, 65, words.data(), 2, 0),
+               std::invalid_argument);
+  EXPECT_THROW(pack_key_lanes({keys.data(), 4}, 8, words.data(), 2, 2),
+               std::invalid_argument);
+  EXPECT_NO_THROW(pack_consecutive_key_lanes(128, 64, 64, words.data(), 2, 1));
+  EXPECT_THROW(pack_consecutive_key_lanes(32, 8, 8, words.data(), 2, 0),
+               std::invalid_argument);
+  EXPECT_THROW(pack_consecutive_key_lanes(0, 65, 8, words.data(), 2, 0),
+               std::invalid_argument);
+  EXPECT_THROW(pack_consecutive_key_lanes(0, 8, 65, words.data(), 2, 0),
+               std::invalid_argument);
+  EXPECT_THROW(pack_consecutive_key_lanes(0, 8, 8, words.data(), 2, 2),
+               std::invalid_argument);
+}
+
+TEST(Sequence, ScreenIgnoresWhatItsBuffersHeld) {
+  // Survivor words on a fresh buffer, on one pre-filled with garbage, and
+  // on one that a screen of another width used last, must all agree.
+  const Netlist nl = netlist::read_bench_string(k_keyed_fsm, "fsm");
+  const CompiledNetlist compiled(nl);
+  util::Rng rng(16);
+  const BitVec truth = random_bits(rng, 5);
+  std::vector<std::vector<BitVec>> stimuli;
+  std::vector<std::vector<BitVec>> responses;
+  for (int s = 0; s < 3; ++s) {
+    stimuli.push_back(random_stimulus(rng, 10, 2));
+    responses.push_back(run_sequence(compiled, stimuli.back(), {truth}));
+  }
+  const StaticKeyScreen screen(compiled, stimuli, responses);
+  ScreenBuffers reused;
+  std::size_t survivors = 0;
+  for (const std::size_t candidates : {512, 100, 64, 300, 512}) {
+    std::vector<BitVec> keys;
+    for (std::size_t j = 0; j < candidates; ++j) {
+      keys.push_back(random_bits(rng, 5));
+    }
+    keys[candidates / 2] = truth;
+    const std::vector<std::uint64_t> words = pack_keys(keys, 5);
+    ScreenBuffers fresh;
+    const auto want = screen.screen(words, candidates, fresh);
+    ScreenBuffers garbage;
+    const std::size_t lanes = (candidates + 63) / 64;
+    garbage.values.resize(compiled.buffer_words(lanes));
+    garbage.step.resize(compiled.dff_qs().size() * lanes);
+    for (auto& word : garbage.values) word = rng.next_u64();
+    for (auto& word : garbage.step) word = rng.next_u64();
+    EXPECT_EQ(screen.screen(words, candidates, garbage), want) << candidates;
+    EXPECT_EQ(screen.screen(words, candidates, reused), want) << candidates;
+    for (const std::uint64_t w : want) survivors += std::popcount(w);
+  }
+  EXPECT_GE(survivors, 5u);
 }
 
 /// Per-draw reference of sample_key_flips: the documented draw order, each
@@ -376,6 +512,19 @@ TEST(Sequence, KeyFlipSamplerMatchesPerDrawRunsAcrossPasses) {
   ASSERT_EQ(moved.size(), 20u);
   EXPECT_NE(std::count(moved.begin(), moved.begin() + 16, true), 0);
   EXPECT_NE(std::count(moved.begin() + 16, moved.end(), true), 0);
+}
+
+TEST(Sequence, KeyFlipSamplerMatchesPerDrawRunsOverThreePasses) {
+  // 40 bits x 16 draws = 640 draws in passes of 256, 256 and 128: the
+  // second pass reuses the first one's buffer at its width, the third at
+  // half of it, and neither may see what the pass before left there.
+  const Netlist s298 = benchgen::make_circuit("s298").netlist;
+  util::Rng rng(13);
+  const auto lr = lock::xor_lock(s298, 40, rng);
+  ASSERT_EQ(lr.locked.key_inputs().size(), 40u);
+  const auto moved = expect_key_flips_match_per_draw(lr.locked);
+  ASSERT_EQ(moved.size(), 40u);
+  EXPECT_NE(std::count(moved.begin() + 32, moved.end(), true), 0);
 }
 
 TEST(Sequence, KeyFlipSamplerReportsEachDirection) {
