@@ -29,7 +29,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
   }
   if (locked.key_inputs().size() > 64) {
     // Candidate keys ride in 64-bit words throughout (the key lane
-    // builders, the exhaustive-space mask); wider keys would shift by >= 64
+    // packers, the exhaustive-space mask); wider keys would shift by >= 64
     // (UB).
     throw std::invalid_argument("bbo_attack: more than 64 key bits");
   }
@@ -62,7 +62,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
   // The locked netlist compiles once and the pool is checked once; every
   // screening task shares both. Pass p of every round builds its key lane
   // words in slot p and screens on slot p's buffers, so parallel passes
-  // share nothing.
+  // share nothing. Slots grow with the widest round, not with `jobs`.
   const sim::CompiledNetlist compiled(locked);
   const sim::StaticKeyScreen screen(compiled, stimuli, responses);
   struct PassSlot {
@@ -70,7 +70,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
     sim::ScreenBuffers buffers;
     std::vector<std::uint64_t> alive;
   };
-  std::vector<PassSlot> slots(options.jobs);
+  std::vector<PassSlot> slots;
 
   // A survivor whose proof runs out of budget may be the key: it is counted,
   // never taken as refuted, and turns a final CNS or FAIL into N/A. A
@@ -136,6 +136,7 @@ AttackResult bbo_attack(const Netlist& locked, const SequentialOracle& oracle,
 
     const std::size_t passes =
         (batches + k_batches_per_pass - 1) / k_batches_per_pass;
+    if (slots.size() < passes) slots.resize(passes);
     const auto screen_pass = [&](std::size_t p) {
       PassSlot& slot = slots[p];
       const std::size_t first_batch = p * k_batches_per_pass;

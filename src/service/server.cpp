@@ -134,20 +134,23 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
-/// A request's `seconds` budget, `fallback` when absent. A value that is
-/// not a number, or is negative or non-finite (JSON's 1e999 parses to +inf,
-/// which would lift the wall deadline), is a malformed request, as
-/// `--seconds` is on the command line.
-double seconds_field(const util::Json& request, double fallback) {
-  const util::Json* field = request.find("seconds");
+/// A request's number field (the `seconds` budget, the `epsilon`
+/// tolerance), `fallback` when absent. A value that is not a number, or is
+/// negative or non-finite (JSON's 1e999 parses to +inf, which would lift a
+/// `seconds` deadline), is a malformed request, as the matching flag is on
+/// the command line.
+double number_field(const util::Json& request, const std::string& name,
+                    double fallback) {
+  const util::Json* field = request.find(name);
   if (field == nullptr) return fallback;
-  const double seconds = field->type() == util::Json::Type::Number
-                             ? field->as_number()
-                             : -1.0;
-  if (!std::isfinite(seconds) || seconds < 0) {
-    throw std::invalid_argument("\"seconds\" must be a finite non-negative number");
+  const double value = field->type() == util::Json::Type::Number
+                           ? field->as_number()
+                           : -1.0;
+  if (!std::isfinite(value) || value < 0) {
+    throw std::invalid_argument("\"" + name +
+                                "\" must be a finite non-negative number");
   }
-  return seconds;
+  return value;
 }
 
 /// A request's count field (`max_iterations`, ...), `fallback` when absent.
@@ -198,7 +201,7 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
   const attack::AttackMode& mode = attack::find_attack_mode(name);
   attack::ModeOptions options;
   attack::AttackBudget& budget = options.budget;
-  budget.time_limit_s = seconds_field(request, 10.0);
+  budget.time_limit_s = number_field(request, "seconds", 10.0);
   budget.max_iterations =
       count_field(request, "max_iterations", budget.max_iterations);
   budget.max_depth = static_cast<std::size_t>(
@@ -217,6 +220,7 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
   if (!accept_name.empty() && !criterion) {
     throw std::invalid_argument("\"accept\" must be exact, any or approx");
   }
+  const double epsilon = number_field(request, "epsilon", 0.0);
   sim::BitVec truth;
   const std::string truth_text = request.str_or("true_key", "");
   if (!bits_from_string(truth_text, &truth)) {
@@ -253,7 +257,7 @@ util::Json run_attack_job(const util::Json& request, CircuitCache& cache,
     } else {
       attack::AcceptOptions accept_options;
       accept_options.criterion = *criterion;
-      accept_options.epsilon = request.num_or("epsilon", 0.0);
+      accept_options.epsilon = epsilon;
       accept_report = attack::verify_any_key(
           locked->netlist(), r.key, reference->netlist(),
           truth_text.empty() ? nullptr : &truth, accept_options);
@@ -724,7 +728,8 @@ void Server::run_job(Job& job) {
 
 void Server::run_verify_job(Job& job, util::Json* result) {
   attack::VerifyOptions options;
-  options.time_limit_s = seconds_field(job.request, options.time_limit_s);
+  options.time_limit_s =
+      number_field(job.request, "seconds", options.time_limit_s);
   std::size_t cache_hits = 0;
   const auto locked = circuit_from(job.request, "locked", cache_, &cache_hits);
   const auto reference = circuit_from(job.request, "oracle", cache_, &cache_hits);
@@ -769,7 +774,7 @@ void Server::run_lock_job(Job& job, util::Json* result) {
 }
 
 void Server::run_analyze_job(Job& job, util::Json* result) {
-  const double seconds = seconds_field(job.request, 10.0);
+  const double seconds = number_field(job.request, "seconds", 10.0);
   std::size_t cache_hits = 0;
   const auto circuit = circuit_from(job.request, "circuit", cache_, &cache_hits);
   const netlist::Netlist& nl = circuit->netlist();

@@ -50,7 +50,7 @@ void pack_lanes(std::uint64_t* words,
   }
 }
 
-/// The key lane builders' shared bounds (sequence.hpp's key layout).
+/// The key lane packers' shared bounds (sequence.hpp's key layout).
 void check_batch(std::size_t count, std::size_t key_bits, std::size_t lanes,
                  std::size_t w) {
   if (count > 64 || key_bits > 64 || w >= lanes) {
@@ -201,7 +201,6 @@ StaticKeyScreen::StaticKeyScreen(
     throw std::invalid_argument(
         "StaticKeyScreen: one response per stimulus required");
   }
-  ends_.reserve(stimuli.size());
   for (std::size_t s = 0; s < stimuli.size(); ++s) {
     if (stimuli[s].size() != responses[s].size()) {
       throw std::invalid_argument("StaticKeyScreen: response length mismatch");
@@ -213,19 +212,12 @@ StaticKeyScreen::StaticKeyScreen(
       if (responses[s][c].size() != num_outputs) {
         throw std::invalid_argument("StaticKeyScreen: output width mismatch");
       }
-    }
-    ends_.push_back((ends_.empty() ? 0 : ends_.back()) + stimuli[s].size());
-  }
-  const std::size_t cycles = ends_.empty() ? 0 : ends_.back();
-  inputs_.reserve(cycles * num_inputs);
-  responses_.reserve(cycles * num_outputs);
-  for (std::size_t s = 0; s < stimuli.size(); ++s) {
-    for (std::size_t c = 0; c < stimuli[s].size(); ++c) {
       inputs_.insert(inputs_.end(), stimuli[s][c].begin(),
                      stimuli[s][c].end());
       responses_.insert(responses_.end(), responses[s][c].begin(),
                         responses[s][c].end());
     }
+    ends_.push_back((ends_.empty() ? 0 : ends_.back()) + stimuli[s].size());
   }
 }
 

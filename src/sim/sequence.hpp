@@ -1,6 +1,6 @@
 // Multi-cycle sequence simulation helpers: wide-lane batched runs (a single
 // sequence is the one-lane case), static-key screening (a screen checked
-// once per stimulus pool, key lane builders, per-task buffers), key-flip
+// once per stimulus pool, key lane packers, per-task buffers), key-flip
 // sampling, the random counterexample scan, random stimulus generation, and
 // sequence comparison. These are the building blocks for oracles, key
 // verification, validation tables, and the attacks that decide by
@@ -63,7 +63,7 @@ std::vector<std::vector<Trit>> run_sequence_x(const netlist::Netlist& nl,
 // Key layout: `candidates` static keys ride the pattern lanes of one
 // multi-word pass, W = ceil(candidates / 64) words per signal, candidate j
 // in bit j % 64 of word j / 64, and key_words[b * W + w] is word w of key
-// bit b. A batch is one lane word, up to 64 candidates; the two builders
+// bit b. A batch is one lane word, up to 64 candidates; the two packers
 // below write word w of every key bit for one batch, and lanes at or past
 // the batch's `count` hold key 0. Both throw std::invalid_argument when
 // count or key_bits exceeds 64 or w >= W.
@@ -82,9 +82,9 @@ void pack_consecutive_key_lanes(std::uint64_t first, std::size_t count,
                                 std::size_t lanes, std::size_t w);
 
 /// Scratch of StaticKeyScreen::screen owned by the calling task: the value
-/// buffer and the DFF step scratch, sized by the first screen and reused by
-/// every later one. Concurrent screens need one each; what a buffer holds
-/// between screens never matters.
+/// buffer and the DFF step scratch, resized to each screen's width and
+/// reused from screen to screen. Concurrent screens need one each; what a
+/// buffer holds between screens never matters.
 struct ScreenBuffers {
   util::AlignedVec<std::uint64_t> values;
   util::AlignedVec<std::uint64_t> step;

@@ -273,6 +273,20 @@ TEST(Bbo, KeyBeyondFirstPassAccounting) {
   EXPECT_EQ(bbo_attack(lr.locked, oracle).key, lr.correct_key);
 }
 
+TEST(Bbo, RandomKeyBeyondFirstPassAccounting) {
+  // Random search over 2^8 keys: the correct key 5 is first drawn in batch
+  // 12, the second pass of a three-job round and the second round at one.
+  const Netlist nl = netlist::read_bench_string(k_s27, "s27");
+  util::Rng rng(25);
+  const auto lr = lock::xor_lock(nl, 8, rng);
+  ASSERT_EQ(sim::bits_to_u64(lr.correct_key), 5u);
+  BboOptions opts;
+  opts.exhaustive_limit = 4;
+  expect_pinned(lr.locked, nl, opts, {Outcome::Equal, 13, ""});
+  SequentialOracle oracle(nl);
+  EXPECT_EQ(bbo_attack(lr.locked, oracle, opts).key, lr.correct_key);
+}
+
 TEST(Bbo, TableFourS510ExhaustsItsSpace) {
   // Table IV's s510 cell: k = 8, ki = 19, 4 locked FFs, lock seed
   // 0x57a + gates. 2^19 consecutive keys, 1,024 passes of 8 batches.

@@ -539,8 +539,9 @@ TEST_F(ServiceTest, NegativeOrNonFiniteSecondsFailsNamingTheField) {
 }
 
 TEST_F(ServiceTest, MistypedNumericFieldsFailNamingTheField) {
-  // A present numeric field must be a number, and the counts non-negative
-  // integers below 2^64: none of these may fall back to the default.
+  // A present numeric field must be a number, the counts non-negative
+  // integers below 2^64 and the approx tolerance a finite non-negative
+  // number: none of these may fall back to the default.
   ServerOptions options;
   options.unix_socket = socket_path();
   options.workers = 1;
@@ -559,6 +560,9 @@ TEST_F(ServiceTest, MistypedNumericFieldsFailNamingTheField) {
                               "false", "{}"}) {
       expect_bad_request(client, "attack", field, value);
     }
+  }
+  for (const char* epsilon : {"-0.5", "1e999", "\"0.1\"", "null", "true"}) {
+    expect_bad_request(client, "attack", "epsilon", epsilon);
   }
 }
 

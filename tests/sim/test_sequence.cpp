@@ -321,7 +321,7 @@ TEST(Sequence, ScreenStaticKeysRejectsMismatchedShapes) {
                std::invalid_argument);
 }
 
-/// Per-bit reference of the key lane builders: word `w` of key bit b gets
+/// Per-bit reference of the key lane packers: word `w` of key bit b gets
 /// bit b of keys[j] on lane j; every other word keeps its sentinel.
 void expect_lanes_match_per_bit(const std::vector<std::uint64_t>& got,
                                 const std::vector<std::uint64_t>& keys,
@@ -344,7 +344,7 @@ void expect_lanes_match_per_bit(const std::vector<std::uint64_t>& got,
   }
 }
 
-TEST(Sequence, KeyLaneBuildersMatchPerBitReference) {
+TEST(Sequence, KeyLanePackersMatchPerBitReference) {
   util::Rng rng(0x1a9e);
   constexpr std::uint64_t sentinel = 0x5a5a5a5a5a5a5a5aULL;
   for (const std::size_t key_bits : {1, 5, 6, 7, 19, 35, 64}) {
@@ -390,7 +390,7 @@ TEST(Sequence, KeyLaneBuildersMatchPerBitReference) {
   }
 }
 
-TEST(Sequence, KeyLaneBuildersRejectMalformedBatches) {
+TEST(Sequence, KeyLanePackersRejectMalformedBatches) {
   std::vector<std::uint64_t> words(65 * 2, 0);
   const std::vector<std::uint64_t> keys(65, 1);
   EXPECT_NO_THROW(pack_key_lanes({keys.data(), 64}, 64, words.data(), 2, 1));
